@@ -5,7 +5,6 @@ from .budgets import (
     SqueezingLevels,
     classical_noise_limit,
     heterodyne_budget,
-    opo_squeezing_spectrum,
     phase_jitter_penalty,
     predicted_reduction,
     straightforward_phase_floor,
@@ -55,8 +54,6 @@ from .interferometer import (
     balanced_detect,
     classical_phase_variance,
     compose_beam,
-    linearized_output,
-    straightforward_variant,
     unsqueezed_shot_psd,
 )
 from .runner import RunSummary, run, run_preset

@@ -28,10 +28,6 @@ def _db_to_linear(db) -> np.ndarray:
     return 10.0 ** (-np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(linear) -> np.ndarray:
-    return -10.0 * np.log10(np.asarray(linear, dtype=float))
-
-
 @dataclass(frozen=True)
 class SqueezingLevels:
     """Measured squeezing levels of the two sources at both sidebands.
@@ -99,15 +95,6 @@ def predicted_reduction(levels: SqueezingLevels, band: str) -> float:
     w = np.array([levels.w1, levels.w2])
     floor = float(np.dot(w, per_source) / w.sum())
     return float(-10.0 * np.log10(floor))
-
-
-def opo_squeezing_spectrum(spec: SqueezerSpec, eps_hz):
-    """(squeezed, anti-squeezed) linear PSD pair at sideband eps_hz.
-
-    Delegates to the squeezer's own spectrum method so the simulator and
-    the budgets share one formula.
-    """
-    return spec.squeezing_spectrum(eps_hz)
 
 
 def classical_noise_limit(classical_fraction: float, s_linear: float) -> float:

@@ -305,6 +305,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     ms = cfg.measurement
     _check(ms.kind in MEASUREMENTS, "measurement.kind", f"must be one of {MEASUREMENTS}")
+    _check(math.isfinite(ms.lo_phase_rad), "measurement.lo_phase_rad", "must be finite")
     _check(len(ms.bands) >= 1, "measurement.bands", "need at least one analysis band")
     nyq = g.sample_rate_hz / 2.0
     for i, band in enumerate(ms.bands):

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal as sps
 
+from .fields import FrequencyGrid
 from .interferometer import PhotocurrentTrace
 
 FILTER_KINDS = ("band-stop", "low-pass", "high-pass", "gain")
@@ -120,22 +121,23 @@ def _design_sos(spec: FilterSpec, sample_rate: float) -> np.ndarray | None:
     return sps.butter(spec.order, spec.corners[0], btype=btype, fs=sample_rate, output="sos")
 
 
-def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
-    """Run the cascaded digital chain over one frame.
+def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Run one frame through a chain of precomputed response ``h``.
 
     The chain is applied in the frequency domain (circular convolution),
     which is the steady-state response of the continuously running analog
     chain: synthesized frames are exactly frame-periodic, so this carries
-    no start-up transient.  The response used is exactly the designed one
-    returned by ``chain_response``.
+    no start-up transient.
     """
+    return np.fft.irfft(np.fft.rfft(x) * h, n=len(x))
+
+
+def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
+    """Run the cascaded chain over one frame with exactly the response
+    ``chain_response`` returns."""
     fs = trace.grid.sample_rate
-    n = trace.grid.n_samples
-    for spec in chain:
-        _design_sos(spec, fs)  # corner validation
-    h = chain_response(chain, np.fft.rfftfreq(n, d=1.0 / fs), fs)
-    y = np.fft.irfft(np.fft.rfft(np.asarray(trace.samples, dtype=float)) * h, n=n)
-    return trace.with_samples(y)
+    h = chain_response(chain, np.fft.rfftfreq(trace.grid.n_samples, d=1.0 / fs), fs)
+    return trace.with_samples(filter_frame(trace.samples, h))
 
 
 def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -164,12 +166,18 @@ def compensate_spectrum(estimate: SpectrumEstimate, chain: list[FilterSpec], sam
     return replace(estimate, values=estimate.values / np.maximum(power, floor), compensated=True)
 
 
+def local_oscillator(grid: FrequencyGrid, freq_hz: float, phase_rad: float) -> np.ndarray:
+    """Unit mixer drive cos(2 pi f t + phase) over one frame."""
+    return np.cos(2.0 * np.pi * freq_hz * grid.times() + phase_rad)
+
+
+def mix_down(x: np.ndarray, lo: np.ndarray, lpf_h: np.ndarray) -> np.ndarray:
+    """Mixer and low-pass of one frame: LPF[x * lo]."""
+    return filter_frame(x * lo, lpf_h)
+
+
 def demodulate(
-    trace: PhotocurrentTrace,
-    lo_freq_hz: float,
-    lo_phase_rad: float = np.pi / 2.0,
-    lpf_corner_hz: float | None = None,
-    lpf_order: int = 8,
+    trace: PhotocurrentTrace, lo_freq_hz: float, lo_phase_rad: float = np.pi / 2.0
 ) -> PhotocurrentTrace:
     """Mix with a unit local oscillator and low-pass the product.
 
@@ -177,24 +185,41 @@ def demodulate(
     (p + p) / 4 in the baseband and, at phase pi/2 against the beat, the
     classical beat drops out while the phase quadrature survives.
     """
-    fs = trace.grid.sample_rate
+    grid = trace.grid
+    fs = grid.sample_rate
     if not 0.0 < lo_freq_hz < fs / 4.0:
         raise DspError("lo_freq_hz must stay below a quarter of the sample rate")
-    if lpf_corner_hz is None:
-        lpf_corner_hz = lo_freq_hz / 2.0
-    if lpf_corner_hz >= fs / 2.0:
-        raise DspError("lpf corner must stay below Nyquist")
-    t = trace.grid.times()
-    mixed = trace.samples * np.cos(2.0 * np.pi * lo_freq_hz * t + lo_phase_rad)
-    lpf = FilterSpec("low-pass", (lpf_corner_hz,), order=lpf_order)
-    n = trace.grid.n_samples
-    h = chain_response([lpf], np.fft.rfftfreq(n, d=1.0 / fs), fs)
-    return trace.with_samples(np.fft.irfft(np.fft.rfft(mixed) * h, n=n))
+    freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / fs)
+    h = chain_response([demod_lpf_spec(lo_freq_hz)], freqs, fs)
+    lo = local_oscillator(grid, lo_freq_hz, lo_phase_rad)
+    return trace.with_samples(mix_down(trace.samples, lo, h))
 
 
-def demod_lpf_spec(lo_freq_hz: float, lpf_order: int = 8) -> FilterSpec:
-    """The low-pass stage ``demodulate`` applies, for response bookkeeping."""
-    return FilterSpec("low-pass", (lo_freq_hz / 2.0,), order=lpf_order)
+def demod_lpf_spec(lo_freq_hz: float) -> FilterSpec:
+    """The mixer low-pass: eighth order, corner at half the LO frequency."""
+    return FilterSpec("low-pass", (lo_freq_hz / 2.0,), order=8)
+
+
+def hamming_window(n: int) -> tuple[np.ndarray, float]:
+    """Hamming window of ``n`` samples and its power sum, which
+    normalizes the periodograms so a white input of PSD p estimates p."""
+    window = np.hamming(n)
+    return window, float(np.sum(window**2))
+
+
+def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Windowed spectrum V = rfft(w * x) of one frame."""
+    return np.fft.rfft(window * x)
+
+
+def auto_periodogram(v: np.ndarray, wnorm: float) -> np.ndarray:
+    """|V|^2 / sum(w^2) of one windowed frame spectrum."""
+    return np.abs(v) ** 2 / wnorm
+
+
+def cross_periodogram(v1: np.ndarray, v2: np.ndarray, wnorm: float) -> np.ndarray:
+    """Re(V1 conj(V2)) / sum(w^2) of two aligned windowed frame spectra."""
+    return np.real(v1 * np.conj(v2)) / wnorm
 
 
 def _frame_array(frame) -> np.ndarray:
@@ -203,36 +228,44 @@ def _frame_array(frame) -> np.ndarray:
     return np.asarray(frame, dtype=float)
 
 
-def welch_psd(frames, sample_rate: float | None = None) -> SpectrumEstimate:
-    """Hamming-windowed averaged periodogram over non-overlapping frames.
-
-    The window is power-normalized, so a white input of PSD p estimates p
-    without bias.  Frames are consumed and accumulated in order.
-    """
+def _average_periodograms(streams, sample_rate, periodogram, kind: str) -> SpectrumEstimate:
+    """Average ``periodogram`` over aligned frame streams, frame by frame
+    in order."""
+    iters = [iter(s) for s in streams]
     acc = None
-    n = 0
     count = 0
-    window = None
-    norm = 0.0
-    for frame in frames:
-        if sample_rate is None and isinstance(frame, PhotocurrentTrace):
-            sample_rate = frame.grid.sample_rate
-        x = _frame_array(frame)
+    while True:
+        frames = [next(it, None) for it in iters]
+        if all(f is None for f in frames):
+            break
+        if any(f is None for f in frames):
+            raise DspError("frame streams must be aligned")
+        if sample_rate is None and isinstance(frames[0], PhotocurrentTrace):
+            sample_rate = frames[0].grid.sample_rate
+        xs = [_frame_array(f) for f in frames]
         if acc is None:
-            n = len(x)
-            window = np.hamming(n)
-            norm = np.sum(window**2)
+            n = len(xs[0])
+            window, wnorm = hamming_window(n)
             acc = np.zeros(n // 2 + 1)
-        elif len(x) != n:
+        if any(len(x) != n for x in xs):
             raise DspError("all frames must share one length")
-        acc = acc + np.abs(np.fft.rfft(window * x)) ** 2 / norm
+        acc = acc + periodogram(*(frame_spectrum(x, window) for x in xs), wnorm)
         count += 1
     if count == 0:
         raise DspError("need at least one frame")
     if sample_rate is None:
         raise DspError("sample_rate is required for bare-array frames")
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind="auto")
+    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind=kind)
+
+
+def welch_psd(frames, sample_rate: float | None = None) -> SpectrumEstimate:
+    """Hamming-windowed averaged periodogram over non-overlapping frames.
+
+    The window is power-normalized, so a white input of PSD p estimates p
+    without bias.  Frames are consumed and accumulated in order.
+    """
+    return _average_periodograms([frames], sample_rate, auto_periodogram, "auto")
 
 
 def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> SpectrumEstimate:
@@ -241,39 +274,7 @@ def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> Spectr
     Shares the welch normalization, so a common signal converges to its
     PSD while independent noise decays as 1/sqrt(n_frames).
     """
-    acc = None
-    n = 0
-    count = 0
-    window = None
-    norm = 0.0
-    it2 = iter(frames2)
-    for f1 in frames1:
-        try:
-            f2 = next(it2)
-        except StopIteration:
-            raise DspError("frame streams must be aligned") from None
-        if sample_rate is None and isinstance(f1, PhotocurrentTrace):
-            sample_rate = f1.grid.sample_rate
-        x1, x2 = _frame_array(f1), _frame_array(f2)
-        if acc is None:
-            n = len(x1)
-            window = np.hamming(n)
-            norm = np.sum(window**2)
-            acc = np.zeros(n // 2 + 1)
-        if len(x1) != n or len(x2) != n:
-            raise DspError("all frames must share one length")
-        v1 = np.fft.rfft(window * x1)
-        v2 = np.fft.rfft(window * x2)
-        acc = acc + np.real(v1 * np.conj(v2)) / norm
-        count += 1
-    if next(it2, None) is not None:
-        raise DspError("frame streams must be aligned")
-    if count == 0:
-        raise DspError("need at least one frame")
-    if sample_rate is None:
-        raise DspError("sample_rate is required for bare-array frames")
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind="cross")
+    return _average_periodograms([frames1, frames2], sample_rate, cross_periodogram, "cross")
 
 
 @dataclass(frozen=True)

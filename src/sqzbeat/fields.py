@@ -64,10 +64,6 @@ class FrequencyGrid:
     def bin_hz(self) -> float:
         return self.sample_rate / self.n_samples
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def freqs(self) -> np.ndarray:
         """Bin frequencies in FFT layout (positive block, then negative)."""
         return np.fft.fftfreq(self.n_samples, d=1.0 / self.sample_rate)
@@ -103,7 +99,6 @@ class FieldRealization:
 
     grid: FrequencyGrid
     amplitudes: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.amplitudes) != self.grid.n_samples:
@@ -113,18 +108,16 @@ class FieldRealization:
         """Complex field samples; bin k contributes amp * exp(-2j pi f_k t)."""
         return np.fft.fft(self.amplitudes)
 
-    def with_amplitudes(self, amplitudes: np.ndarray, label: str | None = None) -> "FieldRealization":
-        return FieldRealization(self.grid, amplitudes, self.label if label is None else label)
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "FieldRealization":
+        return FieldRealization(self.grid, amplitudes)
 
 
 @dataclass(frozen=True)
 class QuadraturePair:
-    """Real quadrature time series demodulated at ``center_freq``."""
+    """Real quadrature time series of a field envelope."""
 
     a1: np.ndarray
     a2: np.ndarray
-    center_freq: float
-    grid: FrequencyGrid
 
     def at_angle(self, angle_rad: float) -> np.ndarray:
         return self.a1 * np.cos(angle_rad) + self.a2 * np.sin(angle_rad)
@@ -172,7 +165,7 @@ class SqueezerSpec:
         return s, a
 
 
-def make_vacuum_field(grid: FrequencyGrid, seed, label: str = "vacuum") -> FieldRealization:
+def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
     """Fresh vacuum: i.i.d. circular complex Gaussian bins.
 
     Deterministic in (grid, seed).  Per-bin mean square is 1/n_samples so
@@ -182,7 +175,7 @@ def make_vacuum_field(grid: FrequencyGrid, seed, label: str = "vacuum") -> Field
     n = grid.n_samples
     scale = np.sqrt(0.5 / n)
     amps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return FieldRealization(grid, amps, label)
+    return FieldRealization(grid, amps)
 
 
 def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealization:
@@ -224,7 +217,7 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     s0, a0 = spec.squeezing_spectrum(0.0)
     g10, g20 = np.sqrt(s0), np.sqrt(a0)
     out[kc] = 0.5 * ((g10 + g20) * amps[kc] + (g10 - g20) * w * np.conj(amps[kc]))
-    return field.with_amplitudes(out, label=f"{field.label}+squeezed")
+    return field.with_amplitudes(out)
 
 
 def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealization:
@@ -235,7 +228,7 @@ def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealiza
         return field.with_amplitudes(field.amplitudes.copy())
     vac = make_vacuum_field(field.grid, seed)
     amps = np.sqrt(efficiency) * field.amplitudes + np.sqrt(1.0 - efficiency) * vac.amplitudes
-    return field.with_amplitudes(amps, label=f"{field.label}+loss")
+    return field.with_amplitudes(amps)
 
 
 def quadrature_series(
@@ -267,7 +260,7 @@ def quadrature_series(
     mask = (g >= eps_min - tol) & (g <= eps_max + tol)
     z = np.fft.fft(np.where(mask, rolled, 0.0))
     root2 = np.sqrt(2.0)
-    return QuadraturePair(root2 * z.real, root2 * z.imag, center_freq, grid)
+    return QuadraturePair(root2 * z.real, root2 * z.imag)
 
 
 def epr_identity_residual(

@@ -6,9 +6,7 @@ detector output is evaluated as the exact sample-wise product
 
     dP(t) = 2 Re[conj(E1(t)) E2(t)]
 
-so every second-order noise term survives; a linearized emitter with the
-same seed discipline is provided for cross-checks against the first-order
-model.
+so every second-order noise term survives.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
@@ -30,11 +28,10 @@ from .fields import (
     apply_loss,
     apply_squeezer,
     make_vacuum_field,
-    quadrature_series,
 )
 from .rng import generator, substream
 
-PHASE_KINDS = ("none", "sinusoid", "white-classical")
+PHASE_KINDS = ("none", "sinusoid")
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
 
 
@@ -42,21 +39,16 @@ SCHEMES = ("proposed", "straightforward", "unsqueezed")
 class PhaseSignalSpec:
     """Relative-phase signal carried by a beam.
 
-    ``sinusoid`` adds mod_depth * sin(2 pi mod_freq t).  A nonzero
-    classical_fraction requests white classical phase noise scaled at the
-    scheme level (it needs both beam amplitudes), independent of kind.
+    ``sinusoid`` adds mod_depth * sin(2 pi mod_freq t).
     """
 
     kind: str = "none"
     mod_freq_hz: float = 0.0
     mod_depth_rad: float = 0.0
-    classical_fraction: float = 0.0
 
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
             raise ValueError(f"kind must be one of {PHASE_KINDS}")
-        if not 0.0 <= self.classical_fraction < 1.0:
-            raise ValueError("classical_fraction must be in [0, 1)")
         if self.kind == "sinusoid" and self.mod_freq_hz <= 0:
             raise ValueError("sinusoid needs mod_freq_hz > 0")
 
@@ -121,19 +113,15 @@ class PhotocurrentTrace:
 
     samples: np.ndarray
     grid: FrequencyGrid
-    scheme: str = "proposed"
-    frame_index: int = 0
 
     def __post_init__(self):
         if len(self.samples) != self.grid.n_samples:
             raise ValueError("samples length must equal grid.n_samples")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("photocurrent samples must be finite")
 
     def with_samples(self, samples: np.ndarray) -> "PhotocurrentTrace":
-        return PhotocurrentTrace(samples, self.grid, self.scheme, self.frame_index)
+        return PhotocurrentTrace(samples, self.grid)
 
 
 def unsqueezed_shot_psd(e1: float, e2: float, quantum_efficiency: float = 1.0) -> float:
@@ -174,9 +162,9 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
     return theta
 
 
-def pickoff_noise_field(grid: FrequencyGrid, pickoff: PickoffSpec, seed, label: str = "") -> FieldRealization:
+def pickoff_noise_field(grid: FrequencyGrid, pickoff: PickoffSpec, seed) -> FieldRealization:
     """Noise field entering a beam through its pickoff port."""
-    vac = make_vacuum_field(grid, substream(seed, 0), label=label or "pickoff")
+    vac = make_vacuum_field(grid, substream(seed, 0))
     out = apply_squeezer(vac, pickoff.squeezer) if pickoff.squeezer is not None else vac
     amps = out.amplitudes
     if pickoff.injection_phase_rad != 0.0:
@@ -185,7 +173,7 @@ def pickoff_noise_field(grid: FrequencyGrid, pickoff: PickoffSpec, seed, label: 
     if r < 1.0:
         port = make_vacuum_field(grid, substream(seed, 1))
         amps = np.sqrt(r) * amps + np.sqrt(1.0 - r) * port.amplitudes
-    return FieldRealization(grid, amps, label=label or "pickoff")
+    return FieldRealization(grid, amps)
 
 
 def compose_beam(
@@ -202,7 +190,7 @@ def compose_beam(
     phase-noise realization synthesized by the caller.
     """
     grid.bin_index(beam.carrier_freq_hz)
-    noise = pickoff_noise_field(grid, pickoff, substream(seed, 0), label="beam-noise")
+    noise = pickoff_noise_field(grid, pickoff, substream(seed, 0))
     amps = noise.amplitudes
     if beam.amplitude != 0.0:
         theta = phase_series(grid, beam, extra_phase)
@@ -210,7 +198,7 @@ def compose_beam(
             -1j * (2.0 * np.pi * beam.carrier_freq_hz * grid.times() + theta)
         )
         amps = amps + np.fft.ifft(carrier)
-    return FieldRealization(grid, amps, label="beam")
+    return FieldRealization(grid, amps)
 
 
 def balanced_detect(
@@ -219,16 +207,13 @@ def balanced_detect(
     det: DetectorSpec,
     seed,
     reference_shot_psd: float | None = None,
-    scheme: str = "proposed",
-    frame_index: int = 0,
 ) -> PhotocurrentTrace:
     """Exact balanced beat-note detection of two beams.
 
     The product form keeps every second-order noise term.  Detection
     inefficiency is applied as vacuum-admixing loss on both fields before
-    the product; electronic noise (white, at electronic_noise_rel_db
-    relative to ``reference_shot_psd``) and optional clipping follow; the
-    frame mean is removed last.
+    the product; the gain ripple shapes the product, and
+    ``detector_readout`` follows.
     """
     if e1.grid != e2.grid:
         raise ValueError("beams must share one grid")
@@ -240,16 +225,28 @@ def balanced_detect(
 
     if det.gain_ripple_db != 0.0:
         dp = _apply_gain_ripple(dp, e1.grid, det.gain_ripple_db)
+    return PhotocurrentTrace(detector_readout(dp, det, seed, reference_shot_psd), e1.grid)
+
+
+def detector_readout(
+    dp: np.ndarray, det: DetectorSpec, seed, reference_shot_psd: float | None = None
+) -> np.ndarray:
+    """Detector electronics on one photocurrent frame.
+
+    Adds white electronic noise at electronic_noise_rel_db relative to
+    ``reference_shot_psd`` (drawn from substream 2 of ``seed``), clips,
+    and removes the frame mean last.  A dark frame (``dp`` all zeros) is
+    the background acquisition.
+    """
     if det.electronic_noise_rel_db is not None:
         if reference_shot_psd is None:
             raise ValueError("electronic noise needs reference_shot_psd to set its level")
         p_e = 10.0 ** (det.electronic_noise_rel_db / 10.0) * reference_shot_psd
         rng = generator(substream(seed, 2))
-        dp = dp + rng.normal(0.0, np.sqrt(p_e), e1.grid.n_samples)
+        dp = dp + rng.normal(0.0, np.sqrt(p_e), len(dp))
     if det.clip_level is not None:
         dp = np.clip(dp, -det.clip_level, det.clip_level)
-    dp = dp - dp.mean()
-    return PhotocurrentTrace(dp, e1.grid, scheme, frame_index)
+    return dp - dp.mean()
 
 
 def _apply_gain_ripple(dp: np.ndarray, grid: FrequencyGrid, ripple_db: float) -> np.ndarray:
@@ -258,75 +255,3 @@ def _apply_gain_ripple(dp: np.ndarray, grid: FrequencyGrid, ripple_db: float) ->
     tilt_db = 0.5 * ripple_db * np.cos(np.pi * (f - 5e6) / 10e6)
     gain = 10.0 ** (tilt_db / 20.0)
     return np.fft.irfft(np.fft.rfft(dp) * gain, n=grid.n_samples)
-
-
-def linearized_output(
-    grid: FrequencyGrid,
-    beams: tuple[BeamSpec, BeamSpec],
-    pickoffs: tuple[PickoffSpec, PickoffSpec],
-    seed,
-    extra_phase: np.ndarray | None = None,
-    scheme: str = "proposed",
-    frame_index: int = 0,
-) -> PhotocurrentTrace:
-    """First-order model of the balanced output (ideal detector).
-
-    Emits the classical beat plus sqrt(2) E_other times the noise
-    quadrature of each beam read at the opposing carrier frequency and
-    angle.  Uses the same seed layout as ``compose_beam`` +
-    ``balanced_detect`` with a unit-efficiency detector, so the residual
-    against the exact product isolates the dropped second-order terms.
-    """
-    b1, b2 = beams
-    t = grid.times()
-    theta1 = phase_series(grid, b1)
-    theta2 = phase_series(grid, b2, extra_phase)
-    beat_hz = b2.carrier_freq_hz - b1.carrier_freq_hz
-
-    n1 = pickoff_noise_field(grid, pickoffs[0], substream(seed, 0, 0))
-    n2 = pickoff_noise_field(grid, pickoffs[1], substream(seed, 1, 0))
-    qa = quadrature_series(n1, b2.carrier_freq_hz)
-    qb = quadrature_series(n2, b1.carrier_freq_hz)
-
-    dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(2.0 * np.pi * beat_hz * t + theta2 - theta1)
-    root2 = np.sqrt(2.0)
-    dp = dp + root2 * b2.amplitude * qa.at_angle(-b2.static_phase_rad)
-    dp = dp + root2 * b1.amplitude * qb.at_angle(-b1.static_phase_rad)
-    dp = dp - dp.mean()
-    return PhotocurrentTrace(dp, grid, scheme, frame_index)
-
-
-def straightforward_variant(
-    grid: FrequencyGrid,
-    beams: tuple[BeamSpec, BeamSpec],
-    squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
-    seed,
-    extra_phase: np.ndarray | None = None,
-    frame_index: int = 0,
-) -> PhotocurrentTrace:
-    """First-order output when each beam carries squeezing at its own
-    carrier frequency.
-
-    The noise envelopes then ride on cos/sin of the beat instead of
-    appearing at baseband, which folds anti-squeezed components from
-    twice the beat frequency into the phase quadrature.
-    """
-    b1, b2 = beams
-    t = grid.times()
-    theta1 = phase_series(grid, b1)
-    theta2 = phase_series(grid, b2, extra_phase)
-    beat = 2.0 * np.pi * (b2.carrier_freq_hz - b1.carrier_freq_hz) * t
-
-    own1 = PickoffSpec(1.0, squeezers[0])
-    own2 = PickoffSpec(1.0, squeezers[1])
-    n1 = pickoff_noise_field(grid, own1, substream(seed, 0, 0))
-    n2 = pickoff_noise_field(grid, own2, substream(seed, 1, 0))
-    qa = quadrature_series(n1, b1.carrier_freq_hz)
-    qb = quadrature_series(n2, b2.carrier_freq_hz)
-
-    root2 = np.sqrt(2.0)
-    dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(beat + theta2 - theta1)
-    dp = dp + root2 * b2.amplitude * (qa.a1 * np.cos(beat) - qa.a2 * np.sin(beat))
-    dp = dp + root2 * b1.amplitude * (qb.a1 * np.cos(beat) + qb.a2 * np.sin(beat))
-    dp = dp - dp.mean()
-    return PhotocurrentTrace(dp, grid, "straightforward", frame_index)

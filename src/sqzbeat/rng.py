@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Seed = "int | np.random.SeedSequence | np.random.Generator"
-
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.
 RUN_BACKGROUND = 0

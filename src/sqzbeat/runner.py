@@ -18,22 +18,28 @@ from dataclasses import dataclass, replace, field
 import numpy as np
 
 from . import rng as rngs
-from .budgets import NoiseBudget, heterodyne_budget, opo_squeezing_spectrum
+from .budgets import NoiseBudget, heterodyne_budget
 from .config import (
+    ConfigError,
     ExperimentConfig,
     config_hash,
-    from_dict,
     preset_config,
-    to_dict,
     validate_config,
 )
 from .dsp import (
     BandSpec,
     SpectrumEstimate,
+    auto_periodogram,
     chain_response,
     compensate_spectrum,
+    cross_periodogram,
     demod_lpf_spec,
     demod_measurement_chain,
+    filter_frame,
+    frame_spectrum,
+    hamming_window,
+    local_oscillator,
+    mix_down,
     postprocess,
     raw_measurement_chain,
 )
@@ -47,6 +53,7 @@ from .interferometer import (
     balanced_detect,
     classical_phase_variance,
     compose_beam,
+    detector_readout,
     unsqueezed_shot_psd,
 )
 
@@ -110,11 +117,19 @@ def resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(WORKERS_ENV, f"must be an integer, got {env!r}") from None
 
 
 class _HeterodyneContext:
-    """Per-process immutable state for frame synthesis and accumulation."""
+    """Per-run immutable state for frame synthesis and accumulation.
+
+    Built once per run; a pool sends it to its workers with each chunk.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -122,10 +137,9 @@ class _HeterodyneContext:
         b = cfg.beams
         c1, c2 = cfg.carrier_freqs()
         mod = (
-            PhaseSignalSpec("sinusoid", b.mod_freq_hz, b.mod_depth_rad, b.classical_fraction)
+            PhaseSignalSpec("sinusoid", b.mod_freq_hz, b.mod_depth_rad)
             if b.mod_depth_rad != 0.0
-            else PhaseSignalSpec("white-classical" if b.classical_fraction else "none",
-                                 classical_fraction=b.classical_fraction)
+            else PhaseSignalSpec()
         )
         self.beam1 = BeamSpec(b.e1, c1)
         self.beam2 = BeamSpec(b.e2, c2, mod)
@@ -139,21 +153,20 @@ class _HeterodyneContext:
         )
         n = self.grid.n_samples
         fs = self.grid.sample_rate
-        rfreqs = np.fft.rfftfreq(n, d=1.0 / fs)
-        self.window = np.hamming(n)
-        self.wnorm = float(np.sum(self.window**2))
+        self.freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+        self.window, self.wnorm = hamming_window(n)
         ms = cfg.measurement
         self.measurement = ms.kind
+        # The one chain list: the runner filters with it and compensation
+        # divides its response out.
         if ms.kind == "raw":
             self.chain = raw_measurement_chain()
-            self.raw_h = chain_response(self.chain, rfreqs, fs)
+            self.raw_h = chain_response(self.chain, self.freqs, fs)
         else:
             self.chain = [demod_lpf_spec(b.beat_freq_hz)] + demod_measurement_chain()
-            self.lpf_h = chain_response([demod_lpf_spec(b.beat_freq_hz)], rfreqs, fs)
-            self.post_h = chain_response(demod_measurement_chain(), rfreqs, fs)
-            self.lo = np.cos(
-                2.0 * np.pi * b.beat_freq_hz * self.grid.times() + ms.lo_phase_rad
-            )
+            self.lpf_h = chain_response(self.chain[:1], self.freqs, fs)
+            self.post_h = chain_response(self.chain[1:], self.freqs, fs)
+            self.lo = local_oscillator(self.grid, b.beat_freq_hz, ms.lo_phase_rad)
             demod_shot = self.ref_floor / 2.0
             self.arm_sigma = (
                 np.sqrt(10.0 ** (ms.arm_noise_rel_db / 10.0) * demod_shot)
@@ -167,22 +180,6 @@ class _HeterodyneContext:
             )
 
     # -- frame synthesis ------------------------------------------------
-
-    def _electronic_trace(self, run_id: int, index: int) -> PhotocurrentTrace:
-        n = self.grid.n_samples
-        dp = np.zeros(n)
-        if self.det.electronic_noise_rel_db is not None:
-            p_e = 10.0 ** (self.det.electronic_noise_rel_db / 10.0) * self.ref_floor
-            gen = rngs.generator(
-                rngs.substream(
-                    rngs.frame_seed(self.cfg.seed, run_id, index, rngs.PORT_DETECTOR), 2
-                )
-            )
-            dp = gen.normal(0.0, np.sqrt(p_e), n)
-        if self.det.clip_level is not None:
-            dp = np.clip(dp, -self.det.clip_level, self.det.clip_level)
-        dp = dp - dp.mean()
-        return PhotocurrentTrace(dp, self.grid, "unsqueezed", index)
 
     def _pickoffs(self, run_name: str, run_id: int, index: int):
         cfg = self.cfg
@@ -214,9 +211,13 @@ class _HeterodyneContext:
 
     def frame_trace(self, run_name: str, index: int) -> PhotocurrentTrace:
         run_id = _RUN_IDS[run_name]
-        if run_name == "background":
-            return self._electronic_trace(run_id, index)
         seed = self.cfg.seed
+        det_seed = rngs.frame_seed(seed, run_id, index, rngs.PORT_DETECTOR)
+        if run_name == "background":
+            dark = np.zeros(self.grid.n_samples)
+            return PhotocurrentTrace(
+                detector_readout(dark, self.det, det_seed, self.ref_floor), self.grid
+            )
         extra = None
         if self.phase_var > 0.0:
             gen = rngs.generator(rngs.frame_seed(seed, run_id, index, rngs.PORT_PHASE))
@@ -232,28 +233,14 @@ class _HeterodyneContext:
             rngs.frame_seed(seed, run_id, index, rngs.PORT_BEAM2),
             extra_phase=extra,
         )
-        scheme = self.cfg.scheme if run_name == "target" else "unsqueezed"
-        return balanced_detect(
-            e1,
-            e2,
-            self.det,
-            rngs.frame_seed(seed, run_id, index, rngs.PORT_DETECTOR),
-            reference_shot_psd=self.ref_floor,
-            scheme=scheme,
-            frame_index=index,
-        )
+        return balanced_detect(e1, e2, self.det, det_seed, reference_shot_psd=self.ref_floor)
 
     # -- accumulation ----------------------------------------------------
-
-    def _raw_periodogram(self, samples: np.ndarray) -> np.ndarray:
-        n = self.grid.n_samples
-        y = np.fft.irfft(np.fft.rfft(samples) * self.raw_h, n=n)
-        return np.abs(np.fft.rfft(self.window * y)) ** 2 / self.wnorm
 
     def _demod_arms(self, run_name: str, index: int, samples: np.ndarray):
         run_id = _RUN_IDS[run_name]
         n = self.grid.n_samples
-        base = np.fft.irfft(np.fft.rfft(samples * self.lo) * self.lpf_h, n=n)
+        base = mix_down(samples, self.lo, self.lpf_h)
         arms = []
         for port, port_excess in (
             (rngs.PORT_ARM1, rngs.PORT_ARM1_EXCESS),
@@ -268,46 +255,47 @@ class _HeterodyneContext:
                     rngs.frame_seed(self.cfg.seed, run_id, index, port_excess)
                 )
                 y = y + gen.normal(0.0, self.arm_excess_sigma, n)
-            arms.append(np.fft.irfft(np.fft.rfft(y) * self.post_h, n=n))
+            arms.append(filter_frame(y, self.post_h))
         return arms
 
     def accumulate(self, run_name: str, start: int, stop: int) -> dict:
-        nbins = self.grid.n_samples // 2 + 1
+        nbins = len(self.freqs)
         if self.measurement == "raw":
             acc = {"auto": np.zeros(nbins)}
             for i in range(start, stop):
-                trace = self.frame_trace(run_name, i)
-                acc["auto"] += self._raw_periodogram(trace.samples)
+                y = filter_frame(self.frame_trace(run_name, i).samples, self.raw_h)
+                acc["auto"] += auto_periodogram(frame_spectrum(y, self.window), self.wnorm)
             return acc
         acc = {"cross": np.zeros(nbins), "auto1": np.zeros(nbins)}
         for i in range(start, stop):
-            trace = self.frame_trace(run_name, i)
-            a1, a2 = self._demod_arms(run_name, i, trace.samples)
-            v1 = np.fft.rfft(self.window * a1)
-            v2 = np.fft.rfft(self.window * a2)
-            acc["cross"] += np.real(v1 * np.conj(v2)) / self.wnorm
-            acc["auto1"] += np.abs(v1) ** 2 / self.wnorm
+            a1, a2 = self._demod_arms(run_name, i, self.frame_trace(run_name, i).samples)
+            v1 = frame_spectrum(a1, self.window)
+            v2 = frame_spectrum(a2, self.window)
+            acc["cross"] += cross_periodogram(v1, v2, self.wnorm)
+            acc["auto1"] += auto_periodogram(v1, self.wnorm)
         return acc
 
 
-def _heterodyne_chunk(cfg_dict: dict, run_name: str, start: int, stop: int) -> dict:
-    ctx = _HeterodyneContext(from_dict(cfg_dict))
-    return ctx.accumulate(run_name, start, stop)
-
-
-def _map_chunks(cfg_dict: dict, run_name: str, n_frames: int, workers: int) -> dict:
-    jobs = [(s, min(s + CHUNK_FRAMES, n_frames)) for s in range(0, n_frames, CHUNK_FRAMES)]
-    if workers <= 1:
-        parts = [_heterodyne_chunk(cfg_dict, run_name, s, e) for s, e in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_heterodyne_chunk, cfg_dict, run_name, s, e) for s, e in jobs]
-            parts = [f.result() for f in futures]
-    total = {k: np.zeros_like(v) for k, v in parts[0].items()}
-    for part in parts:  # fixed fold order keeps sums bit-stable
+def _fold(jobs: list, parts) -> dict:
+    totals = {}
+    for (run_name, _, _), part in zip(jobs, parts):  # fixed fold order keeps sums bit-stable
+        total = totals.setdefault(run_name, {k: np.zeros_like(v) for k, v in part.items()})
         for k, v in part.items():
             total[k] += v
-    return total
+    return totals
+
+
+def _accumulate_runs(ctx: _HeterodyneContext, n_frames: int, workers: int) -> dict:
+    """Per-acquisition sums of every chunk, on one pool for the whole run."""
+    jobs = [
+        (run_name, s, min(s + CHUNK_FRAMES, n_frames))
+        for run_name in RUN_NAMES
+        for s in range(0, n_frames, CHUNK_FRAMES)
+    ]
+    if workers <= 1:
+        return _fold(jobs, (ctx.accumulate(*job) for job in jobs))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return _fold(jobs, ex.map(ctx.accumulate, *zip(*jobs)))
 
 
 def _estimator_key(measurement: str) -> str:
@@ -363,29 +351,22 @@ def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray, label: str) -> N
 
 
 def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, dict]:
-    grid = cfg.frequency_grid()
+    ctx = _HeterodyneContext(cfg)
     frames = cfg.grid.frames
-    cfg_dict = to_dict(cfg)
-    freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / grid.sample_rate)
+    freqs = ctx.freqs
     key = _estimator_key(cfg.measurement.kind)
-
-    estimates: dict[str, SpectrumEstimate] = {}
-    for run_name in RUN_NAMES:
-        sums = _map_chunks(cfg_dict, run_name, frames, workers)
-        estimates[run_name] = SpectrumEstimate(
+    sums = _accumulate_runs(ctx, frames, workers)
+    estimates = {
+        run_name: SpectrumEstimate(
             freqs,
-            sums[key] / frames,
+            sums[run_name][key] / frames,
             n_frames=frames,
             kind="cross" if key == "cross" else "auto",
         )
-
-    ctx_chain = (
-        raw_measurement_chain()
-        if cfg.measurement.kind == "raw"
-        else [demod_lpf_spec(cfg.beams.beat_freq_hz)] + demod_measurement_chain()
-    )
+        for run_name in RUN_NAMES
+    }
     comp = {
-        name: compensate_spectrum(est, ctx_chain, grid.sample_rate)
+        name: compensate_spectrum(est, ctx.chain, ctx.grid.sample_rate)
         for name, est in estimates.items()
     }
 
@@ -506,8 +487,7 @@ def _run_opo_sweep(cfg: ExperimentConfig, out_dir: str | None) -> RunSummary:
     freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / grid.sample_rate)
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    window = np.hamming(grid.n_samples)
-    wnorm = float(np.sum(window**2))
+    window, wnorm = hamming_window(grid.n_samples)
 
     extras = {}
     spectra_files = []
@@ -526,11 +506,11 @@ def _run_opo_sweep(cfg: ExperimentConfig, out_dir: str | None) -> RunSummary:
             vac = make_vacuum_field(grid, rngs.frame_seed(cfg.seed, 10 + p_idx, i, 0))
             sq = apply_squeezer(vac, spec) if spec.pump_ratio > 0 else vac
             quads = quadrature_series(sq, center)
-            acc_s += np.abs(np.fft.rfft(window * quads.a1)) ** 2 / wnorm
-            acc_a += np.abs(np.fft.rfft(window * quads.a2)) ** 2 / wnorm
+            acc_s += auto_periodogram(frame_spectrum(quads.a1, window), wnorm)
+            acc_a += auto_periodogram(frame_spectrum(quads.a2, window), wnorm)
         mc_s = acc_s / frames
         mc_a = acc_a / frames
-        model_s, model_a = opo_squeezing_spectrum(spec, freqs)
+        model_s, model_a = spec.squeezing_spectrum(freqs)
         tag = f"pump{int(round(power)):03d}mw"
         avg_s = float(np.mean(mc_s[band]))
         avg_a = float(np.mean(mc_a[band]))
@@ -583,7 +563,10 @@ def run(
 ) -> RunSummary:
     """Execute one expanded config end to end and emit its artifacts."""
     if frames is not None:
-        cfg = replace(cfg, grid=replace(cfg.grid, frames=int(frames)))
+        if cfg.kind == "epr" and cfg.epr is not None:  # an identity run counts draws
+            cfg = replace(cfg, epr=replace(cfg.epr, draws=int(frames)))
+        else:
+            cfg = replace(cfg, grid=replace(cfg.grid, frames=int(frames)))
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     if out_dir is not None:

@@ -9,7 +9,6 @@ from sqzbeat.budgets import (
     classical_noise_limit,
     detected_squeezing,
     heterodyne_budget,
-    opo_squeezing_spectrum,
     phase_jitter_penalty,
     predicted_reduction,
     straightforward_phase_floor,
@@ -90,11 +89,11 @@ def test_predicted_reduction_validates_inputs():
 
 def test_opo_spectrum_endpoints():
     spec = SqueezerSpec(0.0, 30e6, 0.8)
-    assert opo_squeezing_spectrum(spec, 0.0) == (1.0, 1.0)
+    assert spec.squeezing_spectrum(0.0) == (1.0, 1.0)
     spec = SqueezerSpec(np.sqrt(90.0 / 600.0), 30e6, 0.8)
-    s, a = opo_squeezing_spectrum(spec, 0.0)
+    s, a = spec.squeezing_spectrum(0.0)
     assert s == pytest.approx(0.3560444686445266, abs=1e-12)
-    s_off, _ = opo_squeezing_spectrum(spec, 30e6)
+    s_off, _ = spec.squeezing_spectrum(30e6)
     assert s < s_off < 1.0
 
 

@@ -222,3 +222,28 @@ def test_cli_degenerate_subtraction_exit_code(tmp_path):
     cfg_path = tmp_path / "degenerate.json"
     cfg_path.write_text(json.dumps(to_dict(cfg)))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_rejects_non_finite_lo_phase(tmp_path, capsys):
+    patch = tmp_path / "patch.json"
+    patch.write_text('{"measurement": {"lo_phase_rad": Infinity}}')
+    rc = main([
+        "run", "--preset", "fig4-demod", "--frames", "2", "--config", str(patch),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "measurement.lo_phase_rad" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_integer_worker_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SQZBEAT_WORKERS", "abc")
+    rc = main(["run", "--preset", "vacuum-selftest", "--frames", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "SQZBEAT_WORKERS" in capsys.readouterr().err
+
+
+def test_frames_override_sets_epr_draws(tmp_path):
+    assert main(["run", "--preset", "epr-identity", "--frames", "7", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "frames=7" in lines
+    assert "epr.draws=7" in lines
