@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DspError, BandError, FloatingPointError) as exc:
+    except (DspError, BandError, ArithmeticError) as exc:  # overflows and non-finite samples
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,10 +8,14 @@ validation; every run records the hash of its expanded config.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .fields import BandError, FrequencyGrid, SqueezerSpec
 from .interferometer import SCHEMES
@@ -167,57 +171,60 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
-def _build(dc_type, data, path):
-    if not isinstance(data, dict):
-        raise ConfigError(path, f"expected an object, got {type(data).__name__}")
-    kwargs = {}
-    fields = {f.name: f for f in dc_type.__dataclass_fields__.values()}
-    for key, value in data.items():
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
-        kwargs[key] = value
-    return kwargs
+@functools.lru_cache(maxsize=None)
+def _field_types(dc_type) -> dict:
+    return typing.get_type_hints(dc_type)
+
+
+def _optional_inner(tp):
+    """The non-None member of an ``X | None`` annotation, or None."""
+    if isinstance(tp, types.UnionType):
+        (inner,) = [a for a in tp.__args__ if a is not type(None)]
+        return inner
+    return None
+
+
+def _tuple_items(tp, n: int, path: str) -> tuple:
+    """Item annotations of a ``tuple[...]`` annotation holding ``n`` entries."""
+    args = typing.get_args(tp)
+    if len(args) == 2 and args[1] is Ellipsis:
+        return (args[0],) * n
+    _check(n == len(args), path, f"must have {len(args)} entries")
+    return args
+
+
+def _from_data(tp, data, path: str):
+    """Build a value of annotation ``tp`` from JSON data: objects become
+    config sections and lists tuples, entry by entry; scalars pass through
+    to ``validate_config``."""
+    inner = _optional_inner(tp)
+    if inner is not None:
+        return None if data is None else _from_data(inner, data, path)
+    if is_dataclass(tp):
+        if not isinstance(data, dict):
+            raise ConfigError(path, f"expected an object, got {type(data).__name__}")
+        hints = _field_types(tp)
+        kwargs = {}
+        for key, value in data.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in hints:
+                raise ConfigError(sub, "unknown field")
+            kwargs[key] = _from_data(hints[key], value, sub)
+        try:
+            return tp(**kwargs)
+        except TypeError as exc:
+            raise ConfigError(path, str(exc)) from None
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(data, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {type(data).__name__}")
+        items = _tuple_items(tp, len(data), path)
+        return tuple(_from_data(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, data)))
+    return data
 
 
 def from_dict(data: dict) -> ExperimentConfig:
     """Build a config from plain JSON data, with field-path errors."""
-    kwargs = _build(ExperimentConfig, data, "")
-    if "grid" in kwargs:
-        kwargs["grid"] = GridConfig(**_build(GridConfig, kwargs["grid"], "grid"))
-    if "beams" in kwargs:
-        kwargs["beams"] = BeamsConfig(**_build(BeamsConfig, kwargs["beams"], "beams"))
-    for name in ("pickoff1", "pickoff2"):
-        if name in kwargs:
-            pk = _build(PickoffConfig, kwargs[name], name)
-            if pk.get("squeezer") is not None:
-                pk["squeezer"] = SqueezerConfig(
-                    **_build(SqueezerConfig, pk["squeezer"], f"{name}.squeezer")
-                )
-            kwargs[name] = PickoffConfig(**pk)
-    if "detector" in kwargs:
-        kwargs["detector"] = DetectorConfig(**_build(DetectorConfig, kwargs["detector"], "detector"))
-    if "measurement" in kwargs:
-        ms = _build(MeasurementConfig, kwargs["measurement"], "measurement")
-        if "bands" in ms:
-            ms["bands"] = tuple(
-                BandConfig(**_build(BandConfig, b, f"measurement.bands[{i}]"))
-                for i, b in enumerate(ms["bands"])
-            )
-        if "normalization_band_hz" in ms:
-            ms["normalization_band_hz"] = tuple(ms["normalization_band_hz"])
-        kwargs["measurement"] = MeasurementConfig(**ms)
-    if kwargs.get("epr") is not None:
-        kwargs["epr"] = EprConfig(**_build(EprConfig, kwargs["epr"], "epr"))
-    if kwargs.get("opo_sweep") is not None:
-        ow = _build(OpoSweepConfig, kwargs["opo_sweep"], "opo_sweep")
-        for key in ("pump_powers_mw", "band_hz"):
-            if key in ow:
-                ow[key] = tuple(ow[key])
-        kwargs["opo_sweep"] = OpoSweepConfig(**ow)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("", str(exc)) from None
+    return _from_data(ExperimentConfig, data, "")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -238,8 +245,55 @@ def _check(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_types(value, tp, path: str) -> None:
+    """Check ``value`` against annotation ``tp``: numbers must be numbers
+    (bools excluded), floats finite, integers integral, nested sections
+    and tuples checked entry by entry."""
+    inner = _optional_inner(tp)
+    if inner is not None:
+        if value is None:
+            return
+        tp = inner
+    if is_dataclass(tp):
+        _check(isinstance(value, tp), path, f"must be a {tp.__name__} section")
+        hints = _field_types(tp)
+        for f in fields(tp):
+            _check_types(getattr(value, f.name), hints[f.name], f"{path}.{f.name}" if path else f.name)
+    elif typing.get_origin(tp) is tuple:
+        _check(isinstance(value, tuple), path, "must be a list")
+        for i, (item, item_tp) in enumerate(zip(value, _tuple_items(tp, len(value), path))):
+            _check_types(item, item_tp, f"{path}[{i}]")
+    elif tp is float:
+        _check(
+            isinstance(value, numbers.Real) and not isinstance(value, bool),
+            path,
+            f"must be a number, got {value!r}",
+        )
+        _check(_finite(value), path, "must be finite")
+    elif tp is int:
+        _check(
+            isinstance(value, numbers.Integral) and not isinstance(value, bool),
+            path,
+            f"must be an integer, got {value!r}",
+        )
+    elif tp is str:
+        _check(isinstance(value, str), path, f"must be a string, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError at the first violated invariant."""
+    """Raise ConfigError at the first violated invariant.
+
+    Every field is first checked against its annotation, so a mistyped or
+    non-finite value is named by its path before any range check reads it.
+    """
+    _check_types(cfg, ExperimentConfig, "")
     _check(cfg.kind in KINDS, "kind", f"must be one of {KINDS}")
     _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     _check(cfg.seed >= 0, "seed", "must be a non-negative integer")
@@ -251,6 +305,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind == "epr":
         _check(cfg.epr is not None, "epr", "required for kind 'epr'")
         _check(cfg.epr.draws >= 1, "epr.draws", "must be >= 1")
+        _check(cfg.epr.residual_threshold > 0, "epr.residual_threshold", "must be positive")
         return
     if cfg.kind == "opo-sweep":
         _check(cfg.opo_sweep is not None, "opo_sweep", "required for kind 'opo-sweep'")

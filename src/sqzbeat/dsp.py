@@ -5,6 +5,11 @@ frequency axis.  A white sequence with unit per-sample variance estimates
 a flat PSD of 1.0, which makes the shot-noise unit carry through from the
 field layer unchanged.  Hamming-windowed periodograms are averaged over
 non-overlapping frames in frame-index order.
+
+The per-frame steps (``filter_frame``, ``mix_down``, ``frame_spectrum``
+and the periodograms) work along the last axis, so one call handles one
+frame or a block of frames with one row each; numpy's FFTs give every
+row of a block the same bits as the frame alone.
 """
 
 from __future__ import annotations
@@ -122,14 +127,15 @@ def _design_sos(spec: FilterSpec, sample_rate: float) -> np.ndarray | None:
 
 
 def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Run one frame through a chain of precomputed response ``h``.
+    """Run a frame (or each row of a block) through a chain of
+    precomputed response ``h``.
 
     The chain is applied in the frequency domain (circular convolution),
     which is the steady-state response of the continuously running analog
     chain: synthesized frames are exactly frame-periodic, so this carries
     no start-up transient.
     """
-    return np.fft.irfft(np.fft.rfft(x) * h, n=len(x))
+    return np.fft.irfft(np.fft.rfft(x) * h, n=np.shape(x)[-1])
 
 
 def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
@@ -172,7 +178,7 @@ def local_oscillator(grid: FrequencyGrid, freq_hz: float, phase_rad: float) -> n
 
 
 def mix_down(x: np.ndarray, lo: np.ndarray, lpf_h: np.ndarray) -> np.ndarray:
-    """Mixer and low-pass of one frame: LPF[x * lo]."""
+    """Mixer and low-pass of a frame or block: LPF[x * lo]."""
     return filter_frame(x * lo, lpf_h)
 
 
@@ -208,17 +214,17 @@ def hamming_window(n: int) -> tuple[np.ndarray, float]:
 
 
 def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Windowed spectrum V = rfft(w * x) of one frame."""
+    """Windowed spectrum V = rfft(w * x) of a frame or of each block row."""
     return np.fft.rfft(window * x)
 
 
 def auto_periodogram(v: np.ndarray, wnorm: float) -> np.ndarray:
-    """|V|^2 / sum(w^2) of one windowed frame spectrum."""
+    """|V|^2 / sum(w^2) of windowed frame spectra."""
     return np.abs(v) ** 2 / wnorm
 
 
 def cross_periodogram(v1: np.ndarray, v2: np.ndarray, wnorm: float) -> np.ndarray:
-    """Re(V1 conj(V2)) / sum(w^2) of two aligned windowed frame spectra."""
+    """Re(V1 conj(V2)) / sum(w^2) of aligned windowed frame spectra."""
     return np.real(v1 * np.conj(v2)) / wnorm
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import generator
+from .rng import generator, seed_rows
 
 _GRID_TOL = 1e-6
 
@@ -94,14 +94,15 @@ class FieldRealization:
 
     ``amplitudes`` holds one complex value per grid bin in units of
     sqrt(shot-noise quanta); a fresh vacuum bin has mean square 1/n_samples
-    so that quadrature spectral densities come out at 1.0.
+    so that quadrature spectral densities come out at 1.0.  A block of
+    frames stacks one row per frame, shape (frames, n_samples).
     """
 
     grid: FrequencyGrid
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if len(self.amplitudes) != self.grid.n_samples:
+        if np.shape(self.amplitudes)[-1:] != (self.grid.n_samples,):
             raise ValueError("amplitudes length must equal grid.n_samples")
 
     def time_series(self) -> np.ndarray:
@@ -169,13 +170,18 @@ def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
     """Fresh vacuum: i.i.d. circular complex Gaussian bins.
 
     Deterministic in (grid, seed).  Per-bin mean square is 1/n_samples so
-    any extracted quadrature has PSD 1.0.
+    any extracted quadrature has PSD 1.0.  A list of per-frame seeds gives
+    a block with one row per seed, each row drawn from its own stream.
     """
-    rng = generator(seed)
+    seeds = seed_rows(seed)
     n = grid.n_samples
     scale = np.sqrt(0.5 / n)
-    amps = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return FieldRealization(grid, amps)
+    amps = np.empty((len(seeds), n), dtype=complex)
+    for row, s in zip(amps, seeds):
+        rng = generator(s)
+        np.multiply(rng.standard_normal(n), scale, out=row.real)
+        np.multiply(rng.standard_normal(n), scale, out=row.imag)
+    return FieldRealization(grid, amps if isinstance(seed, list) else amps[0])
 
 
 def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealization:
@@ -221,13 +227,18 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
 
 
 def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealization:
-    """Beam-splitter loss: sqrt(eff) * field + sqrt(1 - eff) * fresh vacuum."""
+    """Beam-splitter loss: sqrt(eff) * field + sqrt(1 - eff) * fresh vacuum.
+
+    A block field takes a list of per-frame seeds, one vacuum row each.
+    """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
     if efficiency == 1.0:
         return field.with_amplitudes(field.amplitudes.copy())
-    vac = make_vacuum_field(field.grid, seed)
-    amps = np.sqrt(efficiency) * field.amplitudes + np.sqrt(1.0 - efficiency) * vac.amplitudes
+    vac = make_vacuum_field(field.grid, seed).amplitudes
+    vac *= np.sqrt(1.0 - efficiency)
+    amps = np.sqrt(efficiency) * field.amplitudes
+    amps += vac
     return field.with_amplitudes(amps)
 
 

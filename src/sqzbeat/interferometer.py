@@ -29,7 +29,7 @@ from .fields import (
     apply_squeezer,
     make_vacuum_field,
 )
-from .rng import generator, substream
+from .rng import generator, seed_rows, stream_key
 
 PHASE_KINDS = ("none", "sinusoid")
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
@@ -109,16 +109,21 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class PhotocurrentTrace:
-    """One frame of the balanced detector output, in shot units."""
+    """Balanced detector output in shot units: one frame, or a block of
+    frames with one row each.
+
+    Non-finite samples (an overflowing carrier, say) raise
+    FloatingPointError, which the CLI reports as a numerical error.
+    """
 
     samples: np.ndarray
     grid: FrequencyGrid
 
     def __post_init__(self):
-        if len(self.samples) != self.grid.n_samples:
+        if np.shape(self.samples)[-1:] != (self.grid.n_samples,):
             raise ValueError("samples length must equal grid.n_samples")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("photocurrent samples must be finite")
+            raise FloatingPointError("photocurrent samples must be finite")
 
     def with_samples(self, samples: np.ndarray) -> "PhotocurrentTrace":
         return PhotocurrentTrace(samples, self.grid)
@@ -163,42 +168,75 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
 
 
 def pickoff_noise_field(grid: FrequencyGrid, pickoff: PickoffSpec, seed) -> FieldRealization:
-    """Noise field entering a beam through its pickoff port."""
-    vac = make_vacuum_field(grid, substream(seed, 0))
+    """Noise field entering a beam through its pickoff port, for one frame."""
+    vac = make_vacuum_field(grid, stream_key(seed, 0))
     out = apply_squeezer(vac, pickoff.squeezer) if pickoff.squeezer is not None else vac
     amps = out.amplitudes
     if pickoff.injection_phase_rad != 0.0:
         amps = amps * np.exp(-1j * pickoff.injection_phase_rad)
     r = pickoff.reflectivity
     if r < 1.0:
-        port = make_vacuum_field(grid, substream(seed, 1))
+        port = make_vacuum_field(grid, stream_key(seed, 1))
         amps = np.sqrt(r) * amps + np.sqrt(1.0 - r) * port.amplitudes
     return FieldRealization(grid, amps)
+
+
+class BeamCarrier:
+    """Frame-invariant carrier terms of one beam on one grid.
+
+    ``ramp`` is 2 pi f_c t and ``theta0`` the deterministic phase (static
+    plus phase signal), so a frame forms only ramp + (theta0 + extra).
+    The carrier without extra phase is transformed once, here.
+    """
+
+    def __init__(self, grid: FrequencyGrid, beam: BeamSpec):
+        grid.bin_index(beam.carrier_freq_hz)
+        self.amplitude = beam.amplitude
+        self.ramp = 2.0 * np.pi * beam.carrier_freq_hz * grid.times()
+        self.theta0 = phase_series(grid, beam)
+        self.steady = self._bins(self.theta0)
+
+    def _bins(self, theta: np.ndarray) -> np.ndarray:
+        z = -1j * (self.ramp + theta)
+        np.exp(z, out=z)
+        z *= self.amplitude
+        return np.fft.ifft(z)
+
+    def amplitudes(self, extra_phase: np.ndarray | None = None) -> np.ndarray:
+        """Carrier bins of a frame, one row per row of ``extra_phase``."""
+        if extra_phase is None:
+            return self.steady
+        return self._bins(self.theta0 + extra_phase)
 
 
 def compose_beam(
     grid: FrequencyGrid,
     beam: BeamSpec,
-    pickoff: PickoffSpec,
+    pickoff: PickoffSpec | list[PickoffSpec],
     seed,
     extra_phase: np.ndarray | None = None,
+    carrier: BeamCarrier | None = None,
 ) -> FieldRealization:
     """Carrier plus injected noise for one beam path.
 
     The carrier is synthesized in the time domain (so phase modulation is
     exact) and added onto the noise bins.  ``extra_phase`` carries any
-    phase-noise realization synthesized by the caller.
+    phase-noise realization synthesized by the caller.  For a block of
+    frames ``seed`` is the list of per-frame seeds, ``pickoff`` one spec
+    or one per frame, and ``extra_phase`` has one row per frame; the field
+    then has one row per frame.  ``carrier`` reuses the beam's prebuilt
+    ``BeamCarrier``.
     """
-    grid.bin_index(beam.carrier_freq_hz)
-    noise = pickoff_noise_field(grid, pickoff, substream(seed, 0))
-    amps = noise.amplitudes
+    if carrier is None:
+        carrier = BeamCarrier(grid, beam)
+    keys = seed_rows(stream_key(seed, 0))
+    picks = pickoff if isinstance(pickoff, list) else [pickoff] * len(keys)
+    amps = np.empty((len(keys), grid.n_samples), dtype=complex)
+    for row, p, k in zip(amps, picks, keys):
+        row[:] = pickoff_noise_field(grid, p, k).amplitudes
     if beam.amplitude != 0.0:
-        theta = phase_series(grid, beam, extra_phase)
-        carrier = beam.amplitude * np.exp(
-            -1j * (2.0 * np.pi * beam.carrier_freq_hz * grid.times() + theta)
-        )
-        amps = amps + np.fft.ifft(carrier)
-    return FieldRealization(grid, amps)
+        amps += carrier.amplitudes(extra_phase)
+    return FieldRealization(grid, amps if isinstance(seed, list) else amps[0])
 
 
 def balanced_detect(
@@ -213,15 +251,24 @@ def balanced_detect(
     The product form keeps every second-order noise term.  Detection
     inefficiency is applied as vacuum-admixing loss on both fields before
     the product; the gain ripple shapes the product, and
-    ``detector_readout`` follows.
+    ``detector_readout`` follows.  Block fields take the list of per-frame
+    seeds and give one photocurrent row per frame.
     """
     if e1.grid != e2.grid:
         raise ValueError("beams must share one grid")
     qe = det.quantum_efficiency
-    if qe < 1.0:
-        e1 = apply_loss(e1, qe, substream(seed, 0))
-        e2 = apply_loss(e2, qe, substream(seed, 1))
-    dp = 2.0 * np.real(np.conj(e1.time_series()) * e2.time_series())
+
+    # Each field is transformed right after its loss, so only one lossy
+    # block is alive at a time.
+    def detected(field: FieldRealization, port: int) -> np.ndarray:
+        if qe < 1.0:
+            field = apply_loss(field, qe, stream_key(seed, port))
+        return field.time_series()
+
+    beat = detected(e1, 0)
+    np.conjugate(beat, out=beat)
+    beat *= detected(e2, 1)
+    dp = 2.0 * beat.real
 
     if det.gain_ripple_db != 0.0:
         dp = _apply_gain_ripple(dp, e1.grid, det.gain_ripple_db)
@@ -231,22 +278,23 @@ def balanced_detect(
 def detector_readout(
     dp: np.ndarray, det: DetectorSpec, seed, reference_shot_psd: float | None = None
 ) -> np.ndarray:
-    """Detector electronics on one photocurrent frame.
+    """Detector electronics on one photocurrent frame or a block of them.
 
     Adds white electronic noise at electronic_noise_rel_db relative to
-    ``reference_shot_psd`` (drawn from substream 2 of ``seed``), clips,
-    and removes the frame mean last.  A dark frame (``dp`` all zeros) is
-    the background acquisition.
+    ``reference_shot_psd`` (drawn from substream 2 of each frame's seed),
+    clips, and removes each frame's mean last.  A dark frame (``dp`` all
+    zeros) is the background acquisition.
     """
     if det.electronic_noise_rel_db is not None:
         if reference_shot_psd is None:
             raise ValueError("electronic noise needs reference_shot_psd to set its level")
         p_e = 10.0 ** (det.electronic_noise_rel_db / 10.0) * reference_shot_psd
-        rng = generator(substream(seed, 2))
-        dp = dp + rng.normal(0.0, np.sqrt(p_e), len(dp))
+        n = np.shape(dp)[-1]
+        noise = [generator(k).normal(0.0, np.sqrt(p_e), n) for k in seed_rows(stream_key(seed, 2))]
+        dp = dp + np.reshape(noise, np.shape(dp))
     if det.clip_level is not None:
         dp = np.clip(dp, -det.clip_level, det.clip_level)
-    return dp - dp.mean()
+    return dp - dp.mean(axis=-1, keepdims=True)
 
 
 def _apply_gain_ripple(dp: np.ndarray, grid: FrequencyGrid, ripple_db: float) -> np.ndarray:

@@ -4,9 +4,17 @@ Every stochastic input of a run (each vacuum port, the electronic noise,
 the per-arm readout noise, ...) draws from its own counter-keyed substream
 of one master seed.  Streams are addressed by integer paths, so frame
 order, scheme variants and worker counts can never change a realization.
+
+A path is extended with ``stream_key``, which only concatenates the key:
+the ``SeedSequence`` of a stream is built once, in ``generator``, straight
+from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
+accept an int, a ``SeedSequence``, a ``StreamKey``, or a list of per-frame
+seeds for a block of frames.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +35,43 @@ PORT_ARM2_EXCESS = 7
 PORT_JITTER = 8
 
 
+class StreamKey(NamedTuple):
+    """Address of one substream: the master entropy and the spawn key."""
+
+    entropy: int
+    spawn_key: tuple[int, ...]
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int or SeedSequence into a SeedSequence."""
+    """Coerce an int, StreamKey or SeedSequence into a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, StreamKey):
+        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
     if isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(int(seed))
     raise TypeError(f"seed must be an int or SeedSequence, got {type(seed).__name__}")
+
+
+def stream_key(seed, *path: int):
+    """Key of the substream addressed by ``path``, without building it.
+
+    A list of seeds maps to the list of their keys.
+    """
+    if isinstance(seed, list):
+        return [stream_key(s, *path) for s in seed]
+    if isinstance(seed, (StreamKey, np.random.SeedSequence)):
+        entropy, key = seed.entropy, tuple(seed.spawn_key)
+    elif isinstance(seed, (int, np.integer)):
+        entropy, key = int(seed), ()
+    else:
+        raise TypeError(f"seed must be an int, SeedSequence or StreamKey, got {type(seed).__name__}")
+    return StreamKey(entropy, key + tuple(map(int, path)))
+
+
+def seed_rows(seed) -> list:
+    """Seeds of a block's rows: the list itself, or one row for one frame."""
+    return seed if isinstance(seed, list) else [seed]
 
 
 def substream(seed, *path: int) -> np.random.SeedSequence:
@@ -43,9 +81,7 @@ def substream(seed, *path: int) -> np.random.SeedSequence:
     derivation stateless: the same (seed, path) always yields the same
     stream no matter how many other streams were derived before it.
     """
-    ss = as_seed_sequence(seed)
-    key = tuple(ss.spawn_key) + tuple(int(p) for p in path)
-    return np.random.SeedSequence(entropy=ss.entropy, spawn_key=key)
+    return as_seed_sequence(stream_key(seed, *path))
 
 
 def generator(seed, *path: int) -> np.random.Generator:
@@ -54,9 +90,9 @@ def generator(seed, *path: int) -> np.random.Generator:
         if path:
             raise ValueError("cannot derive a substream from a Generator")
         return seed
-    return np.random.default_rng(substream(seed, *path) if path else as_seed_sequence(seed))
+    return np.random.default_rng(as_seed_sequence(stream_key(seed, *path) if path else seed))
 
 
-def frame_seed(master_seed: int, run_kind: int, frame_index: int, port: int) -> np.random.SeedSequence:
-    """Substream for one (run, frame, port) triple of an experiment."""
-    return substream(master_seed, run_kind, frame_index, port)
+def frame_seed(master_seed: int, run_kind: int, frame_index: int, port: int) -> StreamKey:
+    """Key of the substream for one (run, frame, port) triple of an experiment."""
+    return stream_key(master_seed, run_kind, frame_index, port)

@@ -2,9 +2,28 @@
 
 A heterodyne run executes three acquisitions with independent seed
 substreams: background (no light), reference (vacuum ports) and target
-(squeezers on).  Frames are processed in fixed-size chunks whose partial
-spectra are folded in chunk order, so the emitted numbers are
-bit-identical for any worker count.  Summaries hold the band-averaged
+(squeezers on).  Work is split run -> chunk -> block:
+
+- run: one ``_HeterodyneContext`` holds everything that does not change
+  from frame to frame (beams and their carrier terms, filter responses,
+  local oscillator, window), built once.
+- chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
+  maps over.  Chunk sums are folded in chunk order, so the emitted
+  numbers are bit-identical for any worker count.
+- block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
+  detection and the measurement chain together, one row per frame, so
+  each FFT is one batched call instead of one per frame.  Blocks stay at
+  4 frames because every (frames, n) temporary grows with the block: on
+  ``fig4-demod`` peak memory was 108 MB with one frame at a time, 112 MB
+  at 4, 115 MB at 8 and 121 MB at 16, past the benchmark's 10% bound,
+  and 8 or 16 frames ran no faster than 4.
+
+Blocks do not change a single output bit.  Each noise row still draws
+from its own (run, frame, port) substream, elementwise steps do not care
+about the row layout, numpy's batched FFTs return every row's bits as a
+one-frame call does (numpy 2.4; the block tests in ``tests/`` check it),
+and periodograms are still added to the chunk sums
+frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 """
 
@@ -45,6 +64,7 @@ from .dsp import (
 )
 from .fields import FrequencyGrid, SqueezerSpec, make_vacuum_field, apply_squeezer, quadrature_series
 from .interferometer import (
+    BeamCarrier,
     BeamSpec,
     DetectorSpec,
     PhaseSignalSpec,
@@ -58,6 +78,7 @@ from .interferometer import (
 )
 
 CHUNK_FRAMES = 128
+BLOCK_FRAMES = 4
 RUN_NAMES = ("background", "reference", "target")
 _RUN_IDS = {
     "background": rngs.RUN_BACKGROUND,
@@ -143,6 +164,8 @@ class _HeterodyneContext:
         )
         self.beam1 = BeamSpec(b.e1, c1)
         self.beam2 = BeamSpec(b.e2, c2, mod)
+        self.carrier1 = BeamCarrier(self.grid, self.beam1)
+        self.carrier2 = BeamCarrier(self.grid, self.beam2)
         d = cfg.detector
         self.det = DetectorSpec(
             d.quantum_efficiency, d.electronic_noise_rel_db, d.clip_level, d.gain_ripple_db
@@ -150,6 +173,19 @@ class _HeterodyneContext:
         self.ref_floor = unsqueezed_shot_psd(b.e1, b.e2, d.quantum_efficiency)
         self.phase_var = classical_phase_variance(
             b.classical_fraction, b.e1, b.e2, d.quantum_efficiency
+        )
+        self.phase_sigma = np.sqrt(self.phase_var)
+        p1, p2 = cfg.pickoff1, cfg.pickoff2
+        self.plain_picks = (
+            PickoffSpec(p1.reflectivity, None, p1.injection_phase_rad),
+            PickoffSpec(p2.reflectivity, None, p2.injection_phase_rad),
+        )
+        self.squeezed_picks = (
+            PickoffSpec(p1.reflectivity, cfg.squeezer_spec(0, 0.0), p1.injection_phase_rad),
+            PickoffSpec(p2.reflectivity, cfg.squeezer_spec(1, 0.0), p2.injection_phase_rad),
+        )
+        self.jitter_rms = tuple(
+            p.squeezer.angle_jitter_rms_rad if p.squeezer else 0.0 for p in (p1, p2)
         )
         n = self.grid.n_samples
         fs = self.grid.sample_rate
@@ -179,68 +215,62 @@ class _HeterodyneContext:
                 else 0.0
             )
 
-    # -- frame synthesis ------------------------------------------------
+    # -- block synthesis ------------------------------------------------
 
-    def _pickoffs(self, run_name: str, run_id: int, index: int):
-        cfg = self.cfg
+    def _keys(self, run_id: int, frames: range, port: int) -> list:
+        return [rngs.frame_seed(self.cfg.seed, run_id, i, port) for i in frames]
+
+    def _draws(self, keys: list, sigma: float) -> np.ndarray:
+        """One row of N(0, sigma^2) samples per key."""
+        n = self.grid.n_samples
+        return np.stack([rngs.generator(k).normal(0.0, sigma, n) for k in keys])
+
+    def _pickoffs(self, run_name: str, run_id: int, frames: range) -> list[tuple]:
+        """(pickoff1, pickoff2) specs of each frame of a block."""
         if run_name != "target":
-            return (
-                PickoffSpec(cfg.pickoff1.reflectivity, None, cfg.pickoff1.injection_phase_rad),
-                PickoffSpec(cfg.pickoff2.reflectivity, None, cfg.pickoff2.injection_phase_rad),
-            )
-        jitter = [0.0, 0.0]
-        rms = [
-            cfg.pickoff1.squeezer.angle_jitter_rms_rad if cfg.pickoff1.squeezer else 0.0,
-            cfg.pickoff2.squeezer.angle_jitter_rms_rad if cfg.pickoff2.squeezer else 0.0,
-        ]
-        if rms[0] > 0 or rms[1] > 0:
-            gen = rngs.generator(rngs.frame_seed(cfg.seed, run_id, index, rngs.PORT_JITTER))
-            jitter = [gen.normal(0.0, r) if r > 0 else 0.0 for r in rms]
-        return (
-            PickoffSpec(
-                cfg.pickoff1.reflectivity,
-                cfg.squeezer_spec(0, jitter[0]),
-                cfg.pickoff1.injection_phase_rad,
-            ),
-            PickoffSpec(
-                cfg.pickoff2.reflectivity,
-                cfg.squeezer_spec(1, jitter[1]),
-                cfg.pickoff2.injection_phase_rad,
-            ),
+            return [self.plain_picks] * len(frames)
+        if not any(self.jitter_rms):
+            return [self.squeezed_picks] * len(frames)
+        return [self._jittered(run_id, i) for i in frames]
+
+    def _jittered(self, run_id: int, index: int) -> tuple[PickoffSpec, PickoffSpec]:
+        cfg = self.cfg
+        gen = rngs.generator(rngs.frame_seed(cfg.seed, run_id, index, rngs.PORT_JITTER))
+        jitter = [gen.normal(0.0, r) if r > 0 else 0.0 for r in self.jitter_rms]
+        return tuple(
+            PickoffSpec(pick.reflectivity, cfg.squeezer_spec(k, jitter[k]), pick.injection_phase_rad)
+            for k, pick in enumerate((cfg.pickoff1, cfg.pickoff2))
         )
 
-    def frame_trace(self, run_name: str, index: int) -> PhotocurrentTrace:
+    def _photocurrent(self, run_name: str, frames: range) -> np.ndarray:
+        """Detector output of a block of frames, one row per frame."""
         run_id = _RUN_IDS[run_name]
-        seed = self.cfg.seed
-        det_seed = rngs.frame_seed(seed, run_id, index, rngs.PORT_DETECTOR)
+        det_keys = self._keys(run_id, frames, rngs.PORT_DETECTOR)
         if run_name == "background":
-            dark = np.zeros(self.grid.n_samples)
+            dark = np.zeros((len(frames), self.grid.n_samples))
             return PhotocurrentTrace(
-                detector_readout(dark, self.det, det_seed, self.ref_floor), self.grid
-            )
+                detector_readout(dark, self.det, det_keys, self.ref_floor), self.grid
+            ).samples
         extra = None
         if self.phase_var > 0.0:
-            gen = rngs.generator(rngs.frame_seed(seed, run_id, index, rngs.PORT_PHASE))
-            extra = gen.normal(0.0, np.sqrt(self.phase_var), self.grid.n_samples)
-        pick1, pick2 = self._pickoffs(run_name, run_id, index)
+            extra = self._draws(self._keys(run_id, frames, rngs.PORT_PHASE), self.phase_sigma)
+        picks = self._pickoffs(run_name, run_id, frames)
         e1 = compose_beam(
-            self.grid, self.beam1, pick1, rngs.frame_seed(seed, run_id, index, rngs.PORT_BEAM1)
+            self.grid, self.beam1, [p[0] for p in picks],
+            self._keys(run_id, frames, rngs.PORT_BEAM1), carrier=self.carrier1,
         )
         e2 = compose_beam(
-            self.grid,
-            self.beam2,
-            pick2,
-            rngs.frame_seed(seed, run_id, index, rngs.PORT_BEAM2),
-            extra_phase=extra,
+            self.grid, self.beam2, [p[1] for p in picks],
+            self._keys(run_id, frames, rngs.PORT_BEAM2), extra_phase=extra, carrier=self.carrier2,
         )
-        return balanced_detect(e1, e2, self.det, det_seed, reference_shot_psd=self.ref_floor)
+        return balanced_detect(e1, e2, self.det, det_keys, reference_shot_psd=self.ref_floor).samples
 
     # -- accumulation ----------------------------------------------------
 
-    def _demod_arms(self, run_name: str, index: int, samples: np.ndarray):
+    def _arms(self, run_name: str, frames: range, x: np.ndarray) -> list[np.ndarray]:
+        """Both demodulated readout arms of a block of photocurrent rows."""
         run_id = _RUN_IDS[run_name]
-        n = self.grid.n_samples
-        base = mix_down(samples, self.lo, self.lpf_h)
+        base = mix_down(x, self.lo, self.lpf_h)
         arms = []
         for port, port_excess in (
             (rngs.PORT_ARM1, rngs.PORT_ARM1_EXCESS),
@@ -248,31 +278,33 @@ class _HeterodyneContext:
         ):
             y = base
             if self.arm_sigma > 0.0:
-                gen = rngs.generator(rngs.frame_seed(self.cfg.seed, run_id, index, port))
-                y = y + gen.normal(0.0, self.arm_sigma, n)
+                y = y + self._draws(self._keys(run_id, frames, port), self.arm_sigma)
             if self.arm_excess_sigma > 0.0 and run_name != "background":
-                gen = rngs.generator(
-                    rngs.frame_seed(self.cfg.seed, run_id, index, port_excess)
-                )
-                y = y + gen.normal(0.0, self.arm_excess_sigma, n)
+                y = y + self._draws(self._keys(run_id, frames, port_excess), self.arm_excess_sigma)
             arms.append(filter_frame(y, self.post_h))
         return arms
 
     def accumulate(self, run_name: str, start: int, stop: int) -> dict:
+        """Periodogram sums of frames [start, stop), built in blocks of
+        BLOCK_FRAMES and added frame by frame in frame order."""
         nbins = len(self.freqs)
-        if self.measurement == "raw":
-            acc = {"auto": np.zeros(nbins)}
-            for i in range(start, stop):
-                y = filter_frame(self.frame_trace(run_name, i).samples, self.raw_h)
-                acc["auto"] += auto_periodogram(frame_spectrum(y, self.window), self.wnorm)
-            return acc
-        acc = {"cross": np.zeros(nbins), "auto1": np.zeros(nbins)}
-        for i in range(start, stop):
-            a1, a2 = self._demod_arms(run_name, i, self.frame_trace(run_name, i).samples)
-            v1 = frame_spectrum(a1, self.window)
-            v2 = frame_spectrum(a2, self.window)
-            acc["cross"] += cross_periodogram(v1, v2, self.wnorm)
-            acc["auto1"] += auto_periodogram(v1, self.wnorm)
+        raw = self.measurement == "raw"
+        acc = {k: np.zeros(nbins) for k in (("auto",) if raw else ("cross", "auto1"))}
+        for first in range(start, stop, BLOCK_FRAMES):
+            frames = range(first, min(first + BLOCK_FRAMES, stop))
+            x = self._photocurrent(run_name, frames)
+            if raw:
+                v = frame_spectrum(filter_frame(x, self.raw_h), self.window)
+                parts = {"auto": auto_periodogram(v, self.wnorm)}
+            else:
+                v1, v2 = (frame_spectrum(a, self.window) for a in self._arms(run_name, frames, x))
+                parts = {
+                    "cross": cross_periodogram(v1, v2, self.wnorm),
+                    "auto1": auto_periodogram(v1, self.wnorm),
+                }
+            for k, rows in parts.items():
+                for row in rows:
+                    acc[k] += row
         return acc
 
 

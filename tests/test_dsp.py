@@ -10,11 +10,19 @@ from sqzbeat.dsp import (
     FilterSpec,
     SpectrumEstimate,
     apply_filter_chain,
+    auto_periodogram,
     chain_response,
     compensate_spectrum,
+    cross_periodogram,
     cross_spectrum,
+    demod_lpf_spec,
     demod_measurement_chain,
     demodulate,
+    filter_frame,
+    frame_spectrum,
+    hamming_window,
+    local_oscillator,
+    mix_down,
     postprocess,
     raw_measurement_chain,
     welch_psd,
@@ -283,3 +291,25 @@ def test_demod_chain_passband():
     band = (freqs > 2.5e6) & (freqs < 4e6)
     gain_db = 20 * np.log10(np.abs(h[band]))
     assert np.all(np.abs(gain_db - 20.0) < 0.5)
+
+
+def test_chain_steps_on_a_block_equal_each_frame():
+    # the runner feeds blocks of frames; each row must match the frame
+    # processed alone, bit for bit
+    block = np.stack(list(_white_frames(3, seed=12)))
+    freqs = np.fft.rfftfreq(N, 1.0 / FS)
+    lpf = chain_response([demod_lpf_spec(10e6)], freqs, FS)
+    post = chain_response(demod_measurement_chain(), freqs, FS)
+    lo = local_oscillator(GRID, 10e6, np.pi / 2.0)
+    window, wnorm = hamming_window(N)
+
+    def chain(x):
+        v1 = frame_spectrum(filter_frame(mix_down(x, lo, lpf), post), window)
+        v2 = frame_spectrum(x, window)
+        return auto_periodogram(v1, wnorm), cross_periodogram(v1, v2, wnorm)
+
+    auto_b, cross_b = chain(block)
+    for i, x in enumerate(block):
+        auto_1, cross_1 = chain(x)
+        assert np.array_equal(auto_b[i], auto_1)
+        assert np.array_equal(cross_b[i], cross_1)

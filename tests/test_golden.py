@@ -8,8 +8,14 @@ The files in ``golden/`` are the ``summary.txt`` of
 
 A change that alters any emitted number fails here; a deliberate change
 of the realizations regenerates the files and says so.
+
+``golden/block-boundary.sha256`` holds the SHA-256 of every output file
+(summary and spectra) of ``fig4-demod`` and ``fig3-raw`` at 130 frames,
+written by the per-frame runner before frames were synthesized in blocks:
+two chunks, the second ending in a partial block.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -31,3 +37,26 @@ def test_golden_summary(name, tmp_path):
     with open(os.path.join(GOLDEN, f"{name}.summary.txt"), "rb") as fh:
         expected = fh.read()
     assert (tmp_path / "summary.txt").read_bytes() == expected
+
+
+def _block_boundary_digests(name):
+    digests = {}
+    with open(os.path.join(GOLDEN, "block-boundary.sha256"), encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                digest, path = line.split()
+                preset, filename = path.split("/")
+                if preset == name:
+                    digests[filename] = digest
+    return digests
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["fig4-demod", "fig3-raw"])
+def test_golden_outputs_across_chunk_and_block_boundaries(name, workers, tmp_path):
+    run(preset_config(name), frames=130, out_dir=str(tmp_path), workers=workers)
+    got = {
+        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        for filename in sorted(os.listdir(tmp_path))
+    }
+    assert got == _block_boundary_digests(name)

@@ -403,3 +403,32 @@ def test_spec_invariants():
             IDEAL,
             substream(0, 0),
         )
+
+
+def test_block_rows_equal_single_frames():
+    # a block of frames is one call per step; every row must carry the
+    # bits of the same frame synthesized and detected alone
+    spec = SqueezerSpec(0.4, 30e6, 0.9, center_freq_hz=C2)
+    picks = [PickoffSpec(0.97, spec), PickoffSpec(0.97, spec, injection_phase_rad=0.2), PickoffSpec(0.97, None)]
+    beam2 = BeamSpec(800.0, C2, PhaseSignalSpec("sinusoid", 3.11e6, 1e-3))
+    det = DetectorSpec(0.95, electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
+    ref = unsqueezed_shot_psd(700.0, 800.0)
+    seeds = [substream(31, i) for i in range(3)]
+    extra = np.random.default_rng(substream(32, 0)).normal(0.0, 1e-3, (3, N))
+    block = balanced_detect(
+        compose_beam(GRID, BeamSpec(700.0, C1), picks, [substream(s, 0) for s in seeds]),
+        compose_beam(GRID, beam2, PickoffSpec(0.97, spec), [substream(s, 1) for s in seeds], extra),
+        det,
+        [substream(s, 2) for s in seeds],
+        ref,
+    )
+    assert block.samples.shape == (3, N)
+    for i, s in enumerate(seeds):
+        single = balanced_detect(
+            compose_beam(GRID, BeamSpec(700.0, C1), picks[i], substream(s, 0)),
+            compose_beam(GRID, beam2, PickoffSpec(0.97, spec), substream(s, 1), extra[i]),
+            det,
+            substream(s, 2),
+            ref,
+        )
+        assert np.array_equal(block.samples[i], single.samples)

@@ -247,3 +247,64 @@ def test_frames_override_sets_epr_draws(tmp_path):
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     assert "frames=7" in lines
     assert "epr.draws=7" in lines
+
+
+@pytest.mark.parametrize(
+    "preset, patch, path",
+    [
+        ("vacuum-selftest", '{"grid": {"frames": 1.5}}', "grid.frames"),
+        ("vacuum-selftest", '{"grid": {"frames": true}}', "grid.frames"),
+        ("vacuum-selftest", '{"seed": "abc"}', "seed"),
+        ("epr-identity", '{"epr": {"residual_threshold": -1}}', "epr.residual_threshold"),
+        ("vacuum-selftest", '{"detector": {"gain_ripple_db": NaN}}', "detector.gain_ripple_db"),
+        ("vacuum-selftest", '{"measurement": {"bands": 5}}', "measurement.bands"),
+        ("vacuum-selftest", '{"pickoff1": {"squeezer": {}}}', "pickoff1.squeezer"),
+    ],
+    ids=[
+        "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
+        "scalar-bands", "squeezer-without-pump",
+    ],
+)
+def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
+    cfg_path = tmp_path / "patch.json"
+    cfg_path.write_text(patch)
+    rc = main(["run", "--preset", preset, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{path}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_rejects_non_finite_values_in_every_section():
+    cfg = preset_config("fig4-demod")
+    for section, name in (
+        ("beams", "mod_depth_rad"),
+        ("detector", "electronic_noise_rel_db"),
+        ("measurement", "arm_noise_rel_db"),
+        ("grid", "sample_rate_hz"),
+    ):
+        bad = replace(cfg, **{section: replace(getattr(cfg, section), **{name: float("nan")})})
+        with pytest.raises(ConfigError, match=f"{section}.{name}"):
+            validate_config(bad)
+    sq = replace(cfg.pickoff2.squeezer, hwhm_hz=float("inf"))
+    with pytest.raises(ConfigError, match="pickoff2.squeezer.hwhm_hz"):
+        validate_config(replace(cfg, pickoff2=replace(cfg.pickoff2, squeezer=sq)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ('{"beams": {"e1": 1e200}}', "photocurrent samples must be finite"),
+        ('{"detector": {"electronic_noise_rel_db": 5000}}', "numerical error"),
+    ],
+    ids=["overflowing-carrier", "overflowing-db-level"],
+)
+def test_cli_overflow_is_a_numerical_error(patch, message, tmp_path, capsys):
+    cfg_path = tmp_path / "patch.json"
+    cfg_path.write_text(patch)
+    rc = main([
+        "run", "--preset", "vacuum-selftest", "--frames", "2", "--config", str(cfg_path),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    assert message in capsys.readouterr().err
