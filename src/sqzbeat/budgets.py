@@ -39,23 +39,19 @@ class SqueezingLevels:
 
     s_lower_db: tuple[float, float]
     s_upper_db: tuple[float, float]
-    a_lower_db: tuple[float, float] | None = None
-    a_upper_db: tuple[float, float] | None = None
     w1: float = 1.0
     w2: float = 1.0
 
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Itemized relative noise floor for one scheme and band.
+    """Itemized relative noise floor of one band.
 
     ``floor`` is linear power versus the unsqueezed reference; ``terms``
     itemizes it (squeezed-quadrature, anti-squeezed leakage, classical,
     electronic) and sums to ``floor``.
     """
 
-    scheme: str
-    band: str
     floor: float
     terms: dict = field(default_factory=dict)
 
@@ -153,7 +149,6 @@ def _pair(value) -> tuple[float, float]:
 
 def heterodyne_budget(
     scheme: str,
-    band: str,
     eps_hz,
     squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     weights: tuple[float, float],
@@ -224,4 +219,4 @@ def heterodyne_budget(
         "electronic": e / norm,
     }
     floor = sum(terms.values())
-    return NoiseBudget(scheme=scheme, band=band, floor=floor, terms=terms)
+    return NoiseBudget(floor=floor, terms=terms)

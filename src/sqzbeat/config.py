@@ -15,7 +15,9 @@ import math
 import numbers
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+
+import numpy as np
 
 from .fields import BandError, FrequencyGrid, SqueezerSpec
 from .interferometer import SCHEMES
@@ -195,8 +197,9 @@ def _tuple_items(tp, n: int, path: str) -> tuple:
 
 def _from_data(tp, data, path: str):
     """Build a value of annotation ``tp`` from JSON data: objects become
-    config sections and lists tuples, entry by entry; scalars pass through
-    to ``validate_config``."""
+    config sections and lists tuples, entry by entry.  Numbers must be
+    numbers and never bools, floats finite, integers integral, strings
+    strings."""
     inner = _optional_inner(tp)
     if inner is not None:
         return None if data is None else _from_data(inner, data, path)
@@ -219,6 +222,11 @@ def _from_data(tp, data, path: str):
             raise ConfigError(path, f"expected a list, got {type(data).__name__}")
         items = _tuple_items(tp, len(data), path)
         return tuple(_from_data(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, data)))
+    wanted = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), str: (str, "a string")}
+    if tp in wanted:
+        kind, noun = wanted[tp]
+        _check(isinstance(data, kind) and not isinstance(data, bool), path, f"must be {noun}, got {data!r}")
+        _check(tp is not float or _finite(data), path, "must be finite")
     return data
 
 
@@ -245,6 +253,13 @@ def _check(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _on_grid(grid: FrequencyGrid, f_hz: float, path: str):
+    try:
+        grid.bin_index(f_hz)
+    except BandError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _finite(x) -> bool:
     try:
         return math.isfinite(x)
@@ -252,48 +267,13 @@ def _finite(x) -> bool:
         return False
 
 
-def _check_types(value, tp, path: str) -> None:
-    """Check ``value`` against annotation ``tp``: numbers must be numbers
-    (bools excluded), floats finite, integers integral, nested sections
-    and tuples checked entry by entry."""
-    inner = _optional_inner(tp)
-    if inner is not None:
-        if value is None:
-            return
-        tp = inner
-    if is_dataclass(tp):
-        _check(isinstance(value, tp), path, f"must be a {tp.__name__} section")
-        hints = _field_types(tp)
-        for f in fields(tp):
-            _check_types(getattr(value, f.name), hints[f.name], f"{path}.{f.name}" if path else f.name)
-    elif typing.get_origin(tp) is tuple:
-        _check(isinstance(value, tuple), path, "must be a list")
-        for i, (item, item_tp) in enumerate(zip(value, _tuple_items(tp, len(value), path))):
-            _check_types(item, item_tp, f"{path}[{i}]")
-    elif tp is float:
-        _check(
-            isinstance(value, numbers.Real) and not isinstance(value, bool),
-            path,
-            f"must be a number, got {value!r}",
-        )
-        _check(_finite(value), path, "must be finite")
-    elif tp is int:
-        _check(
-            isinstance(value, numbers.Integral) and not isinstance(value, bool),
-            path,
-            f"must be an integer, got {value!r}",
-        )
-    elif tp is str:
-        _check(isinstance(value, str), path, f"must be a string, got {value!r}")
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError at the first violated invariant.
 
-    Every field is first checked against its annotation, so a mistyped or
+    The config is first rebuilt from its plain data, so a mistyped or
     non-finite value is named by its path before any range check reads it.
     """
-    _check_types(cfg, ExperimentConfig, "")
+    from_dict(to_dict(cfg))
     _check(cfg.kind in KINDS, "kind", f"must be one of {KINDS}")
     _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     _check(cfg.seed >= 0, "seed", "must be a non-negative integer")
@@ -306,7 +286,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check(cfg.epr is not None, "epr", "required for kind 'epr'")
         _check(cfg.epr.draws >= 1, "epr.draws", "must be >= 1")
         _check(cfg.epr.residual_threshold > 0, "epr.residual_threshold", "must be positive")
+        # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
+        # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
+        # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
+        _check(
+            48e6 < g.sample_rate_hz <= 8e9,
+            "grid.sample_rate_hz",
+            "must lie in (48 MHz, 8 GHz] for the identity draws (4-12 MHz beats on 2000-5000 samples)",
+        )
         return
+
+    b = cfg.beams
+    nyq = g.sample_rate_hz / 2.0
+    _check(-nyq < b.anchor_hz < nyq, "beams.anchor_hz", "must lie strictly inside (-Nyquist, Nyquist)")
+    grid = cfg.frequency_grid()
+    _on_grid(grid, b.anchor_hz, "beams.anchor_hz")
     if cfg.kind == "opo-sweep":
         _check(cfg.opo_sweep is not None, "opo_sweep", "required for kind 'opo-sweep'")
         ow = cfg.opo_sweep
@@ -315,9 +309,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _check(0 <= p < ow.threshold_mw, f"opo_sweep.pump_powers_mw[{i}]", "must be below threshold")
         _check(ow.hwhm_hz > 0, "opo_sweep.hwhm_hz", "must be positive")
         _check(0 <= ow.escape_efficiency <= 1, "opo_sweep.escape_efficiency", "must be in [0, 1]")
+        # Quadratures keep only the sidebands whose partners both lie in
+        # the grid, so the band must stay within the anchor's margin.
+        lo, hi = ow.band_hz
+        margin = grid.edge_margin(b.anchor_hz)
+        _check(0 < lo < hi <= margin, "opo_sweep.band_hz", f"must satisfy 0 < lo < hi <= {margin:.0f} Hz")
+        freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)
+        _check(np.any((freqs >= lo) & (freqs <= hi)), "opo_sweep.band_hz", "holds no frequency bin")
         return
 
-    b = cfg.beams
     _check(b.e1 > 0 and b.e2 > 0, "beams.e1", "both carriers must be on for a heterodyne run")
     _check(b.beat_freq_hz > 0, "beams.beat_freq_hz", "must be positive")
     _check(
@@ -328,20 +328,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check(0 <= b.classical_fraction < 1, "beams.classical_fraction", "must be in [0, 1)")
     if b.classical_fraction > 0:
         _check(b.e1 > 0 and b.e2 > 0, "beams.classical_fraction", "needs both carriers on")
-    try:
-        grid = cfg.frequency_grid()
-        for f_hz, path in (
-            (b.anchor_hz, "beams.anchor_hz"),
-            (b.anchor_hz + b.beat_freq_hz, "beams.beat_freq_hz"),
-        ):
-            try:
-                grid.bin_index(f_hz)
-            except BandError as exc:
-                raise ConfigError(path, str(exc)) from None
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("grid", str(exc)) from None
+    _on_grid(grid, b.anchor_hz + b.beat_freq_hz, "beams.beat_freq_hz")
 
     for name, pick in (("pickoff1", cfg.pickoff1), ("pickoff2", cfg.pickoff2)):
         _check(0 < pick.reflectivity <= 1, f"{name}.reflectivity", "must be in (0, 1]")
@@ -360,9 +347,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     ms = cfg.measurement
     _check(ms.kind in MEASUREMENTS, "measurement.kind", f"must be one of {MEASUREMENTS}")
-    _check(math.isfinite(ms.lo_phase_rad), "measurement.lo_phase_rad", "must be finite")
     _check(len(ms.bands) >= 1, "measurement.bands", "need at least one analysis band")
-    nyq = g.sample_rate_hz / 2.0
     for i, band in enumerate(ms.bands):
         path = f"measurement.bands[{i}]"
         _check(band.half_width_hz > 0, path, "half_width_hz must be positive")
@@ -382,7 +367,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # Squeezer sideband pairs must cover every analysis band.  Demodulated
     # bands fold from beat +- band; same-frequency squeezing additionally
     # folds anti-squeezed components down from twice the beat.
-    grid = cfg.frequency_grid()
     eps_needed = 0.0
     for band in ms.bands:
         top = band.center_hz + band.half_width_hz

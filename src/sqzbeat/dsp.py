@@ -288,9 +288,6 @@ class PostprocessResult:
     reduction_db: float
     stderr_db: float
     n_bins: int
-    band: BandSpec
-    target_mean: float
-    reference_mean: float
 
 
 def _window_variance_factor(window: str, n_fft: int) -> float:
@@ -349,7 +346,7 @@ def postprocess(
     se_r = float(np.std(r, ddof=1) / np.sqrt(n_bins)) * corr
     rel = np.hypot(se_t / t_mean, se_r / r_mean)
     stderr_db = float(10.0 / np.log(10.0) * rel)
-    return PostprocessResult(float(reduction_db), stderr_db, n_bins, band, t_mean, r_mean)
+    return PostprocessResult(float(reduction_db), stderr_db, n_bins)
 
 
 def raw_measurement_chain() -> list[FilterSpec]:

@@ -190,7 +190,7 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     Pairs (center + eps, center - eps) are transformed jointly for every
     eps whose partners both lie strictly inside the grid; the center bin
     receives the single-mode limit of the same map.  pump_ratio = 0 is an
-    exact identity.
+    exact identity.  A block field is squeezed row by row.
     """
     grid = field.grid
     if spec.pump_ratio >= 1.0:
@@ -213,16 +213,22 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     g2 = np.sqrt(a)
     w = np.exp(2j * spec.squeeze_angle_rad)
 
+    # Bins run along the last axis.  Writing through the transpose keeps a
+    # one-row call on numpy's 1-D fancy-index path, which out[..., k] is not.
     amps = field.amplitudes
     out = amps.copy()
-    upper = amps[ku]
-    lower = amps[kl]
-    out[ku] = 0.5 * ((g1 + g2) * upper + (g1 - g2) * w * np.conj(lower))
-    out[kl] = 0.5 * ((g1 - g2) * w * np.conj(upper) + (g1 + g2) * lower)
+    upper = np.take(amps, ku, axis=-1)
+    lower = np.take(amps, kl, axis=-1)
+    out.T[ku] = (0.5 * ((g1 + g2) * upper + (g1 - g2) * w * np.conj(lower))).T
+    out.T[kl] = (0.5 * ((g1 - g2) * w * np.conj(upper) + (g1 + g2) * lower)).T
 
+    # The center bin is one number per row; numpy's scalar arithmetic gives
+    # other bits than its array loops, so every row takes the scalar path.
     s0, a0 = spec.squeezing_spectrum(0.0)
     g10, g20 = np.sqrt(s0), np.sqrt(a0)
-    out[kc] = 0.5 * ((g10 + g20) * amps[kc] + (g10 - g20) * w * np.conj(amps[kc]))
+    for row_in, row_out in zip(amps.reshape(-1, n), out.reshape(-1, n)):
+        c = row_in[kc]
+        row_out[kc] = 0.5 * ((g10 + g20) * c + (g10 - g20) * w * np.conj(c))
     return field.with_amplitudes(out)
 
 
@@ -253,7 +259,8 @@ def quadrature_series(
     a1(t) and a2(t) are the cosine and sine quadratures of the field
     envelope, built from the bins with sideband offset eps_min <= |eps| <=
     eps_max.  Linear in the field.  The default eps_max is the largest
-    offset whose both sidebands stay strictly inside the grid.
+    offset whose both sidebands stay strictly inside the grid.  A block
+    field gives one quadrature row per frame.
     """
     grid = field.grid
     kc = grid.bin_index(center_freq)
@@ -265,7 +272,7 @@ def quadrature_series(
     if eps_min < 0 or eps_min > eps_max:
         raise BandError("need 0 <= eps_min <= eps_max")
 
-    rolled = np.roll(field.amplitudes, -kc)
+    rolled = np.roll(field.amplitudes, -kc, axis=-1)
     g = np.abs(grid.freqs())
     tol = _GRID_TOL * grid.bin_hz
     mask = (g >= eps_min - tol) & (g <= eps_max + tol)

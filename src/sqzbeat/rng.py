@@ -84,13 +84,9 @@ def substream(seed, *path: int) -> np.random.SeedSequence:
     return as_seed_sequence(stream_key(seed, *path))
 
 
-def generator(seed, *path: int) -> np.random.Generator:
-    """PCG64 generator on the substream addressed by ``path``."""
-    if isinstance(seed, np.random.Generator):
-        if path:
-            raise ValueError("cannot derive a substream from a Generator")
-        return seed
-    return np.random.default_rng(as_seed_sequence(stream_key(seed, *path) if path else seed))
+def generator(seed) -> np.random.Generator:
+    """PCG64 generator on the stream of ``seed``."""
+    return np.random.default_rng(as_seed_sequence(seed))
 
 
 def frame_seed(master_seed: int, run_kind: int, frame_index: int, port: int) -> StreamKey:

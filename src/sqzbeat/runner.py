@@ -2,14 +2,18 @@
 
 A heterodyne run executes three acquisitions with independent seed
 substreams: background (no light), reference (vacuum ports) and target
-(squeezers on).  Work is split run -> chunk -> block:
+(squeezers on).  A pump sweep executes one acquisition per pump power.
+Both average periodograms over frames, and both go through one frame
+engine, split run -> chunk -> block:
 
-- run: one ``_HeterodyneContext`` holds everything that does not change
-  from frame to frame (beams and their carrier terms, filter responses,
-  local oscillator, window), built once.
+- run: one context (``_HeterodyneContext`` or ``_SweepContext``) holds
+  everything that does not change from frame to frame (beams and their
+  carrier terms, filter responses, local oscillator, squeezers, window),
+  built once.  Its block step ``periodograms(acquisition, blocks)``
+  yields the periodograms of each block of frames, one row per frame.
 - chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
-  maps over.  Chunk sums are folded in chunk order, so the emitted
-  numbers are bit-identical for any worker count.
+  maps over (``_chunk_sum``).  Chunk sums are folded in chunk order, so
+  the emitted numbers are bit-identical for any worker count.
 - block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
   detection and the measurement chain together, one row per frame, so
   each FFT is one batched call instead of one per frame.  Blocks stay at
@@ -25,6 +29,10 @@ one-frame call does (numpy 2.4; the block tests in ``tests/`` check it),
 and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
+
+The EPR identity run is not a frame average: each draw picks its own
+grid size, state and frequencies, and the run keeps the largest
+residual, so it loops over its draws without the engine.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace, field
+from functools import partial
 
 import numpy as np
 
@@ -152,6 +161,8 @@ class _HeterodyneContext:
     Built once per run; a pool sends it to its workers with each chunk.
     """
 
+    acquisitions = RUN_NAMES
+
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.grid = cfg.frequency_grid()
@@ -265,7 +276,7 @@ class _HeterodyneContext:
         )
         return balanced_detect(e1, e2, self.det, det_keys, reference_shot_psd=self.ref_floor).samples
 
-    # -- accumulation ----------------------------------------------------
+    # -- measurement -----------------------------------------------------
 
     def _arms(self, run_name: str, frames: range, x: np.ndarray) -> list[np.ndarray]:
         """Both demodulated readout arms of a block of photocurrent rows."""
@@ -284,54 +295,92 @@ class _HeterodyneContext:
             arms.append(filter_frame(y, self.post_h))
         return arms
 
-    def accumulate(self, run_name: str, start: int, stop: int) -> dict:
-        """Periodogram sums of frames [start, stop), built in blocks of
-        BLOCK_FRAMES and added frame by frame in frame order."""
-        nbins = len(self.freqs)
-        raw = self.measurement == "raw"
-        acc = {k: np.zeros(nbins) for k in (("auto",) if raw else ("cross", "auto1"))}
-        for first in range(start, stop, BLOCK_FRAMES):
-            frames = range(first, min(first + BLOCK_FRAMES, stop))
+    def periodograms(self, run_name: str, blocks):
+        """Periodogram rows of each block of frames of one acquisition."""
+        for frames in blocks:
             x = self._photocurrent(run_name, frames)
-            if raw:
+            if self.measurement == "raw":
                 v = frame_spectrum(filter_frame(x, self.raw_h), self.window)
-                parts = {"auto": auto_periodogram(v, self.wnorm)}
+                yield {"auto": auto_periodogram(v, self.wnorm)}
             else:
                 v1, v2 = (frame_spectrum(a, self.window) for a in self._arms(run_name, frames, x))
-                parts = {
+                yield {
                     "cross": cross_periodogram(v1, v2, self.wnorm),
                     "auto1": auto_periodogram(v1, self.wnorm),
                 }
-            for k, rows in parts.items():
-                for row in rows:
-                    acc[k] += row
-        return acc
+
+
+class _SweepContext:
+    """Per-run state of a pump sweep: one squeezer per pump power, each
+    power an acquisition of vacuum frames squeezed about the anchor."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        ow = cfg.opo_sweep
+        self.seed = cfg.seed
+        self.grid = cfg.frequency_grid()
+        n = self.grid.n_samples
+        self.freqs = np.fft.rfftfreq(n, d=1.0 / self.grid.sample_rate)
+        self.window, self.wnorm = hamming_window(n)
+        self.specs = [
+            SqueezerSpec(
+                pump_ratio=float(np.sqrt(power / ow.threshold_mw)),
+                hwhm_hz=ow.hwhm_hz,
+                escape_efficiency=ow.escape_efficiency,
+                center_freq_hz=self.grid.center_offset,
+            )
+            for power in ow.pump_powers_mw
+        ]
+        self.acquisitions = range(len(self.specs))
+
+    def periodograms(self, pump: int, blocks):
+        """Squeezed and anti-squeezed quadrature periodogram rows of each block."""
+        for frames in blocks:
+            seeds = [rngs.frame_seed(self.seed, 10 + pump, i, 0) for i in frames]
+            field = apply_squeezer(make_vacuum_field(self.grid, seeds), self.specs[pump])
+            quads = quadrature_series(field, self.grid.center_offset)
+            yield {
+                "squeezed": auto_periodogram(frame_spectrum(quads.a1, self.window), self.wnorm),
+                "anti": auto_periodogram(frame_spectrum(quads.a2, self.window), self.wnorm),
+            }
+
+
+def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
+    """Periodogram sums of frames [start, stop) of one acquisition, built in
+    blocks of BLOCK_FRAMES and added frame by frame in frame order.  The
+    block step is a generator so a block's arrays live until the next block
+    replaces them: freed at every block, they cost 40k minor page faults
+    per 128 ``fig3-raw`` frames instead of 2k, and 10-15% of the time."""
+    blocks = (range(f, min(f + BLOCK_FRAMES, stop)) for f in range(start, stop, BLOCK_FRAMES))
+    acc = {}
+    for parts in ctx.periodograms(acquisition, blocks):
+        for k, rows in parts.items():
+            total = acc.setdefault(k, np.zeros(rows.shape[-1]))
+            for row in rows:
+                total += row
+    return acc
 
 
 def _fold(jobs: list, parts) -> dict:
     totals = {}
-    for (run_name, _, _), part in zip(jobs, parts):  # fixed fold order keeps sums bit-stable
-        total = totals.setdefault(run_name, {k: np.zeros_like(v) for k, v in part.items()})
+    for (acquisition, _, _), part in zip(jobs, parts):  # fixed fold order keeps sums bit-stable
+        total = totals.setdefault(acquisition, {k: np.zeros_like(v) for k, v in part.items()})
         for k, v in part.items():
             total[k] += v
     return totals
 
 
-def _accumulate_runs(ctx: _HeterodyneContext, n_frames: int, workers: int) -> dict:
-    """Per-acquisition sums of every chunk, on one pool for the whole run."""
+def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
+    """Per-acquisition sums of every chunk of a context's acquisitions, on
+    one pool for the whole run."""
     jobs = [
-        (run_name, s, min(s + CHUNK_FRAMES, n_frames))
-        for run_name in RUN_NAMES
+        (acquisition, s, min(s + CHUNK_FRAMES, n_frames))
+        for acquisition in ctx.acquisitions
         for s in range(0, n_frames, CHUNK_FRAMES)
     ]
     if workers <= 1:
-        return _fold(jobs, (ctx.accumulate(*job) for job in jobs))
+        return _fold(jobs, (_chunk_sum(ctx, *job) for job in jobs))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return _fold(jobs, ex.map(ctx.accumulate, *zip(*jobs)))
-
-
-def _estimator_key(measurement: str) -> str:
-    return {"raw": "auto", "demod": "cross", "demod-no-cross": "auto1"}[measurement]
+        return _fold(jobs, ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
 
 
 def _write_spectrum(path: str, freqs: np.ndarray, values_db: np.ndarray, header: dict):
@@ -348,7 +397,7 @@ def _db_rel(values: np.ndarray, norm: float) -> np.ndarray:
     return 10.0 * np.log10(safe)
 
 
-def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray, label: str) -> NoiseBudget:
+def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray) -> NoiseBudget:
     ms = cfg.measurement
     if ms.kind == "raw":
         eps = band_freqs
@@ -363,7 +412,6 @@ def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray, label: str) -> N
         excess = 10.0 ** (ms.arm_noise_excess_rel_db / 10.0)
     return heterodyne_budget(
         cfg.scheme,
-        label,
         eps,
         (cfg.squeezer_spec(0), cfg.squeezer_spec(1)),
         weights=(cfg.beams.e2**2, cfg.beams.e1**2),
@@ -382,11 +430,25 @@ def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray, label: str) -> N
     )
 
 
-def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, dict]:
+def _summary(cfg: ExperimentConfig, measurement: str, frames: int, **results) -> RunSummary:
+    """A run's summary under the header every run kind shares."""
+    return RunSummary(
+        name=cfg.name,
+        kind=cfg.kind,
+        scheme=cfg.scheme,
+        measurement=measurement,
+        config_hash=config_hash(cfg),
+        seed=cfg.seed,
+        frames=frames,
+        **results,
+    )
+
+
+def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, list]:
     ctx = _HeterodyneContext(cfg)
     frames = cfg.grid.frames
     freqs = ctx.freqs
-    key = _estimator_key(cfg.measurement.kind)
+    key = {"raw": "auto", "demod": "cross", "demod-no-cross": "auto1"}[cfg.measurement.kind]
     sums = _accumulate_runs(ctx, frames, workers)
     estimates = {
         run_name: SpectrumEstimate(
@@ -403,68 +465,43 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, di
     }
 
     bands = []
+    union = np.zeros(len(freqs), dtype=bool)
     for band_cfg in cfg.measurement.bands:
         band = BandSpec(band_cfg.center_hz, band_cfg.half_width_hz, band_cfg.exclusion_half_width_hz)
+        mask = band.mask(freqs)
+        union |= mask
         result = postprocess(comp["target"], comp["reference"], comp["background"], band)
-        budget = _band_budget(cfg, freqs[band.mask(freqs)], band_cfg.label)
         bands.append(
             BandResult(
                 band_cfg.label,
                 band_cfg.center_hz,
                 result.reduction_db,
                 result.stderr_db,
-                budget.reduction_db,
+                _band_budget(cfg, freqs[mask]).reduction_db,
                 result.n_bins,
             )
         )
 
-    summary = RunSummary(
-        name=cfg.name,
-        kind=cfg.kind,
-        scheme=cfg.scheme,
-        measurement=cfg.measurement.kind,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        frames=frames,
-        bands=bands,
-    )
-    return summary, {"raw": estimates, "compensated": comp, "freqs": freqs}
-
-
-def _write_heterodyne_outputs(cfg: ExperimentConfig, summary: RunSummary, data: dict, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    freqs = data["freqs"]
+    # Raw spectra against the reference level in the normalization band;
+    # processed ones against the subtracted shot level in the analysis bands.
     lo, hi = cfg.measurement.normalization_band_hz
-    norm_mask = (freqs >= lo) & (freqs <= hi)
-    header = {
-        "config_hash": summary.config_hash,
-        "frames": summary.frames,
-        "normalization_band_hz": f"{lo:.0f}:{hi:.0f}",
-    }
-    ref_norm = float(np.mean(data["raw"]["reference"].values[norm_mask]))
-    for run_name in RUN_NAMES:
-        _write_spectrum(
-            os.path.join(out_dir, f"spectrum_{run_name}.txt"),
-            freqs,
-            _db_rel(data["raw"][run_name].values, ref_norm),
-            dict(header, trace=run_name, processed="false"),
-        )
-
-    union = np.zeros(len(freqs), dtype=bool)
-    for band_cfg in cfg.measurement.bands:
-        band = BandSpec(band_cfg.center_hz, band_cfg.half_width_hz, band_cfg.exclusion_half_width_hz)
-        union |= band.mask(freqs)
-    back = data["compensated"]["background"].values
-    ref_sub = data["compensated"]["reference"].values - back
-    tgt_sub = data["compensated"]["target"].values - back
+    header = {"normalization_band_hz": f"{lo:.0f}:{hi:.0f}"}
+    ref_norm = float(np.mean(estimates["reference"].values[(freqs >= lo) & (freqs <= hi)]))
+    spectra = [
+        (f"spectrum_{name}", freqs, _db_rel(estimates[name].values, ref_norm),
+         dict(header, trace=name, processed="false"))
+        for name in RUN_NAMES
+    ]
+    back = comp["background"].values
+    ref_sub = comp["reference"].values - back
+    tgt_sub = comp["target"].values - back
     shot_norm = float(np.mean(ref_sub[union])) if np.any(union) else 1.0
-    for name, values in (("reference", ref_sub), ("target", tgt_sub)):
-        _write_spectrum(
-            os.path.join(out_dir, f"processed_{name}.txt"),
-            freqs,
-            _db_rel(values, shot_norm),
-            dict(header, trace=name, processed="true"),
-        )
+    spectra += [
+        (f"processed_{name}", freqs, _db_rel(values, shot_norm),
+         dict(header, trace=name, processed="true"))
+        for name, values in (("reference", ref_sub), ("target", tgt_sub))
+    ]
+    return _summary(cfg, cfg.measurement.kind, frames, bands=bands), spectra
 
 
 def _run_epr(cfg: ExperimentConfig) -> RunSummary:
@@ -494,14 +531,10 @@ def _run_epr(cfg: ExperimentConfig) -> RunSummary:
             state = apply_squeezer(state, spec)
         worst = max(worst, epr_identity_residual(state, omega0, beat))
     threshold = cfg.epr.residual_threshold
-    return RunSummary(
-        name=cfg.name,
-        kind=cfg.kind,
-        scheme=cfg.scheme,
-        measurement="identity",
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        frames=draws,
+    return _summary(
+        cfg,
+        "identity",
+        draws,
         extras={
             "epr.draws": str(draws),
             "epr.max_residual": f"{worst:.3e}",
@@ -511,37 +544,21 @@ def _run_epr(cfg: ExperimentConfig) -> RunSummary:
     )
 
 
-def _run_opo_sweep(cfg: ExperimentConfig, out_dir: str | None) -> RunSummary:
+def _run_opo_sweep(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, list]:
+    ctx = _SweepContext(cfg)
     ow = cfg.opo_sweep
-    grid = cfg.frequency_grid()
-    center = grid.center_offset
     frames = cfg.grid.frames
-    freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / grid.sample_rate)
+    freqs = ctx.freqs
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    window, wnorm = hamming_window(grid.n_samples)
+    sums = _accumulate_runs(ctx, frames, workers)
 
     extras = {}
-    spectra_files = []
+    spectra = []
     prev_band_avg = None
-    for p_idx, power in enumerate(ow.pump_powers_mw):
-        spec = SqueezerSpec(
-            pump_ratio=float(np.sqrt(power / ow.threshold_mw)),
-            hwhm_hz=ow.hwhm_hz,
-            escape_efficiency=ow.escape_efficiency,
-            squeeze_angle_rad=0.0,
-            center_freq_hz=center,
-        )
-        acc_s = np.zeros(len(freqs))
-        acc_a = np.zeros(len(freqs))
-        for i in range(frames):
-            vac = make_vacuum_field(grid, rngs.frame_seed(cfg.seed, 10 + p_idx, i, 0))
-            sq = apply_squeezer(vac, spec) if spec.pump_ratio > 0 else vac
-            quads = quadrature_series(sq, center)
-            acc_s += auto_periodogram(frame_spectrum(quads.a1, window), wnorm)
-            acc_a += auto_periodogram(frame_spectrum(quads.a2, window), wnorm)
-        mc_s = acc_s / frames
-        mc_a = acc_a / frames
+    for pump, (power, spec) in enumerate(zip(ow.pump_powers_mw, ctx.specs)):
+        mc_s = sums[pump]["squeezed"] / frames
+        mc_a = sums[pump]["anti"] / frames
         model_s, model_a = spec.squeezing_spectrum(freqs)
         tag = f"pump{int(round(power)):03d}mw"
         avg_s = float(np.mean(mc_s[band]))
@@ -553,36 +570,15 @@ def _run_opo_sweep(cfg: ExperimentConfig, out_dir: str | None) -> RunSummary:
         if prev_band_avg is not None and avg_s >= prev_band_avg:
             extras["opo.monotone_improvement"] = "false"
         prev_band_avg = avg_s
-        spectra_files.append((tag, mc_s, mc_a, model_s, model_a))
+        for stem, values in (
+            (f"{tag}_squeezed", mc_s),
+            (f"{tag}_antisqueezed", mc_a),
+            (f"{tag}_squeezed_model", model_s),
+            (f"{tag}_antisqueezed_model", model_a),
+        ):
+            spectra.append((stem, freqs, _db_rel(values, 1.0), {"trace": stem}))
     extras.setdefault("opo.monotone_improvement", "true")
-
-    summary = RunSummary(
-        name=cfg.name,
-        kind=cfg.kind,
-        scheme=cfg.scheme,
-        measurement="quadrature-psd",
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        frames=frames,
-        extras=extras,
-    )
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        header = {"config_hash": summary.config_hash, "frames": frames}
-        for tag, mc_s, mc_a, model_s, model_a in spectra_files:
-            for stem, vals in (
-                (f"{tag}_squeezed", mc_s),
-                (f"{tag}_antisqueezed", mc_a),
-                (f"{tag}_squeezed_model", model_s),
-                (f"{tag}_antisqueezed_model", model_a),
-            ):
-                _write_spectrum(
-                    os.path.join(out_dir, f"{stem}.txt"),
-                    freqs,
-                    10.0 * np.log10(np.maximum(vals, 1e-12)),
-                    dict(header, trace=stem),
-                )
-    return summary
+    return _summary(cfg, "quadrature-psd", frames, extras=extras), spectra
 
 
 def run(
@@ -608,19 +604,19 @@ def run(
 
     started = time.perf_counter()
     if cfg.kind == "epr":
-        summary = _run_epr(cfg)
-        data = None
-    elif cfg.kind == "opo-sweep":
-        summary = _run_opo_sweep(cfg, cfg.out_dir if write_outputs else None)
-        data = None
+        summary, spectra = _run_epr(cfg), []
     else:
-        summary, data = _run_heterodyne(cfg, workers)
+        run_kind = _run_opo_sweep if cfg.kind == "opo-sweep" else _run_heterodyne
+        summary, spectra = run_kind(cfg, workers)
     summary.wall_time_s = time.perf_counter() - started
 
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        if data is not None:
-            _write_heterodyne_outputs(cfg, summary, data, cfg.out_dir)
+        header = {"config_hash": summary.config_hash, "frames": summary.frames}
+        for stem, freqs, values_db, extra in spectra:
+            _write_spectrum(
+                os.path.join(cfg.out_dir, f"{stem}.txt"), freqs, values_db, dict(header, **extra)
+            )
         with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary.summary_lines()) + "\n")
     return summary

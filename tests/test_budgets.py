@@ -155,7 +155,6 @@ def test_heterodyne_budget_items_and_floors():
     spec = SqueezerSpec(np.sqrt(90.0 / 600.0), 3e9, 0.8)
     budget = heterodyne_budget(
         "proposed",
-        "demod",
         (6.89e6, 13.11e6),
         (spec, spec),
         weights=(1.0, 1.0),
@@ -165,22 +164,22 @@ def test_heterodyne_budget_items_and_floors():
     s_band = float(np.mean(spec.squeezing_spectrum(np.array([6.89e6, 13.11e6]))[0]))
     assert budget.floor == pytest.approx(0.9 * s_band + 0.1, abs=1e-9)
 
-    vac = heterodyne_budget("unsqueezed", "lower", (6.89e6,), (None, None), (1.0, 1.0))
+    vac = heterodyne_budget("unsqueezed", (6.89e6,), (None, None), (1.0, 1.0))
     assert vac.floor == pytest.approx(1.0, abs=1e-12)
     assert vac.reduction_db == pytest.approx(0.0, abs=1e-12)
 
     forward = heterodyne_budget(
-        "straightforward", "demod", (1e6,), (spec, spec), weights=(1.0, 1.0)
+        "straightforward", (1e6,), (spec, spec), weights=(1.0, 1.0)
     )
     s, a = spec.squeezing_spectrum(1e6)
     assert forward.floor == pytest.approx((3 * s + a) / 4.0, abs=1e-9)
 
     # the schemes coincide only at zero squeezing: the proposed floor is
     # the squeezed quadrature itself
-    proposed = heterodyne_budget("proposed", "demod", (1e6,), (spec, spec), (1.0, 1.0))
+    proposed = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
     assert proposed.floor == pytest.approx(s, abs=1e-9)
     assert forward.floor > proposed.floor
-    off = heterodyne_budget("straightforward", "demod", (1e6,), (None, None), (1.0, 1.0))
+    off = heterodyne_budget("straightforward", (1e6,), (None, None), (1.0, 1.0))
     assert off.floor == pytest.approx(1.0, abs=1e-12)
 
 
@@ -191,8 +190,8 @@ def test_budget_raw_band_carries_reduced_classical_weight():
         weights=(1.0, 1.0),
         classical_fraction=0.1,
     )
-    raw = heterodyne_budget("unsqueezed", "lower", band_kind="raw", **kw)
-    demod = heterodyne_budget("unsqueezed", "demod", band_kind="demod", **kw)
+    raw = heterodyne_budget("unsqueezed", band_kind="raw", **kw)
+    demod = heterodyne_budget("unsqueezed", band_kind="demod", **kw)
     c = 0.1 / 0.9
     assert demod.terms["classical"] == pytest.approx(c / (1 + c), abs=1e-12)
     assert raw.terms["classical"] == pytest.approx((2 * c / 3) / (1 + 2 * c / 3), abs=1e-12)
@@ -200,9 +199,9 @@ def test_budget_raw_band_carries_reduced_classical_weight():
 
 def test_budget_angle_error_leaks_antisqueezing():
     spec = SqueezerSpec(0.5, 3e9, 1.0)
-    aligned = heterodyne_budget("proposed", "demod", (1e6,), (spec, spec), (1.0, 1.0))
+    aligned = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
     tilted = heterodyne_budget(
-        "proposed", "demod", (1e6,), (spec, spec), (1.0, 1.0), angle_offset_rad=0.2
+        "proposed", (1e6,), (spec, spec), (1.0, 1.0), angle_offset_rad=0.2
     )
     assert tilted.terms["anti_squeezed_leakage"] > 0.0
     assert tilted.floor > aligned.floor
@@ -210,6 +209,6 @@ def test_budget_angle_error_leaks_antisqueezing():
 
 def test_noise_budget_validates_terms():
     with pytest.raises(ValueError):
-        NoiseBudget("proposed", "demod", 1.0, {"squeezed_quadrature": 0.5})
+        NoiseBudget(1.0, {"squeezed_quadrature": 0.5})
     with pytest.raises(ValueError):
-        NoiseBudget("proposed", "demod", -1.0, {})
+        NoiseBudget(-1.0, {})

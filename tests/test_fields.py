@@ -195,6 +195,22 @@ def test_quadrature_series_band_errors():
         quadrature_series(f, 62.5e6)  # outside the open band
 
 
+def test_squeezer_and_quadratures_on_a_block_equal_each_frame():
+    # the pump sweep squeezes and extracts blocks of frames; each row must
+    # carry the exact bits of the one-frame call on that row
+    spec = SqueezerSpec(0.6, 20e6, 0.9, squeeze_angle_rad=0.4, center_freq_hz=30e6)
+    seeds = [substream(71, 0, i) for i in range(4)]
+    block = apply_squeezer(make_vacuum_field(GRID, seeds), spec)
+    quads = quadrature_series(block, 30e6)
+    assert block.amplitudes.shape == quads.a1.shape == (4, GRID.n_samples)
+    for i, seed in enumerate(seeds):
+        single = apply_squeezer(make_vacuum_field(GRID, seed), spec)
+        assert np.array_equal(block.amplitudes[i], single.amplitudes)
+        q = quadrature_series(single, 30e6)
+        assert np.array_equal(quads.a1[i], q.a1)
+        assert np.array_equal(quads.a2[i], q.a2)
+
+
 def test_epr_identity_residual_small_for_any_state():
     worst = 0.0
     for i in range(25):

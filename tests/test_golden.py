@@ -10,9 +10,11 @@ A change that alters any emitted number fails here; a deliberate change
 of the realizations regenerates the files and says so.
 
 ``golden/block-boundary.sha256`` holds the SHA-256 of every output file
-(summary and spectra) of ``fig4-demod`` and ``fig3-raw`` at 130 frames,
-written by the per-frame runner before frames were synthesized in blocks:
-two chunks, the second ending in a partial block.
+(summary and spectra) of ``fig4-demod``, ``fig3-raw`` and
+``appendixE-pump-sweep`` at 130 frames: two chunks, the second ending in
+a partial block.  The heterodyne digests were written by the per-frame
+runner before frames were synthesized in blocks, the sweep's by its
+per-frame loop before it moved to the runner's chunk engine.
 """
 
 import hashlib
@@ -52,7 +54,7 @@ def _block_boundary_digests(name):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", ["fig4-demod", "fig3-raw"])
+@pytest.mark.parametrize("name", ["fig4-demod", "fig3-raw", "appendixE-pump-sweep"])
 def test_golden_outputs_across_chunk_and_block_boundaries(name, workers, tmp_path):
     run(preset_config(name), frames=130, out_dir=str(tmp_path), workers=workers)
     got = {

@@ -259,10 +259,21 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("vacuum-selftest", '{"detector": {"gain_ripple_db": NaN}}', "detector.gain_ripple_db"),
         ("vacuum-selftest", '{"measurement": {"bands": 5}}', "measurement.bands"),
         ("vacuum-selftest", '{"pickoff1": {"squeezer": {}}}', "pickoff1.squeezer"),
+        ("appendixE-pump-sweep", '{"grid": {"sample_rate_hz": 1}}', "beams.anchor_hz"),
+        ("appendixE-pump-sweep", '{"beams": {"anchor_hz": -1e200}}', "beams.anchor_hz"),
+        ("appendixE-pump-sweep", '{"grid": {"sample_rate_hz": 1e200}}', "opo_sweep.band_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [70e6, 80e6]}}', "opo_sweep.band_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [20e6, 1e6]}}', "opo_sweep.band_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [40e6, 60e6]}}', "opo_sweep.band_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [1e6, 60e6]}}', "opo_sweep.band_hz"),
+        ("epr-identity", '{"grid": {"sample_rate_hz": 3e6}}', "grid.sample_rate_hz"),
+        ("epr-identity", '{"grid": {"sample_rate_hz": 1e200}}', "grid.sample_rate_hz"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
-        "scalar-bands", "squeezer-without-pump",
+        "scalar-bands", "squeezer-without-pump", "sweep-slow-grid", "sweep-anchor-outside",
+        "sweep-bandless-grid", "sweep-band-past-nyquist", "sweep-band-reversed",
+        "sweep-band-past-margin", "sweep-band-straddling-margin", "epr-slow-grid", "epr-fast-grid",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
