@@ -3,6 +3,7 @@
 from .budgets import (
     NoiseBudget,
     SqueezingLevels,
+    band_budget,
     classical_noise_limit,
     heterodyne_budget,
     phase_jitter_penalty,
@@ -25,13 +26,9 @@ from .dsp import (
     DspError,
     FilterSpec,
     SpectrumEstimate,
-    apply_filter_chain,
     chain_response,
     compensate_spectrum,
-    cross_spectrum,
-    demodulate,
     postprocess,
-    welch_psd,
 )
 from .fields import (
     BandError,

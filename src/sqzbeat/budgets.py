@@ -3,8 +3,10 @@
 Every Monte-Carlo number the simulator produces has a prediction here:
 expected noise reductions from measured squeezing levels, squeezing
 spectra, the classical-noise ceiling, phase-jitter penalties, and the
-leakage floor of same-frequency squeezing.  All functions are pure and
-stateless.
+leakage floor of same-frequency squeezing.  Each of these formulas is
+written once, as a private helper that both its named function and the
+per-band ``heterodyne_budget`` call; ``band_budget`` builds a config's
+band budget without a run.  All functions are pure and stateless.
 
 Relative floors are linear power versus the unsqueezed shot-noise
 reference, which is normalized to 1 including any classical phase-noise
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .fields import SqueezerSpec
 
 _BANDS = ("lower", "upper", "demod")
@@ -67,6 +70,53 @@ class NoiseBudget:
         return float(-10.0 * np.log10(self.floor))
 
 
+def _weighted_mean(w: np.ndarray, per_source) -> float:
+    """Source average weighted by the carrier power each source beats against."""
+    return float(np.dot(w, per_source) / w.sum())
+
+
+def _fold(x, y):
+    """(3 x + y) / 4: the straightforward demodulation keeps a quadrature
+    with weight 3/4 and folds the orthogonal one in with weight 1/4."""
+    return 0.75 * x + 0.25 * y
+
+
+def _angle_mix(s, a, theta, folded: bool = False) -> tuple[float, float]:
+    """Squeezed and anti-squeezed parts of s cos^2(theta) + a sin^2(theta),
+    the quadrature power read at an angle error theta; ``folded`` applies
+    the straightforward fold (3 s' + a') / 4 to the mixed pair."""
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    if folded:
+        c2, s2 = _fold(c2, s2), _fold(s2, c2)
+    return s * c2, a * s2
+
+
+def _admix(
+    direct: float,
+    leak: float,
+    classical_fraction: float,
+    electronic_rel: float = 0.0,
+    classical_weight: float = 1.0,
+) -> NoiseBudget:
+    """Budget of a quantum floor direct + leak with the classical admixture.
+
+    A classical fraction f of the reference floor is immune to squeezing:
+    against the shot floor it adds c = f / (1 - f) (times
+    ``classical_weight``), and readout noise adds ``electronic_rel``; the
+    reference 1 + c + e normalizes every term, so with e = 0 the floor is
+    f + (1 - f) (direct + leak).
+    """
+    c = classical_fraction / (1.0 - classical_fraction) * classical_weight
+    norm = 1.0 + c + electronic_rel
+    terms = {
+        "squeezed_quadrature": direct / norm,
+        "anti_squeezed_leakage": leak / norm,
+        "classical": c / norm,
+        "electronic": electronic_rel / norm,
+    }
+    return NoiseBudget(floor=sum(terms.values()), terms=terms)
+
+
 def predicted_reduction(levels: SqueezingLevels, band: str) -> float:
     """Expected noise reduction in dB for a band of the raw or demodulated
     measurement, from measured squeezing levels.
@@ -88,8 +138,7 @@ def predicted_reduction(levels: SqueezingLevels, band: str) -> float:
         per_source = s_up
     else:
         per_source = 0.5 * (s_low + s_up)
-    w = np.array([levels.w1, levels.w2])
-    floor = float(np.dot(w, per_source) / w.sum())
+    floor = _weighted_mean(np.array([levels.w1, levels.w2]), per_source)
     return float(-10.0 * np.log10(floor))
 
 
@@ -100,7 +149,7 @@ def classical_noise_limit(classical_fraction: float, s_linear: float) -> float:
         raise ValueError("classical_fraction must be in [0, 1)")
     if not 0.0 <= s_linear <= 1.0:
         raise ValueError("s_linear must be in (0, 1]")
-    return float(-10.0 * np.log10(classical_fraction + (1.0 - classical_fraction) * s_linear))
+    return _admix(s_linear, 0.0, classical_fraction).reduction_db
 
 
 def phase_jitter_penalty(s_linear: float, a_linear: float, theta_rms_rad: float) -> float:
@@ -108,8 +157,8 @@ def phase_jitter_penalty(s_linear: float, a_linear: float, theta_rms_rad: float)
     angle jitter: s cos^2(theta) + a sin^2(theta)."""
     if theta_rms_rad < 0:
         raise ValueError("theta_rms_rad must be >= 0")
-    c, s = np.cos(theta_rms_rad), np.sin(theta_rms_rad)
-    return float(s_linear * c * c + a_linear * s * s)
+    direct, leak = _angle_mix(s_linear, a_linear, theta_rms_rad)
+    return float(direct + leak)
 
 
 def straightforward_phase_floor(s_linear: float, a_linear: float) -> float:
@@ -124,7 +173,7 @@ def straightforward_phase_floor(s_linear: float, a_linear: float) -> float:
     """
     if s_linear <= 0 or a_linear <= 0:
         raise ValueError("inputs must be positive")
-    return (3.0 * s_linear + a_linear) / 4.0
+    return _fold(s_linear, a_linear)
 
 
 def detected_squeezing(spec: SqueezerSpec, eps_hz, path_efficiency: float = 1.0):
@@ -196,27 +245,53 @@ def heterodyne_budget(
                 s, a = detected_squeezing(spec, eps, path[i])
                 s_bar, a_bar = float(np.mean(s)), float(np.mean(a))
             theta = np.hypot(offsets[i], jitters[i])
-            c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-            if scheme == "proposed":
-                direct[i], leak[i] = s_bar * c2, a_bar * s2
-            else:
-                # (3 s' + a') / 4 with the angle error mixing s and a
-                direct[i] = s_bar * (0.75 * c2 + 0.25 * s2)
-                leak[i] = a_bar * (0.75 * s2 + 0.25 * c2)
+            direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta, folded=scheme == "straightforward")
 
     if band_kind not in ("raw", "demod"):
         raise ValueError("band_kind must be 'raw' or 'demod'")
-    f = classical_fraction
-    c = f / (1.0 - f) if f else 0.0
-    if band_kind == "raw":
-        c *= 2.0 / 3.0
-    e = unsubtracted_electronic_rel
-    norm = 1.0 + c + e
-    terms = {
-        "squeezed_quadrature": float(np.dot(w, direct) / w.sum()) / norm,
-        "anti_squeezed_leakage": float(np.dot(w, leak) / w.sum()) / norm,
-        "classical": c / norm,
-        "electronic": e / norm,
-    }
-    floor = sum(terms.values())
-    return NoiseBudget(floor=floor, terms=terms)
+    return _admix(
+        _weighted_mean(w, direct),
+        _weighted_mean(w, leak),
+        classical_fraction,
+        unsubtracted_electronic_rel,
+        classical_weight=2.0 / 3.0 if band_kind == "raw" else 1.0,
+    )
+
+
+def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
+    """Budget of the analysis bins ``freqs`` of a heterodyne config's band.
+
+    Raw bands read the squeezing at the bins themselves; demodulated bands
+    fold the bins of both sidebands of the beat.  The path efficiency is
+    pickoff reflectivity times detector quantum efficiency.
+    """
+    ms = cfg.measurement
+    if ms.kind == "raw":
+        eps = freqs
+    else:
+        beat = cfg.beams.beat_freq_hz
+        eps = np.concatenate([beat - freqs, beat + freqs])
+    picks = (cfg.pickoff1, cfg.pickoff2)
+    excess = 0.0
+    if ms.kind == "demod-no-cross" and ms.arm_noise_excess_rel_db is not None:
+        # Drive-induced arm noise is absent from the background run, so an
+        # auto-spectrum readout cannot subtract it.
+        excess = 10.0 ** (ms.arm_noise_excess_rel_db / 10.0)
+    return heterodyne_budget(
+        cfg.scheme,
+        eps,
+        (cfg.squeezer_spec(0), cfg.squeezer_spec(1)),
+        weights=(cfg.beams.e2**2, cfg.beams.e1**2),
+        path_efficiency=tuple(
+            p.reflectivity * cfg.detector.quantum_efficiency for p in picks
+        ),
+        classical_fraction=cfg.beams.classical_fraction,
+        angle_offset_rad=tuple(
+            p.squeezer.angle_offset_rad if p.squeezer else 0.0 for p in picks
+        ),
+        angle_jitter_rms_rad=tuple(
+            p.squeezer.angle_jitter_rms_rad if p.squeezer else 0.0 for p in picks
+        ),
+        band_kind="raw" if ms.kind == "raw" else "demod",
+        unsubtracted_electronic_rel=excess,
+    )

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
+from .dsp import BandSpec
 from .fields import BandError, FrequencyGrid, SqueezerSpec
 from .interferometer import SCHEMES
 
@@ -301,10 +302,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check(-nyq < b.anchor_hz < nyq, "beams.anchor_hz", "must lie strictly inside (-Nyquist, Nyquist)")
     grid = cfg.frequency_grid()
     _on_grid(grid, b.anchor_hz, "beams.anchor_hz")
+    # The frequency axis the runner's spectra are written on.
+    freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)
     if cfg.kind == "opo-sweep":
         _check(cfg.opo_sweep is not None, "opo_sweep", "required for kind 'opo-sweep'")
         ow = cfg.opo_sweep
         _check(ow.threshold_mw > 0, "opo_sweep.threshold_mw", "must be positive")
+        _check(len(ow.pump_powers_mw) >= 1, "opo_sweep.pump_powers_mw", "need at least one pump power")
         for i, p in enumerate(ow.pump_powers_mw):
             _check(0 <= p < ow.threshold_mw, f"opo_sweep.pump_powers_mw[{i}]", "must be below threshold")
         _check(ow.hwhm_hz > 0, "opo_sweep.hwhm_hz", "must be positive")
@@ -314,7 +318,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         lo, hi = ow.band_hz
         margin = grid.edge_margin(b.anchor_hz)
         _check(0 < lo < hi <= margin, "opo_sweep.band_hz", f"must satisfy 0 < lo < hi <= {margin:.0f} Hz")
-        freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)
         _check(np.any((freqs >= lo) & (freqs <= hi)), "opo_sweep.band_hz", "holds no frequency bin")
         return
 
@@ -361,8 +364,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if ms.kind != "raw":
             top = b.beat_freq_hz + top
         _check(top < nyq, path, "band (folded to the beat for demod) must stay below Nyquist")
+        mask = BandSpec(band.center_hz, band.half_width_hz, band.exclusion_half_width_hz).mask(freqs)
+        _check(np.count_nonzero(mask) >= 2, path, "must hold at least two frequency bins")
     lo, hi = ms.normalization_band_hz
     _check(0 < lo < hi < nyq, "measurement.normalization_band_hz", "must satisfy 0 < lo < hi < Nyquist")
+    _check(
+        np.any((freqs >= lo) & (freqs <= hi)),
+        "measurement.normalization_band_hz",
+        "holds no frequency bin",
+    )
 
     # Squeezer sideband pairs must cover every analysis band.  Demodulated
     # bands fold from beat +- band; same-frequency squeezing additionally

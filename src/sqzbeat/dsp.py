@@ -1,9 +1,10 @@
-"""Measurement chain: filters, demodulation, spectra, post-processing.
+"""Measurement chain: filters, mixer, periodograms, compensation, band metrics.
 
 Spectral convention: two-sided per-bin power, reported on the one-sided
 frequency axis.  A white sequence with unit per-sample variance estimates
 a flat PSD of 1.0, which makes the shot-noise unit carry through from the
-field layer unchanged.  Hamming-windowed periodograms are averaged over
+field layer unchanged.  This module computes the Hamming-windowed
+periodogram of each frame; the runner's chunk engine averages them over
 non-overlapping frames in frame-index order.
 
 The per-frame steps (``filter_frame``, ``mix_down``, ``frame_spectrum``
@@ -21,7 +22,6 @@ import numpy as np
 from scipy import signal as sps
 
 from .fields import FrequencyGrid
-from .interferometer import PhotocurrentTrace
 
 FILTER_KINDS = ("band-stop", "low-pass", "high-pass", "gain")
 
@@ -89,7 +89,6 @@ class SpectrumEstimate:
     freqs: np.ndarray
     values: np.ndarray
     n_frames: int
-    window: str = "hamming"
     kind: str = "auto"
     compensated: bool = False
     background_subtracted: bool = False
@@ -103,12 +102,6 @@ class SpectrumEstimate:
             raise ValueError("freqs must be strictly increasing")
         if self.kind == "auto" and not self.background_subtracted and np.any(self.values < 0):
             raise ValueError("auto-spectra must be nonnegative before subtraction")
-
-    def band_mean(self, band: BandSpec) -> float:
-        m = band.mask(self.freqs)
-        if not np.any(m):
-            raise DspError("band contains no bins")
-        return float(np.mean(self.values[m]))
 
 
 @lru_cache(maxsize=128)
@@ -136,14 +129,6 @@ def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     no start-up transient.
     """
     return np.fft.irfft(np.fft.rfft(x) * h, n=np.shape(x)[-1])
-
-
-def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
-    """Run the cascaded chain over one frame with exactly the response
-    ``chain_response`` returns."""
-    fs = trace.grid.sample_rate
-    h = chain_response(chain, np.fft.rfftfreq(trace.grid.n_samples, d=1.0 / fs), fs)
-    return trace.with_samples(filter_frame(trace.samples, h))
 
 
 def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -182,25 +167,6 @@ def mix_down(x: np.ndarray, lo: np.ndarray, lpf_h: np.ndarray) -> np.ndarray:
     return filter_frame(x * lo, lpf_h)
 
 
-def demodulate(
-    trace: PhotocurrentTrace, lo_freq_hz: float, lo_phase_rad: float = np.pi / 2.0
-) -> PhotocurrentTrace:
-    """Mix with a unit local oscillator and low-pass the product.
-
-    y = LPF[x * cos(2 pi f_lo t + phase)], so a flat input PSD p lands at
-    (p + p) / 4 in the baseband and, at phase pi/2 against the beat, the
-    classical beat drops out while the phase quadrature survives.
-    """
-    grid = trace.grid
-    fs = grid.sample_rate
-    if not 0.0 < lo_freq_hz < fs / 4.0:
-        raise DspError("lo_freq_hz must stay below a quarter of the sample rate")
-    freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / fs)
-    h = chain_response([demod_lpf_spec(lo_freq_hz)], freqs, fs)
-    lo = local_oscillator(grid, lo_freq_hz, lo_phase_rad)
-    return trace.with_samples(mix_down(trace.samples, lo, h))
-
-
 def demod_lpf_spec(lo_freq_hz: float) -> FilterSpec:
     """The mixer low-pass: eighth order, corner at half the LO frequency."""
     return FilterSpec("low-pass", (lo_freq_hz / 2.0,), order=8)
@@ -228,61 +194,6 @@ def cross_periodogram(v1: np.ndarray, v2: np.ndarray, wnorm: float) -> np.ndarra
     return np.real(v1 * np.conj(v2)) / wnorm
 
 
-def _frame_array(frame) -> np.ndarray:
-    if isinstance(frame, PhotocurrentTrace):
-        return np.asarray(frame.samples, dtype=float)
-    return np.asarray(frame, dtype=float)
-
-
-def _average_periodograms(streams, sample_rate, periodogram, kind: str) -> SpectrumEstimate:
-    """Average ``periodogram`` over aligned frame streams, frame by frame
-    in order."""
-    iters = [iter(s) for s in streams]
-    acc = None
-    count = 0
-    while True:
-        frames = [next(it, None) for it in iters]
-        if all(f is None for f in frames):
-            break
-        if any(f is None for f in frames):
-            raise DspError("frame streams must be aligned")
-        if sample_rate is None and isinstance(frames[0], PhotocurrentTrace):
-            sample_rate = frames[0].grid.sample_rate
-        xs = [_frame_array(f) for f in frames]
-        if acc is None:
-            n = len(xs[0])
-            window, wnorm = hamming_window(n)
-            acc = np.zeros(n // 2 + 1)
-        if any(len(x) != n for x in xs):
-            raise DspError("all frames must share one length")
-        acc = acc + periodogram(*(frame_spectrum(x, window) for x in xs), wnorm)
-        count += 1
-    if count == 0:
-        raise DspError("need at least one frame")
-    if sample_rate is None:
-        raise DspError("sample_rate is required for bare-array frames")
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind=kind)
-
-
-def welch_psd(frames, sample_rate: float | None = None) -> SpectrumEstimate:
-    """Hamming-windowed averaged periodogram over non-overlapping frames.
-
-    The window is power-normalized, so a white input of PSD p estimates p
-    without bias.  Frames are consumed and accumulated in order.
-    """
-    return _average_periodograms([frames], sample_rate, auto_periodogram, "auto")
-
-
-def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> SpectrumEstimate:
-    """Averaged Re(V1 conj(V2)) over frame-aligned streams.
-
-    Shares the welch normalization, so a common signal converges to its
-    PSD while independent noise decays as 1/sqrt(n_frames).
-    """
-    return _average_periodograms([frames1, frames2], sample_rate, cross_periodogram, "cross")
-
-
 @dataclass(frozen=True)
 class PostprocessResult:
     reduction_db: float
@@ -290,13 +201,13 @@ class PostprocessResult:
     n_bins: int
 
 
-def _window_variance_factor(window: str, n_fft: int) -> float:
+def _window_variance_factor(n_fft: int) -> float:
     # Windowing correlates neighboring periodogram bins: for Gaussian
     # inputs cov(P_k, P_{k+m}) scales as |R_{w^2}(m)|^2, so a band mean
     # fluctuates sum_m |rho(m)|^2 times more than independent bins would
     # (about 1.82 for Hamming).  Band means here span many bins, so the
     # few-lag truncation is accurate.
-    if window != "hamming" or n_fft < 16:
+    if n_fft < 16:
         return 1.0
     w2 = np.hamming(n_fft) ** 2
     r = np.fft.rfft(w2)[:8]
@@ -341,7 +252,7 @@ def postprocess(
             "band mean is not positive after background subtraction"
         )
     reduction_db = -10.0 * np.log10(t_mean / r_mean)
-    corr = np.sqrt(_window_variance_factor(target.window, 2 * (len(target.freqs) - 1)))
+    corr = np.sqrt(_window_variance_factor(2 * (len(target.freqs) - 1)))
     se_t = float(np.std(t, ddof=1) / np.sqrt(n_bins)) * corr
     se_r = float(np.std(r, ddof=1) / np.sqrt(n_bins)) * corr
     rel = np.hypot(se_t / t_mean, se_r / r_mean)

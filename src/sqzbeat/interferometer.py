@@ -125,9 +125,6 @@ class PhotocurrentTrace:
         if not np.all(np.isfinite(self.samples)):
             raise FloatingPointError("photocurrent samples must be finite")
 
-    def with_samples(self, samples: np.ndarray) -> "PhotocurrentTrace":
-        return PhotocurrentTrace(samples, self.grid)
-
 
 def unsqueezed_shot_psd(e1: float, e2: float, quantum_efficiency: float = 1.0) -> float:
     """Per-bin PSD of the unsqueezed shot floor near the beat: 2 qe (E1^2 + E2^2)."""

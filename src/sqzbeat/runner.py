@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from . import rng as rngs
-from .budgets import NoiseBudget, heterodyne_budget
+from .budgets import band_budget
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -397,39 +397,6 @@ def _db_rel(values: np.ndarray, norm: float) -> np.ndarray:
     return 10.0 * np.log10(safe)
 
 
-def _band_budget(cfg: ExperimentConfig, band_freqs: np.ndarray) -> NoiseBudget:
-    ms = cfg.measurement
-    if ms.kind == "raw":
-        eps = band_freqs
-    else:
-        beat = cfg.beams.beat_freq_hz
-        eps = np.concatenate([beat - band_freqs, beat + band_freqs])
-    picks = (cfg.pickoff1, cfg.pickoff2)
-    excess = 0.0
-    if ms.kind == "demod-no-cross" and ms.arm_noise_excess_rel_db is not None:
-        # Drive-induced arm noise is absent from the background run, so an
-        # auto-spectrum readout cannot subtract it.
-        excess = 10.0 ** (ms.arm_noise_excess_rel_db / 10.0)
-    return heterodyne_budget(
-        cfg.scheme,
-        eps,
-        (cfg.squeezer_spec(0), cfg.squeezer_spec(1)),
-        weights=(cfg.beams.e2**2, cfg.beams.e1**2),
-        path_efficiency=tuple(
-            p.reflectivity * cfg.detector.quantum_efficiency for p in picks
-        ),
-        classical_fraction=cfg.beams.classical_fraction,
-        angle_offset_rad=tuple(
-            p.squeezer.angle_offset_rad if p.squeezer else 0.0 for p in picks
-        ),
-        angle_jitter_rms_rad=tuple(
-            p.squeezer.angle_jitter_rms_rad if p.squeezer else 0.0 for p in picks
-        ),
-        band_kind="raw" if ms.kind == "raw" else "demod",
-        unsubtracted_electronic_rel=excess,
-    )
-
-
 def _summary(cfg: ExperimentConfig, measurement: str, frames: int, **results) -> RunSummary:
     """A run's summary under the header every run kind shares."""
     return RunSummary(
@@ -477,7 +444,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
                 band_cfg.center_hz,
                 result.reduction_db,
                 result.stderr_db,
-                _band_budget(cfg, freqs[mask]).reduction_db,
+                band_budget(cfg, freqs[mask]).reduction_db,
                 result.n_bins,
             )
         )

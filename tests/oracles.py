@@ -1,9 +1,25 @@
-"""First-order models of the balanced output, kept as test oracles."""
+"""Test oracles: first-order models of the balanced output, and one-frame
+filter, demodulation and averaged-spectrum estimators built from the
+package's per-frame measurement steps."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from sqzbeat.dsp import (
+    DspError,
+    FilterSpec,
+    SpectrumEstimate,
+    auto_periodogram,
+    chain_response,
+    cross_periodogram,
+    demod_lpf_spec,
+    filter_frame,
+    frame_spectrum,
+    hamming_window,
+    local_oscillator,
+    mix_down,
+)
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
 from sqzbeat.interferometer import (
     BeamSpec,
@@ -82,3 +98,85 @@ def straightforward_variant(
     dp = dp + root2 * b1.amplitude * (qb.a1 * np.cos(beat) + qb.a2 * np.sin(beat))
     dp = dp - dp.mean()
     return PhotocurrentTrace(dp, grid)
+
+
+def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
+    """Run the cascaded chain over one frame with exactly the response
+    ``chain_response`` returns."""
+    fs = trace.grid.sample_rate
+    h = chain_response(chain, np.fft.rfftfreq(trace.grid.n_samples, d=1.0 / fs), fs)
+    return PhotocurrentTrace(filter_frame(trace.samples, h), trace.grid)
+
+
+def demodulate(
+    trace: PhotocurrentTrace, lo_freq_hz: float, lo_phase_rad: float = np.pi / 2.0
+) -> PhotocurrentTrace:
+    """Mix with a unit local oscillator and low-pass the product.
+
+    y = LPF[x * cos(2 pi f_lo t + phase)], so a flat input PSD p lands at
+    (p + p) / 4 in the baseband and, at phase pi/2 against the beat, the
+    classical beat drops out while the phase quadrature survives.
+    """
+    grid = trace.grid
+    fs = grid.sample_rate
+    if not 0.0 < lo_freq_hz < fs / 4.0:
+        raise DspError("lo_freq_hz must stay below a quarter of the sample rate")
+    freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / fs)
+    h = chain_response([demod_lpf_spec(lo_freq_hz)], freqs, fs)
+    lo = local_oscillator(grid, lo_freq_hz, lo_phase_rad)
+    return PhotocurrentTrace(mix_down(trace.samples, lo, h), grid)
+
+
+def _frame_array(frame) -> np.ndarray:
+    if isinstance(frame, PhotocurrentTrace):
+        return np.asarray(frame.samples, dtype=float)
+    return np.asarray(frame, dtype=float)
+
+
+def _average_periodograms(streams, sample_rate, periodogram, kind: str) -> SpectrumEstimate:
+    """Average ``periodogram`` over aligned frame streams, frame by frame
+    in order."""
+    iters = [iter(s) for s in streams]
+    acc = None
+    count = 0
+    while True:
+        frames = [next(it, None) for it in iters]
+        if all(f is None for f in frames):
+            break
+        if any(f is None for f in frames):
+            raise DspError("frame streams must be aligned")
+        if sample_rate is None and isinstance(frames[0], PhotocurrentTrace):
+            sample_rate = frames[0].grid.sample_rate
+        xs = [_frame_array(f) for f in frames]
+        if acc is None:
+            n = len(xs[0])
+            window, wnorm = hamming_window(n)
+            acc = np.zeros(n // 2 + 1)
+        if any(len(x) != n for x in xs):
+            raise DspError("all frames must share one length")
+        acc = acc + periodogram(*(frame_spectrum(x, window) for x in xs), wnorm)
+        count += 1
+    if count == 0:
+        raise DspError("need at least one frame")
+    if sample_rate is None:
+        raise DspError("sample_rate is required for bare-array frames")
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind=kind)
+
+
+def welch_psd(frames, sample_rate: float | None = None) -> SpectrumEstimate:
+    """Hamming-windowed averaged periodogram over non-overlapping frames.
+
+    The window is power-normalized, so a white input of PSD p estimates p
+    without bias.  Frames are consumed and accumulated in order.
+    """
+    return _average_periodograms([frames], sample_rate, auto_periodogram, "auto")
+
+
+def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> SpectrumEstimate:
+    """Averaged Re(V1 conj(V2)) over frame-aligned streams.
+
+    Shares the welch normalization, so a common signal converges to its
+    PSD while independent noise decays as 1/sqrt(n_frames).
+    """
+    return _average_periodograms([frames1, frames2], sample_rate, cross_periodogram, "cross")

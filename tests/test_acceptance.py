@@ -17,10 +17,10 @@ from sqzbeat.budgets import (
     straightforward_phase_floor,
 )
 from sqzbeat.config import preset_config
-from sqzbeat.dsp import cross_spectrum
 from sqzbeat.rng import generator, substream
 from sqzbeat.runner import run, run_preset
 
+from oracles import cross_spectrum
 from test_budgets import demod_phase_floor_oracle
 
 

@@ -1,11 +1,14 @@
 """Closed-form budget formulas against independent numeric oracles."""
 
+import os
+
 import numpy as np
 import pytest
 
 from sqzbeat.budgets import (
     NoiseBudget,
     SqueezingLevels,
+    band_budget,
     classical_noise_limit,
     detected_squeezing,
     heterodyne_budget,
@@ -13,6 +16,8 @@ from sqzbeat.budgets import (
     predicted_reduction,
     straightforward_phase_floor,
 )
+from sqzbeat.config import list_presets, preset_config
+from sqzbeat.dsp import BandSpec
 from sqzbeat.fields import SqueezerSpec
 
 MEASURED = SqueezingLevels(
@@ -212,3 +217,21 @@ def test_noise_budget_validates_terms():
         NoiseBudget(1.0, {"squeezed_quadrature": 0.5})
     with pytest.raises(ValueError):
         NoiseBudget(-1.0, {})
+
+
+HETERODYNE_PRESETS = [name for name, _ in list_presets() if preset_config(name).kind == "heterodyne"]
+
+
+@pytest.mark.parametrize("name", HETERODYNE_PRESETS)
+def test_band_budget_without_a_run_matches_golden_prediction(name):
+    # The budget of a band is built from the config and the band's bins
+    # alone, and prints the golden run's predicted_db.
+    golden = os.path.join(os.path.dirname(__file__), "golden", f"{name}.summary.txt")
+    with open(golden, encoding="utf-8") as fh:
+        lines = set(fh.read().splitlines())
+    cfg = preset_config(name)
+    freqs = np.fft.rfftfreq(cfg.grid.n_samples, d=1.0 / cfg.grid.sample_rate_hz)
+    for band in cfg.measurement.bands:
+        mask = BandSpec(band.center_hz, band.half_width_hz, band.exclusion_half_width_hz).mask(freqs)
+        predicted = band_budget(cfg, freqs[mask]).reduction_db
+        assert f"band.{band.label}.predicted_db={predicted:.4f}" in lines

@@ -9,15 +9,12 @@ from sqzbeat.dsp import (
     DspError,
     FilterSpec,
     SpectrumEstimate,
-    apply_filter_chain,
     auto_periodogram,
     chain_response,
     compensate_spectrum,
     cross_periodogram,
-    cross_spectrum,
     demod_lpf_spec,
     demod_measurement_chain,
-    demodulate,
     filter_frame,
     frame_spectrum,
     hamming_window,
@@ -25,11 +22,12 @@ from sqzbeat.dsp import (
     mix_down,
     postprocess,
     raw_measurement_chain,
-    welch_psd,
 )
 from sqzbeat.fields import FrequencyGrid
 from sqzbeat.interferometer import PhotocurrentTrace
 from sqzbeat.rng import generator, substream
+
+from oracles import apply_filter_chain, cross_spectrum, demodulate, welch_psd
 
 FS = 125e6
 N = 5000

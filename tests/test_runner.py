@@ -268,12 +268,20 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [1e6, 60e6]}}', "opo_sweep.band_hz"),
         ("epr-identity", '{"grid": {"sample_rate_hz": 3e6}}', "grid.sample_rate_hz"),
         ("epr-identity", '{"grid": {"sample_rate_hz": 1e200}}', "grid.sample_rate_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": []}}', "opo_sweep.pump_powers_mw"),
+        (
+            "vacuum-selftest",
+            '{"measurement": {"normalization_band_hz": [6.001e6, 6.02e6]}}',
+            "measurement.normalization_band_hz",
+        ),
+        ("vacuum-selftest", '{"grid": {"sample_rate_hz": 1e200}}', "measurement.bands[0]"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
         "scalar-bands", "squeezer-without-pump", "sweep-slow-grid", "sweep-anchor-outside",
         "sweep-bandless-grid", "sweep-band-past-nyquist", "sweep-band-reversed",
         "sweep-band-past-margin", "sweep-band-straddling-margin", "epr-slow-grid", "epr-fast-grid",
+        "sweep-no-pumps", "binless-normalization-band", "binless-analysis-band",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
