@@ -44,10 +44,11 @@ from .fields import (
 )
 from .interferometer import (
     BeamSpec,
+    DetectedField,
     DetectorSpec,
+    OpticalPath,
     PhaseSignalSpec,
     PhotocurrentTrace,
-    PickoffSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,

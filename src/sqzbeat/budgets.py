@@ -144,11 +144,16 @@ def predicted_reduction(levels: SqueezingLevels, band: str) -> float:
 
 def classical_noise_limit(classical_fraction: float, s_linear: float) -> float:
     """Noise reduction in dB when a classical fraction of the reference
-    floor is immune to squeezing: -10 log10(f + (1 - f) s)."""
+    floor is immune to squeezing: -10 log10(f + (1 - f) s).  Perfect
+    squeezing (s = 0) gives the classical ceiling -10 log10(f)."""
     if not 0.0 <= classical_fraction < 1.0:
         raise ValueError("classical_fraction must be in [0, 1)")
     if not 0.0 <= s_linear <= 1.0:
-        raise ValueError("s_linear must be in (0, 1]")
+        raise ValueError("s_linear must be in [0, 1]")
+    if classical_fraction == 0.0 and s_linear == 0.0:
+        raise ValueError(
+            "classical_fraction and s_linear are both 0: a noiseless floor has no finite reduction"
+        )
     return _admix(s_linear, 0.0, classical_fraction).reduction_db
 
 
@@ -262,8 +267,9 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     """Budget of the analysis bins ``freqs`` of a heterodyne config's band.
 
     Raw bands read the squeezing at the bins themselves; demodulated bands
-    fold the bins of both sidebands of the beat.  The path efficiency is
-    pickoff reflectivity times detector quantum efficiency.
+    fold the bins of both sidebands of the beat.  Squeezers and path
+    efficiencies (pickoff reflectivity times detector quantum efficiency)
+    come from ``cfg.optical_path``, the records the simulator synthesizes.
     """
     ms = cfg.measurement
     if ms.kind == "raw":
@@ -272,6 +278,7 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
         beat = cfg.beams.beat_freq_hz
         eps = np.concatenate([beat - freqs, beat + freqs])
     picks = (cfg.pickoff1, cfg.pickoff2)
+    paths = (cfg.optical_path(0), cfg.optical_path(1))
     excess = 0.0
     if ms.kind == "demod-no-cross" and ms.arm_noise_excess_rel_db is not None:
         # Drive-induced arm noise is absent from the background run, so an
@@ -280,11 +287,9 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     return heterodyne_budget(
         cfg.scheme,
         eps,
-        (cfg.squeezer_spec(0), cfg.squeezer_spec(1)),
+        tuple(p.squeezer for p in paths),
         weights=(cfg.beams.e2**2, cfg.beams.e1**2),
-        path_efficiency=tuple(
-            p.reflectivity * cfg.detector.quantum_efficiency for p in picks
-        ),
+        path_efficiency=tuple(p.efficiency for p in paths),
         classical_fraction=cfg.beams.classical_fraction,
         angle_offset_rad=tuple(
             p.squeezer.angle_offset_rad if p.squeezer else 0.0 for p in picks

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dsp import BandSpec
 from .fields import BandError, FrequencyGrid, SqueezerSpec
-from .interferometer import SCHEMES
+from .interferometer import SCHEMES, OpticalPath
 
 KINDS = ("heterodyne", "epr", "opo-sweep")
 MEASUREMENTS = ("raw", "demod", "demod-no-cross")
@@ -31,6 +31,20 @@ MEASUREMENTS = ("raw", "demod", "demod-no-cross")
 _ESCAPE = 0.833
 _OPO1_PUMP_RATIO = math.sqrt(90.0 / 600.0)
 _OPO2_PUMP_RATIO = math.sqrt(80.0 / 600.0)
+
+# Upper bounds of the readout-noise levels (dB relative to the shot floor)
+# and of the detector's gain ripple.  Readout noise 60 dB above the shot
+# floor buries any squeezing measurement, and the bounds keep every level
+# derived from these fields finite.
+MAX_NOISE_REL_DB = 60.0
+MAX_GAIN_RIPPLE_DB = 40.0
+# Frames are synthesized in blocks of complex rows, so a frame of 10^6
+# samples already takes tens of MB per temporary.
+MAX_SAMPLES = 1_000_000
+# Carrier amplitudes in shot-noise units.  The budget weighs each source by
+# the other carrier's power and classical phase noise scales as
+# 1 / (E1 E2)^2, which leave the float range for much weaker carriers.
+MIN_CARRIER = 1e-6
 
 
 class ConfigError(ValueError):
@@ -80,6 +94,9 @@ class PickoffConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """Balanced detector; electronic_noise_rel_db <= MAX_NOISE_REL_DB and
+    |gain_ripple_db| <= MAX_GAIN_RIPPLE_DB."""
+
     quantum_efficiency: float = 0.99
     electronic_noise_rel_db: float | None = -2.0
     clip_level: float | None = None
@@ -96,6 +113,10 @@ class BandConfig:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
+    """Readout chain and analysis bands.  The demod arms' readout noise
+    (arm_noise_rel_db, plus arm_noise_excess_rel_db on lit acquisitions)
+    stays at or below MAX_NOISE_REL_DB."""
+
     kind: str = "raw"
     lo_phase_rad: float = math.pi / 2.0
     arm_noise_rel_db: float | None = None
@@ -156,17 +177,26 @@ class ExperimentConfig:
         # Straightforward squeezing must sit on the phase quadrature.
         return math.pi / 2.0 if self.scheme == "straightforward" else 0.0
 
-    def squeezer_spec(self, source: int, extra_angle_rad: float = 0.0) -> SqueezerSpec | None:
+    def optical_path(self, source: int, extra_angle_rad: float = 0.0) -> OpticalPath:
+        """Path of source ``source``'s injected noise to the photocurrent.
+
+        Its efficiency is pickoff reflectivity times detector quantum
+        efficiency; a squeezer of pump ratio 0 counts as none.  Synthesis
+        and the band budget both read this record.
+        """
         pick = (self.pickoff1, self.pickoff2)[source]
         sq = pick.squeezer
-        if sq is None:
-            return None
-        return SqueezerSpec(
-            pump_ratio=sq.pump_ratio,
-            hwhm_hz=sq.hwhm_hz,
-            escape_efficiency=sq.escape_efficiency,
-            squeeze_angle_rad=self.base_squeeze_angle() + sq.angle_offset_rad + extra_angle_rad,
-            center_freq_hz=self.squeezer_centers()[source],
+        spec = None
+        if sq is not None and sq.pump_ratio > 0.0:
+            spec = SqueezerSpec(
+                pump_ratio=sq.pump_ratio,
+                hwhm_hz=sq.hwhm_hz,
+                escape_efficiency=sq.escape_efficiency,
+                squeeze_angle_rad=self.base_squeeze_angle() + sq.angle_offset_rad + extra_angle_rad,
+                center_freq_hz=self.squeezer_centers()[source],
+            )
+        return OpticalPath(
+            pick.reflectivity * self.detector.quantum_efficiency, spec, pick.injection_phase_rad
         )
 
 
@@ -280,7 +310,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check(cfg.seed >= 0, "seed", "must be a non-negative integer")
     g = cfg.grid
     _check(g.sample_rate_hz > 0, "grid.sample_rate_hz", "must be positive")
-    _check(g.n_samples >= 16 and g.n_samples % 2 == 0, "grid.n_samples", "must be even and >= 16")
+    _check(
+        16 <= g.n_samples <= MAX_SAMPLES and g.n_samples % 2 == 0,
+        "grid.n_samples",
+        f"must be even and in [16, {MAX_SAMPLES}]",
+    )
     _check(g.frames >= 1, "grid.frames", "must be >= 1")
 
     if cfg.kind == "epr":
@@ -321,16 +355,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check(np.any((freqs >= lo) & (freqs <= hi)), "opo_sweep.band_hz", "holds no frequency bin")
         return
 
-    _check(b.e1 > 0 and b.e2 > 0, "beams.e1", "both carriers must be on for a heterodyne run")
-    _check(b.beat_freq_hz > 0, "beams.beat_freq_hz", "must be positive")
+    for name, amplitude in (("beams.e1", b.e1), ("beams.e2", b.e2)):
+        _check(
+            amplitude >= MIN_CARRIER,
+            name,
+            f"must be >= {MIN_CARRIER:g} shot-noise units: both carriers must be on for a heterodyne run",
+        )
     _check(
         b.mod_depth_rad == 0.0 or b.mod_freq_hz > 0,
         "beams.mod_freq_hz",
         "must be positive when mod_depth_rad is nonzero",
     )
     _check(0 <= b.classical_fraction < 1, "beams.classical_fraction", "must be in [0, 1)")
-    if b.classical_fraction > 0:
-        _check(b.e1 > 0 and b.e2 > 0, "beams.classical_fraction", "needs both carriers on")
     _on_grid(grid, b.anchor_hz + b.beat_freq_hz, "beams.beat_freq_hz")
 
     for name, pick in (("pickoff1", cfg.pickoff1), ("pickoff2", cfg.pickoff2)):
@@ -347,8 +383,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check(0 < det.quantum_efficiency <= 1, "detector.quantum_efficiency", "must be in (0, 1]")
     if det.clip_level is not None:
         _check(det.clip_level > 0, "detector.clip_level", "must be positive")
-
+    _check(
+        abs(det.gain_ripple_db) <= MAX_GAIN_RIPPLE_DB,
+        "detector.gain_ripple_db",
+        f"must lie in [-{MAX_GAIN_RIPPLE_DB:g}, {MAX_GAIN_RIPPLE_DB:g}] dB",
+    )
     ms = cfg.measurement
+    for path, level in (
+        ("detector.electronic_noise_rel_db", det.electronic_noise_rel_db),
+        ("measurement.arm_noise_rel_db", ms.arm_noise_rel_db),
+        ("measurement.arm_noise_excess_rel_db", ms.arm_noise_excess_rel_db),
+    ):
+        if level is not None:
+            _check(level <= MAX_NOISE_REL_DB, path, f"must be <= {MAX_NOISE_REL_DB:g} dB")
+
     _check(ms.kind in MEASUREMENTS, "measurement.kind", f"must be one of {MEASUREMENTS}")
     _check(len(ms.bands) >= 1, "measurement.bands", "need at least one analysis band")
     for i, band in enumerate(ms.bands):
@@ -373,6 +421,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         "measurement.normalization_band_hz",
         "holds no frequency bin",
     )
+
+    # Distinct carrier bins; the demod low-pass corner sits at half the beat.
+    _check(b.beat_freq_hz >= grid.bin_hz, "beams.beat_freq_hz", f"must be at least one bin ({grid.bin_hz:g} Hz)")
 
     # Squeezer sideband pairs must cover every analysis band.  Demodulated
     # bands fold from beat +- band; same-frequency squeezing additionally

@@ -1,4 +1,4 @@
-"""Beam assembly, pickoff injection and balanced beat-note detection.
+"""Optical paths, beam assembly and balanced beat-note detection.
 
 Two beams at carriers separated by the beat frequency are built as
 classical carriers riding on injected noise fields.  The balanced
@@ -7,6 +7,15 @@ detector output is evaluated as the exact sample-wise product
     dP(t) = 2 Re[conj(E1(t)) E2(t)]
 
 so every second-order noise term survives.
+
+Every lossy step between a squeezer and the photocurrent (the pickoff of
+reflectivity R, the detector of quantum efficiency qe) is a beam splitter
+that admits vacuum, so together they act as one loss of efficiency
+R * qe: an ``OpticalPath``.  A squeezed path is
+sqrt(eta) e^{-i phi} S(v0) + sqrt(1 - eta) v1, two vacuum rows; an
+unsqueezed one is a single vacuum row, since loss leaves vacuum vacuum.
+The carrier, scaled by sqrt(qe), is added to the path noise in the time
+domain, so a beam arrives at the detector as a ``DetectedField``.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
@@ -68,43 +77,56 @@ class BeamSpec:
 
 
 @dataclass(frozen=True)
-class PickoffSpec:
-    """High-reflectivity injection port for squeezed vacuum.
+class OpticalPath:
+    """Path of one beam's injected noise from its squeezer to the photocurrent.
 
-    The squeezed field takes a (1 - R) loss at the pickoff; the matching
-    fresh vacuum enters through the open port.  ``squeezer=None`` injects
-    plain vacuum.
+    ``efficiency`` is the product of every power efficiency on the way
+    (pickoff reflectivity times detector quantum efficiency);
+    ``squeezer=None`` injects plain vacuum.  ``injection_phase_rad``
+    rotates the squeezed field where the pickoff injects it.
     """
 
-    reflectivity: float = 1.0
+    efficiency: float = 1.0
     squeezer: SqueezerSpec | None = None
     injection_phase_rad: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must be in (0, 1]")
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValueError("efficiency must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Balanced detector imperfections.
+    """Balanced detector electronics.
 
     electronic_noise_rel_db is the white electronic-noise PSD relative to
     the unsqueezed shot floor (None disables it); clip_level saturates the
     photocurrent symmetrically; gain_ripple_db tilts the response by a
-    smooth +-ripple/2 cosine across 5-15 MHz.
+    smooth +-ripple/2 cosine across 5-15 MHz.  The quantum efficiency
+    belongs to the optical paths and the carriers.
     """
 
-    quantum_efficiency: float = 1.0
     electronic_noise_rel_db: float | None = None
     clip_level: float | None = None
     gain_ripple_db: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum_efficiency must be in (0, 1]")
         if self.clip_level is not None and self.clip_level <= 0:
             raise ValueError("clip_level must be positive when present")
+
+
+@dataclass(frozen=True)
+class DetectedField:
+    """One beam at the detector as complex time samples, in shot-noise
+    amplitude units: its path noise plus its carrier scaled by sqrt(qe).
+    A block of frames has one row per frame."""
+
+    grid: FrequencyGrid
+    samples: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.samples)[-1:] != (self.grid.n_samples,):
+            raise ValueError("samples length must equal grid.n_samples")
 
 
 @dataclass(frozen=True)
@@ -164,109 +186,100 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
     return theta
 
 
-def pickoff_noise_field(grid: FrequencyGrid, pickoff: PickoffSpec, seed) -> FieldRealization:
-    """Noise field entering a beam through its pickoff port, for one frame."""
+def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, seed) -> FieldRealization:
+    """Noise field that an optical path delivers to the detector, for one
+    frame or, with a list of per-frame seeds, a block of them.
+
+    Vacuum from sub-stream 0 of ``seed`` is squeezed, rotated by the
+    injection phase and attenuated to the path efficiency, which admits
+    vacuum from sub-stream 1.  An unsqueezed path is the vacuum alone.
+    """
     vac = make_vacuum_field(grid, stream_key(seed, 0))
-    out = apply_squeezer(vac, pickoff.squeezer) if pickoff.squeezer is not None else vac
-    amps = out.amplitudes
-    if pickoff.injection_phase_rad != 0.0:
-        amps = amps * np.exp(-1j * pickoff.injection_phase_rad)
-    r = pickoff.reflectivity
-    if r < 1.0:
-        port = make_vacuum_field(grid, stream_key(seed, 1))
-        amps = np.sqrt(r) * amps + np.sqrt(1.0 - r) * port.amplitudes
-    return FieldRealization(grid, amps)
+    if path.squeezer is None:
+        return vac
+    out = apply_squeezer(vac, path.squeezer)
+    if path.injection_phase_rad != 0.0:
+        out = out.with_amplitudes(out.amplitudes * np.exp(-1j * path.injection_phase_rad))
+    return apply_loss(out, path.efficiency, stream_key(seed, 1))
 
 
 class BeamCarrier:
-    """Frame-invariant carrier terms of one beam on one grid.
+    """Frame-invariant carrier terms of one beam at the detector.
 
     ``ramp`` is 2 pi f_c t and ``theta0`` the deterministic phase (static
     plus phase signal), so a frame forms only ramp + (theta0 + extra).
-    The carrier without extra phase is transformed once, here.
+    The amplitude is scaled by sqrt(quantum_efficiency), and the carrier
+    without extra phase is synthesized once, here.
     """
 
-    def __init__(self, grid: FrequencyGrid, beam: BeamSpec):
+    def __init__(self, grid: FrequencyGrid, beam: BeamSpec, quantum_efficiency: float = 1.0):
         grid.bin_index(beam.carrier_freq_hz)
-        self.amplitude = beam.amplitude
+        if not 0.0 < quantum_efficiency <= 1.0:
+            raise ValueError("quantum_efficiency must be in (0, 1]")
+        self.grid = grid
+        self.amplitude = np.sqrt(quantum_efficiency) * beam.amplitude
         self.ramp = 2.0 * np.pi * beam.carrier_freq_hz * grid.times()
         self.theta0 = phase_series(grid, beam)
-        self.steady = self._bins(self.theta0)
+        self.steady = self._series(self.theta0)
 
-    def _bins(self, theta: np.ndarray) -> np.ndarray:
+    def _series(self, theta: np.ndarray) -> np.ndarray:
         z = -1j * (self.ramp + theta)
         np.exp(z, out=z)
         z *= self.amplitude
-        return np.fft.ifft(z)
+        return z
 
-    def amplitudes(self, extra_phase: np.ndarray | None = None) -> np.ndarray:
-        """Carrier bins of a frame, one row per row of ``extra_phase``."""
+    def series(self, extra_phase: np.ndarray | None = None) -> np.ndarray:
+        """Carrier samples of a frame, one row per row of ``extra_phase``."""
         if extra_phase is None:
             return self.steady
-        return self._bins(self.theta0 + extra_phase)
+        return self._series(self.theta0 + extra_phase)
 
 
 def compose_beam(
-    grid: FrequencyGrid,
-    beam: BeamSpec,
-    pickoff: PickoffSpec | list[PickoffSpec],
+    carrier: BeamCarrier,
+    path: OpticalPath | list[OpticalPath],
     seed,
     extra_phase: np.ndarray | None = None,
-    carrier: BeamCarrier | None = None,
-) -> FieldRealization:
-    """Carrier plus injected noise for one beam path.
+) -> DetectedField:
+    """One beam at the detector: its path noise plus its carrier.
 
-    The carrier is synthesized in the time domain (so phase modulation is
-    exact) and added onto the noise bins.  ``extra_phase`` carries any
-    phase-noise realization synthesized by the caller.  For a block of
-    frames ``seed`` is the list of per-frame seeds, ``pickoff`` one spec
-    or one per frame, and ``extra_phase`` has one row per frame; the field
-    then has one row per frame.  ``carrier`` reuses the beam's prebuilt
-    ``BeamCarrier``.
+    The path noise is transformed to the time domain and the carrier,
+    synthesized there (so phase modulation is exact), is added to it.
+    ``extra_phase`` carries any phase-noise realization synthesized by the
+    caller.  For a block of frames ``seed`` is the list of per-frame
+    seeds, ``path`` one record or one per frame, and ``extra_phase`` has
+    one row per frame; the field then has one row per frame.
     """
-    if carrier is None:
-        carrier = BeamCarrier(grid, beam)
-    keys = seed_rows(stream_key(seed, 0))
-    picks = pickoff if isinstance(pickoff, list) else [pickoff] * len(keys)
-    amps = np.empty((len(keys), grid.n_samples), dtype=complex)
-    for row, p, k in zip(amps, picks, keys):
-        row[:] = pickoff_noise_field(grid, p, k).amplitudes
-    if beam.amplitude != 0.0:
-        amps += carrier.amplitudes(extra_phase)
-    return FieldRealization(grid, amps if isinstance(seed, list) else amps[0])
+    grid = carrier.grid
+    if isinstance(path, list):
+        noise = np.stack([pickoff_noise_field(grid, p, k).amplitudes for p, k in zip(path, seed)])
+    else:
+        noise = pickoff_noise_field(grid, path, seed).amplitudes
+    samples = np.fft.fft(noise)
+    if carrier.amplitude != 0.0:
+        samples += carrier.series(extra_phase)
+    return DetectedField(grid, samples)
 
 
 def balanced_detect(
-    e1: FieldRealization,
-    e2: FieldRealization,
+    e1: DetectedField,
+    e2: DetectedField,
     det: DetectorSpec,
     seed,
     reference_shot_psd: float | None = None,
 ) -> PhotocurrentTrace:
-    """Exact balanced beat-note detection of two beams.
+    """Exact balanced beat-note detection of two detected beams.
 
-    The product form keeps every second-order noise term.  Detection
-    inefficiency is applied as vacuum-admixing loss on both fields before
-    the product; the gain ripple shapes the product, and
-    ``detector_readout`` follows.  Block fields take the list of per-frame
-    seeds and give one photocurrent row per frame.
+    The product form keeps every second-order noise term.  The gain
+    ripple shapes the product, and ``detector_readout`` follows.  Block
+    fields take the list of per-frame seeds and give one photocurrent row
+    per frame.
     """
     if e1.grid != e2.grid:
         raise ValueError("beams must share one grid")
-    qe = det.quantum_efficiency
-
-    # Each field is transformed right after its loss, so only one lossy
-    # block is alive at a time.
-    def detected(field: FieldRealization, port: int) -> np.ndarray:
-        if qe < 1.0:
-            field = apply_loss(field, qe, stream_key(seed, port))
-        return field.time_series()
-
-    beat = detected(e1, 0)
-    np.conjugate(beat, out=beat)
-    beat *= detected(e2, 1)
+    beat = np.conjugate(e1.samples)
+    beat *= e2.samples
     dp = 2.0 * beat.real
-
     if det.gain_ripple_db != 0.0:
         dp = _apply_gain_ripple(dp, e1.grid, det.gain_ripple_db)
     return PhotocurrentTrace(detector_readout(dp, det, seed, reference_shot_psd), e1.grid)
@@ -278,16 +291,16 @@ def detector_readout(
     """Detector electronics on one photocurrent frame or a block of them.
 
     Adds white electronic noise at electronic_noise_rel_db relative to
-    ``reference_shot_psd`` (drawn from substream 2 of each frame's seed),
-    clips, and removes each frame's mean last.  A dark frame (``dp`` all
-    zeros) is the background acquisition.
+    ``reference_shot_psd`` (drawn from each frame's seed), clips, and
+    removes each frame's mean last.  A dark frame (``dp`` all zeros) is
+    the background acquisition.
     """
     if det.electronic_noise_rel_db is not None:
         if reference_shot_psd is None:
             raise ValueError("electronic noise needs reference_shot_psd to set its level")
         p_e = 10.0 ** (det.electronic_noise_rel_db / 10.0) * reference_shot_psd
         n = np.shape(dp)[-1]
-        noise = [generator(k).normal(0.0, np.sqrt(p_e), n) for k in seed_rows(stream_key(seed, 2))]
+        noise = [generator(k).normal(0.0, np.sqrt(p_e), n) for k in seed_rows(seed)]
         dp = dp + np.reshape(noise, np.shape(dp))
     if det.clip_level is not None:
         dp = np.clip(dp, -det.clip_level, det.clip_level)

@@ -10,6 +10,30 @@ the ``SeedSequence`` of a stream is built once, in ``generator``, straight
 from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
 accept an int, a ``SeedSequence``, a ``StreamKey``, or a list of per-frame
 seeds for a block of frames.
+
+Stream layout 2 of a heterodyne frame, keyed (run, frame index, port):
+
+=================  ==========================================================
+port               stream
+=================  ==========================================================
+``PORT_BEAM1``     beam 1's optical path: sub-stream 0 is the vacuum at the
+``PORT_BEAM2``     squeezer input (the whole path noise when unsqueezed),
+                   sub-stream 1 the vacuum its pickoff and detector losses
+                   admit, drawn only on a squeezed path with efficiency < 1
+``PORT_DETECTOR``  white electronic noise of the balanced detector
+``PORT_PHASE``     classical phase noise on beam 2
+``PORT_ARM1``      readout noise of demod arm 1 (drive-induced excess
+``PORT_ARM2``      included on lit acquisitions) and of arm 2
+``PORT_JITTER``    squeeze-angle jitter of both squeezers
+=================  ==========================================================
+
+On ``fig4-demod`` one frame index (background, reference and target)
+builds 17 generators and draws 115000 normals: 3 dark rows of 5000
+(electronic noise, two arms), 2 unsqueezed vacuum rows and 4 rows of
+5000 on the reference, 4 vacuum rows of two squeezed paths and 4 rows of
+5000 on the target; a vacuum row is 10000 normals.  The pump sweep keys
+(10 + pump, frame index, 0) and the EPR identity run substreams 900 and
+901 of the master seed.
 """
 
 from __future__ import annotations
@@ -17,6 +41,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+# Version of the port layout below; heterodyne summaries record it.
+STREAM_LAYOUT = 2
 
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.
@@ -30,9 +57,7 @@ PORT_DETECTOR = 2
 PORT_PHASE = 3
 PORT_ARM1 = 4
 PORT_ARM2 = 5
-PORT_ARM1_EXCESS = 6
-PORT_ARM2_EXCESS = 7
-PORT_JITTER = 8
+PORT_JITTER = 6
 
 
 class StreamKey(NamedTuple):

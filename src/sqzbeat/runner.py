@@ -30,6 +30,17 @@ and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
+Synthesis follows stream layout 2 (``rng``; heterodyne summaries record
+``stream_layout=2``).  The context builds one optical path per beam
+(``cfg.optical_path``: squeezer, injection phase and efficiency R * qe,
+the record ``budgets.band_budget`` reads too): the reference's paths are
+unsqueezed and draw one vacuum row each, the target's squeezed ones two.
+The carriers, scaled by sqrt(qe), join the path noise in the time
+domain.  Each demod arm draws its readout noise once per frame, with the
+drive-induced excess added in quadrature on lit acquisitions only.  A
+``fig4-demod`` frame index (background, reference and target) builds 17
+generators and draws 115000 normals.
+
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
 residual, so it loops over its draws without the engine.
@@ -76,9 +87,9 @@ from .interferometer import (
     BeamCarrier,
     BeamSpec,
     DetectorSpec,
+    OpticalPath,
     PhaseSignalSpec,
     PhotocurrentTrace,
-    PickoffSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -173,30 +184,25 @@ class _HeterodyneContext:
             if b.mod_depth_rad != 0.0
             else PhaseSignalSpec()
         )
-        self.beam1 = BeamSpec(b.e1, c1)
-        self.beam2 = BeamSpec(b.e2, c2, mod)
-        self.carrier1 = BeamCarrier(self.grid, self.beam1)
-        self.carrier2 = BeamCarrier(self.grid, self.beam2)
         d = cfg.detector
-        self.det = DetectorSpec(
-            d.quantum_efficiency, d.electronic_noise_rel_db, d.clip_level, d.gain_ripple_db
-        )
+        self.carrier1 = BeamCarrier(self.grid, BeamSpec(b.e1, c1), d.quantum_efficiency)
+        self.carrier2 = BeamCarrier(self.grid, BeamSpec(b.e2, c2, mod), d.quantum_efficiency)
+        self.det = DetectorSpec(d.electronic_noise_rel_db, d.clip_level, d.gain_ripple_db)
         self.ref_floor = unsqueezed_shot_psd(b.e1, b.e2, d.quantum_efficiency)
         self.phase_var = classical_phase_variance(
             b.classical_fraction, b.e1, b.e2, d.quantum_efficiency
         )
         self.phase_sigma = np.sqrt(self.phase_var)
-        p1, p2 = cfg.pickoff1, cfg.pickoff2
-        self.plain_picks = (
-            PickoffSpec(p1.reflectivity, None, p1.injection_phase_rad),
-            PickoffSpec(p2.reflectivity, None, p2.injection_phase_rad),
-        )
-        self.squeezed_picks = (
-            PickoffSpec(p1.reflectivity, cfg.squeezer_spec(0, 0.0), p1.injection_phase_rad),
-            PickoffSpec(p2.reflectivity, cfg.squeezer_spec(1, 0.0), p2.injection_phase_rad),
-        )
+        # One optical path per beam: the target's as configured, the
+        # reference's the same path with its squeezer off.
+        squeezed = (cfg.optical_path(0), cfg.optical_path(1))
+        self.paths = {
+            "reference": tuple(replace(p, squeezer=None) for p in squeezed),
+            "target": squeezed,
+        }
         self.jitter_rms = tuple(
-            p.squeezer.angle_jitter_rms_rad if p.squeezer else 0.0 for p in (p1, p2)
+            pick.squeezer.angle_jitter_rms_rad if path.squeezer else 0.0
+            for pick, path in zip((cfg.pickoff1, cfg.pickoff2), squeezed)
         )
         n = self.grid.n_samples
         fs = self.grid.sample_rate
@@ -215,16 +221,15 @@ class _HeterodyneContext:
             self.post_h = chain_response(self.chain[1:], self.freqs, fs)
             self.lo = local_oscillator(self.grid, b.beat_freq_hz, ms.lo_phase_rad)
             demod_shot = self.ref_floor / 2.0
-            self.arm_sigma = (
-                np.sqrt(10.0 ** (ms.arm_noise_rel_db / 10.0) * demod_shot)
-                if ms.arm_noise_rel_db is not None
-                else 0.0
-            )
-            self.arm_excess_sigma = (
-                np.sqrt(10.0 ** (ms.arm_noise_excess_rel_db / 10.0) * demod_shot)
-                if ms.arm_noise_excess_rel_db is not None
-                else 0.0
-            )
+            arm = _db_power(ms.arm_noise_rel_db)
+            lit = arm + _db_power(ms.arm_noise_excess_rel_db)
+            # Each arm's readout noise is one draw.  Drive-induced excess
+            # noise needs light, so dark frames carry the arm noise alone.
+            self.arm_sigma = {
+                "background": np.sqrt(arm * demod_shot),
+                "reference": np.sqrt(lit * demod_shot),
+                "target": np.sqrt(lit * demod_shot),
+            }
 
     # -- block synthesis ------------------------------------------------
 
@@ -236,22 +241,19 @@ class _HeterodyneContext:
         n = self.grid.n_samples
         return np.stack([rngs.generator(k).normal(0.0, sigma, n) for k in keys])
 
-    def _pickoffs(self, run_name: str, run_id: int, frames: range) -> list[tuple]:
-        """(pickoff1, pickoff2) specs of each frame of a block."""
-        if run_name != "target":
-            return [self.plain_picks] * len(frames)
-        if not any(self.jitter_rms):
-            return [self.squeezed_picks] * len(frames)
-        return [self._jittered(run_id, i) for i in frames]
+    def _paths(self, run_name: str, run_id: int, frames: range) -> tuple:
+        """Each beam's optical path for a block: one record for every row,
+        or a list of one per frame when the squeeze angle jitters."""
+        if run_name == "target" and any(self.jitter_rms):
+            per_frame = [self._jittered(run_id, i) for i in frames]
+            return tuple(list(beam) for beam in zip(*per_frame))
+        return self.paths[run_name]
 
-    def _jittered(self, run_id: int, index: int) -> tuple[PickoffSpec, PickoffSpec]:
+    def _jittered(self, run_id: int, index: int) -> tuple[OpticalPath, OpticalPath]:
         cfg = self.cfg
         gen = rngs.generator(rngs.frame_seed(cfg.seed, run_id, index, rngs.PORT_JITTER))
         jitter = [gen.normal(0.0, r) if r > 0 else 0.0 for r in self.jitter_rms]
-        return tuple(
-            PickoffSpec(pick.reflectivity, cfg.squeezer_spec(k, jitter[k]), pick.injection_phase_rad)
-            for k, pick in enumerate((cfg.pickoff1, cfg.pickoff2))
-        )
+        return cfg.optical_path(0, jitter[0]), cfg.optical_path(1, jitter[1])
 
     def _photocurrent(self, run_name: str, frames: range) -> np.ndarray:
         """Detector output of a block of frames, one row per frame."""
@@ -265,14 +267,10 @@ class _HeterodyneContext:
         extra = None
         if self.phase_var > 0.0:
             extra = self._draws(self._keys(run_id, frames, rngs.PORT_PHASE), self.phase_sigma)
-        picks = self._pickoffs(run_name, run_id, frames)
-        e1 = compose_beam(
-            self.grid, self.beam1, [p[0] for p in picks],
-            self._keys(run_id, frames, rngs.PORT_BEAM1), carrier=self.carrier1,
-        )
+        path1, path2 = self._paths(run_name, run_id, frames)
+        e1 = compose_beam(self.carrier1, path1, self._keys(run_id, frames, rngs.PORT_BEAM1))
         e2 = compose_beam(
-            self.grid, self.beam2, [p[1] for p in picks],
-            self._keys(run_id, frames, rngs.PORT_BEAM2), extra_phase=extra, carrier=self.carrier2,
+            self.carrier2, path2, self._keys(run_id, frames, rngs.PORT_BEAM2), extra_phase=extra
         )
         return balanced_detect(e1, e2, self.det, det_keys, reference_shot_psd=self.ref_floor).samples
 
@@ -282,16 +280,12 @@ class _HeterodyneContext:
         """Both demodulated readout arms of a block of photocurrent rows."""
         run_id = _RUN_IDS[run_name]
         base = mix_down(x, self.lo, self.lpf_h)
+        sigma = self.arm_sigma[run_name]
         arms = []
-        for port, port_excess in (
-            (rngs.PORT_ARM1, rngs.PORT_ARM1_EXCESS),
-            (rngs.PORT_ARM2, rngs.PORT_ARM2_EXCESS),
-        ):
+        for port in (rngs.PORT_ARM1, rngs.PORT_ARM2):
             y = base
-            if self.arm_sigma > 0.0:
-                y = y + self._draws(self._keys(run_id, frames, port), self.arm_sigma)
-            if self.arm_excess_sigma > 0.0 and run_name != "background":
-                y = y + self._draws(self._keys(run_id, frames, port_excess), self.arm_excess_sigma)
+            if sigma > 0.0:
+                y = y + self._draws(self._keys(run_id, frames, port), sigma)
             arms.append(filter_frame(y, self.post_h))
         return arms
 
@@ -392,6 +386,11 @@ def _write_spectrum(path: str, freqs: np.ndarray, values_db: np.ndarray, header:
         fh.write("\n".join(lines) + "\n")
 
 
+def _db_power(db: float | None) -> float:
+    """Linear power of a level in dB; an absent level is 0."""
+    return 0.0 if db is None else 10.0 ** (db / 10.0)
+
+
 def _db_rel(values: np.ndarray, norm: float) -> np.ndarray:
     safe = np.maximum(values / norm, 1e-12)
     return 10.0 * np.log10(safe)
@@ -468,7 +467,11 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
          dict(header, trace=name, processed="true"))
         for name, values in (("reference", ref_sub), ("target", tgt_sub))
     ]
-    return _summary(cfg, cfg.measurement.kind, frames, bands=bands), spectra
+    summary = _summary(
+        cfg, cfg.measurement.kind, frames, bands=bands,
+        extras={"stream_layout": str(rngs.STREAM_LAYOUT)},
+    )
+    return summary, spectra
 
 
 def _run_epr(cfg: ExperimentConfig) -> RunSummary:

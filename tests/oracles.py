@@ -23,8 +23,8 @@ from sqzbeat.dsp import (
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
 from sqzbeat.interferometer import (
     BeamSpec,
+    OpticalPath,
     PhotocurrentTrace,
-    PickoffSpec,
     phase_series,
     pickoff_noise_field,
 )
@@ -34,16 +34,16 @@ from sqzbeat.rng import substream
 def linearized_output(
     grid: FrequencyGrid,
     beams: tuple[BeamSpec, BeamSpec],
-    pickoffs: tuple[PickoffSpec, PickoffSpec],
+    paths: tuple[OpticalPath, OpticalPath],
     seed,
     extra_phase: np.ndarray | None = None,
 ) -> PhotocurrentTrace:
-    """First-order model of the balanced output (ideal detector).
+    """First-order model of the balanced output (unit quantum efficiency).
 
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency and
-    angle.  Uses the same seed layout as ``compose_beam`` +
-    ``balanced_detect`` with a unit-efficiency detector, so the residual
+    angle.  Uses the same seed layout as ``compose_beam`` on
+    ``substream(seed, 0)`` and ``substream(seed, 1)``, so the residual
     against the exact product isolates the dropped second-order terms.
     """
     b1, b2 = beams
@@ -52,8 +52,8 @@ def linearized_output(
     theta2 = phase_series(grid, b2, extra_phase)
     beat_hz = b2.carrier_freq_hz - b1.carrier_freq_hz
 
-    n1 = pickoff_noise_field(grid, pickoffs[0], substream(seed, 0, 0))
-    n2 = pickoff_noise_field(grid, pickoffs[1], substream(seed, 1, 0))
+    n1 = pickoff_noise_field(grid, paths[0], substream(seed, 0))
+    n2 = pickoff_noise_field(grid, paths[1], substream(seed, 1))
     qa = quadrature_series(n1, b2.carrier_freq_hz)
     qb = quadrature_series(n2, b1.carrier_freq_hz)
 
@@ -85,10 +85,8 @@ def straightforward_variant(
     theta2 = phase_series(grid, b2, extra_phase)
     beat = 2.0 * np.pi * (b2.carrier_freq_hz - b1.carrier_freq_hz) * t
 
-    own1 = PickoffSpec(1.0, squeezers[0])
-    own2 = PickoffSpec(1.0, squeezers[1])
-    n1 = pickoff_noise_field(grid, own1, substream(seed, 0, 0))
-    n2 = pickoff_noise_field(grid, own2, substream(seed, 1, 0))
+    n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), substream(seed, 0))
+    n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), substream(seed, 1))
     qa = quadrature_series(n1, b1.carrier_freq_hz)
     qb = quadrature_series(n2, b2.carrier_freq_hz)
 

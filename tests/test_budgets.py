@@ -117,6 +117,19 @@ def test_classical_noise_limit_monotone_and_bounded():
         classical_noise_limit(1.0, 0.5)
 
 
+def test_classical_noise_limit_accepts_perfect_squeezing():
+    # s = 0 with f > 0 is the paper's classical ceiling, -10 log10 f
+    assert classical_noise_limit(0.1, 0.0) == pytest.approx(10.0, abs=1e-12)
+    assert classical_noise_limit(0.25, 0.0) == pytest.approx(-10.0 * np.log10(0.25), abs=1e-12)
+    with pytest.raises(ValueError, match=r"s_linear must be in \[0, 1\]"):
+        classical_noise_limit(0.1, 1.5)
+
+
+def test_classical_noise_limit_rejects_a_noiseless_floor():
+    with pytest.raises(ValueError, match="classical_fraction and s_linear are both 0"):
+        classical_noise_limit(0.0, 0.0)
+
+
 def test_phase_jitter_penalty():
     s, a = 10 ** (-1.5), 10 ** (1.5)
     assert phase_jitter_penalty(s, a, 0.0) == pytest.approx(s, abs=1e-15)

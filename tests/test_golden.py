@@ -7,14 +7,17 @@ The files in ``golden/`` are the ``summary.txt`` of
     sqzbeat run --preset epr-identity --out DIR         (default draws)
 
 A change that alters any emitted number fails here; a deliberate change
-of the realizations regenerates the files and says so.
+of the realizations regenerates the files with ``golden/regenerate.py``
+(``PYTHONPATH=src python tests/golden/regenerate.py``) and says so.
 
 ``golden/block-boundary.sha256`` holds the SHA-256 of every output file
 (summary and spectra) of ``fig4-demod``, ``fig3-raw`` and
 ``appendixE-pump-sweep`` at 130 frames: two chunks, the second ending in
-a partial block.  The heterodyne digests were written by the per-frame
-runner before frames were synthesized in blocks, the sweep's by its
-per-frame loop before it moved to the runner's chunk engine.
+a partial block.  The sweep's digests were written by its per-frame loop
+before it moved to the runner's chunk engine; the heterodyne ones were
+rewritten for stream layout 2, whose block rows
+``test_interferometer.test_block_rows_equal_single_frames`` checks
+against one-frame synthesis.
 """
 
 import hashlib

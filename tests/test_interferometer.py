@@ -1,14 +1,21 @@
-"""Beam composition and balanced detection against first-order theory."""
+"""Optical paths, beam composition and balanced detection against
+first-order theory and the closed-form loss chain."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sqzbeat.fields import FieldRealization, FrequencyGrid, SqueezerSpec
+from sqzbeat.budgets import detected_squeezing
+from sqzbeat.config import preset_config
+from sqzbeat.fields import FrequencyGrid, SqueezerSpec, make_vacuum_field
 from sqzbeat.interferometer import (
+    BeamCarrier,
     BeamSpec,
+    DetectedField,
     DetectorSpec,
+    OpticalPath,
     PhaseSignalSpec,
-    PickoffSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -26,22 +33,24 @@ N = 2500
 GRID = FrequencyGrid(FS, N, 30e6)
 BEAT = 10e6
 C1, C2 = 30e6, 40e6
-IDEAL = DetectorSpec(quantum_efficiency=1.0)
+IDEAL = DetectorSpec()
+VACUUM = OpticalPath(1.0, None)
 
 
 def _carrier_field(e, freq, theta=None):
     t = GRID.times()
     phase = 2.0 * np.pi * freq * t + (0.0 if theta is None else theta)
-    return FieldRealization(GRID, np.fft.ifft(e * np.exp(-1j * phase)))
+    return DetectedField(GRID, e * np.exp(-1j * phase))
+
+
+def _beam(beam, path, seed, extra_phase=None, qe=1.0):
+    return compose_beam(BeamCarrier(GRID, beam, qe), path, seed, extra_phase)
 
 
 def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
     sig = PhaseSignalSpec("sinusoid", mod_freq, depth) if depth else PhaseSignalSpec()
-    b1 = BeamSpec(e1, C1)
-    b2 = BeamSpec(e2, C2, sig)
-    p = PickoffSpec(1.0, None)
-    f1 = compose_beam(GRID, b1, p, substream(seed, 0))
-    f2 = compose_beam(GRID, b2, p, substream(seed, 1))
+    f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(seed, 0))
+    f2 = _beam(BeamSpec(e2, C2, sig), VACUUM, substream(seed, 1))
     return f1, f2
 
 
@@ -81,7 +90,7 @@ def test_pickoff_loss_mixes_squeezing():
     # 97% pickoff turns flat squeezing s into 0.97 s + 0.03
     x = 0.5195253280689318
     spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C1)
-    pick = PickoffSpec(0.97, spec)
+    pick = OpticalPath(0.97, spec)
     frames = 350
     acc = []
     for i in range(frames):
@@ -95,28 +104,23 @@ def test_pickoff_loss_mixes_squeezing():
 
 
 def test_compose_beam_dark_port_is_pure_vacuum():
-    # full reflectivity, no squeezer, no carrier: the beam is exactly the
-    # vacuum drawn from its substream
-    beam = BeamSpec(0.0, C1)
-    out = compose_beam(GRID, beam, PickoffSpec(1.0, None), substream(3, 0))
-    from sqzbeat.fields import make_vacuum_field
-
-    vac = make_vacuum_field(GRID, substream(3, 0, 0, 0))
-    assert np.array_equal(out.amplitudes, vac.amplitudes)
+    # no squeezer, no carrier: loss leaves vacuum vacuum, so at any path
+    # efficiency the beam is exactly the one vacuum row of its substream
+    vac = make_vacuum_field(GRID, substream(3, 0, 0))
+    for efficiency in (1.0, 0.5):
+        out = _beam(BeamSpec(0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
+        assert np.array_equal(out.samples, vac.time_series())
 
 
 def test_carrier_scales_linearly_and_leaves_noise_bins():
-    # same seed: the two fields differ only by the carrier delta at its bin
-    pick = PickoffSpec(0.97, None)
-    beam = lambda e: BeamSpec(e, C1)
-    f1 = compose_beam(GRID, beam(100.0), pick, substream(4, 0))
-    f2 = compose_beam(GRID, beam(200.0), pick, substream(4, 0))
-    k = GRID.bin_index(C1)
-    delta = f2.amplitudes - f1.amplitudes
-    assert delta[k] == pytest.approx(100.0, rel=1e-9)
-    other = np.ones(N, dtype=bool)
-    other[k] = False
-    assert np.allclose(delta[other], 0.0, atol=1e-9)
+    # same seed: the two fields differ only by sqrt(qe) times the carrier
+    # delta, an exact tone at the carrier frequency
+    qe = 0.81
+    path = OpticalPath(0.97 * qe, None)
+    f1 = _beam(BeamSpec(100.0, C1), path, substream(4, 0), qe=qe)
+    f2 = _beam(BeamSpec(200.0, C1), path, substream(4, 0), qe=qe)
+    tone = 0.9 * 100.0 * np.exp(-2j * np.pi * C1 * GRID.times())
+    assert np.allclose(f2.samples - f1.samples, tone, rtol=0, atol=1e-9)
 
 
 def test_modulation_sideband_power_ratio():
@@ -126,8 +130,8 @@ def test_modulation_sideband_power_ratio():
     mod = 3.2e6
     b1 = BeamSpec(1000.0, C1)
     b2 = BeamSpec(1000.0, C2, PhaseSignalSpec("sinusoid", mod, depth))
-    f1 = compose_beam(GRID, b1, PickoffSpec(1.0, None), substream(5, 1))
-    f2 = compose_beam(GRID, b2, PickoffSpec(1.0, None), substream(5, 2))
+    f1 = _beam(b1, VACUUM, substream(5, 1))
+    f2 = _beam(b2, VACUUM, substream(5, 2))
     trace = balanced_detect(f1, f2, IDEAL, substream(5, 3))
     spec = np.abs(np.fft.rfft(trace.samples)) ** 2
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
@@ -142,10 +146,10 @@ def test_modulation_sideband_power_ratio():
 
 
 def test_electronic_noise_level():
-    det = DetectorSpec(1.0, electronic_noise_rel_db=-2.0)
+    det = DetectorSpec(electronic_noise_rel_db=-2.0)
     ref = 1000.0
     frames = 200
-    zero = FieldRealization(GRID, np.zeros(N, dtype=complex))
+    zero = DetectedField(GRID, np.zeros(N, dtype=complex))
     traces = [
         balanced_detect(zero, zero, det, substream(66, i), reference_shot_psd=ref).samples
         for i in range(frames)
@@ -156,14 +160,14 @@ def test_electronic_noise_level():
 
 
 def test_electronic_noise_requires_reference():
-    det = DetectorSpec(1.0, electronic_noise_rel_db=-2.0)
-    zero = FieldRealization(GRID, np.zeros(N, dtype=complex))
+    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    zero = DetectedField(GRID, np.zeros(N, dtype=complex))
     with pytest.raises(ValueError):
         balanced_detect(zero, zero, det, substream(66, 0))
 
 
 def test_clipping_bounds_samples():
-    det = DetectorSpec(1.0, clip_level=1.0)
+    det = DetectorSpec(clip_level=1.0)
     f1 = _carrier_field(10.0, C1)
     f2 = _carrier_field(10.0, C2)
     trace = balanced_detect(f1, f2, det, substream(1, 0))
@@ -173,7 +177,7 @@ def test_clipping_bounds_samples():
 
 def test_gain_ripple_tilts_optical_spectrum():
     # the tilt shapes the photocurrent, not the electronic noise added after
-    det = DetectorSpec(1.0, gain_ripple_db=2.0)
+    det = DetectorSpec(gain_ripple_db=2.0)
     e = 400.0
     frames = 300
     traces = []
@@ -191,16 +195,16 @@ def test_gain_ripple_tilts_optical_spectrum():
 def test_quantum_efficiency_degrades_squeezing():
     x = 0.5195253280689318
     spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C2)
-    pick1 = PickoffSpec(1.0, spec)
-    pick2 = PickoffSpec(1.0, None)
+    qe = 0.6
+    path1 = OpticalPath(qe, spec)
+    path2 = OpticalPath(qe, None)
     e = 500.0
     frames = 250
-    det = DetectorSpec(quantum_efficiency=0.6)
     traces = []
     for i in range(frames):
-        f1 = compose_beam(GRID, BeamSpec(e, C1), pick1, substream(81, i, 0))
-        f2 = compose_beam(GRID, BeamSpec(e, C2), pick2, substream(81, i, 1))
-        traces.append(balanced_detect(f1, f2, det, substream(81, i, 2)).samples)
+        f1 = _beam(BeamSpec(e, C1), path1, substream(81, i, 0), qe=qe)
+        f2 = _beam(BeamSpec(e, C2), path2, substream(81, i, 1), qe=qe)
+        traces.append(balanced_detect(f1, f2, IDEAL, substream(81, i, 2)).samples)
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     band = (freqs > 2e6) & (freqs < 18e6) & (np.abs(freqs - BEAT) > 1e6)
@@ -213,7 +217,7 @@ def test_quantum_efficiency_degrades_squeezing():
 def test_linearized_matches_exact_detection():
     spec1 = SqueezerSpec(0.387, 30e6, 0.833, center_freq_hz=C2)
     spec2 = SqueezerSpec(0.365, 30e6, 0.833, center_freq_hz=C1)
-    picks = (PickoffSpec(0.97, spec1), PickoffSpec(0.97, spec2))
+    paths = (OpticalPath(0.97, spec1), OpticalPath(0.97, spec2))
     e = 1000.0
     beams = (BeamSpec(e, C1), BeamSpec(e, C2))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
@@ -223,12 +227,12 @@ def test_linearized_matches_exact_detection():
     for i in range(frames):
         seed = substream(90, i)
         exact = balanced_detect(
-            compose_beam(GRID, beams[0], picks[0], substream(seed, 0)),
-            compose_beam(GRID, beams[1], picks[1], substream(seed, 1)),
+            _beam(beams[0], paths[0], substream(seed, 0)),
+            _beam(beams[1], paths[1], substream(seed, 1)),
             IDEAL,
             substream(seed, 2),
         )
-        lin = linearized_output(GRID, beams, picks, seed)
+        lin = linearized_output(GRID, beams, paths, seed)
         diff.append(exact.samples - lin.samples)
         floor.append(lin.samples)
     res = naive_psd(diff)[band].mean()
@@ -246,11 +250,11 @@ def test_injection_phase_swaps_quadrature():
     floors = {}
     for phase in (0.0, np.pi / 2.0):
         spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C2)
-        picks = (PickoffSpec(1.0, spec, injection_phase_rad=phase), PickoffSpec(1.0, None))
+        path = OpticalPath(1.0, spec, injection_phase_rad=phase)
         traces = []
         for i in range(frames):
-            f1 = compose_beam(GRID, BeamSpec(e, C1), picks[0], substream(95, i, 0))
-            f2 = compose_beam(GRID, BeamSpec(e, C2), picks[1], substream(95, i, 1))
+            f1 = _beam(BeamSpec(e, C1), path, substream(95, i, 0))
+            f2 = _beam(BeamSpec(e, C2), VACUUM, substream(95, i, 1))
             traces.append(balanced_detect(f1, f2, IDEAL, substream(95, i, 2)).samples)
         floors[phase] = naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e, e)
     s, a = SqueezerSpec(x, 3e9, 1.0).squeezing_spectrum(BEAT)
@@ -268,15 +272,23 @@ def test_reduction_independent_of_amplitudes():
     rels = []
     frames = 220
     for e1, e2 in ((500.0, 500.0), (1500.0, 250.0)):
-        picks = (PickoffSpec(1.0, spec(C2)), PickoffSpec(1.0, spec(C1)))
+        paths = (OpticalPath(1.0, spec(C2)), OpticalPath(1.0, spec(C1)))
         traces = []
         for i in range(frames):
-            f1 = compose_beam(GRID, BeamSpec(e1, C1), picks[0], substream(97, i, 0))
-            f2 = compose_beam(GRID, BeamSpec(e2, C2), picks[1], substream(97, i, 1))
+            f1 = _beam(BeamSpec(e1, C1), paths[0], substream(97, i, 0))
+            f2 = _beam(BeamSpec(e2, C2), paths[1], substream(97, i, 1))
             traces.append(balanced_detect(f1, f2, IDEAL, substream(97, i, 2)).samples)
         rels.append(naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e1, e2))
     se = 4 / np.sqrt(frames * band.sum())
     assert abs(rels[0] - rels[1]) < 3 * se
+
+
+# The straightforward oracle keeps only sidebands whose partners both lie
+# in the grid: about a 40 MHz carrier that is 22.45 MHz, so photocurrent
+# bins above 12.45 MHz (demodulated: 2.45 MHz) would miss part of their
+# noise.  Its tests put the carriers at 15 and 25 MHz, where nothing the
+# analysis bands read is cut.
+SF1, SF2 = 15e6, 25e6
 
 
 def test_schemes_agree_with_squeezers_off():
@@ -284,11 +296,12 @@ def test_schemes_agree_with_squeezers_off():
     frames = 200
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     band = (freqs > 2e6) & (freqs < 15e6) & (np.abs(freqs - BEAT) > 1e6)
-    beams = (BeamSpec(e, C1), BeamSpec(e, C2))
+    beams = (BeamSpec(e, SF1), BeamSpec(e, SF2))
     lin, exact = [], []
     for i in range(frames):
         lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)).samples)
-        f1, f2 = _vacuum_beams(e, e, substream(15, i))
+        f1 = _beam(beams[0], VACUUM, substream(15, i, 0))
+        f2 = _beam(beams[1], VACUUM, substream(15, i, 1))
         exact.append(balanced_detect(f1, f2, IDEAL, substream(15, i, 9)).samples)
     p_lin = naive_psd(lin)[band].mean()
     p_exact = naive_psd(exact)[band].mean()
@@ -301,7 +314,7 @@ def test_straightforward_phase_floor_matches_leakage_formula():
     # (3 s + a) / 4 relative to vacuum
     x = np.sqrt(90.0 / 600.0)
     e = 1000.0
-    beams = (BeamSpec(e, C1), BeamSpec(e, C2))
+    beams = (BeamSpec(e, SF1), BeamSpec(e, SF2))
 
     def phase_psd(squeezers, seed, frames=250):
         acc = []
@@ -322,8 +335,8 @@ def test_straightforward_phase_floor_matches_leakage_formula():
     vac = phase_psd((None, None), seed=41)[band].mean()
     sqz = phase_psd(
         (
-            SqueezerSpec(x, 3e9, 0.8, np.pi / 2.0, center_freq_hz=C1),
-            SqueezerSpec(x, 3e9, 0.8, np.pi / 2.0, center_freq_hz=C2),
+            SqueezerSpec(x, 3e9, 0.8, np.pi / 2.0, center_freq_hz=SF1),
+            SqueezerSpec(x, 3e9, 0.8, np.pi / 2.0, center_freq_hz=SF2),
         ),
         seed=42,
     )[band].mean()
@@ -335,16 +348,13 @@ def test_straightforward_phase_floor_matches_leakage_formula():
 
 def test_energy_bookkeeping():
     e1, e2 = 120.0, 80.0
-    det = DetectorSpec(1.0, electronic_noise_rel_db=-2.0)
+    det = DetectorSpec(electronic_noise_rel_db=-2.0)
     ref = unsqueezed_shot_psd(e1, e2)
     frames = 250
     total = 0.0
     for i in range(frames):
-        b1 = BeamSpec(e1, C1)
-        b2 = BeamSpec(e2, C2)
-        p = PickoffSpec(1.0, None)
-        f1 = compose_beam(GRID, b1, p, substream(52, i, 0))
-        f2 = compose_beam(GRID, b2, p, substream(52, i, 1))
+        f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(52, i, 0))
+        f2 = _beam(BeamSpec(e2, C2), VACUUM, substream(52, i, 1))
         total += np.var(balanced_detect(f1, f2, det, substream(52, i, 2), ref).samples)
     measured = total / frames
     classical = 2.0 * e1**2 * e2**2
@@ -367,9 +377,8 @@ def test_classical_phase_variance_calibration():
     for i in range(frames):
         rng = np.random.default_rng(substream(73, i))
         extra = rng.normal(0.0, np.sqrt(var), N)
-        p = PickoffSpec(1.0, None)
-        f1 = compose_beam(GRID, BeamSpec(e, C1), p, substream(74, i, 0))
-        f2 = compose_beam(GRID, BeamSpec(e, C2), p, substream(74, i, 1), extra_phase=extra)
+        f1 = _beam(BeamSpec(e, C1), VACUUM, substream(74, i, 0))
+        f2 = _beam(BeamSpec(e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
         trace = balanced_detect(f1, f2, IDEAL, substream(74, i, 2))
         mixed = trace.samples * lo
         spec = np.fft.rfft(mixed)
@@ -387,9 +396,9 @@ def test_classical_phase_variance_calibration():
 
 def test_spec_invariants():
     with pytest.raises(ValueError):
-        PickoffSpec(0.0, None)
+        OpticalPath(1.5, None)
     with pytest.raises(ValueError):
-        DetectorSpec(quantum_efficiency=0.0)
+        BeamCarrier(GRID, BeamSpec(1.0, C1), quantum_efficiency=0.0)
     with pytest.raises(ValueError):
         DetectorSpec(clip_level=-1.0)
     with pytest.raises(ValueError):
@@ -398,8 +407,8 @@ def test_spec_invariants():
         PhaseSignalSpec("sinusoid", 0.0, 0.1)
     with pytest.raises(ValueError):
         balanced_detect(
-            FieldRealization(GRID, np.zeros(N, dtype=complex)),
-            FieldRealization(FrequencyGrid(FS, 2000, 30e6), np.zeros(2000, dtype=complex)),
+            DetectedField(GRID, np.zeros(N, dtype=complex)),
+            DetectedField(FrequencyGrid(FS, 2000, 30e6), np.zeros(2000, dtype=complex)),
             IDEAL,
             substream(0, 0),
         )
@@ -409,15 +418,17 @@ def test_block_rows_equal_single_frames():
     # a block of frames is one call per step; every row must carry the
     # bits of the same frame synthesized and detected alone
     spec = SqueezerSpec(0.4, 30e6, 0.9, center_freq_hz=C2)
-    picks = [PickoffSpec(0.97, spec), PickoffSpec(0.97, spec, injection_phase_rad=0.2), PickoffSpec(0.97, None)]
-    beam2 = BeamSpec(800.0, C2, PhaseSignalSpec("sinusoid", 3.11e6, 1e-3))
-    det = DetectorSpec(0.95, electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
-    ref = unsqueezed_shot_psd(700.0, 800.0)
+    paths = [OpticalPath(0.96, spec), OpticalPath(0.96, spec, injection_phase_rad=0.2), OpticalPath(0.96, None)]
+    qe = 0.95
+    carrier1 = BeamCarrier(GRID, BeamSpec(700.0, C1), qe)
+    carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec("sinusoid", 3.11e6, 1e-3)), qe)
+    det = DetectorSpec(electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
+    ref = unsqueezed_shot_psd(700.0, 800.0, qe)
     seeds = [substream(31, i) for i in range(3)]
     extra = np.random.default_rng(substream(32, 0)).normal(0.0, 1e-3, (3, N))
     block = balanced_detect(
-        compose_beam(GRID, BeamSpec(700.0, C1), picks, [substream(s, 0) for s in seeds]),
-        compose_beam(GRID, beam2, PickoffSpec(0.97, spec), [substream(s, 1) for s in seeds], extra),
+        compose_beam(carrier1, paths, [substream(s, 0) for s in seeds]),
+        compose_beam(carrier2, paths[0], [substream(s, 1) for s in seeds], extra),
         det,
         [substream(s, 2) for s in seeds],
         ref,
@@ -425,10 +436,48 @@ def test_block_rows_equal_single_frames():
     assert block.samples.shape == (3, N)
     for i, s in enumerate(seeds):
         single = balanced_detect(
-            compose_beam(GRID, BeamSpec(700.0, C1), picks[i], substream(s, 0)),
-            compose_beam(GRID, beam2, PickoffSpec(0.97, spec), substream(s, 1), extra[i]),
+            compose_beam(carrier1, paths[i], substream(s, 0)),
+            compose_beam(carrier2, paths[0], substream(s, 1), extra[i]),
             det,
             substream(s, 2),
             ref,
         )
         assert np.array_equal(block.samples[i], single.samples)
+
+
+def _quadrature_psds(path, center, seed, frames=120):
+    grid = preset_config("fig4-demod").frequency_grid()
+    field = pickoff_noise_field(grid, path, [substream(seed, i) for i in range(frames)])
+    quads = quadrature_series(field, center)
+    freqs = np.fft.rfftfreq(grid.n_samples, 1.0 / grid.sample_rate)
+    return freqs, naive_psd(quads.a1), naive_psd(quads.a2), frames
+
+
+@pytest.mark.parametrize("reflectivity, qe", [(0.97, 0.99), (0.8, 0.7)])
+def test_squeezed_path_psd_matches_detected_squeezing(reflectivity, qe):
+    # pickoff and detector act as one loss R qe: the detected quadrature
+    # spectra follow the closed-form loss chain at eta = R qe, band by band
+    base = preset_config("fig4-demod")
+    cfg = replace(
+        base,
+        pickoff1=replace(base.pickoff1, reflectivity=reflectivity),
+        detector=replace(base.detector, quantum_efficiency=qe),
+    )
+    path = cfg.optical_path(0)
+    assert path.efficiency == reflectivity * qe
+    freqs, squeezed, anti, frames = _quadrature_psds(path, path.squeezer.center_freq_hz, seed=61)
+    for lo, hi in ((1e6, 5e6), (8e6, 12e6), (15e6, 20e6)):
+        band = (freqs >= lo) & (freqs <= hi)
+        s, a = detected_squeezing(path.squeezer, freqs[band], path.efficiency)
+        # each periodogram bin of a Gaussian series has unit relative variance
+        se = 1.0 / np.sqrt(frames * band.sum())
+        assert squeezed[band].mean() / s.mean() == pytest.approx(1.0, abs=4 * se)
+        assert anti[band].mean() / a.mean() == pytest.approx(1.0, abs=4 * se)
+
+
+def test_unsqueezed_path_psd_is_vacuum():
+    freqs, a1, a2, frames = _quadrature_psds(OpticalPath(0.6, None), C2, seed=62)
+    band = (freqs >= 1e6) & (freqs <= 20e6)
+    se = 1.0 / np.sqrt(frames * band.sum())
+    assert a1[band].mean() == pytest.approx(1.0, abs=4 * se)
+    assert a2[band].mean() == pytest.approx(1.0, abs=4 * se)
