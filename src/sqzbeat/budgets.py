@@ -6,7 +6,8 @@ spectra, the classical-noise ceiling, phase-jitter penalties, and the
 leakage floor of same-frequency squeezing.  Each of these formulas is
 written once, as a private helper that both its named function and the
 per-band ``heterodyne_budget`` call; ``band_budget`` builds a config's
-band budget without a run.  All functions are pure and stateless.
+band budget without a run from ``cfg.optical_path`` alone, the records
+synthesis injects.  All functions are pure and stateless.
 
 Relative floors are linear power versus the unsqueezed shot-noise
 reference, which is normalized to 1 including any classical phase-noise
@@ -22,6 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .fields import SqueezerSpec
+from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
 
 _BANDS = ("lower", "upper", "demod")
 
@@ -196,20 +198,12 @@ def detected_squeezing(spec: SqueezerSpec, eps_hz, path_efficiency: float = 1.0)
     return s, a
 
 
-def _pair(value) -> tuple[float, float]:
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (2,))
-    return float(arr[0]), float(arr[1])
-
-
 def heterodyne_budget(
     scheme: str,
     eps_hz,
-    squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
+    paths: tuple[OpticalPath, OpticalPath],
     weights: tuple[float, float],
-    path_efficiency=1.0,
     classical_fraction: float = 0.0,
-    angle_offset_rad=0.0,
-    angle_jitter_rms_rad=0.0,
     band_kind: str = "demod",
     unsubtracted_electronic_rel: float = 0.0,
 ) -> NoiseBudget:
@@ -218,9 +212,11 @@ def heterodyne_budget(
     ``eps_hz`` are the sideband offsets of the analysis bins (the demod
     band passes the offsets of the raw bins folding into it); the floor
     averages the squeezing spectrum over them, mirroring the linear-power
-    band mean of the estimator.  Per-source values may be passed for the
-    efficiency and angle arguments.  The straightforward floor assumes the
-    squeezing is flat across the folded bands.
+    band mean of the estimator.  Each path's squeezing is read at its
+    efficiency and at the angle error (squeeze angle less the scheme's
+    base angle) combined in quadrature with its jitter.  The
+    straightforward floor assumes the squeezing is flat across the folded
+    bands.
 
     ``classical_fraction`` is defined against the demodulated reference
     floor; white phase noise carries only 2/3 of that relative weight in
@@ -230,27 +226,23 @@ def heterodyne_budget(
     not remove, such as drive-induced post-splitter noise read without a
     cross-spectrum; it biases both floors toward unity.
     """
-    if scheme not in ("proposed", "straightforward", "unsqueezed"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     eps = np.atleast_1d(np.asarray(eps_hz, dtype=float))
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    path = _pair(path_efficiency)
-    offsets = _pair(angle_offset_rad)
-    jitters = _pair(angle_jitter_rms_rad)
 
     direct = np.ones(2)
     leak = np.zeros(2)
-    if scheme != "unsqueezed":
-        for i, spec in enumerate(squeezers):
-            if spec is None or spec.pump_ratio == 0.0:
-                s_bar, a_bar = 1.0, 1.0
-            else:
-                s, a = detected_squeezing(spec, eps, path[i])
-                s_bar, a_bar = float(np.mean(s)), float(np.mean(a))
-            theta = np.hypot(offsets[i], jitters[i])
-            direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta, folded=scheme == "straightforward")
+    for i, path in enumerate(paths):
+        spec = path.squeezer
+        s_bar, a_bar, theta = 1.0, 1.0, 0.0
+        if spec is not None:
+            s, a = detected_squeezing(spec, eps, path.efficiency)
+            s_bar, a_bar = float(np.mean(s)), float(np.mean(a))
+            theta = np.hypot(spec.squeeze_angle_rad - base_squeeze_angle(scheme), path.jitter_rms_rad)
+        direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta, folded=scheme == "straightforward")
 
     if band_kind not in ("raw", "demod"):
         raise ValueError("band_kind must be 'raw' or 'demod'")
@@ -267,9 +259,9 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     """Budget of the analysis bins ``freqs`` of a heterodyne config's band.
 
     Raw bands read the squeezing at the bins themselves; demodulated bands
-    fold the bins of both sidebands of the beat.  Squeezers and path
-    efficiencies (pickoff reflectivity times detector quantum efficiency)
-    come from ``cfg.optical_path``, the records the simulator synthesizes.
+    fold the bins of both sidebands of the beat.  The two optical paths
+    (squeezer, angle, jitter and efficiency R * qe) come only from
+    ``cfg.optical_path``, the records the simulator synthesizes.
     """
     ms = cfg.measurement
     if ms.kind == "raw":
@@ -277,8 +269,6 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     else:
         beat = cfg.beams.beat_freq_hz
         eps = np.concatenate([beat - freqs, beat + freqs])
-    picks = (cfg.pickoff1, cfg.pickoff2)
-    paths = (cfg.optical_path(0), cfg.optical_path(1))
     excess = 0.0
     if ms.kind == "demod-no-cross" and ms.arm_noise_excess_rel_db is not None:
         # Drive-induced arm noise is absent from the background run, so an
@@ -287,16 +277,9 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     return heterodyne_budget(
         cfg.scheme,
         eps,
-        tuple(p.squeezer for p in paths),
+        (cfg.optical_path(0), cfg.optical_path(1)),
         weights=(cfg.beams.e2**2, cfg.beams.e1**2),
-        path_efficiency=tuple(p.efficiency for p in paths),
         classical_fraction=cfg.beams.classical_fraction,
-        angle_offset_rad=tuple(
-            p.squeezer.angle_offset_rad if p.squeezer else 0.0 for p in picks
-        ),
-        angle_jitter_rms_rad=tuple(
-            p.squeezer.angle_jitter_rms_rad if p.squeezer else 0.0 for p in picks
-        ),
         band_kind="raw" if ms.kind == "raw" else "demod",
         unsubtracted_electronic_rel=excess,
     )

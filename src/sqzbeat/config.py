@@ -21,7 +21,7 @@ import numpy as np
 
 from .dsp import BandSpec
 from .fields import BandError, FrequencyGrid, SqueezerSpec
-from .interferometer import SCHEMES, OpticalPath
+from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
 
 KINDS = ("heterodyne", "epr", "opo-sweep")
 MEASUREMENTS = ("raw", "demod", "demod-no-cross")
@@ -44,7 +44,13 @@ MAX_SAMPLES = 1_000_000
 # Carrier amplitudes in shot-noise units.  The budget weighs each source by
 # the other carrier's power and classical phase noise scales as
 # 1 / (E1 E2)^2, which leave the float range for much weaker carriers.
+# At the upper bound the largest level a run forms, a periodogram bin of
+# the beat 2 E1 E2 over MAX_SAMPLES samples, stays below
+# (2 E1 E2 MAX_SAMPLES)^2 = 4e36, so every derived level is finite, and
+# the float rounding of the carrier's phase ramp adds noise about 78 dB
+# below the shot floor (20 dB less per decade of carrier).
 MIN_CARRIER = 1e-6
+MAX_CARRIER = 1e6
 
 
 class ConfigError(ValueError):
@@ -89,7 +95,6 @@ class BeamsConfig:
 class PickoffConfig:
     reflectivity: float = 0.97
     squeezer: SqueezerConfig | None = None
-    injection_phase_rad: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -173,31 +178,29 @@ class ExperimentConfig:
             return c1, c2
         return c2, c1
 
-    def base_squeeze_angle(self) -> float:
-        # Straightforward squeezing must sit on the phase quadrature.
-        return math.pi / 2.0 if self.scheme == "straightforward" else 0.0
-
-    def optical_path(self, source: int, extra_angle_rad: float = 0.0) -> OpticalPath:
-        """Path of source ``source``'s injected noise to the photocurrent.
+    def optical_path(self, source: int) -> OpticalPath:
+        """Path of source ``source``'s injected noise to the photocurrent,
+        the one place the scheme and the pickoff config become what a beam
+        injects.  Synthesis and the band budget both read this record.
 
         Its efficiency is pickoff reflectivity times detector quantum
-        efficiency; a squeezer of pump ratio 0 counts as none.  Synthesis
-        and the band budget both read this record.
+        efficiency.  The squeezer sits at the scheme's base angle plus its
+        offset and carries its jitter; the unsqueezed scheme and a pump
+        ratio of 0 inject none.
         """
         pick = (self.pickoff1, self.pickoff2)[source]
+        efficiency = pick.reflectivity * self.detector.quantum_efficiency
         sq = pick.squeezer
-        spec = None
-        if sq is not None and sq.pump_ratio > 0.0:
-            spec = SqueezerSpec(
-                pump_ratio=sq.pump_ratio,
-                hwhm_hz=sq.hwhm_hz,
-                escape_efficiency=sq.escape_efficiency,
-                squeeze_angle_rad=self.base_squeeze_angle() + sq.angle_offset_rad + extra_angle_rad,
-                center_freq_hz=self.squeezer_centers()[source],
-            )
-        return OpticalPath(
-            pick.reflectivity * self.detector.quantum_efficiency, spec, pick.injection_phase_rad
+        if self.scheme == "unsqueezed" or sq is None or sq.pump_ratio <= 0.0:
+            return OpticalPath(efficiency)
+        spec = SqueezerSpec(
+            pump_ratio=sq.pump_ratio,
+            hwhm_hz=sq.hwhm_hz,
+            escape_efficiency=sq.escape_efficiency,
+            squeeze_angle_rad=base_squeeze_angle(self.scheme) + sq.angle_offset_rad,
+            center_freq_hz=self.squeezer_centers()[source],
         )
+        return OpticalPath(efficiency, spec, sq.angle_jitter_rms_rad)
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -357,9 +360,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     for name, amplitude in (("beams.e1", b.e1), ("beams.e2", b.e2)):
         _check(
-            amplitude >= MIN_CARRIER,
+            MIN_CARRIER <= amplitude <= MAX_CARRIER,
             name,
-            f"must be >= {MIN_CARRIER:g} shot-noise units: both carriers must be on for a heterodyne run",
+            f"must lie in [{MIN_CARRIER:g}, {MAX_CARRIER:g}] shot-noise units for a heterodyne run",
         )
     _check(
         b.mod_depth_rad == 0.0 or b.mod_freq_hz > 0,

@@ -12,16 +12,19 @@ Every lossy step between a squeezer and the photocurrent (the pickoff of
 reflectivity R, the detector of quantum efficiency qe) is a beam splitter
 that admits vacuum, so together they act as one loss of efficiency
 R * qe: an ``OpticalPath``.  A squeezed path is
-sqrt(eta) e^{-i phi} S(v0) + sqrt(1 - eta) v1, two vacuum rows; an
-unsqueezed one is a single vacuum row, since loss leaves vacuum vacuum.
-The carrier, scaled by sqrt(qe), is added to the path noise in the time
-domain, so a beam arrives at the detector as a ``DetectedField``.
+sqrt(eta) S(v0) + sqrt(1 - eta) v1, two vacuum rows; an unsqueezed one
+is a single vacuum row, since loss leaves vacuum vacuum.  The path also
+carries the rms jitter of its squeeze angle, which the runner draws per
+frame and the budget folds into the angle error.  The carrier, scaled by
+sqrt(qe), is added to the path noise in the time domain, so a beam
+arrives at the detector as a ``DetectedField``.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
-noise riding on beam i is detected at quadrature angle -theta_other, so
-matching the pickoff injection phase to the opposing carrier phase keeps
-the squeezed quadrature in the measurement.
+noise riding on beam i is detected at quadrature angle -theta_other.
+The scheme fixes the squeeze angle the measurement reads
+(``base_squeeze_angle``); a squeezer set away from it, the only angle a
+path has, mixes in the anti-squeezed quadrature.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ from .rng import generator, seed_rows, stream_key
 
 PHASE_KINDS = ("none", "sinusoid")
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
+
+
+def base_squeeze_angle(scheme: str) -> float:
+    """Squeeze angle a scheme's squeezers sit at when aligned: the
+    straightforward scheme must squeeze the phase quadrature."""
+    return np.pi / 2.0 if scheme == "straightforward" else 0.0
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,14 @@ class OpticalPath:
 
     ``efficiency`` is the product of every power efficiency on the way
     (pickoff reflectivity times detector quantum efficiency);
-    ``squeezer=None`` injects plain vacuum.  ``injection_phase_rad``
-    rotates the squeezed field where the pickoff injects it.
+    ``squeezer=None`` injects plain vacuum.  The squeezer's
+    ``squeeze_angle_rad`` is the one angle of the path, and
+    ``jitter_rms_rad`` the rms of the per-frame jitter about it.
     """
 
     efficiency: float = 1.0
     squeezer: SqueezerSpec | None = None
-    injection_phase_rad: float = 0.0
+    jitter_rms_rad: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -190,17 +200,14 @@ def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, seed) -> FieldRe
     """Noise field that an optical path delivers to the detector, for one
     frame or, with a list of per-frame seeds, a block of them.
 
-    Vacuum from sub-stream 0 of ``seed`` is squeezed, rotated by the
-    injection phase and attenuated to the path efficiency, which admits
-    vacuum from sub-stream 1.  An unsqueezed path is the vacuum alone.
+    Vacuum from sub-stream 0 of ``seed`` is squeezed at the squeezer's
+    angle and attenuated to the path efficiency, which admits vacuum from
+    sub-stream 1.  An unsqueezed path is the vacuum alone.
     """
     vac = make_vacuum_field(grid, stream_key(seed, 0))
     if path.squeezer is None:
         return vac
-    out = apply_squeezer(vac, path.squeezer)
-    if path.injection_phase_rad != 0.0:
-        out = out.with_amplitudes(out.amplitudes * np.exp(-1j * path.injection_phase_rad))
-    return apply_loss(out, path.efficiency, stream_key(seed, 1))
+    return apply_loss(apply_squeezer(vac, path.squeezer), path.efficiency, stream_key(seed, 1))
 
 
 class BeamCarrier:

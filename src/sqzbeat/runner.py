@@ -32,9 +32,10 @@ reductions next to their closed-form budget predictions.
 
 Synthesis follows stream layout 2 (``rng``; heterodyne summaries record
 ``stream_layout=2``).  The context builds one optical path per beam
-(``cfg.optical_path``: squeezer, injection phase and efficiency R * qe,
-the record ``budgets.band_budget`` reads too): the reference's paths are
-unsqueezed and draw one vacuum row each, the target's squeezed ones two.
+(``cfg.optical_path``: squeezer at its angle, angle jitter and efficiency
+R * qe, the record ``budgets.band_budget`` reads too): the reference's
+paths are unsqueezed and draw one vacuum row each, the target's squeezed
+ones two; a jittered target path gets its squeeze angle redrawn per frame.
 The carriers, scaled by sqrt(qe), join the path noise in the time
 domain.  Each demod arm draws its readout noise once per frame, with the
 drive-induced excess added in quadrature on lit acquisitions only.  A
@@ -194,16 +195,12 @@ class _HeterodyneContext:
         )
         self.phase_sigma = np.sqrt(self.phase_var)
         # One optical path per beam: the target's as configured, the
-        # reference's the same path with its squeezer off.
+        # reference's the same efficiency with no squeezer.
         squeezed = (cfg.optical_path(0), cfg.optical_path(1))
         self.paths = {
-            "reference": tuple(replace(p, squeezer=None) for p in squeezed),
+            "reference": tuple(OpticalPath(p.efficiency) for p in squeezed),
             "target": squeezed,
         }
-        self.jitter_rms = tuple(
-            pick.squeezer.angle_jitter_rms_rad if path.squeezer else 0.0
-            for pick, path in zip((cfg.pickoff1, cfg.pickoff2), squeezed)
-        )
         n = self.grid.n_samples
         fs = self.grid.sample_rate
         self.freqs = np.fft.rfftfreq(n, d=1.0 / fs)
@@ -244,16 +241,22 @@ class _HeterodyneContext:
     def _paths(self, run_name: str, run_id: int, frames: range) -> tuple:
         """Each beam's optical path for a block: one record for every row,
         or a list of one per frame when the squeeze angle jitters."""
-        if run_name == "target" and any(self.jitter_rms):
+        if run_name == "target" and any(p.jitter_rms_rad for p in self.paths["target"]):
             per_frame = [self._jittered(run_id, i) for i in frames]
             return tuple(list(beam) for beam in zip(*per_frame))
         return self.paths[run_name]
 
-    def _jittered(self, run_id: int, index: int) -> tuple[OpticalPath, OpticalPath]:
-        cfg = self.cfg
-        gen = rngs.generator(rngs.frame_seed(cfg.seed, run_id, index, rngs.PORT_JITTER))
-        jitter = [gen.normal(0.0, r) if r > 0 else 0.0 for r in self.jitter_rms]
-        return cfg.optical_path(0, jitter[0]), cfg.optical_path(1, jitter[1])
+    def _jittered(self, run_id: int, index: int) -> tuple[OpticalPath, ...]:
+        """The target paths of one frame, each jittered squeezer turned by
+        a fresh draw from the frame's jitter stream."""
+        gen = rngs.generator(rngs.frame_seed(self.cfg.seed, run_id, index, rngs.PORT_JITTER))
+        paths = []
+        for p in self.paths["target"]:
+            if p.jitter_rms_rad > 0:
+                angle = p.squeezer.squeeze_angle_rad + gen.normal(0.0, p.jitter_rms_rad)
+                p = replace(p, squeezer=replace(p.squeezer, squeeze_angle_rad=angle))
+            paths.append(p)
+        return tuple(paths)
 
     def _photocurrent(self, run_name: str, frames: range) -> np.ndarray:
         """Detector output of a block of frames, one row per frame."""

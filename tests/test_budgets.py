@@ -1,6 +1,7 @@
 """Closed-form budget formulas against independent numeric oracles."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from sqzbeat.budgets import (
 from sqzbeat.config import list_presets, preset_config
 from sqzbeat.dsp import BandSpec
 from sqzbeat.fields import SqueezerSpec
+from sqzbeat.interferometer import OpticalPath
+
+VACUUM = OpticalPath()
 
 MEASURED = SqueezingLevels(
     s_lower_db=(4.5, 4.16),
@@ -171,10 +175,11 @@ def test_detected_squeezing_loss_chain():
 
 def test_heterodyne_budget_items_and_floors():
     spec = SqueezerSpec(np.sqrt(90.0 / 600.0), 3e9, 0.8)
+    path = OpticalPath(1.0, spec)
     budget = heterodyne_budget(
         "proposed",
         (6.89e6, 13.11e6),
-        (spec, spec),
+        (path, path),
         weights=(1.0, 1.0),
         classical_fraction=0.1,
     )
@@ -182,29 +187,32 @@ def test_heterodyne_budget_items_and_floors():
     s_band = float(np.mean(spec.squeezing_spectrum(np.array([6.89e6, 13.11e6]))[0]))
     assert budget.floor == pytest.approx(0.9 * s_band + 0.1, abs=1e-9)
 
-    vac = heterodyne_budget("unsqueezed", (6.89e6,), (None, None), (1.0, 1.0))
+    vac = heterodyne_budget("unsqueezed", (6.89e6,), (VACUUM, VACUUM), (1.0, 1.0))
     assert vac.floor == pytest.approx(1.0, abs=1e-12)
     assert vac.reduction_db == pytest.approx(0.0, abs=1e-12)
 
+    # straightforward squeezers sit on the phase quadrature, the scheme's
+    # base angle
+    phase = OpticalPath(1.0, replace(spec, squeeze_angle_rad=np.pi / 2.0))
     forward = heterodyne_budget(
-        "straightforward", (1e6,), (spec, spec), weights=(1.0, 1.0)
+        "straightforward", (1e6,), (phase, phase), weights=(1.0, 1.0)
     )
     s, a = spec.squeezing_spectrum(1e6)
     assert forward.floor == pytest.approx((3 * s + a) / 4.0, abs=1e-9)
 
     # the schemes coincide only at zero squeezing: the proposed floor is
     # the squeezed quadrature itself
-    proposed = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
+    proposed = heterodyne_budget("proposed", (1e6,), (path, path), (1.0, 1.0))
     assert proposed.floor == pytest.approx(s, abs=1e-9)
     assert forward.floor > proposed.floor
-    off = heterodyne_budget("straightforward", (1e6,), (None, None), (1.0, 1.0))
+    off = heterodyne_budget("straightforward", (1e6,), (VACUUM, VACUUM), (1.0, 1.0))
     assert off.floor == pytest.approx(1.0, abs=1e-12)
 
 
 def test_budget_raw_band_carries_reduced_classical_weight():
     kw = dict(
         eps_hz=(6.89e6,),
-        squeezers=(None, None),
+        paths=(VACUUM, VACUUM),
         weights=(1.0, 1.0),
         classical_fraction=0.1,
     )
@@ -217,10 +225,10 @@ def test_budget_raw_band_carries_reduced_classical_weight():
 
 def test_budget_angle_error_leaks_antisqueezing():
     spec = SqueezerSpec(0.5, 3e9, 1.0)
-    aligned = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
-    tilted = heterodyne_budget(
-        "proposed", (1e6,), (spec, spec), (1.0, 1.0), angle_offset_rad=0.2
-    )
+    path = OpticalPath(1.0, spec)
+    aligned = heterodyne_budget("proposed", (1e6,), (path, path), (1.0, 1.0))
+    turned = OpticalPath(1.0, replace(spec, squeeze_angle_rad=0.2))
+    tilted = heterodyne_budget("proposed", (1e6,), (turned, turned), (1.0, 1.0))
     assert tilted.terms["anti_squeezed_leakage"] > 0.0
     assert tilted.floor > aligned.floor
 

@@ -240,8 +240,8 @@ def test_linearized_matches_exact_detection():
     assert res / lvl < 0.01
 
 
-def test_injection_phase_swaps_quadrature():
-    # a quarter-turn injection error exposes the anti-squeezed quadrature
+def test_squeeze_angle_swaps_quadrature():
+    # a quarter-turn squeeze-angle error exposes the anti-squeezed quadrature
     x = 0.5195253280689318
     e = 800.0
     frames = 200
@@ -249,8 +249,8 @@ def test_injection_phase_swaps_quadrature():
     band = (freqs > 2e6) & (freqs < 15e6) & (np.abs(freqs - BEAT) > 1e6)
     floors = {}
     for phase in (0.0, np.pi / 2.0):
-        spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C2)
-        path = OpticalPath(1.0, spec, injection_phase_rad=phase)
+        spec = SqueezerSpec(x, 3e9, 1.0, squeeze_angle_rad=phase, center_freq_hz=C2)
+        path = OpticalPath(1.0, spec)
         traces = []
         for i in range(frames):
             f1 = _beam(BeamSpec(e, C1), path, substream(95, i, 0))
@@ -418,7 +418,8 @@ def test_block_rows_equal_single_frames():
     # a block of frames is one call per step; every row must carry the
     # bits of the same frame synthesized and detected alone
     spec = SqueezerSpec(0.4, 30e6, 0.9, center_freq_hz=C2)
-    paths = [OpticalPath(0.96, spec), OpticalPath(0.96, spec, injection_phase_rad=0.2), OpticalPath(0.96, None)]
+    turned = replace(spec, squeeze_angle_rad=0.2)
+    paths = [OpticalPath(0.96, spec), OpticalPath(0.96, turned), OpticalPath(0.96, None)]
     qe = 0.95
     carrier1 = BeamCarrier(GRID, BeamSpec(700.0, C1), qe)
     carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec("sinusoid", 3.11e6, 1e-3)), qe)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sqzbeat import config
 from sqzbeat.cli import main
 from sqzbeat.config import (
     ConfigError,
@@ -134,6 +135,45 @@ def test_reduced_frame_run_consistent_with_larger_run():
     for bs, bl in zip(small.bands, large.bands):
         combined = np.hypot(bs.stderr_db, bl.stderr_db)
         assert abs(bs.reduction_db - bl.reduction_db) < 3.5 * combined
+
+
+def _closes(summary):
+    """Every band's measured reduction lies within 4 standard errors of its budget."""
+    for band in summary.bands:
+        assert abs(band.reduction_db - band.predicted_db) <= 4.0 * band.stderr_db, band
+
+
+def test_unsqueezed_scheme_ignores_pickoff_squeezers():
+    # the scheme decides: squeezers configured on the pickoffs of an
+    # unsqueezed run inject vacuum, as its 0 dB budget says
+    patch = {
+        "pickoff1": {"squeezer": {"pump_ratio": 0.4}},
+        "pickoff2": {"squeezer": {"pump_ratio": 0.4}},
+    }
+    summary = run(merge_config(preset_config("vacuum-selftest"), patch), frames=200, write_outputs=False)
+    for band in summary.bands:
+        assert band.predicted_db == pytest.approx(0.0, abs=1e-12)
+    _closes(summary)
+
+
+@pytest.mark.parametrize(
+    "squeezer",
+    [{"angle_offset_rad": 0.5}, {"angle_jitter_rms_rad": 0.3}],
+    ids=["angle-offset", "angle-jitter"],
+)
+def test_squeeze_angle_errors_close_against_budget(squeezer):
+    # a squeezer off its quadrature leaks anti-squeezing, and the run
+    # measures what the budget predicts from the same optical paths
+    cfg = preset_config("fig3-raw")
+    patch = {
+        name: {"squeezer": dict(to_dict(cfg)[name]["squeezer"], **squeezer)}
+        for name in ("pickoff1", "pickoff2")
+    }
+    summary = run(merge_config(cfg, patch), frames=384, write_outputs=False)
+    aligned = run(cfg, frames=4, write_outputs=False)  # budgets do not depend on frames
+    for band, ref in zip(summary.bands, aligned.bands):
+        assert band.predicted_db < ref.predicted_db
+    _closes(summary)
 
 
 def test_epr_preset_summary():
@@ -285,6 +325,8 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("fig3-raw", '{"grid": {"n_samples": 1000000000000000000000000000000}}', "grid.n_samples"),
         ("fig4-demod", '{"beams": {"beat_freq_hz": 1e-300}}', "beams.beat_freq_hz"),
         ("vacuum-selftest", '{"beams": {"e2": 1e-300}}', "beams.e2"),
+        ("appendixG-straightforward", '{"beams": {"e1": 1e300}}', "beams.e1"),
+        ("fig3-raw", '{"pickoff1": {"injection_phase_rad": 0.5}}', "pickoff1.injection_phase_rad"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
@@ -293,7 +335,8 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "sweep-band-past-margin", "sweep-band-straddling-margin", "epr-slow-grid", "epr-fast-grid",
         "sweep-no-pumps", "binless-normalization-band", "binless-analysis-band",
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
-        "huge-frame", "sub-bin-beat", "vanishing-carrier",
+        "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
+        "removed-injection-phase",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
@@ -329,7 +372,9 @@ def test_validate_rejects_non_finite_values_in_every_section():
     ],
     ids=["overflowing-carrier"],
 )
-def test_cli_overflow_is_a_numerical_error(patch, message, tmp_path, capsys):
+def test_cli_overflow_is_a_numerical_error(patch, message, tmp_path, capsys, monkeypatch):
+    # validation bounds the carriers; lifted, the overflow reaches the run
+    monkeypatch.setattr(config, "MAX_CARRIER", float("inf"))
     cfg_path = tmp_path / "patch.json"
     cfg_path.write_text(patch)
     rc = main([
