@@ -83,11 +83,12 @@ def _fold(x, y):
     return 0.75 * x + 0.25 * y
 
 
-def _angle_mix(s, a, theta, folded: bool = False) -> tuple[float, float]:
-    """Squeezed and anti-squeezed parts of s cos^2(theta) + a sin^2(theta),
-    the quadrature power read at an angle error theta; ``folded`` applies
-    the straightforward fold (3 s' + a') / 4 to the mixed pair."""
-    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+def _angle_mix(s, a, theta0, sigma, folded: bool = False) -> tuple[float, float]:
+    """Squeezed and anti-squeezed parts of s cos^2 + a sin^2 averaged over a
+    Gaussian angle error N(theta0, sigma^2), weights (1 +- cos 2theta0 e^(-2 sigma^2)) / 2;
+    ``folded`` applies the straightforward fold (3 s' + a') / 4 to the pair."""
+    contrast = np.cos(2.0 * theta0) * np.exp(-2.0 * sigma**2)
+    c2, s2 = (1.0 + contrast) / 2.0, (1.0 - contrast) / 2.0
     if folded:
         c2, s2 = _fold(c2, s2), _fold(s2, c2)
     return s * c2, a * s2
@@ -160,11 +161,11 @@ def classical_noise_limit(classical_fraction: float, s_linear: float) -> float:
 
 
 def phase_jitter_penalty(s_linear: float, a_linear: float, theta_rms_rad: float) -> float:
-    """Effective squeezed-quadrature power under quasi-static Gaussian
-    angle jitter: s cos^2(theta) + a sin^2(theta)."""
+    """Effective squeezed-quadrature power under quasi-static angle jitter of
+    rms theta, the Gaussian average s (1 + e^(-2 theta^2)) / 2 + a (1 - e^(-2 theta^2)) / 2."""
     if theta_rms_rad < 0:
         raise ValueError("theta_rms_rad must be >= 0")
-    direct, leak = _angle_mix(s_linear, a_linear, theta_rms_rad)
+    direct, leak = _angle_mix(s_linear, a_linear, 0.0, theta_rms_rad)
     return float(direct + leak)
 
 
@@ -213,8 +214,8 @@ def heterodyne_budget(
     band passes the offsets of the raw bins folding into it); the floor
     averages the squeezing spectrum over them, mirroring the linear-power
     band mean of the estimator.  Each path's squeezing is read at its
-    efficiency and at the angle error (squeeze angle less the scheme's
-    base angle) combined in quadrature with its jitter.  The
+    efficiency and averaged over a Gaussian angle error about its offset
+    (squeeze angle less the scheme's base angle) of rms its jitter.  The
     straightforward floor assumes the squeezing is flat across the folded
     bands.
 
@@ -235,14 +236,15 @@ def heterodyne_budget(
 
     direct = np.ones(2)
     leak = np.zeros(2)
+    folded = scheme == "straightforward"
     for i, path in enumerate(paths):
         spec = path.squeezer
-        s_bar, a_bar, theta = 1.0, 1.0, 0.0
+        s_bar, a_bar, theta0 = 1.0, 1.0, 0.0
         if spec is not None:
             s, a = detected_squeezing(spec, eps, path.efficiency)
             s_bar, a_bar = float(np.mean(s)), float(np.mean(a))
-            theta = np.hypot(spec.squeeze_angle_rad - base_squeeze_angle(scheme), path.jitter_rms_rad)
-        direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta, folded=scheme == "straightforward")
+            theta0 = spec.squeeze_angle_rad - base_squeeze_angle(scheme)
+        direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta0, path.jitter_rms_rad, folded)
 
     if band_kind not in ("raw", "demod"):
         raise ValueError("band_kind must be 'raw' or 'demod'")

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> "ExperimentConfig":
+def _load_config(args) -> "Config":
     if not args.preset and not args.config:
         raise ConfigError("run", "need --preset and/or --config")
     cfg = preset_config(args.preset) if args.preset else None

@@ -1,9 +1,10 @@
 """Experiment configuration, validation and the preset catalog.
 
-Configs are plain frozen dataclasses with JSON round-tripping.  Validation
-raises ConfigError with a dotted field path so the CLI can point at the
-offending entry.  The preset catalog expands to complete configs that pass
-validation; every run records the hash of its expanded config.
+Configs are plain frozen dataclasses with JSON round-tripping, one type
+per run kind (``CONFIG_TYPES``) holding only the fields its run reads.
+Validation raises ConfigError with a dotted field path so the CLI can point
+at the offending entry.  The preset catalog expands to complete configs
+that pass validation; every run records the hash of its expanded config.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .dsp import BandSpec
 from .fields import BandError, FrequencyGrid, SqueezerSpec
 from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
 
-KINDS = ("heterodyne", "epr", "opo-sweep")
 MEASUREMENTS = ("raw", "demod", "demod-no-cross")
 
 # Matches an escape efficiency times pickoff and detector losses of about
@@ -132,14 +132,16 @@ class MeasurementConfig:
 
 @dataclass(frozen=True)
 class EprConfig:
+    sample_rate_hz: float = 125e6
     draws: int = 100
     residual_threshold: float = 1e-9
 
 
 @dataclass(frozen=True)
 class OpoSweepConfig:
-    """Per-pump quadrature-spectrum measurement; frame count comes from grid.frames."""
+    """Per-pump quadrature spectra squeezed about anchor_hz; frames from grid.frames."""
 
+    anchor_hz: float = 30e6
     pump_powers_mw: tuple[float, ...] = (50.0, 100.0, 200.0, 300.0)
     threshold_mw: float = 600.0
     hwhm_hz: float = 30e6
@@ -158,8 +160,6 @@ class ExperimentConfig:
     pickoff2: PickoffConfig = field(default_factory=PickoffConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    epr: EprConfig | None = None
-    opo_sweep: OpoSweepConfig | None = None
     seed: int = 20230811
     out_dir: str = "out"
 
@@ -203,7 +203,34 @@ class ExperimentConfig:
         return OpticalPath(efficiency, spec, sq.angle_jitter_rms_rad)
 
 
-def to_dict(cfg: ExperimentConfig) -> dict:
+@dataclass(frozen=True)
+class IdentityConfig:
+    name: str = "custom"
+    kind: str = "epr"
+    epr: EprConfig = field(default_factory=EprConfig)
+    seed: int = 20230811
+    out_dir: str = "out"
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    name: str = "custom"
+    kind: str = "opo-sweep"
+    grid: GridConfig = field(default_factory=GridConfig)
+    opo_sweep: OpoSweepConfig = field(default_factory=OpoSweepConfig)
+    seed: int = 20230811
+    out_dir: str = "out"
+
+    def frequency_grid(self) -> FrequencyGrid:
+        return FrequencyGrid(self.grid.sample_rate_hz, self.grid.n_samples, self.opo_sweep.anchor_hz)
+
+
+Config = ExperimentConfig | IdentityConfig | SweepConfig
+CONFIG_TYPES = {"heterodyne": ExperimentConfig, "epr": IdentityConfig, "opo-sweep": SweepConfig}
+KINDS = tuple(CONFIG_TYPES)
+
+
+def to_dict(cfg: Config) -> dict:
     return asdict(cfg)
 
 
@@ -264,16 +291,18 @@ def _from_data(tp, data, path: str):
     return data
 
 
-def from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from plain JSON data, with field-path errors."""
-    return _from_data(ExperimentConfig, data, "")
+def from_dict(data: dict) -> Config:
+    """Build the config of data's kind from plain JSON data, with field-path errors."""
+    kind = data.get("kind", "heterodyne") if isinstance(data, dict) else "heterodyne"
+    _check(isinstance(kind, str) and kind in KINDS, "kind", f"must be one of {KINDS}")
+    return _from_data(CONFIG_TYPES[kind], data, "")
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
+def config_hash(cfg: Config) -> str:
     """Hash of everything that determines the emitted numbers.
 
-    The output directory is excluded: the same physics written somewhere
-    else must stay byte-identical.
+    It covers only fields the run reads: the output directory is excluded,
+    so the same physics written somewhere else stays byte-identical.
     """
     payload = to_dict(cfg)
     payload.pop("out_dir", None)
@@ -301,16 +330,28 @@ def _finite(x) -> bool:
         return False
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: Config) -> None:
     """Raise ConfigError at the first violated invariant.
 
     The config is first rebuilt from its plain data, so a mistyped or
     non-finite value is named by its path before any range check reads it.
     """
-    from_dict(to_dict(cfg))
-    _check(cfg.kind in KINDS, "kind", f"must be one of {KINDS}")
-    _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
+    _from_data(type(cfg), to_dict(cfg), "")
+    _check(CONFIG_TYPES.get(cfg.kind) is type(cfg), "kind", f"must be one of {KINDS}, matching the config")
     _check(cfg.seed >= 0, "seed", "must be a non-negative integer")
+    if cfg.kind == "epr":
+        _check(cfg.epr.draws >= 1, "epr.draws", "must be >= 1")
+        _check(cfg.epr.residual_threshold > 0, "epr.residual_threshold", "must be positive")
+        # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
+        # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
+        # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
+        _check(
+            48e6 < cfg.epr.sample_rate_hz <= 8e9,
+            "epr.sample_rate_hz",
+            "must lie in (48 MHz, 8 GHz] for the identity draws (4-12 MHz beats on 2000-5000 samples)",
+        )
+        return
+
     g = cfg.grid
     _check(g.sample_rate_hz > 0, "grid.sample_rate_hz", "must be positive")
     _check(
@@ -319,30 +360,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         f"must be even and in [16, {MAX_SAMPLES}]",
     )
     _check(g.frames >= 1, "grid.frames", "must be >= 1")
-
-    if cfg.kind == "epr":
-        _check(cfg.epr is not None, "epr", "required for kind 'epr'")
-        _check(cfg.epr.draws >= 1, "epr.draws", "must be >= 1")
-        _check(cfg.epr.residual_threshold > 0, "epr.residual_threshold", "must be positive")
-        # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
-        # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
-        # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
-        _check(
-            48e6 < g.sample_rate_hz <= 8e9,
-            "grid.sample_rate_hz",
-            "must lie in (48 MHz, 8 GHz] for the identity draws (4-12 MHz beats on 2000-5000 samples)",
-        )
-        return
-
-    b = cfg.beams
+    section = "opo_sweep" if cfg.kind == "opo-sweep" else "beams"
+    anchor = getattr(cfg, section).anchor_hz
     nyq = g.sample_rate_hz / 2.0
-    _check(-nyq < b.anchor_hz < nyq, "beams.anchor_hz", "must lie strictly inside (-Nyquist, Nyquist)")
+    _check(-nyq < anchor < nyq, f"{section}.anchor_hz", "must lie strictly inside (-Nyquist, Nyquist)")
     grid = cfg.frequency_grid()
-    _on_grid(grid, b.anchor_hz, "beams.anchor_hz")
+    _on_grid(grid, anchor, f"{section}.anchor_hz")
     # The frequency axis the runner's spectra are written on.
     freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)
     if cfg.kind == "opo-sweep":
-        _check(cfg.opo_sweep is not None, "opo_sweep", "required for kind 'opo-sweep'")
         ow = cfg.opo_sweep
         _check(ow.threshold_mw > 0, "opo_sweep.threshold_mw", "must be positive")
         _check(len(ow.pump_powers_mw) >= 1, "opo_sweep.pump_powers_mw", "need at least one pump power")
@@ -353,11 +379,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         # Quadratures keep only the sidebands whose partners both lie in
         # the grid, so the band must stay within the anchor's margin.
         lo, hi = ow.band_hz
-        margin = grid.edge_margin(b.anchor_hz)
+        margin = grid.edge_margin(anchor)
         _check(0 < lo < hi <= margin, "opo_sweep.band_hz", f"must satisfy 0 < lo < hi <= {margin:.0f} Hz")
         _check(np.any((freqs >= lo) & (freqs <= hi)), "opo_sweep.band_hz", "holds no frequency bin")
         return
 
+    _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
+    b = cfg.beams
     for name, amplitude in (("beams.e1", b.e1), ("beams.e2", b.e2)):
         _check(
             MIN_CARRIER <= amplitude <= MAX_CARRIER,
@@ -554,21 +582,14 @@ def _preset_vacuum() -> ExperimentConfig:
     )
 
 
-def _preset_epr() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="epr-identity",
-        kind="epr",
-        epr=EprConfig(draws=100),
-        out_dir="out/epr-identity",
-    )
+def _preset_epr() -> IdentityConfig:
+    return IdentityConfig(name="epr-identity", out_dir="out/epr-identity")
 
 
-def _preset_pump_sweep() -> ExperimentConfig:
-    return ExperimentConfig(
+def _preset_pump_sweep() -> SweepConfig:
+    return SweepConfig(
         name="appendixE-pump-sweep",
-        kind="opo-sweep",
         grid=GridConfig(n_samples=2500, frames=500),
-        opo_sweep=OpoSweepConfig(),
         out_dir="out/appendixE-pump-sweep",
     )
 
@@ -609,13 +630,13 @@ def list_presets() -> list[tuple[str, str]]:
     return [(name, desc) for name, (desc, _) in PRESETS.items()]
 
 
-def preset_config(name: str) -> ExperimentConfig:
+def preset_config(name: str) -> Config:
     if name not in PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}; see list-presets")
     return PRESETS[name][1]()
 
 
-def merge_config(cfg: ExperimentConfig, patch: dict) -> ExperimentConfig:
+def merge_config(cfg: Config, patch: dict) -> Config:
     """Shallow-by-section merge of a JSON patch onto a config."""
     base = to_dict(cfg)
     for key, value in patch.items():

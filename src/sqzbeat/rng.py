@@ -23,7 +23,7 @@ port               stream
 ``PORT_DETECTOR``  white electronic noise of the balanced detector
 ``PORT_PHASE``     classical phase noise on beam 2
 ``PORT_ARM1``      readout noise of demod arm 1 (drive-induced excess
-``PORT_ARM2``      included on lit acquisitions) and of arm 2
+``PORT_ARM2``      included on lit acquisitions) and of arm 2 (cross only)
 ``PORT_JITTER``    squeeze-angle jitter of both squeezers
 =================  ==========================================================
 

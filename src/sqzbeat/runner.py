@@ -60,8 +60,11 @@ import numpy as np
 from . import rng as rngs
 from .budgets import band_budget
 from .config import (
+    Config,
     ConfigError,
     ExperimentConfig,
+    IdentityConfig,
+    SweepConfig,
     config_hash,
     preset_config,
     validate_config,
@@ -84,6 +87,7 @@ from .dsp import (
     raw_measurement_chain,
 )
 from .fields import FrequencyGrid, SqueezerSpec, make_vacuum_field, apply_squeezer, quadrature_series
+from .fields import epr_identity_residual
 from .interferometer import (
     BeamCarrier,
     BeamSpec,
@@ -123,11 +127,11 @@ class BandResult:
 class RunSummary:
     name: str
     kind: str
-    scheme: str
     measurement: str
     config_hash: str
     seed: int
     frames: int
+    scheme: str | None = None  # heterodyne runs only
     bands: list[BandResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
@@ -137,7 +141,7 @@ class RunSummary:
         lines = [
             f"preset={self.name}",
             f"kind={self.kind}",
-            f"scheme={self.scheme}",
+            *([f"scheme={self.scheme}"] if self.scheme is not None else []),
             f"measurement={self.measurement}",
             f"config_hash={self.config_hash}",
             f"seed={self.seed}",
@@ -156,15 +160,16 @@ class RunSummary:
 
 
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
+    name, value = "workers", workers
+    if workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or 1
     try:
-        return max(1, int(env))
+        count = int(value)
     except ValueError:
-        raise ConfigError(WORKERS_ENV, f"must be an integer, got {env!r}") from None
+        raise ConfigError(name, f"must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigError(name, f"must be >= 1, got {value!r}")
+    return count
 
 
 class _HeterodyneContext:
@@ -207,6 +212,8 @@ class _HeterodyneContext:
         self.window, self.wnorm = hamming_window(n)
         ms = cfg.measurement
         self.measurement = ms.kind
+        # The one periodogram reported: of both demod arms, or of the raw beat or arm 1.
+        self.estimate = "cross" if ms.kind == "demod" else "auto"
         # The one chain list: the runner filters with it and compensation
         # divides its response out.
         if ms.kind == "raw":
@@ -280,12 +287,12 @@ class _HeterodyneContext:
     # -- measurement -----------------------------------------------------
 
     def _arms(self, run_name: str, frames: range, x: np.ndarray) -> list[np.ndarray]:
-        """Both demodulated readout arms of a block of photocurrent rows."""
+        """The readout arms of a block of photocurrent rows; arm 1 alone for an auto-spectrum."""
         run_id = _RUN_IDS[run_name]
         base = mix_down(x, self.lo, self.lpf_h)
         sigma = self.arm_sigma[run_name]
         arms = []
-        for port in (rngs.PORT_ARM1, rngs.PORT_ARM2):
+        for port in (rngs.PORT_ARM1, rngs.PORT_ARM2)[: 2 if self.estimate == "cross" else 1]:
             y = base
             if sigma > 0.0:
                 y = y + self._draws(self._keys(run_id, frames, port), sigma)
@@ -293,25 +300,20 @@ class _HeterodyneContext:
         return arms
 
     def periodograms(self, run_name: str, blocks):
-        """Periodogram rows of each block of frames of one acquisition."""
+        """Reported periodogram rows of each block of frames of one acquisition."""
         for frames in blocks:
             x = self._photocurrent(run_name, frames)
-            if self.measurement == "raw":
-                v = frame_spectrum(filter_frame(x, self.raw_h), self.window)
-                yield {"auto": auto_periodogram(v, self.wnorm)}
-            else:
-                v1, v2 = (frame_spectrum(a, self.window) for a in self._arms(run_name, frames, x))
-                yield {
-                    "cross": cross_periodogram(v1, v2, self.wnorm),
-                    "auto1": auto_periodogram(v1, self.wnorm),
-                }
+            rows = [filter_frame(x, self.raw_h)] if self.measurement == "raw" else self._arms(run_name, frames, x)
+            spectra = [frame_spectrum(r, self.window) for r in rows]
+            periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
+            yield {self.estimate: periodogram(*spectra, self.wnorm)}
 
 
 class _SweepContext:
     """Per-run state of a pump sweep: one squeezer per pump power, each
     power an acquisition of vacuum frames squeezed about the anchor."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: SweepConfig):
         ow = cfg.opo_sweep
         self.seed = cfg.seed
         self.grid = cfg.frequency_grid()
@@ -374,6 +376,8 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
         for acquisition in ctx.acquisitions
         for s in range(0, n_frames, CHUNK_FRAMES)
     ]
+    # A pool starts every worker at its first submit: no more workers than jobs.
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return _fold(jobs, (_chunk_sum(ctx, *job) for job in jobs))
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -399,12 +403,11 @@ def _db_rel(values: np.ndarray, norm: float) -> np.ndarray:
     return 10.0 * np.log10(safe)
 
 
-def _summary(cfg: ExperimentConfig, measurement: str, frames: int, **results) -> RunSummary:
+def _summary(cfg: Config, measurement: str, frames: int, **results) -> RunSummary:
     """A run's summary under the header every run kind shares."""
     return RunSummary(
         name=cfg.name,
         kind=cfg.kind,
-        scheme=cfg.scheme,
         measurement=measurement,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
@@ -417,14 +420,10 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
     ctx = _HeterodyneContext(cfg)
     frames = cfg.grid.frames
     freqs = ctx.freqs
-    key = {"raw": "auto", "demod": "cross", "demod-no-cross": "auto1"}[cfg.measurement.kind]
     sums = _accumulate_runs(ctx, frames, workers)
     estimates = {
         run_name: SpectrumEstimate(
-            freqs,
-            sums[run_name][key] / frames,
-            n_frames=frames,
-            kind="cross" if key == "cross" else "auto",
+            freqs, sums[run_name][ctx.estimate] / frames, n_frames=frames, kind=ctx.estimate
         )
         for run_name in RUN_NAMES
     }
@@ -471,16 +470,14 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
         for name, values in (("reference", ref_sub), ("target", tgt_sub))
     ]
     summary = _summary(
-        cfg, cfg.measurement.kind, frames, bands=bands,
+        cfg, cfg.measurement.kind, frames, scheme=cfg.scheme, bands=bands,
         extras={"stream_layout": str(rngs.STREAM_LAYOUT)},
     )
     return summary, spectra
 
 
-def _run_epr(cfg: ExperimentConfig) -> RunSummary:
-    from .fields import epr_identity_residual
-
-    fs = cfg.grid.sample_rate_hz
+def _run_epr(cfg: IdentityConfig) -> RunSummary:
+    fs = cfg.epr.sample_rate_hz
     draws = cfg.epr.draws
     gen = rngs.generator(rngs.substream(cfg.seed, 900))
     worst = 0.0
@@ -517,7 +514,7 @@ def _run_epr(cfg: ExperimentConfig) -> RunSummary:
     )
 
 
-def _run_opo_sweep(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, list]:
+def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, list]:
     ctx = _SweepContext(cfg)
     ow = cfg.opo_sweep
     frames = cfg.grid.frames
@@ -555,7 +552,7 @@ def _run_opo_sweep(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, lis
 
 
 def run(
-    cfg: ExperimentConfig,
+    cfg: Config,
     frames: int | None = None,
     seed: int | None = None,
     out_dir: str | None = None,
@@ -564,7 +561,7 @@ def run(
 ) -> RunSummary:
     """Execute one expanded config end to end and emit its artifacts."""
     if frames is not None:
-        if cfg.kind == "epr" and cfg.epr is not None:  # an identity run counts draws
+        if cfg.kind == "epr":  # an identity run counts draws
             cfg = replace(cfg, epr=replace(cfg.epr, draws=int(frames)))
         else:
             cfg = replace(cfg, grid=replace(cfg.grid, frames=int(frames)))

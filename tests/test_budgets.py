@@ -141,6 +141,10 @@ def test_phase_jitter_penalty():
     eff = phase_jitter_penalty(s, a, np.radians(1.5))
     assert eff == pytest.approx(0.053266, abs=1e-5)
     assert -10.0 * np.log10(eff) > 12.0
+    # a large jitter against the Gaussian average of s cos^2 + a sin^2 by quadrature
+    x, w = np.polynomial.hermite_e.hermegauss(60)
+    mix = s * np.cos(0.6 * x) ** 2 + a * np.sin(0.6 * x) ** 2
+    assert phase_jitter_penalty(s, a, 0.6) == pytest.approx(np.dot(w, mix) / np.sqrt(2 * np.pi), rel=1e-12)
 
 
 def test_straightforward_floor_formula_points():

@@ -84,11 +84,10 @@ def patches(draw):
     whole top-level section."""
     name = draw(st.sampled_from(PRESETS))
     data = _plain(name)
-    kind = draw(st.sampled_from(KINDS))
     paths = sorted(_paths(data), key=repr)
-    if kind == "swapped edges":
-        paths = [p for p in paths if _swapped(_at(data, p)) is not None]
-    path = draw(st.sampled_from(paths))
+    swappable = [p for p in paths if _swapped(_at(data, p)) is not None]
+    kind = draw(st.sampled_from(KINDS if swappable else list(VALUES)))  # epr-identity has no band
+    path = draw(st.sampled_from(swappable if kind == "swapped edges" else paths))
     parent = _at(data, path[:-1])
     if kind == "swapped edges":
         parent[path[-1]] = _swapped(parent[path[-1]])

@@ -81,3 +81,9 @@ def test_fig4_demod_frame_index_builds_17_generators(stream_log):
     run(preset_config("fig4-demod"), frames=1, workers=1, write_outputs=False)
     assert len(stream_log) == 17
     assert sorted(key for _, key in stream_log) == FIG4_KEYS
+
+
+def test_auto_spectrum_readout_never_draws_arm_2(stream_log):
+    # appendixD-no-cross reads arm 1 alone, from the same streams as fig4-demod
+    run(preset_config("appendixD-no-cross"), frames=1, workers=1, write_outputs=False)
+    assert sorted(key for _, key in stream_log) == [k for k in FIG4_KEYS if k[2] != rng.PORT_ARM2]

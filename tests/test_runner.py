@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqzbeat import config
+from sqzbeat import config, runner
 from sqzbeat.cli import main
 from sqzbeat.config import (
     ConfigError,
@@ -158,8 +158,8 @@ def test_unsqueezed_scheme_ignores_pickoff_squeezers():
 
 @pytest.mark.parametrize(
     "squeezer",
-    [{"angle_offset_rad": 0.5}, {"angle_jitter_rms_rad": 0.3}],
-    ids=["angle-offset", "angle-jitter"],
+    [{"angle_offset_rad": 0.5}, {"angle_jitter_rms_rad": 0.3}, {"angle_jitter_rms_rad": 0.6}],
+    ids=["angle-offset", "angle-jitter", "large-angle-jitter"],
 )
 def test_squeeze_angle_errors_close_against_budget(squeezer):
     # a squeezer off its quadrature leaks anti-squeezing, and the run
@@ -285,6 +285,42 @@ def test_cli_rejects_non_integer_worker_env(tmp_path, monkeypatch, capsys):
     assert "SQZBEAT_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env, workers, name", [("0", None, "SQZBEAT_WORKERS"), (None, -2, "workers")])
+def test_worker_count_below_one_is_a_config_error(env, workers, name, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("SQZBEAT_WORKERS", env)
+    with pytest.raises(ConfigError, match=f"^{name}: must be >= 1"):
+        run_preset("vacuum-selftest", frames=2, workers=workers, write_outputs=False)
+
+
+def test_pool_is_no_larger_than_its_job_count(monkeypatch):
+    # a pool starts every worker at its first submit; a stand-in records
+    # the size asked for and maps in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
+    run_preset("vacuum-selftest", frames=2, write_outputs=False)  # 3 acquisitions of one chunk
+    run_preset("appendixE-pump-sweep", frames=2, write_outputs=False)  # 4 pump powers
+    assert sizes == [3, 4]
+    one_pump = merge_config(preset_config("appendixE-pump-sweep"), {"opo_sweep": {"pump_powers_mw": [100.0]}})
+    run(one_pump, frames=2, write_outputs=False)  # one job runs without a pool
+    assert sizes == [3, 4]
+
+
 def test_frames_override_sets_epr_draws(tmp_path):
     assert main(["run", "--preset", "epr-identity", "--frames", "7", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "summary.txt").read_text().splitlines()
@@ -302,15 +338,15 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("vacuum-selftest", '{"detector": {"gain_ripple_db": NaN}}', "detector.gain_ripple_db"),
         ("vacuum-selftest", '{"measurement": {"bands": 5}}', "measurement.bands"),
         ("vacuum-selftest", '{"pickoff1": {"squeezer": {}}}', "pickoff1.squeezer"),
-        ("appendixE-pump-sweep", '{"grid": {"sample_rate_hz": 1}}', "beams.anchor_hz"),
-        ("appendixE-pump-sweep", '{"beams": {"anchor_hz": -1e200}}', "beams.anchor_hz"),
+        ("appendixE-pump-sweep", '{"grid": {"sample_rate_hz": 1}}', "opo_sweep.anchor_hz"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"anchor_hz": -1e200}}', "opo_sweep.anchor_hz"),
         ("appendixE-pump-sweep", '{"grid": {"sample_rate_hz": 1e200}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [70e6, 80e6]}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [20e6, 1e6]}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [40e6, 60e6]}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [1e6, 60e6]}}', "opo_sweep.band_hz"),
-        ("epr-identity", '{"grid": {"sample_rate_hz": 3e6}}', "grid.sample_rate_hz"),
-        ("epr-identity", '{"grid": {"sample_rate_hz": 1e200}}', "grid.sample_rate_hz"),
+        ("epr-identity", '{"epr": {"sample_rate_hz": 3e6}}', "epr.sample_rate_hz"),
+        ("epr-identity", '{"epr": {"sample_rate_hz": 1e200}}', "epr.sample_rate_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": []}}', "opo_sweep.pump_powers_mw"),
         (
             "vacuum-selftest",
@@ -327,6 +363,10 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("vacuum-selftest", '{"beams": {"e2": 1e-300}}', "beams.e2"),
         ("appendixG-straightforward", '{"beams": {"e1": 1e300}}', "beams.e1"),
         ("fig3-raw", '{"pickoff1": {"injection_phase_rad": 0.5}}', "pickoff1.injection_phase_rad"),
+        ("epr-identity", '{"detector": {"quantum_efficiency": 0.5}}', "detector"),
+        ("epr-identity", '{"scheme": "straightforward"}', "scheme"),
+        ("appendixE-pump-sweep", '{"pickoff1": {"reflectivity": 0.5}}', "pickoff1"),
+        ("vacuum-selftest", '{"kind": {}}', "kind"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
@@ -336,7 +376,7 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "sweep-no-pumps", "binless-normalization-band", "binless-analysis-band",
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
-        "removed-injection-phase",
+        "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
