@@ -639,6 +639,8 @@ def preset_config(name: str) -> Config:
 def merge_config(cfg: Config, patch: dict) -> Config:
     """Shallow-by-section merge of a JSON patch onto a config."""
     base = to_dict(cfg)
+    _check(isinstance(patch, dict), "config", f"a patch must be a JSON object, got {type(patch).__name__}")
+    _check(patch.get("kind", base["kind"]) == base["kind"], "kind", "a patch cannot change a preset's kind")
     for key, value in patch.items():
         if key not in base:
             raise ConfigError(key, "unknown field")

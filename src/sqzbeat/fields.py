@@ -14,9 +14,10 @@ that a photocurrent measurement can see.
 Sideband pairs about a squeezer center transform jointly: the quadrature
 at the squeeze angle is multiplied by sqrt(S_minus(eps)) and the orthogonal
 one by sqrt(S_plus(eps)), which realizes the below-threshold cavity model
-with escape efficiency folded in.  Deterministic gains and an explicit
-vacuum admixture produce the same Gaussian state; gains are used so the
-operation stays a pure function of (field, spec).
+with escape efficiency, and an optical path's later losses, folded in.
+Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
+tests' reference) produce the same Gaussian state; gains are used so the
+operation stays a pure function of (field, spec) and draws no vacuum.
 """
 
 from __future__ import annotations
@@ -105,13 +106,6 @@ class FieldRealization:
         if np.shape(self.amplitudes)[-1:] != (self.grid.n_samples,):
             raise ValueError("amplitudes length must equal grid.n_samples")
 
-    def time_series(self) -> np.ndarray:
-        """Complex field samples; bin k contributes amp * exp(-2j pi f_k t)."""
-        return np.fft.fft(self.amplitudes)
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "FieldRealization":
-        return FieldRealization(self.grid, amplitudes)
-
 
 @dataclass(frozen=True)
 class QuadraturePair:
@@ -166,6 +160,18 @@ class SqueezerSpec:
         return s, a
 
 
+def circular_gaussian(seed, n: int, scale: float) -> np.ndarray:
+    """Circular complex Gaussian rows, real and imaginary parts N(0, scale^2),
+    one per seed of a list; at scale sqrt(1/2), ``fft`` of a vacuum field."""
+    seeds = seed_rows(seed)
+    out = np.empty((len(seeds), n), dtype=complex)
+    for row, s in zip(out, seeds):
+        rng = generator(s)
+        np.multiply(rng.standard_normal(n), scale, out=row.real)
+        np.multiply(rng.standard_normal(n), scale, out=row.imag)
+    return out if isinstance(seed, list) else out[0]
+
+
 def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
     """Fresh vacuum: i.i.d. circular complex Gaussian bins.
 
@@ -173,15 +179,7 @@ def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
     any extracted quadrature has PSD 1.0.  A list of per-frame seeds gives
     a block with one row per seed, each row drawn from its own stream.
     """
-    seeds = seed_rows(seed)
-    n = grid.n_samples
-    scale = np.sqrt(0.5 / n)
-    amps = np.empty((len(seeds), n), dtype=complex)
-    for row, s in zip(amps, seeds):
-        rng = generator(s)
-        np.multiply(rng.standard_normal(n), scale, out=row.real)
-        np.multiply(rng.standard_normal(n), scale, out=row.imag)
-    return FieldRealization(grid, amps if isinstance(seed, list) else amps[0])
+    return FieldRealization(grid, circular_gaussian(seed, grid.n_samples, np.sqrt(0.5 / grid.n_samples)))
 
 
 def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealization:
@@ -193,11 +191,9 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     exact identity.  A block field is squeezed row by row.
     """
     grid = field.grid
-    if spec.pump_ratio >= 1.0:
-        raise ValueError("pump_ratio must be < 1 (below threshold)")
     kc = grid.bin_index(spec.center_freq_hz)
     if spec.pump_ratio == 0.0:
-        return field.with_amplitudes(field.amplitudes.copy())
+        return FieldRealization(field.grid, field.amplitudes.copy())
 
     df = grid.bin_hz
     m_max = int(np.floor(grid.edge_margin(spec.center_freq_hz) / df + _GRID_TOL))
@@ -229,7 +225,7 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     for row_in, row_out in zip(amps.reshape(-1, n), out.reshape(-1, n)):
         c = row_in[kc]
         row_out[kc] = 0.5 * ((g10 + g20) * c + (g10 - g20) * w * np.conj(c))
-    return field.with_amplitudes(out)
+    return FieldRealization(field.grid, out)
 
 
 def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealization:
@@ -240,12 +236,12 @@ def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealiza
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
     if efficiency == 1.0:
-        return field.with_amplitudes(field.amplitudes.copy())
+        return FieldRealization(field.grid, field.amplitudes.copy())
     vac = make_vacuum_field(field.grid, seed).amplitudes
     vac *= np.sqrt(1.0 - efficiency)
     amps = np.sqrt(efficiency) * field.amplitudes
     amps += vac
-    return field.with_amplitudes(amps)
+    return FieldRealization(field.grid, amps)
 
 
 def quadrature_series(

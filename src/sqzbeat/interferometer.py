@@ -10,14 +10,14 @@ so every second-order noise term survives.
 
 Every lossy step between a squeezer and the photocurrent (the pickoff of
 reflectivity R, the detector of quantum efficiency qe) is a beam splitter
-that admits vacuum, so together they act as one loss of efficiency
-R * qe: an ``OpticalPath``.  A squeezed path is
-sqrt(eta) S(v0) + sqrt(1 - eta) v1, two vacuum rows; an unsqueezed one
-is a single vacuum row, since loss leaves vacuum vacuum.  The path also
-carries the rms jitter of its squeeze angle, which the runner draws per
-frame and the budget folds into the angle error.  The carrier, scaled by
-sqrt(qe), is added to the path noise in the time domain, so a beam
-arrives at the detector as a ``DetectedField``.
+that admits vacuum, so together they act as one loss of efficiency R * qe:
+an ``OpticalPath``.  A squeezed path realizes sqrt(eta) S(v0) +
+sqrt(1 - eta) v1 from v0 alone, squeezing at escape efficiency times eta;
+loss leaves vacuum vacuum, so an unsqueezed one is one row of time
+samples.  The path also carries the rms jitter of its squeeze angle, which
+the runner draws per frame and the budget folds into the angle error.
+The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
+so a beam arrives at the detector as a ``DetectedField``.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
@@ -29,7 +29,7 @@ path has, mixes in the anti-squeezed quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .fields import (
     FieldRealization,
     FrequencyGrid,
     SqueezerSpec,
-    apply_loss,
     apply_squeezer,
+    circular_gaussian,
     make_vacuum_field,
 )
-from .rng import generator, seed_rows, stream_key
+from .rng import generator, seed_rows
 
 PHASE_KINDS = ("none", "sinusoid")
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
@@ -200,14 +200,25 @@ def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, seed) -> FieldRe
     """Noise field that an optical path delivers to the detector, for one
     frame or, with a list of per-frame seeds, a block of them.
 
-    Vacuum from sub-stream 0 of ``seed`` is squeezed at the squeezer's
-    angle and attenuated to the path efficiency, which admits vacuum from
-    sub-stream 1.  An unsqueezed path is the vacuum alone.
+    The vacuum row of ``seed`` is squeezed with the path efficiency eta
+    folded into the escape efficiency: gains sqrt(eta s + 1 - eta) and
+    sqrt(eta a + 1 - eta), as a loss eta after the squeezer would give.
     """
-    vac = make_vacuum_field(grid, stream_key(seed, 0))
+    vac = make_vacuum_field(grid, seed)
     if path.squeezer is None:
         return vac
-    return apply_loss(apply_squeezer(vac, path.squeezer), path.efficiency, stream_key(seed, 1))
+    sq = path.squeezer
+    return apply_squeezer(vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency))
+
+
+def path_noise(grid: FrequencyGrid, path: OpticalPath | list[OpticalPath], seed) -> np.ndarray:
+    """A path's noise at the detector as time samples (a row per seed and
+    path of a list): squeezed bins after an FFT, or vacuum drawn directly."""
+    if isinstance(path, list):
+        return np.stack([path_noise(grid, p, k) for p, k in zip(path, seed)])
+    if path.squeezer is None:
+        return circular_gaussian(seed, grid.n_samples, np.sqrt(0.5))
+    return np.fft.fft(pickoff_noise_field(grid, path, seed).amplitudes)
 
 
 class BeamCarrier:
@@ -250,22 +261,17 @@ def compose_beam(
 ) -> DetectedField:
     """One beam at the detector: its path noise plus its carrier.
 
-    The path noise is transformed to the time domain and the carrier,
-    synthesized there (so phase modulation is exact), is added to it.
+    The carrier is synthesized in the time domain (so phase modulation is
+    exact) and added to the path noise there (``path_noise``).
     ``extra_phase`` carries any phase-noise realization synthesized by the
     caller.  For a block of frames ``seed`` is the list of per-frame
     seeds, ``path`` one record or one per frame, and ``extra_phase`` has
     one row per frame; the field then has one row per frame.
     """
-    grid = carrier.grid
-    if isinstance(path, list):
-        noise = np.stack([pickoff_noise_field(grid, p, k).amplitudes for p, k in zip(path, seed)])
-    else:
-        noise = pickoff_noise_field(grid, path, seed).amplitudes
-    samples = np.fft.fft(noise)
+    samples = path_noise(carrier.grid, path, seed)
     if carrier.amplitude != 0.0:
         samples += carrier.series(extra_phase)
-    return DetectedField(grid, samples)
+    return DetectedField(carrier.grid, samples)
 
 
 def balanced_detect(

@@ -11,15 +11,14 @@ from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
 accept an int, a ``SeedSequence``, a ``StreamKey``, or a list of per-frame
 seeds for a block of frames.
 
-Stream layout 2 of a heterodyne frame, keyed (run, frame index, port):
+Stream layout 3 of a heterodyne frame, keyed (run, frame index, port):
 
 =================  ==========================================================
 port               stream
 =================  ==========================================================
-``PORT_BEAM1``     beam 1's optical path: sub-stream 0 is the vacuum at the
-``PORT_BEAM2``     squeezer input (the whole path noise when unsqueezed),
-                   sub-stream 1 the vacuum its pickoff and detector losses
-                   admit, drawn only on a squeezed path with efficiency < 1
+``PORT_BEAM1``     the one vacuum row of beam 1's or beam 2's optical path:
+``PORT_BEAM2``     the squeezer input, whose gains fold in the path losses,
+                   or, unsqueezed, the path noise drawn as time samples
 ``PORT_DETECTOR``  white electronic noise of the balanced detector
 ``PORT_PHASE``     classical phase noise on beam 2
 ``PORT_ARM1``      readout noise of demod arm 1 (drive-induced excess
@@ -28,10 +27,10 @@ port               stream
 =================  ==========================================================
 
 On ``fig4-demod`` one frame index (background, reference and target)
-builds 17 generators and draws 115000 normals: 3 dark rows of 5000
-(electronic noise, two arms), 2 unsqueezed vacuum rows and 4 rows of
-5000 on the reference, 4 vacuum rows of two squeezed paths and 4 rows of
-5000 on the target; a vacuum row is 10000 normals.  The pump sweep keys
+builds 15 generators and draws 95000 normals: 3 dark rows of 5000
+(electronic noise, two arms), then on the reference and on the target 2
+vacuum rows, one per path, and 4 rows of 5000; a vacuum row is 10000
+normals.  ``fig3-raw`` builds 9 and draws 65000.  The pump sweep keys
 (10 + pump, frame index, 0) and the EPR identity run substreams 900 and
 901 of the master seed.
 """
@@ -43,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Version of the port layout below; heterodyne summaries record it.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.

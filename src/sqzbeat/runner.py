@@ -30,17 +30,18 @@ and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
-Synthesis follows stream layout 2 (``rng``; heterodyne summaries record
-``stream_layout=2``).  The context builds one optical path per beam
+Synthesis follows stream layout 3 (``rng``; heterodyne summaries record
+``stream_layout=3``).  The context builds one optical path per beam
 (``cfg.optical_path``: squeezer at its angle, angle jitter and efficiency
-R * qe, the record ``budgets.band_budget`` reads too): the reference's
-paths are unsqueezed and draw one vacuum row each, the target's squeezed
-ones two; a jittered target path gets its squeeze angle redrawn per frame.
-The carriers, scaled by sqrt(qe), join the path noise in the time
-domain.  Each demod arm draws its readout noise once per frame, with the
-drive-induced excess added in quadrature on lit acquisitions only.  A
-``fig4-demod`` frame index (background, reference and target) builds 17
-generators and draws 115000 normals.
+R * qe, the record ``budgets.band_budget`` reads too).  Each path draws
+one vacuum row: the reference's unsqueezed ones as time samples, the
+target's squeezed ones as bins squeezed with the path loss folded into
+the gains, their angle redrawn per frame under jitter.  The carriers,
+scaled by sqrt(qe), join the path noise in the time domain.  Each demod
+arm draws its readout noise once per frame, the drive-induced excess
+added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
+index builds 15 generators and draws 95000 normals, ``fig3-raw`` 9 and
+65000.
 
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
@@ -579,6 +580,10 @@ def run(
         run_kind = _run_opo_sweep if cfg.kind == "opo-sweep" else _run_heterodyne
         summary, spectra = run_kind(cfg, workers)
     summary.wall_time_s = time.perf_counter() - started
+    checks = [(f"band.{b.label}", (b.reduction_db, b.stderr_db, b.predicted_db)) for b in summary.bands]
+    for what, values in checks + [(f"{stem}.txt", values_db) for stem, _, values_db, _ in spectra]:
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"{what}: non-finite values, nothing written")
 
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -43,8 +43,10 @@ def linearized_output(
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency and
     angle.  Uses the same seed layout as ``compose_beam`` on
-    ``substream(seed, 0)`` and ``substream(seed, 1)``, so the residual
-    against the exact product isolates the dropped second-order terms.
+    ``substream(seed, 0)`` and ``substream(seed, 1)``, so on squeezed
+    paths the residual against the exact product isolates the dropped
+    second-order terms; ``compose_beam`` draws an unsqueezed path's noise
+    as time samples, the same distribution but another realization.
     """
     b1, b2 = beams
     t = grid.times()

@@ -1,8 +1,11 @@
 """Field-layer contracts: vacuum statistics, squeezing, loss, quadratures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sqzbeat import fields
 from sqzbeat.fields import (
     BandError,
     FieldRealization,
@@ -172,6 +175,52 @@ def test_loss_mixes_squeezed_power():
     band = (freqs > 1e6) & (freqs < 15e6)
     se = 4 * 0.28 / np.sqrt(frames * band.sum())
     assert p1[band].mean() == pytest.approx(0.28, abs=3 * se + 0.003)
+
+
+def _real_map(fn, n):
+    """Real 2n x 2n matrix of a real-linear map of n complex bins: the
+    output, as [Re; Im], of each unit real and unit imaginary input bin."""
+    cols = []
+    for unit in (1.0, 1j):
+        for k in range(n):
+            x = np.zeros(n, dtype=complex)
+            x[k] = unit
+            y = fn(x)
+            cols.append(np.concatenate([y.real, y.imag]))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+@pytest.mark.parametrize("eta", [0.97 * 0.99, 0.56])
+def test_loss_folded_into_squeezer_gains_is_the_explicit_loss(eta, angle, monkeypatch):
+    # Synthesis squeezes at escape x eta instead of squeezing and then
+    # admitting vacuum at efficiency eta.  Both are linear in their unit
+    # inputs, so both output covariances are exact: M M^T against
+    # L L^T = eta S S^T + (1 - eta) I, with L = [sqrt(eta) S, sqrt(1 - eta) I]
+    # read off apply_squeezer then apply_loss, its vacuum port fed too.
+    grid = FrequencyGrid(16e6, 16, 2e6)
+    n = grid.n_samples
+    spec = SqueezerSpec(0.6, 3e6, 0.9, squeeze_angle_rad=angle, center_freq_hz=2e6)
+    folded = replace(spec, escape_efficiency=spec.escape_efficiency * eta)
+    zero = np.zeros(n, dtype=complex)
+
+    def squeeze(x, sq):
+        return apply_squeezer(FieldRealization(grid, x), sq).amplitudes
+
+    def loss(signal, vacuum):
+        monkeypatch.setattr(fields, "make_vacuum_field", lambda g, seed: FieldRealization(g, vacuum.copy()))
+        return apply_loss(FieldRealization(grid, signal), eta, seed=0).amplitudes
+
+    m = _real_map(lambda x: squeeze(x, folded), n)
+    s = _real_map(lambda x: squeeze(x, spec), n)
+    lossy = np.hstack([
+        _real_map(lambda x: loss(squeeze(x, spec), zero), n),
+        _real_map(lambda x: loss(zero, x), n),
+    ])
+    explicit = lossy @ lossy.T
+    assert np.abs(explicit - (eta * s @ s.T + (1.0 - eta) * np.eye(2 * n))).max() < 1e-12
+    assert np.abs(m @ m.T - explicit).max() < 1e-12
+    assert not np.allclose(s @ s.T, np.eye(2 * n))  # the squeezer acts on this grid
 
 
 def test_quadrature_series_linearity():

@@ -15,7 +15,7 @@ of the realizations regenerates the files with ``golden/regenerate.py``
 ``appendixE-pump-sweep`` at 130 frames: two chunks, the second ending in
 a partial block.  The sweep's digests were written by its per-frame loop
 before it moved to the runner's chunk engine; the heterodyne ones were
-rewritten for stream layout 2, whose block rows
+rewritten for stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
 against one-frame synthesis.
 """

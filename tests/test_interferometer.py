@@ -8,7 +8,7 @@ import pytest
 
 from sqzbeat.budgets import detected_squeezing
 from sqzbeat.config import preset_config
-from sqzbeat.fields import FrequencyGrid, SqueezerSpec, make_vacuum_field
+from sqzbeat.fields import FrequencyGrid, SqueezerSpec
 from sqzbeat.interferometer import (
     BeamCarrier,
     BeamSpec,
@@ -105,11 +105,14 @@ def test_pickoff_loss_mixes_squeezing():
 
 def test_compose_beam_dark_port_is_pure_vacuum():
     # no squeezer, no carrier: loss leaves vacuum vacuum, so at any path
-    # efficiency the beam is exactly the one vacuum row of its substream
-    vac = make_vacuum_field(GRID, substream(3, 0, 0))
+    # efficiency the beam is the one row of its substream drawn as time
+    # samples, real and imaginary parts N(0, 1/2) each, with no FFT
+    gen = np.random.default_rng(substream(3, 0))
+    vac = np.sqrt(0.5) * gen.standard_normal(N)
+    vac = vac + 1j * (np.sqrt(0.5) * gen.standard_normal(N))
     for efficiency in (1.0, 0.5):
         out = _beam(BeamSpec(0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
-        assert np.array_equal(out.samples, vac.time_series())
+        assert np.array_equal(out.samples, vac)
 
 
 def test_carrier_scales_linearly_and_leaves_noise_bins():

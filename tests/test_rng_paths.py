@@ -3,8 +3,8 @@
 The generator of every stream one frame of each acquisition uses is
 recorded by its (entropy, spawn_key); a port that reused another's stream
 would show up as a duplicate key.  The keys must also follow stream
-layout 2 (see ``sqzbeat.rng``): each optical path draws from sub-streams
-of its beam's port, every other input straight from its own port.
+layout 3 (see ``sqzbeat.rng``): each optical path draws its one vacuum
+row straight from its beam's port, every other input from its own port.
 """
 
 import sys
@@ -62,24 +62,24 @@ def test_one_frame_uses_each_stream_once(cfg, stream_log):
         assert (rng.RUN_TARGET, 0, rng.PORT_JITTER) in {key for _, key in stream_log}
 
 
-# (run, frame, port, sub-stream...) keys one fig4-demod frame index draws:
-# dark frames read electronic and arm noise, the reference one vacuum row
-# per beam, the target two per beam (squeezer input and path loss).
+# (run, frame, port) keys one fig4-demod frame index draws: dark frames
+# read electronic and arm noise, the reference and the target one vacuum
+# row per beam (the target's path loss is folded into its squeezer).
 FIG4_KEYS = sorted(
     [(rng.RUN_BACKGROUND, 0, port) for port in (rng.PORT_DETECTOR, rng.PORT_ARM1, rng.PORT_ARM2)]
     + [
         (run, 0, port)
         for run in (rng.RUN_REFERENCE, rng.RUN_TARGET)
-        for port in (rng.PORT_DETECTOR, rng.PORT_PHASE, rng.PORT_ARM1, rng.PORT_ARM2)
+        for port in (
+            rng.PORT_BEAM1, rng.PORT_BEAM2, rng.PORT_DETECTOR, rng.PORT_PHASE, rng.PORT_ARM1, rng.PORT_ARM2
+        )
     ]
-    + [(rng.RUN_REFERENCE, 0, beam, 0) for beam in (rng.PORT_BEAM1, rng.PORT_BEAM2)]
-    + [(rng.RUN_TARGET, 0, beam, sub) for beam in (rng.PORT_BEAM1, rng.PORT_BEAM2) for sub in (0, 1)]
 )
 
 
-def test_fig4_demod_frame_index_builds_17_generators(stream_log):
+def test_fig4_demod_frame_index_builds_one_generator_per_key(stream_log):
     run(preset_config("fig4-demod"), frames=1, workers=1, write_outputs=False)
-    assert len(stream_log) == 17
+    assert len(stream_log) == len(FIG4_KEYS) == 15
     assert sorted(key for _, key in stream_log) == FIG4_KEYS
 
 

@@ -367,6 +367,9 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("epr-identity", '{"scheme": "straightforward"}', "scheme"),
         ("appendixE-pump-sweep", '{"pickoff1": {"reflectivity": 0.5}}', "pickoff1"),
         ("vacuum-selftest", '{"kind": {}}', "kind"),
+        ("fig3-raw", '{"kind": "epr"}', "kind"),
+        ("epr-identity", '{"kind": "opo-sweep"}', "kind"),
+        ("fig3-raw", "[1]", "config"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
@@ -377,6 +380,7 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
         "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
+        "heterodyne-to-epr", "epr-to-sweep", "list-patch",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
@@ -423,3 +427,28 @@ def test_cli_overflow_is_a_numerical_error(patch, message, tmp_path, capsys, mon
     ])
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+class _NanBudget:
+    reduction_db = float("nan")
+
+
+@pytest.mark.parametrize(
+    "name, stand_in, message",
+    [
+        ("band_budget", lambda cfg, freqs: _NanBudget(), "band.lower: non-finite values"),
+        (
+            "_db_rel",
+            lambda values, norm: np.full(len(values), np.nan),
+            "spectrum_background.txt: non-finite values",
+        ),
+    ],
+    ids=["nan-prediction", "nan-spectrum"],
+)
+def test_non_finite_outputs_exit_3_and_write_nothing(name, stand_in, message, tmp_path, capsys, monkeypatch):
+    # a nan that reaches a band or a spectrum stops the run before any file is opened
+    monkeypatch.setattr(runner, name, stand_in)
+    rc = main(["run", "--preset", "vacuum-selftest", "--frames", "2", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
