@@ -265,8 +265,9 @@ def _from_data(tp, data, path: str):
     if inner is not None:
         return None if data is None else _from_data(inner, data, path)
     if is_dataclass(tp):
+        where = path or "config"  # the top level has no field name
         if not isinstance(data, dict):
-            raise ConfigError(path, f"expected an object, got {type(data).__name__}")
+            raise ConfigError(where, f"expected an object, got {type(data).__name__}")
         hints = _field_types(tp)
         kwargs = {}
         for key, value in data.items():
@@ -277,7 +278,7 @@ def _from_data(tp, data, path: str):
         try:
             return tp(**kwargs)
         except TypeError as exc:
-            raise ConfigError(path, str(exc)) from None
+            raise ConfigError(where, str(exc)) from None
     if typing.get_origin(tp) is tuple:
         if not isinstance(data, (list, tuple)):
             raise ConfigError(path, f"expected a list, got {type(data).__name__}")
@@ -636,16 +637,19 @@ def preset_config(name: str) -> Config:
     return PRESETS[name][1]()
 
 
+def _merged(base, patch):
+    """``patch`` over ``base``, object into object at every depth; any
+    other patch value, and any object over a null section, replaces."""
+    if isinstance(base, dict) and isinstance(patch, dict):
+        return {**base, **{k: _merged(base.get(k), v) for k, v in patch.items()}}
+    return patch
+
+
 def merge_config(cfg: Config, patch: dict) -> Config:
-    """Shallow-by-section merge of a JSON patch onto a config."""
+    """Merge a JSON patch onto a config, nested objects field by field: a
+    patch names only the fields it changes.  Lists replace whole, and a
+    patch object over a null section must hold all its required fields."""
     base = to_dict(cfg)
     _check(isinstance(patch, dict), "config", f"a patch must be a JSON object, got {type(patch).__name__}")
     _check(patch.get("kind", base["kind"]) == base["kind"], "kind", "a patch cannot change a preset's kind")
-    for key, value in patch.items():
-        if key not in base:
-            raise ConfigError(key, "unknown field")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            base[key] = {**base[key], **value}
-        else:
-            base[key] = value
-    return from_dict(base)
+    return from_dict(_merged(base, patch))

@@ -11,6 +11,10 @@ The per-frame steps (``filter_frame``, ``mix_down``, ``frame_spectrum``
 and the periodograms) work along the last axis, so one call handles one
 frame or a block of frames with one row each; numpy's FFTs give every
 row of a block the same bits as the frame alone.
+
+``scipy.signal`` is imported where filters are designed and evaluated,
+not with the module: it takes over a second and about 70 MB to load, and only a
+heterodyne run's filter chain needs it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 
 from .fields import FrequencyGrid
 
@@ -111,6 +114,8 @@ def _design_sos(spec: FilterSpec, sample_rate: float) -> np.ndarray | None:
         return None
     if any(c >= nyq for c in spec.corners) or any(c <= 0 for c in spec.corners):
         raise DspError(f"filter corners {spec.corners} must lie in (0, Nyquist)")
+    from scipy import signal as sps
+
     if spec.kind == "band-stop":
         return sps.cheby1(
             spec.order, spec.ripple_db, list(spec.corners), btype="bandstop", fs=sample_rate, output="sos"
@@ -133,6 +138,8 @@ def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
     """Complex frequency response of the designed chain at ``freqs_hz``."""
+    from scipy import signal as sps
+
     h = np.ones(len(freqs_hz), dtype=complex)
     for spec in chain:
         sos = _design_sos(spec, sample_rate)
@@ -143,15 +150,15 @@ def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: f
     return h
 
 
-def compensate_spectrum(estimate: SpectrumEstimate, chain: list[FilterSpec], sample_rate: float) -> SpectrumEstimate:
-    """Divide out the designed chain power response.
+def compensate_spectrum(estimate: SpectrumEstimate, h: np.ndarray) -> SpectrumEstimate:
+    """Divide out the power response of a chain whose complex response
+    ``h`` (from ``chain_response``) is given on the estimate's bins.
 
     Rejects estimates that were already compensated, so the correction
     cannot be applied twice.
     """
     if estimate.compensated:
         raise DspError("spectrum is already compensated")
-    h = chain_response(chain, estimate.freqs, sample_rate)
     power = np.abs(h) ** 2
     floor = np.max(power) * 1e-12
     return replace(estimate, values=estimate.values / np.maximum(power, floor), compensated=True)

@@ -216,14 +216,15 @@ class _HeterodyneContext:
         # The one periodogram reported: of both demod arms, or of the raw beat or arm 1.
         self.estimate = "cross" if ms.kind == "demod" else "auto"
         # The one chain list: the runner filters with it and compensation
-        # divides its response out.
+        # divides out its full response, evaluated once per run.  A demod
+        # arm filters in two stages around its readout noise; their
+        # product is associated differently and gives other bits.
         if ms.kind == "raw":
-            self.chain = raw_measurement_chain()
-            self.raw_h = chain_response(self.chain, self.freqs, fs)
+            chain = raw_measurement_chain()
         else:
-            self.chain = [demod_lpf_spec(b.beat_freq_hz)] + demod_measurement_chain()
-            self.lpf_h = chain_response(self.chain[:1], self.freqs, fs)
-            self.post_h = chain_response(self.chain[1:], self.freqs, fs)
+            chain = [demod_lpf_spec(b.beat_freq_hz)] + demod_measurement_chain()
+            self.lpf_h = chain_response(chain[:1], self.freqs, fs)
+            self.post_h = chain_response(chain[1:], self.freqs, fs)
             self.lo = local_oscillator(self.grid, b.beat_freq_hz, ms.lo_phase_rad)
             demod_shot = self.ref_floor / 2.0
             arm = _db_power(ms.arm_noise_rel_db)
@@ -235,6 +236,7 @@ class _HeterodyneContext:
                 "reference": np.sqrt(lit * demod_shot),
                 "target": np.sqrt(lit * demod_shot),
             }
+        self.chain_h = chain_response(chain, self.freqs, fs)
 
     # -- block synthesis ------------------------------------------------
 
@@ -304,7 +306,7 @@ class _HeterodyneContext:
         """Reported periodogram rows of each block of frames of one acquisition."""
         for frames in blocks:
             x = self._photocurrent(run_name, frames)
-            rows = [filter_frame(x, self.raw_h)] if self.measurement == "raw" else self._arms(run_name, frames, x)
+            rows = [filter_frame(x, self.chain_h)] if self.measurement == "raw" else self._arms(run_name, frames, x)
             spectra = [frame_spectrum(r, self.window) for r in rows]
             periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
             yield {self.estimate: periodogram(*spectra, self.wnorm)}
@@ -377,6 +379,12 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
         for acquisition in ctx.acquisitions
         for s in range(0, n_frames, CHUNK_FRAMES)
     ]
+    # Freeing one untouched 1 MB array raises glibc's mmap threshold to
+    # 1 MB and its heap trim threshold to 2 MB for the process.  Below
+    # them, as in a process that never imported scipy, each block's freed
+    # temporaries go back to the OS and fault in again: 10890 minor faults
+    # per 256-frame pump-sweep call, against 3 with the thresholds raised.
+    np.empty(1 << 17)
     # A pool starts every worker at its first submit: no more workers than jobs.
     workers = min(workers, len(jobs))
     if workers <= 1:
@@ -388,8 +396,8 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
 def _write_spectrum(path: str, freqs: np.ndarray, values_db: np.ndarray, header: dict):
     lines = [f"# {k}={v}" for k, v in header.items()]
     lines.append("freq_hz,psd_db_rel_vacuum")
-    for f, v in zip(freqs, values_db):
-        lines.append(f"{f:.3f},{v:.6f}")
+    # Python floats format faster than numpy scalars, to the same text.
+    lines += [f"{f:.3f},{v:.6f}" for f, v in zip(freqs.tolist(), values_db.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -428,10 +436,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
         )
         for run_name in RUN_NAMES
     }
-    comp = {
-        name: compensate_spectrum(est, ctx.chain, ctx.grid.sample_rate)
-        for name, est in estimates.items()
-    }
+    comp = {name: compensate_spectrum(est, ctx.chain_h) for name, est in estimates.items()}
 
     bands = []
     union = np.zeros(len(freqs), dtype=bool)

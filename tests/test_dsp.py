@@ -173,9 +173,9 @@ def test_corner_at_nyquist_rejected():
 def test_compensation_inverts_designed_response():
     chain = raw_measurement_chain()
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
-    h2 = np.abs(chain_response(chain, freqs, FS)) ** 2
-    est = SpectrumEstimate(freqs, h2.copy(), n_frames=10)
-    comp = compensate_spectrum(est, chain, FS)
+    h = chain_response(chain, freqs, FS)
+    est = SpectrumEstimate(freqs, np.abs(h) ** 2, n_frames=10)
+    comp = compensate_spectrum(est, h)
     band = ((freqs > 1.5e6) & (freqs < 7.5e6)) | ((freqs > 12.9e6) & (freqs < 15e6))
     db = 10 * np.log10(comp.values[band])
     assert np.max(np.abs(db)) < 0.01
@@ -185,9 +185,10 @@ def test_compensation_inverts_designed_response():
 def test_compensation_rejected_twice():
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     est = SpectrumEstimate(freqs, np.ones(len(freqs)), n_frames=1)
-    once = compensate_spectrum(est, raw_measurement_chain(), FS)
+    h = chain_response(raw_measurement_chain(), freqs, FS)
+    once = compensate_spectrum(est, h)
     with pytest.raises(DspError):
-        compensate_spectrum(once, raw_measurement_chain(), FS)
+        compensate_spectrum(once, h)
 
 
 def test_demodulate_rejects_beat_amplitude():

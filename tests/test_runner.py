@@ -82,6 +82,17 @@ def test_merge_config_patches_sections():
     assert patched.measurement == cfg.measurement
 
 
+def test_merge_config_merges_nested_objects_field_by_field():
+    cfg = preset_config("fig3-raw")
+    patched = merge_config(cfg, {"pickoff1": {"squeezer": {"hwhm_hz": 5e6}}})
+    squeezer = replace(cfg.pickoff1.squeezer, hwhm_hz=5e6)
+    assert patched == replace(cfg, pickoff1=replace(cfg.pickoff1, squeezer=squeezer))
+    # over a null section the patch object is the whole section
+    assert preset_config("vacuum-selftest").pickoff1.squeezer is None
+    with pytest.raises(ConfigError, match=r"pickoff1\.squeezer: .*pump_ratio"):
+        merge_config(preset_config("vacuum-selftest"), {"pickoff1": {"squeezer": {"hwhm_hz": 5e6}}})
+
+
 def _read_outputs(out_dir):
     blobs = {}
     for name in sorted(os.listdir(out_dir)):
@@ -244,6 +255,14 @@ def test_cli_config_patch_over_preset(tmp_path):
     assert rc == 0
     lines = (tmp_path / "o" / "summary.txt").read_text()
     assert "frames=18" in lines
+
+
+@pytest.mark.parametrize("text, kind", [('"x"', "str"), ("[1]", "list"), ("null", "NoneType")])
+def test_cli_validate_names_the_top_level(text, kind, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert f"config error: config: expected an object, got {kind}" in capsys.readouterr().err
 
 
 def test_cli_errors():
