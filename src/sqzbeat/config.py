@@ -375,6 +375,13 @@ def validate_config(cfg: Config) -> None:
         _check(len(ow.pump_powers_mw) >= 1, "opo_sweep.pump_powers_mw", "need at least one pump power")
         for i, p in enumerate(ow.pump_powers_mw):
             _check(0 <= p < ow.threshold_mw, f"opo_sweep.pump_powers_mw[{i}]", "must be below threshold")
+            # Outputs are tagged by the rounded power, and the monotone
+            # check reads the list in order.
+            _check(
+                i == 0 or round(p) > round(ow.pump_powers_mw[i - 1]),
+                f"opo_sweep.pump_powers_mw[{i}]",
+                "must exceed the power before it when both are rounded to whole mW",
+            )
         _check(ow.hwhm_hz > 0, "opo_sweep.hwhm_hz", "must be positive")
         _check(0 <= ow.escape_efficiency <= 1, "opo_sweep.escape_efficiency", "must be in [0, 1]")
         # Quadratures keep only the sidebands whose partners both lie in

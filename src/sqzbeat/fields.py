@@ -23,6 +23,7 @@ operation stays a pure function of (field, spec) and draws no vacuum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,6 +183,43 @@ def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
     return FieldRealization(grid, circular_gaussian(seed, grid.n_samples, np.sqrt(0.5 / grid.n_samples)))
 
 
+# A run squeezes with at most a few specs (one per pump power or beam),
+# except under angle jitter, where every frame has its own and misses; an
+# entry holds 32 bytes per bin, so the cache stays small.
+@lru_cache(maxsize=16)
+def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bins and pair gains of the sidebands a squeezer transforms.
+
+    Offsets run -m..m about ``spec.center_freq_hz``, m the largest whose
+    partners both lie strictly inside the grid.  Returns the bin of each
+    offset and the gains gp = g1 + g2 and gmw = (g1 - g2) exp(2i angle) of
+    ``squeeze_sidebands``, g1 = sqrt(S_minus) and g2 = sqrt(S_plus), built
+    once per (grid, spec) and read-only.
+    """
+    kc = grid.bin_index(spec.center_freq_hz)
+    df = grid.bin_hz
+    m = int(np.floor(grid.edge_margin(spec.center_freq_hz) / df + _GRID_TOL))
+    if m < 1:
+        raise BandError("squeezer center leaves no sideband pairs inside the grid")
+    offsets = np.arange(-m, m + 1)
+    s, a = spec.squeezing_spectrum(offsets * df)
+    g1 = np.sqrt(s)
+    g2 = np.sqrt(a)
+    out = ((kc + offsets) % grid.n_samples, g1 + g2, (g1 - g2) * np.exp(2j * spec.squeeze_angle_rad))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def squeeze_sidebands(z: np.ndarray, gp: np.ndarray, gmw: np.ndarray) -> np.ndarray:
+    """Squeeze sideband rows that hold offsets -m..m along the last axis.
+
+    Each pair (+eps, -eps) maps jointly: 0.5 * (gp z + gmw conj(z reversed)),
+    with the gains of ``sideband_gains``.
+    """
+    return 0.5 * (gp * z + gmw * np.conj(z[..., ::-1]))
+
+
 def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealization:
     """Squeeze sideband pairs about ``spec.center_freq_hz``.
 
@@ -194,37 +232,22 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     kc = grid.bin_index(spec.center_freq_hz)
     if spec.pump_ratio == 0.0:
         return FieldRealization(field.grid, field.amplitudes.copy())
-
-    df = grid.bin_hz
-    m_max = int(np.floor(grid.edge_margin(spec.center_freq_hz) / df + _GRID_TOL))
-    if m_max < 1:
-        raise BandError("squeezer center leaves no sideband pairs inside the grid")
-
-    n = grid.n_samples
-    ms = np.arange(1, m_max + 1)
-    ku = (kc + ms) % n
-    kl = (kc - ms) % n
-    s, a = spec.squeezing_spectrum(ms * df)
-    g1 = np.sqrt(s)
-    g2 = np.sqrt(a)
-    w = np.exp(2j * spec.squeeze_angle_rad)
+    index, gp, gmw = sideband_gains(grid, spec)
 
     # Bins run along the last axis.  Writing through the transpose keeps a
     # one-row call on numpy's 1-D fancy-index path, which out[..., k] is not.
     amps = field.amplitudes
     out = amps.copy()
-    upper = np.take(amps, ku, axis=-1)
-    lower = np.take(amps, kl, axis=-1)
-    out.T[ku] = (0.5 * ((g1 + g2) * upper + (g1 - g2) * w * np.conj(lower))).T
-    out.T[kl] = (0.5 * ((g1 - g2) * w * np.conj(upper) + (g1 + g2) * lower)).T
+    out.T[index] = squeeze_sidebands(np.take(amps, index, axis=-1), gp, gmw).T
 
     # The center bin is one number per row; numpy's scalar arithmetic gives
     # other bits than its array loops, so every row takes the scalar path.
-    s0, a0 = spec.squeezing_spectrum(0.0)
-    g10, g20 = np.sqrt(s0), np.sqrt(a0)
+    m = len(index) // 2
+    cp, cmw = gp[m], gmw[m]
+    n = grid.n_samples
     for row_in, row_out in zip(amps.reshape(-1, n), out.reshape(-1, n)):
         c = row_in[kc]
-        row_out[kc] = 0.5 * ((g10 + g20) * c + (g10 - g20) * w * np.conj(c))
+        row_out[kc] = 0.5 * (cp * c + cmw * np.conj(c))
     return FieldRealization(field.grid, out)
 
 

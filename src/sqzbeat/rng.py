@@ -11,7 +11,8 @@ from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
 accept an int, a ``SeedSequence``, a ``StreamKey``, or a list of per-frame
 seeds for a block of frames.
 
-Stream layout 3 of a heterodyne frame, keyed (run, frame index, port):
+Stream layout 4.  A heterodyne frame is keyed (run, frame index, port),
+with the ports of layout 3:
 
 =================  ==========================================================
 port               stream
@@ -30,9 +31,15 @@ On ``fig4-demod`` one frame index (background, reference and target)
 builds 15 generators and draws 95000 normals: 3 dark rows of 5000
 (electronic noise, two arms), then on the reference and on the target 2
 vacuum rows, one per path, and 4 rows of 5000; a vacuum row is 10000
-normals.  ``fig3-raw`` builds 9 and draws 65000.  The pump sweep keys
-(10 + pump, frame index, 0) and the EPR identity run substreams 900 and
-901 of the master seed.
+normals.  ``fig3-raw`` builds 9 and draws 65000.
+
+The pump sweep keys (10 + pump, frame index, 0).  Since layout 4 such a
+stream draws only the 2m + 1 sidebands within the anchor's margin that
+the sweep's quadratures read, real parts then imaginary parts, in offset
+order -m..m: one generator and 2598 normals per frame and pump power on
+``appendixE-pump-sweep`` (m = 649), where layout 3 drew all 2500 bins,
+5000 normals.  The EPR identity run substreams 900 and 901 of the
+master seed.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Version of the port layout below; heterodyne summaries record it.
-STREAM_LAYOUT = 3
+# Version of the stream layout above; heterodyne and sweep summaries record it.
+STREAM_LAYOUT = 4
 
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.

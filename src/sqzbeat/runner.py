@@ -30,10 +30,10 @@ and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
-Synthesis follows stream layout 3 (``rng``; heterodyne summaries record
-``stream_layout=3``).  The context builds one optical path per beam
-(``cfg.optical_path``: squeezer at its angle, angle jitter and efficiency
-R * qe, the record ``budgets.band_budget`` reads too).  Each path draws
+Synthesis follows stream layout 4 (``rng``; heterodyne and sweep
+summaries record ``stream_layout=4``).  The context builds one optical
+path per beam (``cfg.optical_path``: squeezer at its angle, angle jitter
+and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path draws
 one vacuum row: the reference's unsqueezed ones as time samples, the
 target's squeezed ones as bins squeezed with the path loss folded into
 the gains, their angle redrawn per frame under jitter.  The carriers,
@@ -41,7 +41,9 @@ scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
 index builds 15 generators and draws 95000 normals, ``fig3-raw`` 9 and
-65000.
+65000.  A sweep frame draws, squeezes and transforms only the 2m + 1
+sidebands its quadratures read (one generator and 2598 normals per pump
+power), with one complex FFT and one rfft of both quadratures per block.
 
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
@@ -87,8 +89,16 @@ from .dsp import (
     postprocess,
     raw_measurement_chain,
 )
-from .fields import FrequencyGrid, SqueezerSpec, make_vacuum_field, apply_squeezer, quadrature_series
-from .fields import epr_identity_residual
+from .fields import (
+    FrequencyGrid,
+    SqueezerSpec,
+    apply_squeezer,
+    circular_gaussian,
+    epr_identity_residual,
+    make_vacuum_field,
+    sideband_gains,
+    squeeze_sidebands,
+)
 from .interferometer import (
     BeamCarrier,
     BeamSpec,
@@ -314,7 +324,13 @@ class _HeterodyneContext:
 
 class _SweepContext:
     """Per-run state of a pump sweep: one squeezer per pump power, each
-    power an acquisition of vacuum frames squeezed about the anchor."""
+    power an acquisition of vacuum frames squeezed about the anchor.
+
+    The quadratures read only the 2m + 1 sidebands within the anchor's
+    margin, so a frame draws and squeezes those alone, in offset order
+    -m..m, and places them as ``quadrature_series`` would after its roll
+    and mask: offsets 0..m at bins 0..m, -m..-1 at bins n - m..n - 1.
+    """
 
     def __init__(self, cfg: SweepConfig):
         ow = cfg.opo_sweep
@@ -323,6 +339,7 @@ class _SweepContext:
         n = self.grid.n_samples
         self.freqs = np.fft.rfftfreq(n, d=1.0 / self.grid.sample_rate)
         self.window, self.wnorm = hamming_window(n)
+        self.scale = np.sqrt(0.5 / n)
         self.specs = [
             SqueezerSpec(
                 pump_ratio=float(np.sqrt(power / ow.threshold_mw)),
@@ -336,14 +353,19 @@ class _SweepContext:
 
     def periodograms(self, pump: int, blocks):
         """Squeezed and anti-squeezed quadrature periodogram rows of each block."""
+        n = self.grid.n_samples
+        _, gp, gmw = sideband_gains(self.grid, self.specs[pump])
+        m = len(gp) // 2
         for frames in blocks:
-            seeds = [rngs.frame_seed(self.seed, 10 + pump, i, 0) for i in frames]
-            field = apply_squeezer(make_vacuum_field(self.grid, seeds), self.specs[pump])
-            quads = quadrature_series(field, self.grid.center_offset)
-            yield {
-                "squeezed": auto_periodogram(frame_spectrum(quads.a1, self.window), self.wnorm),
-                "anti": auto_periodogram(frame_spectrum(quads.a2, self.window), self.wnorm),
-            }
+            keys = [rngs.frame_seed(self.seed, 10 + pump, i, 0) for i in frames]
+            z = squeeze_sidebands(circular_gaussian(keys, 2 * m + 1, self.scale), gp, gmw)
+            rolled = np.zeros((len(frames), n), dtype=complex)
+            rolled[:, : m + 1] = z[:, m:]
+            rolled[:, n - m :] = z[:, :m]
+            q = np.fft.fft(rolled)
+            quads = np.sqrt(2.0) * np.concatenate((q.real, q.imag))
+            p = auto_periodogram(frame_spectrum(quads, self.window), self.wnorm)
+            yield {"squeezed": p[: len(frames)], "anti": p[len(frames) :]}
 
 
 def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
@@ -393,11 +415,11 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
         return _fold(jobs, ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
 
 
-def _write_spectrum(path: str, freqs: np.ndarray, values_db: np.ndarray, header: dict):
+def _write_spectrum(path: str, freq_column: list[str], values_db: np.ndarray, header: dict):
     lines = [f"# {k}={v}" for k, v in header.items()]
     lines.append("freq_hz,psd_db_rel_vacuum")
     # Python floats format faster than numpy scalars, to the same text.
-    lines += [f"{f:.3f},{v:.6f}" for f, v in zip(freqs.tolist(), values_db.tolist())]
+    lines += [f + f"{v:.6f}" for f, v in zip(freq_column, values_db.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -425,7 +447,7 @@ def _summary(cfg: Config, measurement: str, frames: int, **results) -> RunSummar
     )
 
 
-def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, list]:
+def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np.ndarray, list]:
     ctx = _HeterodyneContext(cfg)
     frames = cfg.grid.frames
     freqs = ctx.freqs
@@ -462,7 +484,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
     header = {"normalization_band_hz": f"{lo:.0f}:{hi:.0f}"}
     ref_norm = float(np.mean(estimates["reference"].values[(freqs >= lo) & (freqs <= hi)]))
     spectra = [
-        (f"spectrum_{name}", freqs, _db_rel(estimates[name].values, ref_norm),
+        (f"spectrum_{name}", _db_rel(estimates[name].values, ref_norm),
          dict(header, trace=name, processed="false"))
         for name in RUN_NAMES
     ]
@@ -471,7 +493,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
     tgt_sub = comp["target"].values - back
     shot_norm = float(np.mean(ref_sub[union])) if np.any(union) else 1.0
     spectra += [
-        (f"processed_{name}", freqs, _db_rel(values, shot_norm),
+        (f"processed_{name}", _db_rel(values, shot_norm),
          dict(header, trace=name, processed="true"))
         for name, values in (("reference", ref_sub), ("target", tgt_sub))
     ]
@@ -479,7 +501,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, li
         cfg, cfg.measurement.kind, frames, scheme=cfg.scheme, bands=bands,
         extras={"stream_layout": str(rngs.STREAM_LAYOUT)},
     )
-    return summary, spectra
+    return summary, freqs, spectra
 
 
 def _run_epr(cfg: IdentityConfig) -> RunSummary:
@@ -520,7 +542,7 @@ def _run_epr(cfg: IdentityConfig) -> RunSummary:
     )
 
 
-def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, list]:
+def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarray, list]:
     ctx = _SweepContext(cfg)
     ow = cfg.opo_sweep
     frames = cfg.grid.frames
@@ -552,9 +574,10 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, list]:
             (f"{tag}_squeezed_model", model_s),
             (f"{tag}_antisqueezed_model", model_a),
         ):
-            spectra.append((stem, freqs, _db_rel(values, 1.0), {"trace": stem}))
+            spectra.append((stem, _db_rel(values, 1.0), {"trace": stem}))
     extras.setdefault("opo.monotone_improvement", "true")
-    return _summary(cfg, "quadrature-psd", frames, extras=extras), spectra
+    extras["stream_layout"] = str(rngs.STREAM_LAYOUT)
+    return _summary(cfg, "quadrature-psd", frames, extras=extras), freqs, spectra
 
 
 def run(
@@ -580,22 +603,24 @@ def run(
 
     started = time.perf_counter()
     if cfg.kind == "epr":
-        summary, spectra = _run_epr(cfg), []
+        summary, freqs, spectra = _run_epr(cfg), None, []
     else:
         run_kind = _run_opo_sweep if cfg.kind == "opo-sweep" else _run_heterodyne
-        summary, spectra = run_kind(cfg, workers)
+        summary, freqs, spectra = run_kind(cfg, workers)
     summary.wall_time_s = time.perf_counter() - started
     checks = [(f"band.{b.label}", (b.reduction_db, b.stderr_db, b.predicted_db)) for b in summary.bands]
-    for what, values in checks + [(f"{stem}.txt", values_db) for stem, _, values_db, _ in spectra]:
+    for what, values in checks + [(f"{stem}.txt", values_db) for stem, values_db, _ in spectra]:
         if not np.all(np.isfinite(values)):
             raise FloatingPointError(f"{what}: non-finite values, nothing written")
 
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)
         header = {"config_hash": summary.config_hash, "frames": summary.frames}
-        for stem, freqs, values_db, extra in spectra:
+        # Every spectrum file of a run shares one frequency axis: format it once.
+        column = [f"{f:.3f}," for f in freqs.tolist()] if spectra else []
+        for stem, values_db, extra in spectra:
             _write_spectrum(
-                os.path.join(cfg.out_dir, f"{stem}.txt"), freqs, values_db, dict(header, **extra)
+                os.path.join(cfg.out_dir, f"{stem}.txt"), column, values_db, dict(header, **extra)
             )
         with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary.summary_lines()) + "\n")

@@ -245,8 +245,8 @@ def test_quadrature_series_band_errors():
 
 
 def test_squeezer_and_quadratures_on_a_block_equal_each_frame():
-    # the pump sweep squeezes and extracts blocks of frames; each row must
-    # carry the exact bits of the one-frame call on that row
+    # the target paths squeeze blocks of frames; each row must carry the
+    # exact bits of the one-frame call on that row
     spec = SqueezerSpec(0.6, 20e6, 0.9, squeeze_angle_rad=0.4, center_freq_hz=30e6)
     seeds = [substream(71, 0, i) for i in range(4)]
     block = apply_squeezer(make_vacuum_field(GRID, seeds), spec)

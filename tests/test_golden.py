@@ -13,11 +13,12 @@ of the realizations regenerates the files with ``golden/regenerate.py``
 ``golden/block-boundary.sha256`` holds the SHA-256 of every output file
 (summary and spectra) of ``fig4-demod``, ``fig3-raw`` and
 ``appendixE-pump-sweep`` at 130 frames: two chunks, the second ending in
-a partial block.  The sweep's digests were written by its per-frame loop
-before it moved to the runner's chunk engine; the heterodyne ones were
-rewritten for stream layout 3, whose block rows
+a partial block.  The heterodyne spectra's digests were rewritten for
+stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
-against one-frame synthesis.
+against one-frame synthesis; the sweep's for stream layout 4, whose
+blocks ``test_runner.test_sweep_block_equals_the_full_field_path`` checks
+against the full-field squeezer and quadratures.
 """
 
 import hashlib

@@ -10,6 +10,7 @@ row straight from its beam's port, every other input from its own port.
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sqzbeat import rng
@@ -87,3 +88,50 @@ def test_auto_spectrum_readout_never_draws_arm_2(stream_log):
     # appendixD-no-cross reads arm 1 alone, from the same streams as fig4-demod
     run(preset_config("appendixD-no-cross"), frames=1, workers=1, write_outputs=False)
     assert sorted(key for _, key in stream_log) == [k for k in FIG4_KEYS if k[2] != rng.PORT_ARM2]
+
+
+class _CountingGenerator:
+    """A generator that adds the normals each draw returns to its count."""
+
+    def __init__(self, gen, counts):
+        self._gen, self._counts, self._row = gen, counts, len(counts)
+        counts.append(0)
+
+    def _count(self, values):
+        self._counts[self._row] += np.size(values)
+        return values
+
+    def standard_normal(self, *args, **kwargs):
+        return self._count(self._gen.standard_normal(*args, **kwargs))
+
+    def normal(self, *args, **kwargs):
+        return self._count(self._gen.normal(*args, **kwargs))
+
+
+@pytest.fixture
+def normal_counts(monkeypatch):
+    """Normals drawn by each generator built, in build order."""
+    counts = []
+    original = rng.generator
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sqzbeat") and getattr(module, "generator", None) is original:
+            monkeypatch.setattr(module, "generator", lambda seed: _CountingGenerator(original(seed), counts))
+    return counts
+
+
+# The counts the ``sqzbeat.rng`` docstring gives for one frame index.  A
+# sweep frame draws one row of the 2m + 1 = 1299 sidebands its quadratures
+# read, real and imaginary parts, per pump power.
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("fig4-demod", (15, 95000)),
+        ("fig3-raw", (9, 65000)),
+        ("appendixE-pump-sweep", (4, 4 * 2598)),
+    ],
+)
+def test_one_frame_index_draws_the_documented_normals(name, counts, normal_counts):
+    run(preset_config(name), frames=1, workers=1, write_outputs=False)
+    assert (len(normal_counts), sum(normal_counts)) == counts
+    if name == "appendixE-pump-sweep":
+        assert normal_counts == [2598] * 4

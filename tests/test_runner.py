@@ -20,6 +20,8 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
+from sqzbeat.dsp import auto_periodogram, frame_spectrum
+from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
 EXPECTED_PRESETS = {
@@ -207,6 +209,37 @@ def test_opo_sweep_outputs(tmp_path):
         assert (tmp_path / f"{tag}_antisqueezed.txt").exists()
 
 
+def test_sweep_block_equals_the_full_field_path(monkeypatch):
+    # A sweep block draws and squeezes only the 2m + 1 sidebands its
+    # quadratures read.  Embedded in a full field whose other bins hold
+    # arbitrary values, the same rows must give the same periodograms
+    # through apply_squeezer and quadrature_series.
+    ctx = runner._SweepContext(preset_config("appendixE-pump-sweep"))
+    grid, frames = ctx.grid, 3
+    gen = np.random.default_rng(12)
+
+    def normal(shape, scale):
+        return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+    for pump, spec in enumerate(ctx.specs):
+        index, _, _ = sideband_gains(grid, spec)
+        rows = normal((frames, len(index)), ctx.scale)
+
+        def drawn(keys, size, scale):
+            assert (len(keys), size, scale) == (frames, len(index), ctx.scale)
+            return rows.copy()
+
+        monkeypatch.setattr(runner, "circular_gaussian", drawn)
+        got = next(ctx.periodograms(pump, [range(frames)]))
+        full = normal((frames, grid.n_samples), 10.0)
+        full[:, index] = rows
+        quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
+        for key, q in (("squeezed", quads.a1), ("anti", quads.a2)):
+            want = auto_periodogram(frame_spectrum(q, ctx.window), ctx.wnorm)
+            assert got[key].shape == want.shape
+            assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(want)
+
+
 def test_spectrum_files_have_headers(tmp_path):
     run_preset("vacuum-selftest", frames=30, out_dir=str(tmp_path))
     text = (tmp_path / "spectrum_reference.txt").read_text().splitlines()
@@ -367,6 +400,8 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("epr-identity", '{"epr": {"sample_rate_hz": 3e6}}', "epr.sample_rate_hz"),
         ("epr-identity", '{"epr": {"sample_rate_hz": 1e200}}', "epr.sample_rate_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": []}}', "opo_sweep.pump_powers_mw"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": [100.2, 100.4]}}', "opo_sweep.pump_powers_mw[1]"),
+        ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": [300, 100]}}', "opo_sweep.pump_powers_mw[1]"),
         (
             "vacuum-selftest",
             '{"measurement": {"normalization_band_hz": [6.001e6, 6.02e6]}}',
@@ -395,7 +430,8 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "scalar-bands", "squeezer-without-pump", "sweep-slow-grid", "sweep-anchor-outside",
         "sweep-bandless-grid", "sweep-band-past-nyquist", "sweep-band-reversed",
         "sweep-band-past-margin", "sweep-band-straddling-margin", "epr-slow-grid", "epr-fast-grid",
-        "sweep-no-pumps", "binless-normalization-band", "binless-analysis-band",
+        "sweep-no-pumps", "sweep-colliding-pump-tags", "sweep-falling-pumps",
+        "binless-normalization-band", "binless-analysis-band",
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
         "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
