@@ -14,9 +14,10 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import types
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -51,6 +52,13 @@ MAX_SAMPLES = 1_000_000
 # below the shot floor (20 dB less per decade of carrier).
 MIN_CARRIER = 1e-6
 MAX_CARRIER = 1e6
+# Classical phase noise scales as 1 / (qe E1^2 E2^2): at qe = E1 = E2 =
+# 1e-6 and a classical fraction of 1 - 2^-53, the largest variance the
+# bounds admit is (2/3) 2^53 (2e-12) / 1e-30 = 1.2e34, which stays finite.
+MIN_QUANTUM_EFFICIENCY = 1e-6
+# The runner queues a job per 128-frame chunk of each acquisition before
+# the first frame runs: 10^7 frames are 78k jobs, hours at today's rates.
+MAX_FRAMES = 10**7
 
 
 class ConfigError(ValueError):
@@ -60,21 +68,64 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class Interval:
+    """Numbers a bounded field admits; an infinite end is open."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = True
+    hi_open: bool = True
+
+    def admits(self, x) -> bool:
+        above = self.lo < x or (x == self.lo and not self.lo_open)
+        return above and (x < self.hi or (x == self.hi and not self.hi_open))
+
+    def __str__(self) -> str:
+        return f"lie in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}{')' if self.hi_open else ']'}"
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """Strings a bounded field admits: whole matches of ``regex``."""
+
+    regex: str
+
+    def admits(self, s) -> bool:
+        return re.fullmatch(self.regex, s) is not None
+
+    def __str__(self) -> str:
+        return f"match {self.regex}"
+
+
+# Run names and band labels become summary keys such as band.LABEL.*.
+IDENTIFIER = Pattern(r"[A-Za-z0-9_-]+")
+
+
+def _bounded(default=MISSING, *, ge=None, gt=None, le=None, lt=None):
+    """A field whose value must lie between the ends given, closed at ge
+    and le, open at gt and lt.  ``_from_data`` checks every entry of a
+    tuple, and an optional field only when it is set."""
+    lo, hi = (ge if gt is None else gt), (le if lt is None else lt)
+    lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    return field(default=default, metadata={"bound": Interval(lo, hi, ge is None, le is None)})
+
+
+@dataclass(frozen=True)
 class GridConfig:
-    sample_rate_hz: float = 125e6
-    n_samples: int = 5000
-    frames: int = 12500
+    sample_rate_hz: float = _bounded(125e6, gt=0)
+    n_samples: int = _bounded(5000, ge=16, le=MAX_SAMPLES)
+    frames: int = _bounded(12500, ge=1, le=MAX_FRAMES)
 
 
 @dataclass(frozen=True)
 class SqueezerConfig:
     """Squeezer knobs; center frequency and base angle follow the scheme."""
 
-    pump_ratio: float
-    hwhm_hz: float = 30e6
-    escape_efficiency: float = _ESCAPE
+    pump_ratio: float = _bounded(ge=0, lt=1)
+    hwhm_hz: float = _bounded(30e6, gt=0)
+    escape_efficiency: float = _bounded(_ESCAPE, ge=0, le=1)
     angle_offset_rad: float = 0.0
-    angle_jitter_rms_rad: float = 0.0
+    angle_jitter_rms_rad: float = _bounded(0.0, ge=0)
 
 
 @dataclass(frozen=True)
@@ -82,59 +133,58 @@ class BeamsConfig:
     # Modulation depth keeps the signal peak ~20 dB above the shot floor
     # at these carrier amplitudes; the tone is off-grid, so a stronger
     # peak would leak past the exclusion zone into the analysis bands.
-    e1: float = 1000.0
-    e2: float = 1000.0
+    e1: float = _bounded(1000.0, ge=MIN_CARRIER, le=MAX_CARRIER)
+    e2: float = _bounded(1000.0, ge=MIN_CARRIER, le=MAX_CARRIER)
     beat_freq_hz: float = 10e6
     anchor_hz: float = 30e6
     mod_freq_hz: float = 3.11e6
     mod_depth_rad: float = 1e-3
-    classical_fraction: float = 0.0
+    classical_fraction: float = _bounded(0.0, ge=0, lt=1)
 
 
 @dataclass(frozen=True)
 class PickoffConfig:
-    reflectivity: float = 0.97
+    reflectivity: float = _bounded(0.97, gt=0, le=1)
     squeezer: SqueezerConfig | None = None
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Balanced detector; electronic_noise_rel_db <= MAX_NOISE_REL_DB and
-    |gain_ripple_db| <= MAX_GAIN_RIPPLE_DB."""
-
-    quantum_efficiency: float = 0.99
-    electronic_noise_rel_db: float | None = -2.0
-    clip_level: float | None = None
-    gain_ripple_db: float = 0.0
+    quantum_efficiency: float = _bounded(0.99, ge=MIN_QUANTUM_EFFICIENCY, le=1)
+    electronic_noise_rel_db: float | None = _bounded(-2.0, le=MAX_NOISE_REL_DB)
+    clip_level: float | None = _bounded(None, gt=0)
+    gain_ripple_db: float = _bounded(0.0, ge=-MAX_GAIN_RIPPLE_DB, le=MAX_GAIN_RIPPLE_DB)
 
 
 @dataclass(frozen=True)
 class BandConfig:
-    label: str
+    label: str = field(metadata={"bound": IDENTIFIER})
     center_hz: float
-    half_width_hz: float = 0.5e6
-    exclusion_half_width_hz: float = 0.0
+    half_width_hz: float = _bounded(0.5e6, gt=0)
+    exclusion_half_width_hz: float = _bounded(0.0, ge=0)
 
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Readout chain and analysis bands.  The demod arms' readout noise
-    (arm_noise_rel_db, plus arm_noise_excess_rel_db on lit acquisitions)
-    stays at or below MAX_NOISE_REL_DB."""
+    """Readout chain and analysis bands.  The demod arms' readout noise is
+    arm_noise_rel_db, plus arm_noise_excess_rel_db on lit acquisitions."""
 
     kind: str = "raw"
     lo_phase_rad: float = math.pi / 2.0
-    arm_noise_rel_db: float | None = None
-    arm_noise_excess_rel_db: float | None = None
+    arm_noise_rel_db: float | None = _bounded(None, le=MAX_NOISE_REL_DB)
+    arm_noise_excess_rel_db: float | None = _bounded(None, le=MAX_NOISE_REL_DB)
     bands: tuple[BandConfig, ...] = ()
     normalization_band_hz: tuple[float, float] = (6.0e6, 6.5e6)
 
 
 @dataclass(frozen=True)
 class EprConfig:
-    sample_rate_hz: float = 125e6
-    draws: int = 100
-    residual_threshold: float = 1e-9
+    # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
+    # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
+    # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
+    sample_rate_hz: float = _bounded(125e6, gt=48e6, le=8e9)
+    draws: int = _bounded(100, ge=1, le=MAX_FRAMES)
+    residual_threshold: float = _bounded(1e-9, gt=0)
 
 
 @dataclass(frozen=True)
@@ -142,16 +192,16 @@ class OpoSweepConfig:
     """Per-pump quadrature spectra squeezed about anchor_hz; frames from grid.frames."""
 
     anchor_hz: float = 30e6
-    pump_powers_mw: tuple[float, ...] = (50.0, 100.0, 200.0, 300.0)
-    threshold_mw: float = 600.0
-    hwhm_hz: float = 30e6
-    escape_efficiency: float = _ESCAPE
+    pump_powers_mw: tuple[float, ...] = _bounded((50.0, 100.0, 200.0, 300.0), ge=0)
+    threshold_mw: float = _bounded(600.0, gt=0)
+    hwhm_hz: float = _bounded(30e6, gt=0)
+    escape_efficiency: float = _bounded(_ESCAPE, ge=0, le=1)
     band_hz: tuple[float, float] = (1e6, 20e6)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str = "custom"
+    name: str = field(default="custom", metadata={"bound": IDENTIFIER})
     kind: str = "heterodyne"
     scheme: str = "proposed"
     grid: GridConfig = field(default_factory=GridConfig)
@@ -160,7 +210,7 @@ class ExperimentConfig:
     pickoff2: PickoffConfig = field(default_factory=PickoffConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    seed: int = 20230811
+    seed: int = _bounded(20230811, ge=0)
     out_dir: str = "out"
 
     def frequency_grid(self) -> FrequencyGrid:
@@ -205,20 +255,20 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class IdentityConfig:
-    name: str = "custom"
+    name: str = field(default="custom", metadata={"bound": IDENTIFIER})
     kind: str = "epr"
     epr: EprConfig = field(default_factory=EprConfig)
-    seed: int = 20230811
+    seed: int = _bounded(20230811, ge=0)
     out_dir: str = "out"
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    name: str = "custom"
+    name: str = field(default="custom", metadata={"bound": IDENTIFIER})
     kind: str = "opo-sweep"
     grid: GridConfig = field(default_factory=GridConfig)
     opo_sweep: OpoSweepConfig = field(default_factory=OpoSweepConfig)
-    seed: int = 20230811
+    seed: int = _bounded(20230811, ge=0)
     out_dir: str = "out"
 
     def frequency_grid(self) -> FrequencyGrid:
@@ -256,14 +306,14 @@ def _tuple_items(tp, n: int, path: str) -> tuple:
     return args
 
 
-def _from_data(tp, data, path: str):
+def _from_data(tp, data, path: str, bound=None):
     """Build a value of annotation ``tp`` from JSON data: objects become
     config sections and lists tuples, entry by entry.  Numbers must be
     numbers and never bools, floats finite, integers integral, strings
-    strings."""
+    strings, and each must meet its field's bound."""
     inner = _optional_inner(tp)
     if inner is not None:
-        return None if data is None else _from_data(inner, data, path)
+        return None if data is None else _from_data(inner, data, path, bound)
     if is_dataclass(tp):
         where = path or "config"  # the top level has no field name
         if not isinstance(data, dict):
@@ -274,7 +324,7 @@ def _from_data(tp, data, path: str):
             sub = f"{path}.{key}" if path else key
             if key not in hints:
                 raise ConfigError(sub, "unknown field")
-            kwargs[key] = _from_data(hints[key], value, sub)
+            kwargs[key] = _from_data(hints[key], value, sub, tp.__dataclass_fields__[key].metadata.get("bound"))
         try:
             return tp(**kwargs)
         except TypeError as exc:
@@ -283,12 +333,13 @@ def _from_data(tp, data, path: str):
         if not isinstance(data, (list, tuple)):
             raise ConfigError(path, f"expected a list, got {type(data).__name__}")
         items = _tuple_items(tp, len(data), path)
-        return tuple(_from_data(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, data)))
+        return tuple(_from_data(t, v, f"{path}[{i}]", bound) for i, (t, v) in enumerate(zip(items, data)))
     wanted = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), str: (str, "a string")}
     if tp in wanted:
         kind, noun = wanted[tp]
         _check(isinstance(data, kind) and not isinstance(data, bool), path, f"must be {noun}, got {data!r}")
         _check(tp is not float or _finite(data), path, "must be finite")
+        _check(bound is None or bound.admits(data), path, f"must {bound}, got {data!r}")
     return data
 
 
@@ -334,33 +385,17 @@ def _finite(x) -> bool:
 def validate_config(cfg: Config) -> None:
     """Raise ConfigError at the first violated invariant.
 
-    The config is first rebuilt from its plain data, so a mistyped or
-    non-finite value is named by its path before any range check reads it.
+    The config is first rebuilt from its plain data, so a mistyped,
+    non-finite or out-of-bounds value is named by its path before any rule
+    below, each of which reads several fields or the grid.
     """
     _from_data(type(cfg), to_dict(cfg), "")
     _check(CONFIG_TYPES.get(cfg.kind) is type(cfg), "kind", f"must be one of {KINDS}, matching the config")
-    _check(cfg.seed >= 0, "seed", "must be a non-negative integer")
     if cfg.kind == "epr":
-        _check(cfg.epr.draws >= 1, "epr.draws", "must be >= 1")
-        _check(cfg.epr.residual_threshold > 0, "epr.residual_threshold", "must be positive")
-        # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
-        # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
-        # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
-        _check(
-            48e6 < cfg.epr.sample_rate_hz <= 8e9,
-            "epr.sample_rate_hz",
-            "must lie in (48 MHz, 8 GHz] for the identity draws (4-12 MHz beats on 2000-5000 samples)",
-        )
         return
 
     g = cfg.grid
-    _check(g.sample_rate_hz > 0, "grid.sample_rate_hz", "must be positive")
-    _check(
-        16 <= g.n_samples <= MAX_SAMPLES and g.n_samples % 2 == 0,
-        "grid.n_samples",
-        f"must be even and in [16, {MAX_SAMPLES}]",
-    )
-    _check(g.frames >= 1, "grid.frames", "must be >= 1")
+    _check(g.n_samples % 2 == 0, "grid.n_samples", "must be even")
     section = "opo_sweep" if cfg.kind == "opo-sweep" else "beams"
     anchor = getattr(cfg, section).anchor_hz
     nyq = g.sample_rate_hz / 2.0
@@ -371,10 +406,9 @@ def validate_config(cfg: Config) -> None:
     freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)
     if cfg.kind == "opo-sweep":
         ow = cfg.opo_sweep
-        _check(ow.threshold_mw > 0, "opo_sweep.threshold_mw", "must be positive")
         _check(len(ow.pump_powers_mw) >= 1, "opo_sweep.pump_powers_mw", "need at least one pump power")
         for i, p in enumerate(ow.pump_powers_mw):
-            _check(0 <= p < ow.threshold_mw, f"opo_sweep.pump_powers_mw[{i}]", "must be below threshold")
+            _check(p < ow.threshold_mw, f"opo_sweep.pump_powers_mw[{i}]", "must be below threshold")
             # Outputs are tagged by the rounded power, and the monotone
             # check reads the list in order.
             _check(
@@ -382,8 +416,6 @@ def validate_config(cfg: Config) -> None:
                 f"opo_sweep.pump_powers_mw[{i}]",
                 "must exceed the power before it when both are rounded to whole mW",
             )
-        _check(ow.hwhm_hz > 0, "opo_sweep.hwhm_hz", "must be positive")
-        _check(0 <= ow.escape_efficiency <= 1, "opo_sweep.escape_efficiency", "must be in [0, 1]")
         # Quadratures keep only the sidebands whose partners both lie in
         # the grid, so the band must stay within the anchor's margin.
         lo, hi = ow.band_hz
@@ -394,57 +426,24 @@ def validate_config(cfg: Config) -> None:
 
     _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     b = cfg.beams
-    for name, amplitude in (("beams.e1", b.e1), ("beams.e2", b.e2)):
-        _check(
-            MIN_CARRIER <= amplitude <= MAX_CARRIER,
-            name,
-            f"must lie in [{MIN_CARRIER:g}, {MAX_CARRIER:g}] shot-noise units for a heterodyne run",
-        )
     _check(
         b.mod_depth_rad == 0.0 or b.mod_freq_hz > 0,
         "beams.mod_freq_hz",
         "must be positive when mod_depth_rad is nonzero",
     )
-    _check(0 <= b.classical_fraction < 1, "beams.classical_fraction", "must be in [0, 1)")
     _on_grid(grid, b.anchor_hz + b.beat_freq_hz, "beams.beat_freq_hz")
 
-    for name, pick in (("pickoff1", cfg.pickoff1), ("pickoff2", cfg.pickoff2)):
-        _check(0 < pick.reflectivity <= 1, f"{name}.reflectivity", "must be in (0, 1]")
-        sq = pick.squeezer
-        if sq is None:
-            continue
-        _check(0 <= sq.pump_ratio < 1, f"{name}.squeezer.pump_ratio", "must be in [0, 1)")
-        _check(sq.hwhm_hz > 0, f"{name}.squeezer.hwhm_hz", "must be positive")
-        _check(0 <= sq.escape_efficiency <= 1, f"{name}.squeezer.escape_efficiency", "must be in [0, 1]")
-        _check(sq.angle_jitter_rms_rad >= 0, f"{name}.squeezer.angle_jitter_rms_rad", "must be >= 0")
-
-    det = cfg.detector
-    _check(0 < det.quantum_efficiency <= 1, "detector.quantum_efficiency", "must be in (0, 1]")
-    if det.clip_level is not None:
-        _check(det.clip_level > 0, "detector.clip_level", "must be positive")
-    _check(
-        abs(det.gain_ripple_db) <= MAX_GAIN_RIPPLE_DB,
-        "detector.gain_ripple_db",
-        f"must lie in [-{MAX_GAIN_RIPPLE_DB:g}, {MAX_GAIN_RIPPLE_DB:g}] dB",
-    )
     ms = cfg.measurement
-    for path, level in (
-        ("detector.electronic_noise_rel_db", det.electronic_noise_rel_db),
-        ("measurement.arm_noise_rel_db", ms.arm_noise_rel_db),
-        ("measurement.arm_noise_excess_rel_db", ms.arm_noise_excess_rel_db),
-    ):
-        if level is not None:
-            _check(level <= MAX_NOISE_REL_DB, path, f"must be <= {MAX_NOISE_REL_DB:g} dB")
-
     _check(ms.kind in MEASUREMENTS, "measurement.kind", f"must be one of {MEASUREMENTS}")
     _check(len(ms.bands) >= 1, "measurement.bands", "need at least one analysis band")
+    labels = [band.label for band in ms.bands]
     for i, band in enumerate(ms.bands):
         path = f"measurement.bands[{i}]"
-        _check(band.half_width_hz > 0, path, "half_width_hz must be positive")
+        _check(labels.index(band.label) == i, f"{path}.label", "repeats the label of an earlier band")
         _check(
-            0 <= band.exclusion_half_width_hz < band.half_width_hz,
+            band.exclusion_half_width_hz < band.half_width_hz,
             path,
-            "need 0 <= exclusion_half_width < half_width",
+            "exclusion_half_width_hz must be below half_width_hz",
         )
         _check(0 < band.center_hz < nyq, path, "center_hz must lie inside (0, Nyquist)")
         top = band.center_hz + band.half_width_hz

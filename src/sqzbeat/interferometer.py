@@ -43,7 +43,6 @@ from .fields import (
 )
 from .rng import generator, seed_rows
 
-PHASE_KINDS = ("none", "sinusoid")
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
 
 
@@ -55,20 +54,15 @@ def base_squeeze_angle(scheme: str) -> float:
 
 @dataclass(frozen=True)
 class PhaseSignalSpec:
-    """Relative-phase signal carried by a beam.
+    """Relative-phase signal carried by a beam: mod_depth * sin(2 pi
+    mod_freq t), none at a depth of 0."""
 
-    ``sinusoid`` adds mod_depth * sin(2 pi mod_freq t).
-    """
-
-    kind: str = "none"
     mod_freq_hz: float = 0.0
     mod_depth_rad: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in PHASE_KINDS:
-            raise ValueError(f"kind must be one of {PHASE_KINDS}")
-        if self.kind == "sinusoid" and self.mod_freq_hz <= 0:
-            raise ValueError("sinusoid needs mod_freq_hz > 0")
+        if self.mod_depth_rad != 0.0 and self.mod_freq_hz <= 0:
+            raise ValueError("a nonzero mod_depth_rad needs mod_freq_hz > 0")
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
     """Deterministic part of the beam phase plus an optional noise series."""
     theta = np.full(grid.n_samples, beam.static_phase_rad, dtype=float)
     sig = beam.phase_signal
-    if sig.kind == "sinusoid" and sig.mod_depth_rad != 0.0:
+    if sig.mod_depth_rad != 0.0:
         theta = theta + sig.mod_depth_rad * np.sin(2.0 * np.pi * sig.mod_freq_hz * grid.times())
     if extra_phase is not None:
         theta = theta + extra_phase

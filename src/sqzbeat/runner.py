@@ -196,13 +196,9 @@ class _HeterodyneContext:
         self.grid = cfg.frequency_grid()
         b = cfg.beams
         c1, c2 = cfg.carrier_freqs()
-        mod = (
-            PhaseSignalSpec("sinusoid", b.mod_freq_hz, b.mod_depth_rad)
-            if b.mod_depth_rad != 0.0
-            else PhaseSignalSpec()
-        )
         d = cfg.detector
         self.carrier1 = BeamCarrier(self.grid, BeamSpec(b.e1, c1), d.quantum_efficiency)
+        mod = PhaseSignalSpec(b.mod_freq_hz, b.mod_depth_rad)
         self.carrier2 = BeamCarrier(self.grid, BeamSpec(b.e2, c2, mod), d.quantum_efficiency)
         self.det = DetectorSpec(d.electronic_noise_rel_db, d.clip_level, d.gain_ripple_db)
         self.ref_floor = unsqueezed_shot_psd(b.e1, b.e2, d.quantum_efficiency)

@@ -1,25 +1,42 @@
-"""Property test of the input contract.
+"""Tests of the input contract.
 
 Every JSON patch over every preset, run at 2 frames through the command
 line, ends in exit 0 (run), 2 (configuration error, nothing written) or 3
 (numerical error), never in a traceback, and no file it writes holds a
-``nan`` or ``inf``.  Patches replace one field of a preset, at any depth,
-with a value of the wrong type, a non-finite number, an extreme
-magnitude or an empty list, or swap the edges of a band.  The examples
-are derandomized, so every run tries the same patches.
+``nan`` or ``inf``.  The property test patches one field of a preset, at
+any depth, with a value of the wrong type, a non-finite number, an extreme
+magnitude or an empty list, or swaps the edges of a band; its examples
+are derandomized, so every run tries the same patches.  The edge tests
+walk the bounds table on the config fields: a value just past a bound is
+rejected naming that field, and a value at the edge inside runs through
+the command line under the same contract.  The README's bounds list is
+the table, rendered.
 """
 
 import json
+import math
 import os
 import re
 import tempfile
+import types
+import typing
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqzbeat.cli import main
-from sqzbeat.config import list_presets, preset_config, to_dict
+from sqzbeat.config import (
+    CONFIG_TYPES,
+    ConfigError,
+    Interval,
+    list_presets,
+    merge_config,
+    preset_config,
+    to_dict,
+    validate_config,
+)
 
 settings.register_profile(
     "input-contract",
@@ -96,11 +113,9 @@ def patches(draw):
     return name, {path[0]: data[path[0]]}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own overflow notices
-@settings(settings.get_profile("input-contract"))
-@given(patches())
-def test_every_patch_exits_cleanly_without_non_finite_output(patch):
-    name, body = patch
+def _run_cleanly(name, body):
+    """Exit code of ``body`` over preset ``name`` at 2 frames through the
+    command line, checked against the contract."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "patch.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -114,4 +129,118 @@ def test_every_patch_exits_cleanly_without_non_finite_output(patch):
         for filename in written:
             with open(os.path.join(out, filename), encoding="utf-8") as fh:
                 text = fh.read()
-            assert not NON_FINITE.search(text), f"{filename} holds a non-finite value"
+            # the substring test first: the regex alone takes seconds on
+            # the files of a 10^6-sample frame
+            lower = text.lower()
+            found = ("nan" in lower or "inf" in lower) and NON_FINITE.search(text)
+            assert not found, f"{filename} holds a non-finite value"
+    return rc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own overflow notices
+@settings(settings.get_profile("input-contract"))
+@given(patches())
+def test_every_patch_exits_cleanly_without_non_finite_output(patch):
+    _run_cleanly(*patch)
+
+
+def _bounded_fields(tp, keys=()):
+    """(keys, bound, value type) of every bounded field under config type
+    ``tp``, in declaration order; a list entry is reached at index 0."""
+    hints = typing.get_type_hints(tp)
+    for f in fields(tp):
+        sub, value_tp = keys + (f.name,), hints[f.name]
+        if isinstance(value_tp, types.UnionType):  # X | None
+            (value_tp,) = [a for a in typing.get_args(value_tp) if a is not type(None)]
+        if typing.get_origin(value_tp) is tuple:
+            sub, value_tp = sub + (0,), typing.get_args(value_tp)[0]
+        if "bound" in f.metadata:
+            yield sub, f.metadata["bound"], value_tp
+        if is_dataclass(value_tp):
+            yield from _bounded_fields(value_tp, sub)
+
+
+def _dotted(keys, index="0"):
+    return "".join(f"[{index}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+TABLE = {}  # dotted path, list entries at index 0 -> (keys, bound, value type)
+for _tp in CONFIG_TYPES.values():
+    for _keys, _bound, _type in _bounded_fields(_tp):
+        TABLE.setdefault(_dotted(_keys), (_keys, _bound, _type))
+
+
+def _patch(keys, value):
+    """(preset, patch) that sets ``keys`` to ``value`` over the first
+    preset that sets the field, else the first that holds its parent, or
+    None when no preset reaches it."""
+    cases = []
+    for name in PRESETS:
+        data = _plain(name)
+        try:
+            parent = _at(data, keys[:-1])
+        except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(parent, (dict, list)):
+            unset = parent[keys[-1]] is None
+            parent[keys[-1]] = value
+            cases.append((unset, name, {keys[0]: data[keys[0]]}))
+    return min(cases, key=lambda case: case[0])[1:] if cases else None
+
+
+def _step(x, toward, tp):
+    """The next value of type ``tp`` after ``x`` in the direction of ``toward``."""
+    if tp is int:
+        return x + (1 if toward > x else -1)
+    return math.nextafter(x, toward)
+
+
+def _edges(bound, tp):
+    """(values just outside, values at the edge inside) of a bound."""
+    if not isinstance(bound, Interval):  # a pattern
+        return ["", "x y"], ["x"]
+    outside, inside = [], []
+    for end, is_open, away in ((bound.lo, bound.lo_open, -math.inf), (bound.hi, bound.hi_open, math.inf)):
+        if math.isfinite(end):
+            outside.append(end if is_open else _step(end, away, tp))
+            inside.append(_step(end, -away, tp) if is_open else end)
+    return outside, inside
+
+
+OUTSIDE, INSIDE = [], []
+for _path, (_keys, _bound, _type) in TABLE.items():
+    _outside, _inside = _edges(_bound, _type)
+    for _values, _cases in ((_outside, OUTSIDE), (_inside, INSIDE)):
+        for _value in _values:
+            _case = _patch(_keys, _value)
+            if _case is not None:
+                _cases.append(pytest.param(_path, *_case, id=f"{_path}={_value!r}"))
+
+
+@pytest.mark.parametrize("path, name, body", OUTSIDE)
+def test_a_value_past_a_bound_is_rejected_naming_its_field(path, name, body):
+    with pytest.raises(ConfigError) as err:
+        validate_config(merge_config(preset_config(name), body))
+    assert err.value.path == path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own overflow notices
+@pytest.mark.parametrize("path, name, body", INSIDE)
+def test_a_value_at_a_bound_exits_cleanly(path, name, body, capsys):
+    rc = _run_cleanly(name, body)
+    if rc == 2:  # another rule may reject the edge value, never its own bound
+        assert not capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+def test_every_bounded_field_has_edge_cases():
+    reached = {case.values[0] for case in OUTSIDE} & {case.values[0] for case in INSIDE}
+    assert reached == set(TABLE)
+
+
+def test_readme_lists_the_bounds_table():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Bounds\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line for line in section.splitlines() if line.startswith("- ")]
+    rendered = [f"- `{_dotted(keys, 'i')}` must {bound}" for keys, bound, _ in TABLE.values()]
+    assert listed == rendered

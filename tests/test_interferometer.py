@@ -48,7 +48,7 @@ def _beam(beam, path, seed, extra_phase=None, qe=1.0):
 
 
 def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
-    sig = PhaseSignalSpec("sinusoid", mod_freq, depth) if depth else PhaseSignalSpec()
+    sig = PhaseSignalSpec(mod_freq, depth) if depth else PhaseSignalSpec()
     f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(seed, 0))
     f2 = _beam(BeamSpec(e2, C2, sig), VACUUM, substream(seed, 1))
     return f1, f2
@@ -132,7 +132,7 @@ def test_modulation_sideband_power_ratio():
     depth = 0.01
     mod = 3.2e6
     b1 = BeamSpec(1000.0, C1)
-    b2 = BeamSpec(1000.0, C2, PhaseSignalSpec("sinusoid", mod, depth))
+    b2 = BeamSpec(1000.0, C2, PhaseSignalSpec(mod, depth))
     f1 = _beam(b1, VACUUM, substream(5, 1))
     f2 = _beam(b2, VACUUM, substream(5, 2))
     trace = balanced_detect(f1, f2, IDEAL, substream(5, 3))
@@ -407,7 +407,7 @@ def test_spec_invariants():
     with pytest.raises(ValueError):
         BeamSpec(-1.0, C1)
     with pytest.raises(ValueError):
-        PhaseSignalSpec("sinusoid", 0.0, 0.1)
+        PhaseSignalSpec(0.0, 0.1)
     with pytest.raises(ValueError):
         balanced_detect(
             DetectedField(GRID, np.zeros(N, dtype=complex)),
@@ -425,7 +425,7 @@ def test_block_rows_equal_single_frames():
     paths = [OpticalPath(0.96, spec), OpticalPath(0.96, turned), OpticalPath(0.96, None)]
     qe = 0.95
     carrier1 = BeamCarrier(GRID, BeamSpec(700.0, C1), qe)
-    carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec("sinusoid", 3.11e6, 1e-3)), qe)
+    carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec(3.11e6, 1e-3)), qe)
     det = DetectorSpec(electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
     ref = unsqueezed_shot_psd(700.0, 800.0, qe)
     seeds = [substream(31, i) for i in range(3)]

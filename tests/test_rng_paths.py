@@ -24,7 +24,7 @@ def _jittered(name):
     # Squeeze-angle jitter adds a per-frame stream of its own.
     cfg = preset_config(name)
     sq = replace(cfg.pickoff1.squeezer, angle_jitter_rms_rad=0.01)
-    return replace(cfg, name=f"{name}+jitter", pickoff1=replace(cfg.pickoff1, squeezer=sq))
+    return replace(cfg, name=f"{name}-jitter", pickoff1=replace(cfg.pickoff1, squeezer=sq))
 
 
 CONFIGS = [preset_config(name) for name in HETERODYNE] + [_jittered("fig4-demod")]
@@ -47,7 +47,7 @@ def stream_log(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=[cfg.name for cfg in CONFIGS])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=[*HETERODYNE, "fig4-demod+jitter"])
 def test_one_frame_uses_each_stream_once(cfg, stream_log):
     run(cfg, frames=1, workers=1, write_outputs=False)
     assert stream_log, "no generator was built"
@@ -59,7 +59,7 @@ def test_one_frame_uses_each_stream_once(cfg, stream_log):
         rng.RUN_BACKGROUND, rng.RUN_REFERENCE, rng.RUN_TARGET
     }
     assert {key[1] for _, key in stream_log} == {0}  # frame index
-    if cfg.name.endswith("+jitter"):
+    if cfg.name.endswith("-jitter"):
         assert (rng.RUN_TARGET, 0, rng.PORT_JITTER) in {key for _, key in stream_log}
 
 

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqzbeat import config, runner
+from sqzbeat import runner
 from sqzbeat.cli import main
 from sqzbeat.config import (
+    BeamsConfig,
     ConfigError,
     DetectorConfig,
     config_hash,
@@ -424,6 +425,16 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("fig3-raw", '{"kind": "epr"}', "kind"),
         ("epr-identity", '{"kind": "opo-sweep"}', "kind"),
         ("fig3-raw", "[1]", "config"),
+        ("vacuum-selftest", '{"name": "x\\nframes=99"}', "name"),
+        ("fig3-raw", '{"measurement": {"bands": [{"label": "lower\\nseed=1", "center_hz": 6.89e6}]}}',
+         "measurement.bands[0].label"),
+        (
+            "fig3-raw",
+            '{"measurement": {"bands": [{"label": "lower", "center_hz": 6.89e6}, {"label": "lower", "center_hz": 13.11e6}]}}',
+            "measurement.bands[1].label",
+        ),
+        ("fig3-raw", '{"grid": {"frames": 1000000000000000000000000000000}}', "grid.frames"),
+        ("fig3-raw", '{"detector": {"quantum_efficiency": 5e-324}}', "detector.quantum_efficiency"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
@@ -435,7 +446,8 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
         "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
-        "heterodyne-to-epr", "epr-to-sweep", "list-patch",
+        "heterodyne-to-epr", "epr-to-sweep", "list-patch", "summary-line-in-name", "summary-line-in-label",
+        "repeated-label", "endless-frames", "vanishing-quantum-efficiency",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
@@ -472,8 +484,9 @@ def test_validate_rejects_non_finite_values_in_every_section():
     ids=["overflowing-carrier"],
 )
 def test_cli_overflow_is_a_numerical_error(patch, message, tmp_path, capsys, monkeypatch):
-    # validation bounds the carriers; lifted, the overflow reaches the run
-    monkeypatch.setattr(config, "MAX_CARRIER", float("inf"))
+    # the bounds table holds the carriers; lifted, the overflow reaches the run
+    e1 = BeamsConfig.__dataclass_fields__["e1"]
+    monkeypatch.setattr(e1, "metadata", {"bound": replace(e1.metadata["bound"], hi=float("inf"))})
     cfg_path = tmp_path / "patch.json"
     cfg_path.write_text(patch)
     rc = main([
