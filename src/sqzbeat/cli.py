@@ -53,11 +53,17 @@ def _load_config(args) -> "Config":
         raise ConfigError("run", "need --preset and/or --config")
     cfg = preset_config(args.preset) if args.preset else None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(args.config, f"invalid JSON: {exc}") from None
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(args.config, f"cannot read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(args.config, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(args.config, f"invalid JSON: {exc}") from None
         cfg = merge_config(cfg, data) if cfg is not None else from_dict(data)
     return cfg
 
@@ -85,7 +91,7 @@ def main(argv=None) -> int:
             print(line)
         print(f"wall_time_s={summary.wall_time_s:.2f}")
         return EXIT_OK
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DspError, BandError, ArithmeticError) as exc:  # overflows and non-finite samples

@@ -5,7 +5,10 @@ frequency axis.  A white sequence with unit per-sample variance estimates
 a flat PSD of 1.0, which makes the shot-noise unit carry through from the
 field layer unchanged.  This module computes the Hamming-windowed
 periodogram of each frame; the runner's chunk engine averages them over
-non-overlapping frames in frame-index order.
+non-overlapping frames in frame-index order.  The window is the periodic
+(DFT-even) Hamming window, 0.54 - 0.46 cos(2 pi t / n): its spectrum has
+three taps, so ``hamming_from_bins`` windows rows that are already in the
+frequency domain with no FFT, equal to ``frame_spectrum`` up to rounding.
 
 The per-frame steps (``filter_frame``, ``mix_down``, ``frame_spectrum``
 and the periodograms) work along the last axis, so one call handles one
@@ -179,16 +182,40 @@ def demod_lpf_spec(lo_freq_hz: float) -> FilterSpec:
     return FilterSpec("low-pass", (lo_freq_hz / 2.0,), order=8)
 
 
+# The Hamming window's two coefficients, w(t) = A0 - A1 cos(2 pi t / n).
+_HAMMING_A0 = 0.54
+_HAMMING_A1 = 0.46
+
+
 def hamming_window(n: int) -> tuple[np.ndarray, float]:
-    """Hamming window of ``n`` samples and its power sum, which
-    normalizes the periodograms so a white input of PSD p estimates p."""
-    window = np.hamming(n)
+    """Periodic (DFT-even) Hamming window of ``n`` samples and its power
+    sum, which normalizes the periodograms so a white input of PSD p
+    estimates p."""
+    window = _HAMMING_A0 - _HAMMING_A1 * np.cos(2.0 * np.pi * np.arange(n) / n)
     return window, float(np.sum(window**2))
 
 
 def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Windowed spectrum V = rfft(w * x) of a frame or of each block row."""
     return np.fft.rfft(window * x)
+
+
+def hamming_from_bins(bins: np.ndarray) -> np.ndarray:
+    """``frame_spectrum`` of real rows given as their rfft bins X.
+
+    The periodic window has three DFT taps (Harris, Proc. IEEE 66, 51,
+    1978): V_j = A0 X_j - (A1 / 2) (X_{j-1} + X_{j+1}), with the bins
+    beyond either end of the rfft layout wrapped as a real row's are,
+    X_{-1} = conj X_1 and X_{n/2+1} = conj X_{n/2-1}.
+    """
+    out = np.empty_like(bins)
+    np.add(bins[..., :-2], bins[..., 2:], out=out[..., 1:-1])
+    # At either end the two neighbours are a bin and its conjugate.
+    out[..., 0] = 2.0 * bins[..., 1].real
+    out[..., -1] = 2.0 * bins[..., -2].real
+    out *= -_HAMMING_A1 / 2.0
+    out += _HAMMING_A0 * bins
+    return out
 
 
 def auto_periodogram(v: np.ndarray, wnorm: float) -> np.ndarray:
@@ -216,7 +243,7 @@ def _window_variance_factor(n_fft: int) -> float:
     # few-lag truncation is accurate.
     if n_fft < 16:
         return 1.0
-    w2 = np.hamming(n_fft) ** 2
+    w2 = hamming_window(n_fft)[0] ** 2
     r = np.fft.rfft(w2)[:8]
     rho2 = np.abs(r / r[0]) ** 2
     return float(rho2[0] + 2.0 * np.sum(rho2[1:]))

@@ -115,9 +115,6 @@ class QuadraturePair:
     a1: np.ndarray
     a2: np.ndarray
 
-    def at_angle(self, angle_rad: float) -> np.ndarray:
-        return self.a1 * np.cos(angle_rad) + self.a2 * np.sin(angle_rad)
-
 
 @dataclass(frozen=True)
 class SqueezerSpec:

@@ -11,8 +11,11 @@ from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
 accept an int, a ``SeedSequence``, a ``StreamKey``, or a list of per-frame
 seeds for a block of frames.
 
-Stream layout 4.  A heterodyne frame is keyed (run, frame index, port),
-with the ports of layout 3:
+Stream layout 5.  It draws exactly what layout 4 drew and changes only
+the periodogram window, from numpy's symmetric Hamming window to the
+periodic one (``dsp.hamming_window``), for heterodyne and sweep runs
+alike.  A heterodyne frame is keyed (run, frame index, port), with the
+ports of layout 3:
 
 =================  ==========================================================
 port               stream
@@ -49,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Version of the stream layout above; heterodyne and sweep summaries record it.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.

@@ -20,7 +20,7 @@ from sqzbeat.dsp import (
     local_oscillator,
     mix_down,
 )
-from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
+from sqzbeat.fields import FrequencyGrid, QuadraturePair, SqueezerSpec, quadrature_series
 from sqzbeat.interferometer import (
     BeamSpec,
     OpticalPath,
@@ -29,6 +29,11 @@ from sqzbeat.interferometer import (
     pickoff_noise_field,
 )
 from sqzbeat.rng import substream
+
+
+def quadrature_at_angle(q: QuadraturePair, angle_rad: float) -> np.ndarray:
+    """The quadrature a1 cos(angle) + a2 sin(angle) of a pair."""
+    return q.a1 * np.cos(angle_rad) + q.a2 * np.sin(angle_rad)
 
 
 def linearized_output(
@@ -61,8 +66,8 @@ def linearized_output(
 
     dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(2.0 * np.pi * beat_hz * t + theta2 - theta1)
     root2 = np.sqrt(2.0)
-    dp = dp + root2 * b2.amplitude * qa.at_angle(-b2.static_phase_rad)
-    dp = dp + root2 * b1.amplitude * qb.at_angle(-b1.static_phase_rad)
+    dp = dp + root2 * b2.amplitude * quadrature_at_angle(qa, -b2.static_phase_rad)
+    dp = dp + root2 * b1.amplitude * quadrature_at_angle(qb, -b1.static_phase_rad)
     dp = dp - dp.mean()
     return PhotocurrentTrace(dp, grid)
 

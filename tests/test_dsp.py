@@ -17,6 +17,7 @@ from sqzbeat.dsp import (
     demod_measurement_chain,
     filter_frame,
     frame_spectrum,
+    hamming_from_bins,
     hamming_window,
     local_oscillator,
     mix_down,
@@ -312,3 +313,18 @@ def test_chain_steps_on_a_block_equal_each_frame():
         auto_1, cross_1 = chain(x)
         assert np.array_equal(auto_b[i], auto_1)
         assert np.array_equal(cross_b[i], cross_1)
+
+
+@pytest.mark.parametrize("n", [16, 5000, 4998])
+def test_window_taps_on_bins_equal_the_windowed_rfft(n):
+    # The periodic window's three taps must reproduce rfft(w x), both ends
+    # of the rfft layout included (n = 4998 has an odd half length).
+    x = np.random.default_rng(n).standard_normal((3, n))
+    window, wnorm = hamming_window(n)
+    want = frame_spectrum(x, window)
+    got = hamming_from_bins(np.fft.rfft(x))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # periodic: w(t) = w(n - t), and the power sum is n (0.54^2 + 0.46^2 / 2)
+    assert np.allclose(window[1:], window[:0:-1], rtol=0, atol=1e-15)
+    assert wnorm == pytest.approx(n * (0.54**2 + 0.46**2 / 2), rel=1e-12)

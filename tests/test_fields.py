@@ -20,6 +20,7 @@ from sqzbeat.fields import (
 from sqzbeat.rng import substream
 
 from helpers import naive_psd
+from oracles import quadrature_at_angle
 
 FS = 125e6
 GRID = FrequencyGrid(FS, 2500, 30e6)
@@ -39,8 +40,8 @@ def _quad_psd(spec=None, frames=300, seed=101, angle=0.0, center=30e6, loss=None
         if loss is not None:
             f = apply_loss(f, loss, substream(seed, 1, i))
         q = quadrature_series(f, center)
-        acc1.append(q.at_angle(angle))
-        acc2.append(q.at_angle(angle + np.pi / 2.0))
+        acc1.append(quadrature_at_angle(q, angle))
+        acc2.append(quadrature_at_angle(q, angle + np.pi / 2.0))
     freqs = np.fft.rfftfreq(GRID.n_samples, 1.0 / FS)
     return freqs, naive_psd(acc1), naive_psd(acc2)
 

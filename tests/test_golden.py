@@ -18,7 +18,10 @@ stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
 against one-frame synthesis; the sweep's for stream layout 4, whose
 blocks ``test_runner.test_sweep_block_equals_the_full_field_path`` checks
-against the full-field squeezer and quadratures.
+against the full-field squeezer and quadratures.  Stream layout 5 (the
+periodic Hamming window) rewrote every heterodyne and sweep summary and
+the digest of every windowed spectrum; that test also checks the sweep's three-tap window
+against ``frame_spectrum`` of those quadratures.
 """
 
 import hashlib

@@ -21,7 +21,7 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
-from sqzbeat.dsp import auto_periodogram, frame_spectrum
+from sqzbeat.dsp import auto_periodogram, frame_spectrum, hamming_window
 from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
@@ -210,13 +210,19 @@ def test_opo_sweep_outputs(tmp_path):
         assert (tmp_path / f"{tag}_antisqueezed.txt").exists()
 
 
-def test_sweep_block_equals_the_full_field_path(monkeypatch):
+@pytest.mark.parametrize(
+    "patch", [{}, {"opo_sweep": {"anchor_hz": 0.0}}], ids=["preset-anchor", "zero-anchor"]
+)
+def test_sweep_block_equals_the_full_field_path(patch, monkeypatch):
     # A sweep block draws and squeezes only the 2m + 1 sidebands its
-    # quadratures read.  Embedded in a full field whose other bins hold
-    # arbitrary values, the same rows must give the same periodograms
-    # through apply_squeezer and quadrature_series.
-    ctx = runner._SweepContext(preset_config("appendixE-pump-sweep"))
+    # quadratures read, and windows their spectra without an FFT.
+    # Embedded in a full field whose other bins hold arbitrary values, the
+    # same rows must give the same periodograms through apply_squeezer,
+    # quadrature_series and frame_spectrum.  At anchor 0, m = n/2 - 1, so
+    # the window's taps reach past the Nyquist bin.
+    ctx = runner._SweepContext(merge_config(preset_config("appendixE-pump-sweep"), patch))
     grid, frames = ctx.grid, 3
+    window, wnorm = hamming_window(grid.n_samples)
     gen = np.random.default_rng(12)
 
     def normal(shape, scale):
@@ -236,7 +242,7 @@ def test_sweep_block_equals_the_full_field_path(monkeypatch):
         full[:, index] = rows
         quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
         for key, q in (("squeezed", quads.a1), ("anti", quads.a2)):
-            want = auto_periodogram(frame_spectrum(q, ctx.window), ctx.wnorm)
+            want = auto_periodogram(frame_spectrum(q, window), wnorm)
             assert got[key].shape == want.shape
             assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(want)
 
@@ -303,6 +309,31 @@ def test_cli_errors():
     assert main(["run"]) == 2  # neither preset nor config
     assert main(["run", "--preset", "nope"]) == 2
     assert main(["validate", "--config", "/does/not/exist.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--preset", "fig3-raw", "--frames", "2", "--out", "{file}"], "out_dir: {file} exists"),
+        (["run", "--preset", "fig3-raw", "--config", "{dir}"], "{dir}: cannot read"),
+        (["validate", "--config", "{dir}"], "{dir}: cannot read"),
+        (["validate", "--config", "{latin}"], "{latin}: not UTF-8 text"),
+    ],
+    ids=["out-is-a-file", "run-config-is-a-directory", "validate-config-is-a-directory", "config-not-utf8"],
+)
+def test_cli_unusable_paths_are_config_errors(argv, named, tmp_path, capsys, monkeypatch):
+    # each path is refused with exit 2 and its name, before any frame runs
+    paths = {"file": tmp_path / "taken", "dir": tmp_path, "latin": tmp_path / "latin.json"}
+    paths["file"].write_text("not a directory")
+    paths["latin"].write_bytes(b"\xff\xfe{")
+
+    def no_frames(*args):
+        raise AssertionError("frames ran")
+
+    monkeypatch.setattr(runner, "_accumulate_runs", no_frames)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"config error: {named.format(**paths)}" in capsys.readouterr().err
+    assert paths["file"].read_text() == "not a directory"
 
 
 def test_cli_degenerate_subtraction_exit_code(tmp_path):
