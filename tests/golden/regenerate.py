@@ -8,8 +8,9 @@ Summaries come from the commands ``tests/test_golden.py`` lists,
     sqzbeat run --preset appendixE-pump-sweep --frames 8 --out DIR
     sqzbeat run --preset epr-identity --out DIR         (default draws)
 
-and ``block-boundary.sha256`` from ``run(preset_config(NAME), frames=130,
-workers=W)`` for W = 1 and 2, which must write the same bytes.  Prints
+and ``block-boundary.sha256`` from ``run(merge_config(preset_config(PRESET),
+PATCH), frames=130, workers=W)`` for every (NAME, PRESET, PATCH) of
+``BOUNDARY_RUNS`` and W = 1 and 2, which must write the same bytes.  Prints
 the name of each file whose contents changed.  Regenerate only for a
 declared change of the realizations, after the acceptance gate passes.
 """
@@ -24,17 +25,35 @@ import sys
 import tempfile
 
 from sqzbeat.cli import main
-from sqzbeat.config import list_presets, preset_config
+from sqzbeat.config import list_presets, merge_config, preset_config
 from sqzbeat.runner import run
 
 GOLDEN = os.path.dirname(os.path.abspath(__file__))
-BOUNDARY_PRESETS = ("fig4-demod", "fig3-raw", "appendixE-pump-sweep")
+# (name, preset, patch) of each run whose outputs are pinned.  The presets
+# run at their default seed; the variants reach what those runs do not: a
+# sweep anchored at 0 Hz, whose sidebands reach the Nyquist bin, and seeds
+# of two 32-bit words.
+BOUNDARY_RUNS = (
+    ("fig4-demod", "fig4-demod", {}),
+    ("fig3-raw", "fig3-raw", {}),
+    ("appendixE-pump-sweep", "appendixE-pump-sweep", {}),
+    ("appendixE-pump-sweep-anchor0", "appendixE-pump-sweep", {"opo_sweep": {"anchor_hz": 0.0}}),
+    ("fig3-raw-seed2e32", "fig3-raw", {"seed": 2**32 + 20230811}),
+    ("appendixE-pump-sweep-seed2e32", "appendixE-pump-sweep", {"seed": 2**32 + 20230811}),
+)
 BOUNDARY_HEADER = """\
-# SHA-256 of every output file of run(preset_config(NAME), frames=130, workers=W)
-# at the default seed, for W = 1 and 2: two 128-frame chunks, the second a
-# partial block of 2 frames.  Check by hand with `sha256sum -c` in a directory
-# holding NAME/ output trees.
+# SHA-256 of every output file of run(merge_config(preset_config(PRESET), PATCH),
+# frames=130, workers=W) for each (NAME, PRESET, PATCH) of BOUNDARY_RUNS in
+# regenerate.py, for W = 1 and 2: two 128-frame chunks, the second a partial
+# block of 2 frames.  Check by hand with `sha256sum -c` in a directory holding
+# NAME/ output trees.
 """
+
+
+def boundary_config(name: str):
+    """The config of the pinned run ``name`` of BOUNDARY_RUNS."""
+    preset, patch = next((p, patch) for n, p, patch in BOUNDARY_RUNS if n == name)
+    return merge_config(preset_config(preset), patch)
 
 
 def _summary_args(name: str) -> list[str]:
@@ -45,7 +64,7 @@ def _summary_args(name: str) -> list[str]:
 
 def _digests(name: str, workers: int) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as out:
-        run(preset_config(name), frames=130, out_dir=out, workers=workers)
+        run(boundary_config(name), frames=130, out_dir=out, workers=workers)
         return {
             f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest()
             for f in sorted(os.listdir(out))
@@ -74,7 +93,7 @@ def regenerate() -> list[str]:
         _write(f"{name}.summary.txt", data, changed)
 
     lines = [BOUNDARY_HEADER]
-    for name in BOUNDARY_PRESETS:
+    for name, _, _ in BOUNDARY_RUNS:
         one, two = _digests(name, 1), _digests(name, 2)
         if one != two:
             raise SystemExit(f"{name}: outputs differ between 1 and 2 workers")

@@ -11,9 +11,12 @@ of the realizations regenerates the files with ``golden/regenerate.py``
 (``PYTHONPATH=src python tests/golden/regenerate.py``) and says so.
 
 ``golden/block-boundary.sha256`` holds the SHA-256 of every output file
-(summary and spectra) of ``fig4-demod``, ``fig3-raw`` and
-``appendixE-pump-sweep`` at 130 frames: two chunks, the second ending in
-a partial block.  The heterodyne spectra's digests were rewritten for
+(summary and spectra) of the runs ``golden/regenerate.py`` lists in
+``BOUNDARY_RUNS`` at 130 frames: two chunks, the second ending in a
+partial block.  They are ``fig4-demod``, ``fig3-raw`` and
+``appendixE-pump-sweep`` at the default seed, the sweep anchored at 0 Hz
+(its sidebands reach the Nyquist bin), and ``fig3-raw`` and the sweep at
+a seed of two 32-bit words.  The heterodyne spectra's digests were rewritten for
 stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
 against one-frame synthesis; the sweep's for stream layout 4, whose
@@ -25,6 +28,7 @@ against ``frame_spectrum`` of those quadratures.
 """
 
 import hashlib
+import importlib.util
 import os
 
 import pytest
@@ -33,6 +37,9 @@ from sqzbeat.config import list_presets, preset_config
 from sqzbeat.runner import run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+_spec = importlib.util.spec_from_file_location("regenerate", os.path.join(GOLDEN, "regenerate.py"))
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
 
 
 def _frames(name):
@@ -61,9 +68,9 @@ def _block_boundary_digests(name):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", ["fig4-demod", "fig3-raw", "appendixE-pump-sweep"])
+@pytest.mark.parametrize("name", [name for name, _, _ in regenerate.BOUNDARY_RUNS])
 def test_golden_outputs_across_chunk_and_block_boundaries(name, workers, tmp_path):
-    run(preset_config(name), frames=130, out_dir=str(tmp_path), workers=workers)
+    run(regenerate.boundary_config(name), frames=130, out_dir=str(tmp_path), workers=workers)
     got = {
         filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
         for filename in sorted(os.listdir(tmp_path))
