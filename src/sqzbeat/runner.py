@@ -12,8 +12,10 @@ engine, split run -> chunk -> block:
   built once.  Its block step ``periodograms(acquisition, blocks)``
   yields the periodograms of each block of frames, one row per frame.
 - chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
-  maps over (``_chunk_sum``).  Chunk sums are folded in chunk order, so
-  the emitted numbers are bit-identical for any worker count.
+  maps over (``_chunk_sum``).  A chunk hashes the generator states of
+  all its streams in one pass (``rng.ChunkStreams``) and draws every
+  stream through one reused generator.  Chunk sums are folded in chunk
+  order, so the emitted numbers are bit-identical for any worker count.
 - block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
   detection and the measurement chain together, one row per frame, so
   each FFT is one batched call instead of one per frame.  Blocks stay at
@@ -23,7 +25,8 @@ engine, split run -> chunk -> block:
   and 8 or 16 frames ran no faster than 4.
 
 Blocks do not change a single output bit.  Each noise row still draws
-from its own (run, frame, port) substream, elementwise steps do not care
+from its own (run, frame, port) substream, set up bit for bit as its own
+generator would be, elementwise steps do not care
 about the row layout, numpy's batched FFTs return every row's bits as a
 one-frame call does (numpy 2.4; the block tests in ``tests/`` check it),
 and periodograms are still added to the chunk sums
@@ -40,11 +43,12 @@ the gains, their angle redrawn per frame under jitter.  The carriers,
 scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
-index builds 15 generators and draws 95000 normals, ``fig3-raw`` 9 and
+index opens 15 streams and draws 95000 normals, ``fig3-raw`` 9 and
 65000.  A sweep frame draws and squeezes only the 2m + 1 sidebands its
-quadratures read (one generator and 2598 normals per pump power) and
+quadratures read (one stream and 2598 normals per pump power) and
 forms both quadratures' windowed spectra straight from those sidebands,
-with no FFT: the periodic Hamming window is three taps on the bins.
+with no FFT: the periodic Hamming window is three taps on the bins, and
+only the bins 0..m+1 it can make nonzero are computed and summed.
 Heterodyne frames keep the time-domain chain and its rfft, where a
 frequency-domain chain measured only about 3% faster.
 
@@ -97,7 +101,6 @@ from .fields import (
     FrequencyGrid,
     SqueezerSpec,
     apply_squeezer,
-    circular_gaussian,
     epr_identity_residual,
     make_vacuum_field,
     sideband_gains,
@@ -250,26 +253,23 @@ class _HeterodyneContext:
 
     # -- block synthesis ------------------------------------------------
 
-    def _keys(self, run_id: int, frames: range, port: int) -> list:
-        return [rngs.frame_seed(self.cfg.seed, run_id, i, port) for i in frames]
-
-    def _draws(self, keys: list, sigma: float) -> np.ndarray:
-        """One row of N(0, sigma^2) samples per key."""
+    def _draws(self, seeds: list, sigma: float) -> np.ndarray:
+        """One row of N(0, sigma^2) samples per seed."""
         n = self.grid.n_samples
-        return np.stack([rngs.generator(k).normal(0.0, sigma, n) for k in keys])
+        return np.stack([rngs.generator(s).normal(0.0, sigma, n) for s in seeds])
 
-    def _paths(self, run_name: str, run_id: int, frames: range) -> tuple:
+    def _paths(self, run_name: str, streams: rngs.ChunkStreams, frames: range) -> tuple:
         """Each beam's optical path for a block: one record for every row,
         or a list of one per frame when the squeeze angle jitters."""
         if run_name == "target" and any(p.jitter_rms_rad for p in self.paths["target"]):
-            per_frame = [self._jittered(run_id, i) for i in frames]
+            per_frame = [self._jittered(streams, i) for i in frames]
             return tuple(list(beam) for beam in zip(*per_frame))
         return self.paths[run_name]
 
-    def _jittered(self, run_id: int, index: int) -> tuple[OpticalPath, ...]:
+    def _jittered(self, streams: rngs.ChunkStreams, index: int) -> tuple[OpticalPath, ...]:
         """The target paths of one frame, each jittered squeezer turned by
         a fresh draw from the frame's jitter stream."""
-        gen = rngs.generator(rngs.frame_seed(self.cfg.seed, run_id, index, rngs.PORT_JITTER))
+        gen = streams.generator(index, rngs.PORT_JITTER)
         paths = []
         for p in self.paths["target"]:
             if p.jitter_rms_rad > 0:
@@ -278,45 +278,44 @@ class _HeterodyneContext:
             paths.append(p)
         return tuple(paths)
 
-    def _photocurrent(self, run_name: str, frames: range) -> np.ndarray:
+    def _photocurrent(self, run_name: str, streams: rngs.ChunkStreams, frames: range) -> np.ndarray:
         """Detector output of a block of frames, one row per frame."""
-        run_id = _RUN_IDS[run_name]
-        det_keys = self._keys(run_id, frames, rngs.PORT_DETECTOR)
+        det_streams = streams.rows(frames, rngs.PORT_DETECTOR)
         if run_name == "background":
             dark = np.zeros((len(frames), self.grid.n_samples))
             return PhotocurrentTrace(
-                detector_readout(dark, self.det, det_keys, self.ref_floor), self.grid
+                detector_readout(dark, self.det, det_streams, self.ref_floor), self.grid
             ).samples
         extra = None
         if self.phase_var > 0.0:
-            extra = self._draws(self._keys(run_id, frames, rngs.PORT_PHASE), self.phase_sigma)
-        path1, path2 = self._paths(run_name, run_id, frames)
-        e1 = compose_beam(self.carrier1, path1, self._keys(run_id, frames, rngs.PORT_BEAM1))
-        e2 = compose_beam(
-            self.carrier2, path2, self._keys(run_id, frames, rngs.PORT_BEAM2), extra_phase=extra
-        )
-        return balanced_detect(e1, e2, self.det, det_keys, reference_shot_psd=self.ref_floor).samples
+            extra = self._draws(streams.rows(frames, rngs.PORT_PHASE), self.phase_sigma)
+        path1, path2 = self._paths(run_name, streams, frames)
+        e1 = compose_beam(self.carrier1, path1, streams.rows(frames, rngs.PORT_BEAM1))
+        e2 = compose_beam(self.carrier2, path2, streams.rows(frames, rngs.PORT_BEAM2), extra_phase=extra)
+        return balanced_detect(e1, e2, self.det, det_streams, reference_shot_psd=self.ref_floor).samples
 
     # -- measurement -----------------------------------------------------
 
-    def _arms(self, run_name: str, frames: range, x: np.ndarray) -> list[np.ndarray]:
+    def _arms(self, run_name: str, streams: rngs.ChunkStreams, frames: range, x: np.ndarray) -> list[np.ndarray]:
         """The readout arms of a block of photocurrent rows; arm 1 alone for an auto-spectrum."""
-        run_id = _RUN_IDS[run_name]
         base = mix_down(x, self.lo, self.lpf_h)
         sigma = self.arm_sigma[run_name]
         arms = []
         for port in (rngs.PORT_ARM1, rngs.PORT_ARM2)[: 2 if self.estimate == "cross" else 1]:
             y = base
             if sigma > 0.0:
-                y = y + self._draws(self._keys(run_id, frames, port), sigma)
+                y = y + self._draws(streams.rows(frames, port), sigma)
             arms.append(filter_frame(y, self.post_h))
         return arms
 
-    def periodograms(self, run_name: str, blocks):
+    def periodograms(self, run_name: str, blocks: list[range]):
         """Reported periodogram rows of each block of frames of one acquisition."""
+        # All ports, also those an acquisition never draws: hashing them
+        # costs microseconds per chunk and spares a list of ports per acquisition.
+        streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
         for frames in blocks:
-            x = self._photocurrent(run_name, frames)
-            rows = [filter_frame(x, self.chain_h)] if self.measurement == "raw" else self._arms(run_name, frames, x)
+            x = self._photocurrent(run_name, streams, frames)
+            rows = [filter_frame(x, self.chain_h)] if self.measurement == "raw" else self._arms(run_name, streams, frames, x)
             spectra = [frame_spectrum(r, self.window) for r in rows]
             periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
             yield {self.estimate: periodogram(*spectra, self.wnorm)}
@@ -357,22 +356,37 @@ class _SweepContext:
         ]
         self.acquisitions = range(len(self.specs))
 
-    def periodograms(self, pump: int, blocks):
-        """Squeezed and anti-squeezed quadrature periodogram rows of each block."""
+    def periodograms(self, pump: int, blocks: list[range]):
+        """Squeezed and anti-squeezed quadrature periodogram rows of each
+        block, over the bins 0..m+1 that can be nonzero (and one zero bin
+        past them, which the window's end wrap reads, short of Nyquist)."""
         n = self.grid.n_samples
         c = n / np.sqrt(2.0)
         _, gp, gmw = sideband_gains(self.grid, self.specs[pump])
         m = len(gp) // 2
+        streams = rngs.ChunkStreams(self.seed, 10 + pump, _span(blocks), (0,))
+        rows = max(map(len, blocks))
+        normals = np.empty((rows, 2, 2 * m + 1))  # real parts, then imaginary parts
+        # Bins above m stay zero in every block.
+        bins = np.zeros((2 * rows, min(m + 3, n // 2 + 1)), dtype=complex)
         for frames in blocks:
-            keys = [rngs.frame_seed(self.seed, 10 + pump, i, 0) for i in frames]
-            z = squeeze_sidebands(circular_gaussian(keys, 2 * m + 1, self.scale), gp, gmw)
-            lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
             k = len(frames)
-            bins = np.zeros((2 * k, len(self.freqs)), dtype=complex)
+            for row, i in zip(normals, frames):
+                streams.generator(i, 0).standard_normal(out=row)
+            z = np.empty((k, 2 * m + 1), dtype=complex)
+            np.multiply(normals[:k, 0], self.scale, out=z.real)
+            np.multiply(normals[:k, 1], self.scale, out=z.imag)
+            z = squeeze_sidebands(z, gp, gmw)
+            lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
             np.multiply(lower + upper, c, out=bins[:k, : m + 1])
-            np.multiply(lower - upper, c / 1j, out=bins[k:, : m + 1])
-            p = auto_periodogram(hamming_from_bins(bins), self.wnorm)
+            np.multiply(lower - upper, c / 1j, out=bins[k : 2 * k, : m + 1])
+            p = auto_periodogram(hamming_from_bins(bins[: 2 * k]), self.wnorm)
             yield {"squeezed": p[:k], "anti": p[k:]}
+
+
+def _span(blocks: list[range]) -> range:
+    """The frames of a chunk's consecutive blocks."""
+    return range(blocks[0].start, blocks[-1].stop)
 
 
 def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
@@ -381,11 +395,12 @@ def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
     block step is a generator so a block's arrays live until the next block
     replaces them: freed at every block, they cost 40k minor page faults
     per 128 ``fig3-raw`` frames instead of 2k, and 10-15% of the time."""
-    blocks = (range(f, min(f + BLOCK_FRAMES, stop)) for f in range(start, stop, BLOCK_FRAMES))
+    blocks = [range(f, min(f + BLOCK_FRAMES, stop)) for f in range(start, stop, BLOCK_FRAMES)]
     acc = {}
     for parts in ctx.periodograms(acquisition, blocks):
         for k, rows in parts.items():
-            total = acc.setdefault(k, np.zeros(rows.shape[-1]))
+            # Rows may stop short of the last bins, which are then zero.
+            total = acc.setdefault(k, np.zeros(len(ctx.freqs)))[: rows.shape[-1]]
             for row in rows:
                 total += row
     return acc
@@ -422,11 +437,13 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
         return _fold(jobs, ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
 
 
-def _write_spectrum(path: str, freq_column: list[str], values_db: np.ndarray, header: dict):
+def _write_spectrum(path: str, rows: str, values_db: np.ndarray, header: dict):
+    """Write one spectrum file; ``rows`` is the run's template of its data
+    lines, ``freq,%.6f`` per bin."""
     lines = [f"# {k}={v}" for k, v in header.items()]
-    lines.append("freq_hz,psd_db_rel_vacuum")
-    # Python floats format faster than numpy scalars, to the same text.
-    lines += [f + f"{v:.6f}" for f, v in zip(freq_column, values_db.tolist())]
+    # One % over Python floats formats every value at once, to the text
+    # an f-string per line gives.
+    lines += ["freq_hz,psd_db_rel_vacuum", rows % tuple(values_db.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -639,11 +656,9 @@ def run(
         os.makedirs(cfg.out_dir, exist_ok=True)
         header = {"config_hash": summary.config_hash, "frames": summary.frames}
         # Every spectrum file of a run shares one frequency axis: format it once.
-        column = [f"{f:.3f}," for f in freqs.tolist()] if spectra else []
+        rows = "\n".join(f"{f:.3f},%.6f" for f in freqs.tolist()) if spectra else ""
         for stem, values_db, extra in spectra:
-            _write_spectrum(
-                os.path.join(cfg.out_dir, f"{stem}.txt"), column, values_db, dict(header, **extra)
-            )
+            _write_spectrum(os.path.join(cfg.out_dir, f"{stem}.txt"), rows, values_db, dict(header, **extra))
         with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary.summary_lines()) + "\n")
     return summary

@@ -1,20 +1,22 @@
-"""Every noise input of a heterodyne run draws from its own substream.
+"""Every noise input of a run draws from its own substream.
 
-The generator of every stream one frame of each acquisition uses is
-recorded by its (entropy, spawn_key); a port that reused another's stream
-would show up as a duplicate key.  The keys must also follow stream
-layout 3 (see ``sqzbeat.rng``): each optical path draws its one vacuum
-row straight from its beam's port, every other input from its own port.
+A run opens each stream through its chunk's ``rng.ChunkStreams``, which
+sets one reused generator to the stream's (run, frame, port) key; every
+key opened is recorded with its entropy, so a port that reused another's
+stream would show up as a duplicate key.  The keys must also follow
+stream layout 3 (see ``sqzbeat.rng``): each optical path draws its one
+vacuum row straight from its beam's port, every other input from its own
+port.  The states a chunk hashes in bulk must be those of numpy's own
+``SeedSequence`` and PCG64, bit for bit.
 """
 
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sqzbeat import rng
-from sqzbeat.config import list_presets, preset_config
+from sqzbeat.config import MAX_FRAMES, list_presets, preset_config
 from sqzbeat.runner import run
 
 HETERODYNE = [name for name, _ in list_presets() if preset_config(name).kind == "heterodyne"]
@@ -32,25 +34,22 @@ CONFIGS = [preset_config(name) for name in HETERODYNE] + [_jittered("fig4-demod"
 
 @pytest.fixture
 def stream_log(monkeypatch):
-    """Wrap ``rng.generator`` in every sqzbeat module that binds it."""
+    """Wrap the key -> state step of ``rng.ChunkStreams``."""
     log = []
-    original = rng.generator
+    original = rng.ChunkStreams.generator
 
-    def recording(seed, *path):
-        key = rng.stream_key(seed, *path)
-        log.append((key.entropy, key.spawn_key))
-        return original(seed, *path)
+    def recording(streams, frame, port):
+        log.append((streams.entropy, (streams.run, frame, port)))
+        return original(streams, frame, port)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sqzbeat") and getattr(module, "generator", None) is original:
-            monkeypatch.setattr(module, "generator", recording)
+    monkeypatch.setattr(rng.ChunkStreams, "generator", recording)
     return log
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=[*HETERODYNE, "fig4-demod+jitter"])
 def test_one_frame_uses_each_stream_once(cfg, stream_log):
     run(cfg, frames=1, workers=1, write_outputs=False)
-    assert stream_log, "no generator was built"
+    assert stream_log, "no stream was opened"
     assert len(stream_log) == len(set(stream_log))
     assert {entropy for entropy, _ in stream_log} == {cfg.seed}
     runs = {key[0] for _, key in stream_log}
@@ -110,12 +109,14 @@ class _CountingGenerator:
 
 @pytest.fixture
 def normal_counts(monkeypatch):
-    """Normals drawn by each generator built, in build order."""
+    """Normals drawn from each stream opened, in opening order."""
     counts = []
-    original = rng.generator
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sqzbeat") and getattr(module, "generator", None) is original:
-            monkeypatch.setattr(module, "generator", lambda seed: _CountingGenerator(original(seed), counts))
+    original = rng.ChunkStreams.generator
+    monkeypatch.setattr(
+        rng.ChunkStreams,
+        "generator",
+        lambda streams, frame, port: _CountingGenerator(original(streams, frame, port), counts),
+    )
     return counts
 
 
@@ -135,3 +136,38 @@ def test_one_frame_index_draws_the_documented_normals(name, counts, normal_count
     assert (len(normal_counts), sum(normal_counts)) == counts
     if name == "appendixE-pump-sweep":
         assert normal_counts == [2598] * 4
+
+
+# Entropies of one word, of two (from 2^32) and longer than the 4-word
+# pool (from 2^128).
+ENTROPIES = [0, 1, 20230811, 2**32 - 1, 2**32, 2**32 + 20230811, 2**64 + 5, 2**128 - 1, 2**128, 2**200 + 12345]
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_bulk_states_equal_seed_sequence_states(entropy):
+    gen = np.random.default_rng(ENTROPIES.index(entropy))
+    runs = [0, 1, 2, 10, 13, 2**32 - 1, *gen.integers(0, 2**32, 4).tolist()]
+    frames = [0, 1, MAX_FRAMES, *gen.integers(0, MAX_FRAMES, 5).tolist()]
+    keys = [(r, f, port) for r in runs for f in frames for port in rng.PORTS]
+    for key, (state, inc) in zip(keys, rng.pcg64_states(entropy, keys), strict=True):
+        want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)).state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), key
+
+
+@pytest.mark.parametrize("entropy", [7, 2**32 + 7, 2**130 + 7])
+def test_chunk_streams_draw_the_rows_of_fresh_generators(entropy):
+    streams = rng.ChunkStreams(entropy, rng.RUN_TARGET, range(126, 130), rng.PORTS)
+    for frame in (129, 126, 128, 127):
+        for port in rng.PORTS:
+            want = rng.generator(rng.StreamKey(entropy, (rng.RUN_TARGET, frame, port))).standard_normal(500)
+            row = np.empty(500)
+            rng.generator(rng.Stream(streams, frame, port)).standard_normal(out=row)
+            assert np.array_equal(row, want)
+            # Opened again after another stream, it starts over.
+            streams.generator(frame, (port + 1) % len(rng.PORTS)).normal(0.0, 1.0, 7)
+            assert np.array_equal(streams.generator(frame, port).normal(0.0, 1.0, 500), want)
+
+
+def test_bulk_states_refuse_keys_of_more_than_one_word():
+    with pytest.raises(ValueError, match="2\\^32"):
+        rng.pcg64_states(1, [(0, 2**32, 0)])

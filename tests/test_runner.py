@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqzbeat import runner
+from sqzbeat import rng, runner
 from sqzbeat.cli import main
 from sqzbeat.config import (
     BeamsConfig,
@@ -213,38 +213,34 @@ def test_opo_sweep_outputs(tmp_path):
 @pytest.mark.parametrize(
     "patch", [{}, {"opo_sweep": {"anchor_hz": 0.0}}], ids=["preset-anchor", "zero-anchor"]
 )
-def test_sweep_block_equals_the_full_field_path(patch, monkeypatch):
+def test_sweep_block_equals_the_full_field_path(patch):
     # A sweep block draws and squeezes only the 2m + 1 sidebands its
-    # quadratures read, and windows their spectra without an FFT.
-    # Embedded in a full field whose other bins hold arbitrary values, the
-    # same rows must give the same periodograms through apply_squeezer,
-    # quadrature_series and frame_spectrum.  At anchor 0, m = n/2 - 1, so
-    # the window's taps reach past the Nyquist bin.
+    # quadratures read, and windows their spectra without an FFT, on the
+    # bins that can be nonzero.  Embedded in a full field whose other bins
+    # hold arbitrary values, the rows of each frame's own generator must
+    # give the same periodograms through apply_squeezer, quadrature_series
+    # and frame_spectrum, and zero beyond the returned bins.  At anchor 0,
+    # m = n/2 - 1, so the window's taps reach past the Nyquist bin.
     ctx = runner._SweepContext(merge_config(preset_config("appendixE-pump-sweep"), patch))
-    grid, frames = ctx.grid, 3
+    grid, frames = ctx.grid, range(5, 8)
     window, wnorm = hamming_window(grid.n_samples)
     gen = np.random.default_rng(12)
 
-    def normal(shape, scale):
-        return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-
     for pump, spec in enumerate(ctx.specs):
         index, _, _ = sideband_gains(grid, spec)
-        rows = normal((frames, len(index)), ctx.scale)
-
-        def drawn(keys, size, scale):
-            assert (len(keys), size, scale) == (frames, len(index), ctx.scale)
-            return rows.copy()
-
-        monkeypatch.setattr(runner, "circular_gaussian", drawn)
-        got = next(ctx.periodograms(pump, [range(frames)]))
-        full = normal((frames, grid.n_samples), 10.0)
-        full[:, index] = rows
+        shape = (len(frames), grid.n_samples)
+        full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+        for row, i in zip(full, frames):
+            x = rng.generator(rng.StreamKey(ctx.seed, (10 + pump, i, 0))).standard_normal(2 * len(index))
+            row[index] = ctx.scale * (x[: len(index)] + 1j * x[len(index) :])
+        got = next(ctx.periodograms(pump, [frames]))
         quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
         for key, q in (("squeezed", quads.a1), ("anti", quads.a2)):
             want = auto_periodogram(frame_spectrum(q, window), wnorm)
-            assert got[key].shape == want.shape
-            assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(want)
+            live = got[key].shape[-1]
+            assert got[key].shape[0] == len(frames) and live >= len(index) // 2 + 2
+            assert np.max(np.abs(got[key] - want[:, :live])) <= 1e-12 * np.max(want)
+            assert np.max(want[:, live:], initial=0.0) <= 1e-12 * np.max(want)
 
 
 def test_spectrum_files_have_headers(tmp_path):
