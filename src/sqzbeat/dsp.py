@@ -15,13 +15,14 @@ and the periodograms) work along the last axis, so one call handles one
 frame or a block of frames with one row each; numpy's FFTs give every
 row of a block the same bits as the frame alone.
 
-``scipy.signal`` is imported where filters are designed and evaluated,
-not with the module: it takes over a second and about 70 MB to load, and only a
-heterodyne run's filter chain needs it.
+The filter chain is designed here from its poles and zeros (analog
+prototype, band transform, bilinear transform) in numpy, so no run loads
+scipy, whose ``signal`` module takes over a second and about 70 MB.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -46,7 +47,8 @@ class FilterSpec:
 
     Band-stop stages are Chebyshev type I (ripple_db in the passband);
     low/high-pass stages are Butterworth; ``gain`` is a flat scale.
-    Corners are given in Hz and must stay below Nyquist.
+    Corners are given in Hz and must lie in (0, Nyquist), a band-stop's
+    in increasing order; ripple_db must be positive.
     """
 
     kind: str
@@ -62,10 +64,14 @@ class FilterSpec:
         object.__setattr__(self, "corners", corners)
         if self.kind == "band-stop" and len(corners) != 2:
             raise ValueError("band-stop needs two corners")
+        if self.kind == "band-stop" and not corners[0] < corners[1]:
+            raise ValueError("band-stop corners must increase")
         if self.kind in ("low-pass", "high-pass") and len(corners) != 1:
             raise ValueError(f"{self.kind} needs one corner")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if not self.ripple_db > 0:
+            raise ValueError("ripple_db must be > 0")
 
 
 @dataclass(frozen=True)
@@ -111,20 +117,49 @@ class SpectrumEstimate:
 
 
 @lru_cache(maxsize=128)
-def _design_sos(spec: FilterSpec, sample_rate: float) -> np.ndarray | None:
-    nyq = sample_rate / 2.0
+def _design_zpk(spec: FilterSpec, sample_rate: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Digital zeros, poles and gain of one stage, or None for a flat gain.
+
+    The analog low-pass prototype on a unit corner has no zeros: its poles
+    lie on the unit circle (Butterworth) or on an ellipse with the gain set
+    by the passband ripple (Chebyshev type I).  It is moved to the stage's
+    corners, pre-warped to a sample rate of 2, by s -> w s (low-pass),
+    s -> w / s (high-pass) or s -> s b / (s^2 + w0^2) (band-stop, with w0^2
+    the corners' product and b their difference).  The bilinear transform
+    z = (4 + s) / (4 - s) then gives the digital filter, the zeros at
+    infinity landing on Nyquist.  The expressions are scipy.signal's
+    butter and cheby1 (``output="zpk"``) step for step.
+    """
     if spec.kind == "gain":
         return None
-    if any(c >= nyq for c in spec.corners) or any(c <= 0 for c in spec.corners):
+    nyq = sample_rate / 2.0
+    if not all(0.0 < c < nyq for c in spec.corners):
         raise DspError(f"filter corners {spec.corners} must lie in (0, Nyquist)")
-    from scipy import signal as sps
-
+    n = spec.order
+    m = np.arange(-n + 1, n, 2, dtype=float)
     if spec.kind == "band-stop":
-        return sps.cheby1(
-            spec.order, spec.ripple_db, list(spec.corners), btype="bandstop", fs=sample_rate, output="sos"
-        )
-    btype = "lowpass" if spec.kind == "low-pass" else "highpass"
-    return sps.butter(spec.order, spec.corners[0], btype=btype, fs=sample_rate, output="sos")
+        eps = math.sqrt(10 ** (0.1 * spec.ripple_db) - 1.0)
+        mu = 1.0 / n * math.asinh(1 / eps)
+        p = -np.sinh(mu + 1j * (np.pi * m / (2 * n)))
+        k = np.real(np.prod(-p))
+        if n % 2 == 0:
+            k = k / math.sqrt(1 + eps * eps)
+    else:
+        p = -np.exp(1j * np.pi * m / (2 * n))
+        k = 1.0
+    warped = 4.0 * np.tan(np.pi * (np.asarray(spec.corners) / nyq) / 2.0)
+    if spec.kind == "low-pass":
+        z, p, k = np.zeros(0), warped[0] * p, k * warped[0] ** n
+    elif spec.kind == "high-pass":
+        z, p, k = np.zeros(n), warped[0] / p, k * np.real(1.0 / np.prod(-p))
+    else:
+        w0 = np.sqrt(warped[0] * warped[1])
+        hp = (warped[1] - warped[0]) / 2 / p
+        root = np.sqrt(hp**2 - w0**2)
+        z = np.concatenate((np.full(n, 1j * w0), np.full(n, -1j * w0)))
+        p, k = np.concatenate((hp + root, hp - root)), k * np.real(1.0 / np.prod(-p))
+    zd = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(len(p) - len(z))))
+    return zd, (4.0 + p) / (4.0 - p), k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
 
 
 def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -140,16 +175,23 @@ def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
-    """Complex frequency response of the designed chain at ``freqs_hz``."""
-    from scipy import signal as sps
+    """Complex frequency response of the designed chain at ``freqs_hz``.
 
-    h = np.ones(len(freqs_hz), dtype=complex)
+    Each stage's k prod(z - z_i) / prod(z - p_i) is taken on the unit
+    circle one factor at a time, so no temporary is wider than the bins.
+    """
+    z = np.exp(2j * np.pi * np.asarray(freqs_hz, dtype=float) / sample_rate)
+    h = np.ones(len(z), dtype=complex)
     for spec in chain:
-        sos = _design_sos(spec, sample_rate)
-        if sos is not None:
-            _, hs = sps.sosfreqz(sos, worN=freqs_hz, fs=sample_rate)
-            h = h * hs
-        h = h * 10.0 ** (spec.gain_db / 20.0)
+        zpk = _design_zpk(spec, sample_rate)
+        if zpk is not None:
+            zeros, poles, k = zpk
+            h *= k
+            for zero in zeros:
+                h *= z - zero
+            for pole in poles:
+                h /= z - pole
+        h *= 10.0 ** (spec.gain_db / 20.0)
     return h
 
 

@@ -423,12 +423,17 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
         for acquisition in ctx.acquisitions
         for s in range(0, n_frames, CHUNK_FRAMES)
     ]
-    # Freeing one untouched 1 MB array raises glibc's mmap threshold to
-    # 1 MB and its heap trim threshold to 2 MB for the process.  Below
-    # them, as in a process that never imported scipy, each block's freed
-    # temporaries go back to the OS and fault in again: 10890 minor faults
-    # per 256-frame pump-sweep call, against 3 with the thresholds raised.
-    np.empty(1 << 17)
+    # Freeing one untouched 2 MB array raises glibc's mmap threshold to
+    # 2 MB and its heap trim threshold to 4 MB for the process.  Below
+    # them each block's freed temporaries go back to the OS and fault in
+    # again.  Minor faults per call in the benchmark's loop (median of 12
+    # calls; 128-frame fig3-raw and fig4-demod, 256-frame pump sweep):
+    #   no array      10583   16075   1717
+    #   1 MB              0    1238      0
+    #   2 MB              0       0      0
+    # 4 MB also reads 0, but lets the sweep's peak RSS grow from 40.1 to
+    # 41.3-42.1 MB over 30 s runs.
+    np.empty(1 << 18)
     # A pool starts every worker at its first submit: no more workers than jobs.
     workers = min(workers, len(jobs))
     if workers <= 1:

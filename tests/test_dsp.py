@@ -1,14 +1,18 @@
 """Measurement-chain contracts: spectra, filters, demodulation, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sqzbeat.config import MAX_SAMPLES
 from sqzbeat.dsp import (
     BandSpec,
     DegenerateSubtractionError,
     DspError,
     FilterSpec,
     SpectrumEstimate,
+    _design_zpk,
     auto_periodogram,
     chain_response,
     compensate_spectrum,
@@ -166,9 +170,86 @@ def test_chain_linearity():
     assert np.allclose(fxy, 2.0 * fx - 3.0 * fy, atol=1e-6)
 
 
-def test_corner_at_nyquist_rejected():
+@pytest.mark.parametrize("corner", [FS / 2, 0.0, float("nan")], ids=["nyquist", "zero", "nan"])
+def test_corner_outside_band_rejected(corner):
     with pytest.raises(DspError):
-        apply_filter_chain(_trace(np.zeros(N)), [FilterSpec("low-pass", (FS / 2,))])
+        apply_filter_chain(_trace(np.zeros(N)), [FilterSpec("low-pass", (corner,))])
+
+
+# Stage corners as fractions of Nyquist: near 0, the chains' own range,
+# mid-band and near Nyquist.  A band-stop spans (0.7 r, r).
+DESIGN_CORNERS = (1e-3, 0.02, 0.3, 0.999)
+
+
+def _design_cases():
+    nyq = FS / 2.0
+    for order in range(1, 11):
+        for r in DESIGN_CORNERS:
+            yield FilterSpec("low-pass", (r * nyq,), order=order)
+            yield FilterSpec("high-pass", (r * nyq,), order=order)
+            for ripple_db in (0.1, 1.0, 3.0):
+                yield FilterSpec("band-stop", (0.7 * r * nyq, r * nyq), order=order, ripple_db=ripple_db)
+
+
+def test_design_matches_scipy():
+    """The numpy design against scipy.signal's butter/cheby1 and freqz_zpk.
+
+    Measured with numpy 2.4 and scipy 1.17 over these cases: the zeros,
+    poles and gain are the same bits, and the response, evaluated on the
+    same zpk, agrees to 2.0e-12 of the peak and 2.1e-12 relative where
+    |h| is above half its peak (the worst at corners near Nyquist, where
+    every pole and zero crowds z = -1).  The tolerances are 5x that.
+    """
+    sps = pytest.importorskip("scipy.signal")
+    freqs = np.fft.rfftfreq(N, 1.0 / FS)
+    for spec in _design_cases():
+        if spec.kind == "band-stop":
+            ref = sps.cheby1(spec.order, spec.ripple_db, list(spec.corners), btype="bandstop", fs=FS, output="zpk")
+        else:
+            btype = "lowpass" if spec.kind == "low-pass" else "highpass"
+            ref = sps.butter(spec.order, spec.corners[0], btype=btype, fs=FS, output="zpk")
+        zeros, poles, k = _design_zpk(spec, FS)
+        np.testing.assert_allclose(zeros, ref[0], rtol=1e-14, atol=1e-14, err_msg=str(spec))
+        np.testing.assert_allclose(poles, ref[1], rtol=1e-14, atol=1e-14, err_msg=str(spec))
+        assert k == pytest.approx(ref[2], rel=1e-14), spec
+        h = chain_response([spec], freqs, FS)
+        _, h_ref = sps.freqz_zpk(*ref, worN=freqs, fs=FS)
+        peak = np.max(np.abs(h_ref))
+        assert np.max(np.abs(h - h_ref)) < 1e-11 * peak, spec
+        passband = np.abs(h_ref) > 0.5 * peak
+        assert np.max(np.abs(h - h_ref)[passband] / np.abs(h_ref[passband])) < 1e-11, spec
+
+
+def test_chain_response_temporaries_stay_bins_wide():
+    # A (bins x order) temporary at MAX_SAMPLES would be 80 MB for the
+    # notch alone.  The response is 8 MB, and the peak measures three
+    # such arrays: the response, the unit-circle points and one factor.
+    freqs = np.fft.rfftfreq(MAX_SAMPLES, 1.0 / FS)
+    chain = raw_measurement_chain()
+    chain_response(chain, freqs[:16], FS)  # designs outside the trace
+    tracemalloc.start()
+    try:
+        chain_response(chain, freqs, FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * len(freqs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(kind="band-stop", corners=(12.5e6, 8e6)),
+        dict(kind="band-stop", corners=(8e6, 8e6)),
+        dict(kind="band-stop", corners=(8e6, 12.5e6), ripple_db=0.0),
+        dict(kind="band-stop", corners=(8e6, 12.5e6), ripple_db=-1.0),
+        dict(kind="band-stop", corners=(8e6, 12.5e6), ripple_db=float("nan")),
+    ],
+    ids=["decreasing-corners", "equal-corners", "zero-ripple", "negative-ripple", "nan-ripple"],
+)
+def test_bad_filter_specs_rejected(kwargs):
+    with pytest.raises(ValueError):
+        FilterSpec(**kwargs)
 
 
 def test_compensation_inverts_designed_response():

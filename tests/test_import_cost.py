@@ -1,8 +1,9 @@
-"""scipy is loaded by a heterodyne run's filter design and by nothing else.
+"""No run loads scipy.
 
-Importing ``scipy.signal`` takes over a second, so validation, pump
-sweeps and EPR identity runs must not pay for it.  The check runs in a
-fresh interpreter, since this test process has loaded scipy already.
+Importing ``scipy.signal`` takes over a second and about 70 MB, and the
+filter chain is designed in numpy, so scipy is a test-only reference.
+The check runs every preset in a fresh interpreter where importing scipy
+fails, since this test process has loaded scipy already.
 """
 
 import os
@@ -15,26 +16,19 @@ SCRIPT = """
 import sys
 import tempfile
 
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+
 from sqzbeat.cli import main
-from sqzbeat.config import list_presets, preset_config, validate_config
+from sqzbeat.config import list_presets
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-
-for name, _ in list_presets():
-    validate_config(preset_config(name))
 with tempfile.TemporaryDirectory() as out:
-    assert main(["run", "--preset", "appendixE-pump-sweep", "--frames", "8", "--out", out]) == 0
-    assert main(["run", "--preset", "epr-identity", "--frames", "2", "--out", out]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
-    assert main(["run", "--preset", "vacuum-selftest", "--frames", "2", "--out", out]) == 0
-    assert "scipy.signal" in sys.modules
+    for name, _ in list_presets():
+        code = main(["run", "--preset", name, "--frames", "2", "--out", out])
+        assert code == 0, (name, code)
 """
 
 
-def test_only_a_heterodyne_run_loads_scipy():
+def test_no_run_loads_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sqzbeat.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
