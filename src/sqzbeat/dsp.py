@@ -195,17 +195,28 @@ def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: f
     return h
 
 
+# Where a chain's power response lies below this fraction of its peak,
+# the filtered value is the filtering's rounding residue, not a measurement.
+CHAIN_FLOOR = 1e-12
+
+
+def chain_floor(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """The power response |h|^2 of a chain and its floor, CHAIN_FLOOR of its peak."""
+    power = np.abs(h) ** 2
+    return power, np.max(power) * CHAIN_FLOOR
+
+
 def compensate_spectrum(estimate: SpectrumEstimate, h: np.ndarray) -> SpectrumEstimate:
     """Divide out the power response of a chain whose complex response
-    ``h`` (from ``chain_response``) is given on the estimate's bins.
+    ``h`` (from ``chain_response``) is given on the estimate's bins, held
+    at CHAIN_FLOOR of its peak.
 
     Rejects estimates that were already compensated, so the correction
     cannot be applied twice.
     """
     if estimate.compensated:
         raise DspError("spectrum is already compensated")
-    power = np.abs(h) ** 2
-    floor = np.max(power) * 1e-12
+    power, floor = chain_floor(h)
     return replace(estimate, values=estimate.values / np.maximum(power, floor), compensated=True)
 
 

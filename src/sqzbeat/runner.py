@@ -83,6 +83,7 @@ from .dsp import (
     BandSpec,
     SpectrumEstimate,
     auto_periodogram,
+    chain_floor,
     chain_response,
     compensate_spectrum,
     cross_periodogram,
@@ -129,6 +130,7 @@ _RUN_IDS = {
     "target": rngs.RUN_TARGET,
 }
 WORKERS_ENV = "SQZBEAT_WORKERS"
+CLAMP_DB = -120.0  # the level _db_rel holds nonpositive and negligible values at
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,8 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
 
 def _write_spectrum(path: str, rows: str, values_db: np.ndarray, header: dict):
     """Write one spectrum file; ``rows`` is the run's template of its data
-    lines, ``freq,%.6f`` per bin."""
+    lines, ``freq,%.6f`` per bin.  The header ends with the count of rows at the clamp."""
+    header = dict(header, clamped_bins=np.count_nonzero(values_db <= CLAMP_DB))
     lines = [f"# {k}={v}" for k, v in header.items()]
     # One % over Python floats formats every value at once, to the text
     # an f-string per line gives.
@@ -521,8 +524,9 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     ref_sub = comp["reference"].values - back
     tgt_sub = comp["target"].values - back
     shot_norm = float(np.mean(ref_sub[union])) if np.any(union) else 1.0
+    power, floor = chain_floor(ctx.chain_h)  # below the floor, compensation leaves rounding residue
     spectra += [
-        (f"processed_{name}", _db_rel(values, shot_norm),
+        (f"processed_{name}", _db_rel(np.where(power < floor, 0.0, values), shot_norm),
          dict(header, trace=name, processed="true"))
         for name, values in (("reference", ref_sub), ("target", tgt_sub))
     ]

@@ -24,7 +24,10 @@ blocks ``test_runner.test_sweep_block_equals_the_full_field_path`` checks
 against the full-field squeezer and quadratures.  Stream layout 5 (the
 periodic Hamming window) rewrote every heterodyne and sweep summary and
 the digest of every windowed spectrum; that test also checks the sweep's three-tap window
-against ``frame_spectrum`` of those quadratures.
+against ``frame_spectrum`` of those quadratures.  The ``clamped_bins``
+header rewrote the digest of every spectrum file, and the processed
+files' rows below the chain's floor now print at the clamp; no summary
+changed.
 """
 
 import hashlib

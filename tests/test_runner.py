@@ -21,7 +21,7 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
-from sqzbeat.dsp import auto_periodogram, frame_spectrum, hamming_window
+from sqzbeat.dsp import auto_periodogram, chain_floor, frame_spectrum, hamming_window
 from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
@@ -252,6 +252,25 @@ def test_spectrum_files_have_headers(tmp_path):
     assert text[header_end] == "freq_hz,psd_db_rel_vacuum"
     first = text[header_end + 1].split(",")
     assert len(first) == 2
+
+
+def test_processed_files_print_bins_below_the_chain_floor_at_the_clamp(tmp_path):
+    # Compensation divides bins below the chain's floor by the floor, so
+    # their processed values are rounding residue: they print at the clamp,
+    # and every file counts its clamped rows.  At 64 frames no subtraction
+    # in the passband comes out nonpositive, so the clamped processed rows
+    # are exactly the below-floor bins.
+    run_preset("fig3-raw", frames=64, out_dir=str(tmp_path), workers=1)
+    power, floor = chain_floor(runner._HeterodyneContext(preset_config("fig3-raw")).chain_h)
+    below = power < floor
+    assert np.count_nonzero(below) == 273
+    for path in sorted(tmp_path.glob("*_*.txt")):
+        lines = path.read_text().splitlines()
+        header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        clamped = np.array([line.endswith(",-120.000000") for line in lines if line[0].isdigit()])
+        assert int(header["clamped_bins"]) == np.count_nonzero(clamped), path.name
+        if path.name.startswith("processed_"):
+            assert np.array_equal(clamped, below), path.name
 
 
 def test_cli_list_presets(capsys):
