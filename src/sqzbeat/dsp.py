@@ -5,15 +5,15 @@ frequency axis.  A white sequence with unit per-sample variance estimates
 a flat PSD of 1.0, which makes the shot-noise unit carry through from the
 field layer unchanged.  This module computes the Hamming-windowed
 periodogram of each frame; the runner's chunk engine averages them over
-non-overlapping frames in frame-index order.  The window is the periodic
-(DFT-even) Hamming window, 0.54 - 0.46 cos(2 pi t / n): its spectrum has
-three taps, so ``hamming_from_bins`` windows rows that are already in the
-frequency domain with no FFT, equal to ``frame_spectrum`` up to rounding.
+non-overlapping frames in frame-index order.
 
-The per-frame steps (``filter_frame``, ``mix_down``, ``frame_spectrum``
-and the periodograms) work along the last axis, so one call handles one
-frame or a block of frames with one row each; numpy's FFTs give every
-row of a block the same bits as the frame alone.
+The chain works on rfft bins: a filter multiplies them by its response
+(``chain_response``), the steady-state response of the running analog
+chain, since synthesized frames are exactly frame-periodic.  The window
+is the periodic (DFT-even) Hamming window, 0.54 - 0.46 cos(2 pi t / n),
+whose spectrum has three taps, so ``hamming_from_bins`` windows the bins
+with no FFT.  These steps work along the last axis, so one call handles
+one frame or a block of frames with one row each.
 
 The filter chain is designed here from its poles and zeros (analog
 prototype, band transform, bilinear transform) in numpy, so no run loads
@@ -162,18 +162,6 @@ def _design_zpk(spec: FilterSpec, sample_rate: float) -> tuple[np.ndarray, np.nd
     return zd, (4.0 + p) / (4.0 - p), k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
 
 
-def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Run a frame (or each row of a block) through a chain of
-    precomputed response ``h``.
-
-    The chain is applied in the frequency domain (circular convolution),
-    which is the steady-state response of the continuously running analog
-    chain: synthesized frames are exactly frame-periodic, so this carries
-    no start-up transient.
-    """
-    return np.fft.irfft(np.fft.rfft(x) * h, n=np.shape(x)[-1])
-
-
 def chain_response(chain: list[FilterSpec], freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
     """Complex frequency response of the designed chain at ``freqs_hz``.
 
@@ -225,11 +213,6 @@ def local_oscillator(grid: FrequencyGrid, freq_hz: float, phase_rad: float) -> n
     return np.cos(2.0 * np.pi * freq_hz * grid.times() + phase_rad)
 
 
-def mix_down(x: np.ndarray, lo: np.ndarray, lpf_h: np.ndarray) -> np.ndarray:
-    """Mixer and low-pass of a frame or block: LPF[x * lo]."""
-    return filter_frame(x * lo, lpf_h)
-
-
 def demod_lpf_spec(lo_freq_hz: float) -> FilterSpec:
     """The mixer low-pass: eighth order, corner at half the LO frequency."""
     return FilterSpec("low-pass", (lo_freq_hz / 2.0,), order=8)
@@ -248,13 +231,9 @@ def hamming_window(n: int) -> tuple[np.ndarray, float]:
     return window, float(np.sum(window**2))
 
 
-def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Windowed spectrum V = rfft(w * x) of a frame or of each block row."""
-    return np.fft.rfft(window * x)
-
-
 def hamming_from_bins(bins: np.ndarray) -> np.ndarray:
-    """``frame_spectrum`` of real rows given as their rfft bins X.
+    """Windowed spectrum V = rfft(w x) of real rows x given as their rfft
+    bins X, for the periodic Hamming window w.
 
     The periodic window has three DFT taps (Harris, Proc. IEEE 66, 51,
     1978): V_j = A0 X_j - (A1 / 2) (X_{j-1} + X_{j+1}), with the bins

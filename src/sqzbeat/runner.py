@@ -8,8 +8,8 @@ engine, split run -> chunk -> block:
 
 - run: one context (``_HeterodyneContext`` or ``_SweepContext``) holds
   everything that does not change from frame to frame (beams and their
-  carrier terms, filter responses, local oscillator, squeezers, window),
-  built once.  Its block step ``periodograms(acquisition, blocks)``
+  carrier terms, filter responses, local oscillator, squeezers), built
+  once.  Its block step ``periodograms(acquisition, blocks)``
   yields the periodograms of each block of frames, one row per frame.
 - chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
   maps over (``_chunk_sum``).  A chunk hashes the generator states of
@@ -48,9 +48,11 @@ index opens 15 streams and draws 95000 normals, ``fig3-raw`` 9 and
 quadratures read (one stream and 2598 normals per pump power) and
 forms both quadratures' windowed spectra straight from those sidebands,
 with no FFT: the periodic Hamming window is three taps on the bins, and
-only the bins 0..m+1 it can make nonzero are computed and summed.
-Heterodyne frames keep the time-domain chain and its rfft, where a
-frequency-domain chain measured only about 3% faster.
+only the bins 0..m+1 it can make nonzero are computed and summed.  A
+heterodyne block windows its rows the same way after one rfft of the
+photocurrent (a raw readout) or of its product with the local oscillator
+and of each arm's readout noise (a demod readout): every filter acts on
+the bins, so no row goes back to the time domain.
 
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
@@ -89,12 +91,9 @@ from .dsp import (
     cross_periodogram,
     demod_lpf_spec,
     demod_measurement_chain,
-    filter_frame,
-    frame_spectrum,
     hamming_from_bins,
     hamming_window,
     local_oscillator,
-    mix_down,
     postprocess,
     raw_measurement_chain,
 )
@@ -225,15 +224,15 @@ class _HeterodyneContext:
         n = self.grid.n_samples
         fs = self.grid.sample_rate
         self.freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-        self.window, self.wnorm = hamming_window(n)
+        self.wnorm = hamming_window(n)[1]
         ms = cfg.measurement
         self.measurement = ms.kind
         # The one periodogram reported: of both demod arms, or of the raw beat or arm 1.
         self.estimate = "cross" if ms.kind == "demod" else "auto"
         # The one chain list: the runner filters with it and compensation
         # divides out its full response, evaluated once per run.  A demod
-        # arm filters in two stages around its readout noise; their
-        # product is associated differently and gives other bits.
+        # arm filters in two stages around its readout noise, the mixer
+        # low-pass before it and the rest after.
         if ms.kind == "raw":
             chain = raw_measurement_chain()
         else:
@@ -298,16 +297,20 @@ class _HeterodyneContext:
 
     # -- measurement -----------------------------------------------------
 
-    def _arms(self, run_name: str, streams: rngs.ChunkStreams, frames: range, x: np.ndarray) -> list[np.ndarray]:
-        """The readout arms of a block of photocurrent rows; arm 1 alone for an auto-spectrum."""
-        base = mix_down(x, self.lo, self.lpf_h)
+    def _rows(self, run_name: str, streams: rngs.ChunkStreams, frames: range, x: np.ndarray) -> list[np.ndarray]:
+        """The rfft bins of a block's reported rows: the filtered raw beat, or
+        the readout arms (arm 1 alone for an auto-spectrum): the mixer's product
+        in time, then every filter and the arms' readout noise on the bins."""
+        if self.measurement == "raw":
+            return [np.fft.rfft(x) * self.chain_h]
+        base = np.fft.rfft(x * self.lo) * self.lpf_h
         sigma = self.arm_sigma[run_name]
         arms = []
         for port in (rngs.PORT_ARM1, rngs.PORT_ARM2)[: 2 if self.estimate == "cross" else 1]:
             y = base
             if sigma > 0.0:
-                y = y + self._draws(streams.rows(frames, port), sigma)
-            arms.append(filter_frame(y, self.post_h))
+                y = y + np.fft.rfft(self._draws(streams.rows(frames, port), sigma))
+            arms.append(y * self.post_h)
         return arms
 
     def periodograms(self, run_name: str, blocks: list[range]):
@@ -317,8 +320,7 @@ class _HeterodyneContext:
         streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
         for frames in blocks:
             x = self._photocurrent(run_name, streams, frames)
-            rows = [filter_frame(x, self.chain_h)] if self.measurement == "raw" else self._arms(run_name, streams, frames, x)
-            spectra = [frame_spectrum(r, self.window) for r in rows]
+            spectra = [hamming_from_bins(r) for r in self._rows(run_name, streams, frames, x)]
             periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
             yield {self.estimate: periodogram(*spectra, self.wnorm)}
 

@@ -1,6 +1,7 @@
-"""Test oracles: first-order models of the balanced output, and one-frame
-filter, demodulation and averaged-spectrum estimators built from the
-package's per-frame measurement steps."""
+"""Test oracles: first-order models of the balanced output, and the
+measurement chain in the time domain: one-frame filter, demodulation and
+averaged-spectrum estimators, the reference the runner's chain on rfft
+bins is compared against."""
 
 from __future__ import annotations
 
@@ -14,11 +15,8 @@ from sqzbeat.dsp import (
     chain_response,
     cross_periodogram,
     demod_lpf_spec,
-    filter_frame,
-    frame_spectrum,
     hamming_window,
     local_oscillator,
-    mix_down,
 )
 from sqzbeat.fields import FrequencyGrid, QuadraturePair, SqueezerSpec, quadrature_series
 from sqzbeat.interferometer import (
@@ -29,6 +27,22 @@ from sqzbeat.interferometer import (
     pickoff_noise_field,
 )
 from sqzbeat.rng import substream
+
+
+def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Run a frame (or each row of a block) through a chain of
+    precomputed response ``h``: circular convolution, back in time."""
+    return np.fft.irfft(np.fft.rfft(x) * h, n=np.shape(x)[-1])
+
+
+def mix_down(x: np.ndarray, lo: np.ndarray, lpf_h: np.ndarray) -> np.ndarray:
+    """Mixer and low-pass of a frame or block: LPF[x * lo], in time."""
+    return filter_frame(x * lo, lpf_h)
+
+
+def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Windowed spectrum V = rfft(w * x) of a frame or of each block row."""
+    return np.fft.rfft(window * x)
 
 
 def quadrature_at_angle(q: QuadraturePair, angle_rad: float) -> np.ndarray:

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqzbeat.config import MAX_SAMPLES
+from sqzbeat import runner
+from sqzbeat.config import MAX_SAMPLES, merge_config, preset_config
 from sqzbeat.dsp import (
     BandSpec,
     DegenerateSubtractionError,
@@ -17,22 +18,25 @@ from sqzbeat.dsp import (
     chain_response,
     compensate_spectrum,
     cross_periodogram,
-    demod_lpf_spec,
     demod_measurement_chain,
-    filter_frame,
-    frame_spectrum,
     hamming_from_bins,
     hamming_window,
-    local_oscillator,
-    mix_down,
     postprocess,
     raw_measurement_chain,
 )
 from sqzbeat.fields import FrequencyGrid
 from sqzbeat.interferometer import PhotocurrentTrace
-from sqzbeat.rng import generator, substream
+from sqzbeat.rng import PORT_ARM1, PORT_ARM2, PORTS, RUN_TARGET, ChunkStreams, generator, substream
 
-from oracles import apply_filter_chain, cross_spectrum, demodulate, welch_psd
+from oracles import (
+    apply_filter_chain,
+    cross_spectrum,
+    demodulate,
+    filter_frame,
+    frame_spectrum,
+    mix_down,
+    welch_psd,
+)
 
 FS = 125e6
 N = 5000
@@ -374,26 +378,72 @@ def test_demod_chain_passband():
     assert np.all(np.abs(gain_db - 20.0) < 0.5)
 
 
+CHAIN_FRAMES = range(5, 8)
+
+
+def _chain_context(preset, patch=None):
+    """The run context of a preset and the target streams of CHAIN_FRAMES."""
+    ctx = runner._HeterodyneContext(merge_config(preset_config(preset), patch or {}))
+    return ctx, ChunkStreams(ctx.cfg.seed, RUN_TARGET, CHAIN_FRAMES, PORTS)
+
+
+def _photocurrent_rows(seed):
+    """White rows under a beat note 100 times their rms at 10 MHz, the
+    dynamic range the carriers give the chain's input."""
+    beat = 100.0 * np.cos(2.0 * np.pi * 10e6 * GRID.times())
+    return np.stack(list(_white_frames(len(CHAIN_FRAMES), seed=seed))) + beat
+
+
 def test_chain_steps_on_a_block_equal_each_frame():
-    # the runner feeds blocks of frames; each row must match the frame
-    # processed alone, bit for bit
-    block = np.stack(list(_white_frames(3, seed=12)))
-    freqs = np.fft.rfftfreq(N, 1.0 / FS)
-    lpf = chain_response([demod_lpf_spec(10e6)], freqs, FS)
-    post = chain_response(demod_measurement_chain(), freqs, FS)
-    lo = local_oscillator(GRID, 10e6, np.pi / 2.0)
-    window, wnorm = hamming_window(N)
+    # the runner feeds blocks of frames through its chain on rfft bins;
+    # each row must match the frame processed alone, bit for bit
+    block = _photocurrent_rows(12)
+    for preset in ("fig3-raw", "fig4-demod"):
+        ctx, streams = _chain_context(preset)
 
-    def chain(x):
-        v1 = frame_spectrum(filter_frame(mix_down(x, lo, lpf), post), window)
-        v2 = frame_spectrum(x, window)
-        return auto_periodogram(v1, wnorm), cross_periodogram(v1, v2, wnorm)
+        def chain(x, frames):
+            v = [hamming_from_bins(r) for r in ctx._rows("target", streams, frames, x)]
+            return auto_periodogram(v[0], ctx.wnorm), cross_periodogram(v[0], v[-1], ctx.wnorm)
 
-    auto_b, cross_b = chain(block)
-    for i, x in enumerate(block):
-        auto_1, cross_1 = chain(x)
-        assert np.array_equal(auto_b[i], auto_1)
-        assert np.array_equal(cross_b[i], cross_1)
+        auto_b, cross_b = chain(block, CHAIN_FRAMES)
+        for row, i in enumerate(CHAIN_FRAMES):
+            auto_1, cross_1 = chain(block[row : row + 1], range(i, i + 1))
+            assert np.array_equal(auto_b[row], auto_1[0]), preset
+            assert np.array_equal(cross_b[row], cross_1[0]), preset
+
+
+@pytest.mark.parametrize(
+    "preset, patch",
+    [
+        ("fig3-raw", {}),
+        ("fig4-demod", {}),
+        ("fig4-demod", {"measurement": {"arm_noise_rel_db": None, "arm_noise_excess_rel_db": None}}),
+    ],
+    ids=["raw", "demod", "demod-without-arm-noise"],
+)
+def test_chain_on_bins_matches_the_time_domain_reference(preset, patch):
+    # The runner's chain on rfft bins against the time-domain chain of
+    # the oracles: each filter through irfft, the arm noise added in time
+    # and the window applied in time, over the same arm-noise draws.
+    ctx, streams = _chain_context(preset, patch)
+    x = _photocurrent_rows(13)
+    got = [hamming_from_bins(r) for r in ctx._rows("target", streams, CHAIN_FRAMES, x)]
+    window = hamming_window(N)[0]
+    if preset == "fig3-raw":
+        want = [frame_spectrum(filter_frame(x, ctx.chain_h), window)]
+    else:
+        base = mix_down(x, ctx.lo, ctx.lpf_h)
+        sigma = ctx.arm_sigma["target"]
+        assert (sigma > 0.0) == (not patch)
+        want = []
+        for port in (PORT_ARM1, PORT_ARM2):
+            noise = [streams.generator(i, port).normal(0.0, sigma, N) for i in CHAIN_FRAMES]
+            y = base + np.stack(noise) if sigma > 0.0 else base
+            want.append(frame_spectrum(filter_frame(y, ctx.post_h), window))
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert v.shape == w.shape
+        assert np.max(np.abs(v - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 @pytest.mark.parametrize("n", [16, 5000, 4998])

@@ -21,9 +21,11 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
-from sqzbeat.dsp import auto_periodogram, chain_floor, frame_spectrum, hamming_window
+from sqzbeat.dsp import auto_periodogram, chain_floor, hamming_window
 from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
+
+from oracles import frame_spectrum
 
 EXPECTED_PRESETS = {
     "fig3-raw",
