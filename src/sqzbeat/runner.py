@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace, field
 from functools import partial
 
@@ -442,6 +441,9 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
     workers = min(workers, len(jobs))
     if workers <= 1:
         return _fold(jobs, (_chunk_sum(ctx, *job) for job in jobs))
+    # Imported here: a one-worker run never pays for the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return _fold(jobs, ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
 

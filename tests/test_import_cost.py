@@ -1,9 +1,11 @@
-"""No run loads scipy.
+"""What a run loads: no scipy, and no process pool on one worker.
 
 Importing ``scipy.signal`` takes over a second and about 70 MB, and the
 filter chain is designed in numpy, so scipy is a test-only reference.
-The check runs every preset in a fresh interpreter where importing scipy
-fails, since this test process has loaded scipy already.
+The process pool's modules (``concurrent.futures.process`` and
+``multiprocessing``) cost tens of milliseconds of start-up, and a
+one-worker run never starts a pool.  Each check runs in a fresh
+interpreter, since this test process has loaded those modules already.
 """
 
 import os
@@ -27,11 +29,31 @@ with tempfile.TemporaryDirectory() as out:
         assert code == 0, (name, code)
 """
 
+ONE_WORKER = """
+import sys
+import tempfile
+
+from sqzbeat.cli import main
+
+with tempfile.TemporaryDirectory() as out:
+    assert main(["run", "--preset", "fig4-demod", "--frames", "2", "--out", out]) == 0
+loaded = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+assert not loaded, loaded
+"""
+
+
+def _run_fresh(script, **env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqzbeat.__file__)))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
 
 def test_no_run_loads_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sqzbeat.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run_fresh(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_one_worker_run_loads_no_process_pool():
+    proc = _run_fresh(ONE_WORKER, SQZBEAT_WORKERS="1")
     assert proc.returncode == 0, proc.stderr

@@ -412,7 +412,7 @@ def test_pool_is_no_larger_than_its_job_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
     run_preset("vacuum-selftest", frames=2, write_outputs=False)  # 3 acquisitions of one chunk
     run_preset("appendixE-pump-sweep", frames=2, write_outputs=False)  # 4 pump powers
