@@ -72,7 +72,6 @@ class BeamSpec:
     amplitude: float
     carrier_freq_hz: float
     phase_signal: PhaseSignalSpec = PhaseSignalSpec()
-    static_phase_rad: float = 0.0
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -180,8 +179,8 @@ def classical_phase_variance(
 
 
 def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic part of the beam phase plus an optional noise series."""
-    theta = np.full(grid.n_samples, beam.static_phase_rad, dtype=float)
+    """The beam's phase signal plus an optional noise series."""
+    theta = np.zeros(grid.n_samples)
     sig = beam.phase_signal
     if sig.mod_depth_rad != 0.0:
         theta = theta + sig.mod_depth_rad * np.sin(2.0 * np.pi * sig.mod_freq_hz * grid.times())

@@ -60,8 +60,9 @@ def linearized_output(
     """First-order model of the balanced output (unit quantum efficiency).
 
     Emits the classical beat plus sqrt(2) E_other times the noise
-    quadrature of each beam read at the opposing carrier frequency and
-    angle.  Uses the same seed layout as ``compose_beam`` on
+    quadrature of each beam read at the opposing carrier frequency, at
+    angle 0, since no carrier has a static phase.  Uses the same seed
+    layout as ``compose_beam`` on
     ``substream(seed, 0)`` and ``substream(seed, 1)``, so on squeezed
     paths the residual against the exact product isolates the dropped
     second-order terms; ``compose_beam`` draws an unsqueezed path's noise
@@ -80,8 +81,8 @@ def linearized_output(
 
     dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(2.0 * np.pi * beat_hz * t + theta2 - theta1)
     root2 = np.sqrt(2.0)
-    dp = dp + root2 * b2.amplitude * quadrature_at_angle(qa, -b2.static_phase_rad)
-    dp = dp + root2 * b1.amplitude * quadrature_at_angle(qb, -b1.static_phase_rad)
+    dp = dp + root2 * b2.amplitude * qa.a1
+    dp = dp + root2 * b1.amplitude * qb.a1
     dp = dp - dp.mean()
     return PhotocurrentTrace(dp, grid)
 
