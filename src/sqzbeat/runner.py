@@ -466,7 +466,7 @@ def _db_power(db: float | None) -> float:
 
 
 def _db_rel(values: np.ndarray, norm: float) -> np.ndarray:
-    safe = np.maximum(values / norm, 1e-12)
+    safe = np.maximum(values / norm, 10.0 ** (CLAMP_DB / 10.0))
     return 10.0 * np.log10(safe)
 
 
