@@ -31,8 +31,9 @@ from sqzbeat.runner import run
 GOLDEN = os.path.dirname(os.path.abspath(__file__))
 # (name, preset, patch) of each run whose outputs are pinned.  The presets
 # run at their default seed; the variants reach what those runs do not: a
-# sweep anchored at 0 Hz, whose sidebands reach the Nyquist bin, and seeds
-# of two 32-bit words.
+# sweep anchored at 0 Hz, whose sidebands reach the Nyquist bin, seeds of
+# two 32-bit words, and a demod run with squeeze-angle jitter on both
+# squeezers, detector gain ripple and a clip level it reaches.
 BOUNDARY_RUNS = (
     ("fig4-demod", "fig4-demod", {}),
     ("fig3-raw", "fig3-raw", {}),
@@ -40,6 +41,15 @@ BOUNDARY_RUNS = (
     ("appendixE-pump-sweep-anchor0", "appendixE-pump-sweep", {"opo_sweep": {"anchor_hz": 0.0}}),
     ("fig3-raw-seed2e32", "fig3-raw", {"seed": 2**32 + 20230811}),
     ("appendixE-pump-sweep-seed2e32", "appendixE-pump-sweep", {"seed": 2**32 + 20230811}),
+    (
+        "fig4-demod-jitter-ripple-clip",
+        "fig4-demod",
+        {
+            "pickoff1": {"squeezer": {"angle_jitter_rms_rad": 0.05}},
+            "pickoff2": {"squeezer": {"angle_jitter_rms_rad": 0.05}},
+            "detector": {"gain_ripple_db": 0.5, "clip_level": 1.5e6},
+        },
+    ),
 )
 BOUNDARY_HEADER = """\
 # SHA-256 of every output file of run(merge_config(preset_config(PRESET), PATCH),

@@ -15,8 +15,10 @@ of the realizations regenerates the files with ``golden/regenerate.py``
 ``BOUNDARY_RUNS`` at 130 frames: two chunks, the second ending in a
 partial block.  They are ``fig4-demod``, ``fig3-raw`` and
 ``appendixE-pump-sweep`` at the default seed, the sweep anchored at 0 Hz
-(its sidebands reach the Nyquist bin), and ``fig3-raw`` and the sweep at
-a seed of two 32-bit words.  The heterodyne spectra's digests were rewritten for
+(its sidebands reach the Nyquist bin), ``fig3-raw`` and the sweep at
+a seed of two 32-bit words, and ``fig4-demod`` with squeeze-angle jitter
+on both squeezers, gain ripple and a clip level it reaches (added at
+stream layout 5, with every other line unchanged).  The heterodyne spectra's digests were rewritten for
 stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
 against one-frame synthesis; the sweep's for stream layout 4, whose
