@@ -7,9 +7,13 @@ from a fresh vacuum has power spectral density exactly 1.0: this is the
 shot-noise unit used everywhere in the package.
 
 The grid samples the Wigner distribution of the Gaussian state, so linear
-transformations (squeezing, loss, interference) reproduce the measured
-noise statistics of the corresponding quantum state exactly, to all orders
-that a photocurrent measurement can see.
+transformations (squeezing, loss, interference) reproduce the noise
+statistics of the corresponding quantum state exactly to first order in
+the noise.  At second order they do not: the product of Wigner samples
+adds a state-independent white term of PSD 2 (shot units) to the
+photocurrent of every lit acquisition (``interferometer``; Gardiner &
+Zoller, *Quantum Noise*).  Noise enters as drawn standard normals, a
+vacuum row as real parts then imaginary parts (``vacuum_rows``).
 
 Sideband pairs about a squeezer center transform jointly: the quadrature
 at the squeeze angle is multiplied by sqrt(S_minus(eps)) and the orthogonal
@@ -17,7 +21,7 @@ one by sqrt(S_plus(eps)), which realizes the below-threshold cavity model
 with escape efficiency, and an optical path's later losses, folded in.
 Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
 tests' reference) produce the same Gaussian state; gains are used so the
-operation stays a pure function of (field, spec) and draws no vacuum.
+operation stays a pure function of (field, spec) and needs no vacuum.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .rng import generator, seed_rows
 
 _GRID_TOL = 1e-6
 
@@ -158,26 +160,25 @@ class SqueezerSpec:
         return s, a
 
 
-def circular_gaussian(seed, n: int, scale: float) -> np.ndarray:
-    """Circular complex Gaussian rows, real and imaginary parts N(0, scale^2),
-    one per seed of a list; at scale sqrt(1/2), ``fft`` of a vacuum field."""
-    seeds = seed_rows(seed)
-    out = np.empty((len(seeds), n), dtype=complex)
-    for row, s in zip(out, seeds):
-        rng = generator(s)
-        np.multiply(rng.standard_normal(n), scale, out=row.real)
-        np.multiply(rng.standard_normal(n), scale, out=row.imag)
-    return out if isinstance(seed, list) else out[0]
+def vacuum_rows(normals: np.ndarray, scale: float) -> np.ndarray:
+    """Circular complex Gaussian rows from standard normals of shape
+    (..., 2, n), real parts then imaginary parts, each scaled by ``scale``;
+    at scale sqrt(1/2), ``fft`` of a vacuum field."""
+    out = np.empty(normals.shape[:-2] + normals.shape[-1:], dtype=complex)
+    np.multiply(normals[..., 0, :], scale, out=out.real)
+    np.multiply(normals[..., 1, :], scale, out=out.imag)
+    return out
 
 
-def make_vacuum_field(grid: FrequencyGrid, seed) -> FieldRealization:
+def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> FieldRealization:
     """Fresh vacuum: i.i.d. circular complex Gaussian bins.
 
-    Deterministic in (grid, seed).  Per-bin mean square is 1/n_samples so
-    any extracted quadrature has PSD 1.0.  A list of per-frame seeds gives
-    a block with one row per seed, each row drawn from its own stream.
+    ``normals`` holds standard normals of shape (2, n_samples), or
+    (frames, 2, n_samples) for a block with one row per frame (see
+    ``vacuum_rows``).  Per-bin mean square is 1/n_samples so any extracted
+    quadrature has PSD 1.0.
     """
-    return FieldRealization(grid, circular_gaussian(seed, grid.n_samples, np.sqrt(0.5 / grid.n_samples)))
+    return FieldRealization(grid, vacuum_rows(normals, np.sqrt(0.5 / grid.n_samples)))
 
 
 # A run squeezes with at most a few specs (one per pump power or beam),
@@ -248,16 +249,17 @@ def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealizat
     return FieldRealization(field.grid, out)
 
 
-def apply_loss(field: FieldRealization, efficiency: float, seed) -> FieldRealization:
+def apply_loss(field: FieldRealization, efficiency: float, normals: np.ndarray) -> FieldRealization:
     """Beam-splitter loss: sqrt(eff) * field + sqrt(1 - eff) * fresh vacuum.
 
-    A block field takes a list of per-frame seeds, one vacuum row each.
+    The vacuum port's field is ``make_vacuum_field`` of ``normals``, one
+    (2, n_samples) row per row of the field.
     """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
     if efficiency == 1.0:
         return FieldRealization(field.grid, field.amplitudes.copy())
-    vac = make_vacuum_field(field.grid, seed).amplitudes
+    vac = make_vacuum_field(field.grid, normals).amplitudes
     vac *= np.sqrt(1.0 - efficiency)
     amps = np.sqrt(efficiency) * field.amplitudes
     amps += vac

@@ -6,7 +6,11 @@ detector output is evaluated as the exact sample-wise product
 
     dP(t) = 2 Re[conj(E1(t)) E2(t)]
 
-so every second-order noise term survives.
+so every second-order noise term survives.  So does one no detector
+sees: the fields are Wigner samples, exact to first order in the noise
+(``fields``), and their product adds a state-independent white PSD of 2
+(shot units) to every lit acquisition (Gardiner & Zoller, *Quantum
+Noise*), negligible at the presets' carriers and dominant at weak ones.
 
 Every lossy step between a squeezer and the photocurrent (the pickoff of
 reflectivity R, the detector of quantum efficiency qe) is a beam splitter
@@ -16,6 +20,8 @@ sqrt(1 - eta) v1 from v0 alone, squeezing at escape efficiency times eta;
 loss leaves vacuum vacuum, so an unsqueezed one is one row of time
 samples.  The path also carries the rms jitter of its squeeze angle, which
 the runner draws per frame and the budget folds into the angle error.
+Every function takes its noise as drawn standard normals (a vacuum row is
+real parts then imaginary parts, ``fields.vacuum_rows``) and draws none.
 The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
 so a beam arrives at the detector as a ``DetectedField``.
 
@@ -38,10 +44,9 @@ from .fields import (
     FrequencyGrid,
     SqueezerSpec,
     apply_squeezer,
-    circular_gaussian,
     make_vacuum_field,
+    vacuum_rows,
 )
-from .rng import generator, seed_rows
 
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
 
@@ -189,29 +194,31 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
     return theta
 
 
-def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, seed) -> FieldRealization:
+def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray) -> FieldRealization:
     """Noise field that an optical path delivers to the detector, for one
-    frame or, with a list of per-frame seeds, a block of them.
+    frame or, with normals of shape (frames, 2, n), a block of them.
 
-    The vacuum row of ``seed`` is squeezed with the path efficiency eta
-    folded into the escape efficiency: gains sqrt(eta s + 1 - eta) and
-    sqrt(eta a + 1 - eta), as a loss eta after the squeezer would give.
+    The vacuum of ``normals`` (``make_vacuum_field``) is squeezed with the
+    path efficiency eta folded into the escape efficiency: gains
+    sqrt(eta s + 1 - eta) and sqrt(eta a + 1 - eta), as a loss eta after
+    the squeezer would give.
     """
-    vac = make_vacuum_field(grid, seed)
+    vac = make_vacuum_field(grid, normals)
     if path.squeezer is None:
         return vac
     sq = path.squeezer
     return apply_squeezer(vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency))
 
 
-def path_noise(grid: FrequencyGrid, path: OpticalPath | list[OpticalPath], seed) -> np.ndarray:
-    """A path's noise at the detector as time samples (a row per seed and
-    path of a list): squeezed bins after an FFT, or vacuum drawn directly."""
+def path_noise(grid: FrequencyGrid, path: OpticalPath | list[OpticalPath], normals: np.ndarray) -> np.ndarray:
+    """A path's noise at the detector as time samples, from the standard
+    normals of its vacuum row (one row per frame, and per path of a list):
+    squeezed bins after an FFT, or, unsqueezed, vacuum time samples."""
     if isinstance(path, list):
-        return np.stack([path_noise(grid, p, k) for p, k in zip(path, seed)])
+        return np.stack([path_noise(grid, p, z) for p, z in zip(path, normals, strict=True)])
     if path.squeezer is None:
-        return circular_gaussian(seed, grid.n_samples, np.sqrt(0.5))
-    return np.fft.fft(pickoff_noise_field(grid, path, seed).amplitudes)
+        return vacuum_rows(normals, np.sqrt(0.5))
+    return np.fft.fft(pickoff_noise_field(grid, path, normals).amplitudes)
 
 
 class BeamCarrier:
@@ -249,19 +256,20 @@ class BeamCarrier:
 def compose_beam(
     carrier: BeamCarrier,
     path: OpticalPath | list[OpticalPath],
-    seed,
+    normals: np.ndarray,
     extra_phase: np.ndarray | None = None,
 ) -> DetectedField:
     """One beam at the detector: its path noise plus its carrier.
 
     The carrier is synthesized in the time domain (so phase modulation is
-    exact) and added to the path noise there (``path_noise``).
-    ``extra_phase`` carries any phase-noise realization synthesized by the
-    caller.  For a block of frames ``seed`` is the list of per-frame
-    seeds, ``path`` one record or one per frame, and ``extra_phase`` has
-    one row per frame; the field then has one row per frame.
+    exact) and added to the path noise there (``path_noise`` of the
+    standard normals ``normals``, shape (2, n)).  ``extra_phase`` carries
+    any phase-noise realization synthesized by the caller.  For a block of
+    frames ``normals`` has shape (frames, 2, n), ``path`` is one record or
+    one per frame, and ``extra_phase`` has one row per frame; the field
+    then has one row per frame.
     """
-    samples = path_noise(carrier.grid, path, seed)
+    samples = path_noise(carrier.grid, path, normals)
     if carrier.amplitude != 0.0:
         samples += carrier.series(extra_phase)
     return DetectedField(carrier.grid, samples)
@@ -271,15 +279,15 @@ def balanced_detect(
     e1: DetectedField,
     e2: DetectedField,
     det: DetectorSpec,
-    seed,
+    noise: np.ndarray | None,
     reference_shot_psd: float | None = None,
 ) -> PhotocurrentTrace:
     """Exact balanced beat-note detection of two detected beams.
 
     The product form keeps every second-order noise term.  The gain
-    ripple shapes the product, and ``detector_readout`` follows.  Block
-    fields take the list of per-frame seeds and give one photocurrent row
-    per frame.
+    ripple shapes the product, and ``detector_readout`` follows with the
+    electronic noise's standard normals ``noise``.  Block fields give one
+    photocurrent row per frame.
     """
     if e1.grid != e2.grid:
         raise ValueError("beams must share one grid")
@@ -288,26 +296,25 @@ def balanced_detect(
     dp = 2.0 * beat.real
     if det.gain_ripple_db != 0.0:
         dp = _apply_gain_ripple(dp, e1.grid, det.gain_ripple_db)
-    return PhotocurrentTrace(detector_readout(dp, det, seed, reference_shot_psd), e1.grid)
+    return PhotocurrentTrace(detector_readout(dp, det, noise, reference_shot_psd), e1.grid)
 
 
 def detector_readout(
-    dp: np.ndarray, det: DetectorSpec, seed, reference_shot_psd: float | None = None
+    dp: np.ndarray, det: DetectorSpec, noise: np.ndarray | None, reference_shot_psd: float | None = None
 ) -> np.ndarray:
     """Detector electronics on one photocurrent frame or a block of them.
 
     Adds white electronic noise at electronic_noise_rel_db relative to
-    ``reference_shot_psd`` (drawn from each frame's seed), clips, and
+    ``reference_shot_psd``, ``noise`` (standard normals shaped like ``dp``;
+    unread without electronic noise) scaled to that level, clips, and
     removes each frame's mean last.  A dark frame (``dp`` all zeros) is
     the background acquisition.
     """
     if det.electronic_noise_rel_db is not None:
-        if reference_shot_psd is None:
-            raise ValueError("electronic noise needs reference_shot_psd to set its level")
+        if reference_shot_psd is None or noise is None:
+            raise ValueError("electronic noise needs its normals and reference_shot_psd to set its level")
         p_e = 10.0 ** (det.electronic_noise_rel_db / 10.0) * reference_shot_psd
-        n = np.shape(dp)[-1]
-        noise = [generator(k).normal(0.0, np.sqrt(p_e), n) for k in seed_rows(seed)]
-        dp = dp + np.reshape(noise, np.shape(dp))
+        dp = dp + noise * np.sqrt(p_e)
     if det.clip_level is not None:
         dp = np.clip(dp, -det.clip_level, det.clip_level)
     return dp - dp.mean(axis=-1, keepdims=True)

@@ -5,11 +5,11 @@ the per-arm readout noise, ...) draws from its own counter-keyed substream
 of one master seed.  Streams are addressed by integer paths, so frame
 order, scheme variants and worker counts can never change a realization.
 
-A path is extended with ``stream_key``, which only concatenates the key:
-the ``SeedSequence`` of a stream is built once, in ``generator``, straight
-from ``(entropy=seed, spawn_key=path)``.  Functions that take a ``seed``
-accept an int, a ``SeedSequence``, a ``StreamKey``, a chunk's ``Stream``,
-or a list of per-frame seeds for a block of frames.
+``substream`` extends a seed's spawn key by a path; functions that take
+a ``seed`` accept an int or a ``SeedSequence``.  A run draws first and
+transforms after: its block step draws each port's standard normals
+through its chunk's ``ChunkStreams`` and passes the arrays on, so the
+physics functions take drawn noise, never a seed.
 
 Stream layout 5.  It draws exactly what layout 4 drew and changes only
 the periodogram window, from numpy's symmetric Hamming window to the
@@ -40,11 +40,11 @@ A run does not build a generator per stream.  ``ChunkStreams`` hashes
 the PCG64 states of every (run, frame, port) key of a chunk once, in one
 numpy pass (``pcg64_states``: numpy's ``SeedSequence`` hash, then PCG64's
 seeding), and each stream is drawn through one reused generator whose
-state is set to the stream's start.  The states are bit for bit those of
-``generator(StreamKey(seed, key))``, so the draws are too.  On a 2-vCPU
-VM (numpy 2.4.6) the hash costs about 2 us per key of a 128-frame chunk
-and a state set about 2.4 us, where building a ``SeedSequence`` and its
-PCG64 costs about 20 us.
+state is set to the stream's start (``ChunkStreams.fill``).  The states
+are bit for bit those of ``generator(substream(seed, *key))``, so the
+draws are too.  On a 2-vCPU VM (numpy 2.4.6) the hash costs about 2 us
+per key of a 128-frame chunk and a state set about 2.4 us, where
+building a ``SeedSequence`` and its PCG64 costs about 20 us.
 
 The pump sweep keys (10 + pump, frame index, 0).  Since layout 4 such a
 stream draws only the 2m + 1 sidebands within the anchor's margin that
@@ -56,8 +56,6 @@ master seed.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,43 +88,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class StreamKey(NamedTuple):
-    """Address of one substream: the master entropy and the spawn key."""
-
-    entropy: int
-    spawn_key: tuple[int, ...]
-
-
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int, StreamKey or SeedSequence into a SeedSequence."""
+    """Coerce an int or SeedSequence into a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, StreamKey):
-        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
     if isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(int(seed))
     raise TypeError(f"seed must be an int or SeedSequence, got {type(seed).__name__}")
-
-
-def stream_key(seed, *path: int):
-    """Key of the substream addressed by ``path``, without building it.
-
-    A list of seeds maps to the list of their keys.
-    """
-    if isinstance(seed, list):
-        return [stream_key(s, *path) for s in seed]
-    if isinstance(seed, (StreamKey, np.random.SeedSequence)):
-        entropy, key = seed.entropy, tuple(seed.spawn_key)
-    elif isinstance(seed, (int, np.integer)):
-        entropy, key = int(seed), ()
-    else:
-        raise TypeError(f"seed must be an int, SeedSequence or StreamKey, got {type(seed).__name__}")
-    return StreamKey(entropy, key + tuple(map(int, path)))
-
-
-def seed_rows(seed) -> list:
-    """Seeds of a block's rows: the list itself, or one row for one frame."""
-    return seed if isinstance(seed, list) else [seed]
 
 
 def substream(seed, *path: int) -> np.random.SeedSequence:
@@ -136,17 +104,12 @@ def substream(seed, *path: int) -> np.random.SeedSequence:
     derivation stateless: the same (seed, path) always yields the same
     stream no matter how many other streams were derived before it.
     """
-    return as_seed_sequence(stream_key(seed, *path))
+    seed = as_seed_sequence(seed)
+    return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *map(int, path)))
 
 
 def generator(seed) -> np.random.Generator:
-    """PCG64 generator on the stream of ``seed``.
-
-    A chunk's ``Stream`` gets its chunk's reused generator, set to the
-    stream's start: draw from it before the next stream is opened.
-    """
-    if isinstance(seed, Stream):
-        return seed.chunk.generator(seed.frame, seed.port)
+    """PCG64 generator on the stream of ``seed``."""
     return np.random.default_rng(as_seed_sequence(seed))
 
 
@@ -196,7 +159,7 @@ def _entropy_pool(entropy: int) -> tuple[list[int], int]:
 
 
 def pcg64_states(entropy: int, spawn_keys) -> list[tuple[int, int]]:
-    """PCG64 states of ``generator(StreamKey(entropy, key))`` for each
+    """PCG64 states of ``generator(substream(entropy, *key))`` for each
     spawn key, rows of equal length whose entries are each below 2^32.
 
     One numpy pass over the keys: every spawn word is mixed into the pool
@@ -252,15 +215,10 @@ class ChunkStreams:
         }
         return self._generator
 
-    def rows(self, frames: range, port: int) -> list[Stream]:
-        """A block's streams of one port, one per frame, for functions that
-        take a list of per-frame seeds."""
-        return [Stream(self, i, port) for i in frames]
-
-
-class Stream(NamedTuple):
-    """One stream of a ``ChunkStreams``; ``generator`` opens it."""
-
-    chunk: ChunkStreams
-    frame: int
-    port: int
+    def fill(self, frames: range, port: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, one row per frame, with the standard normals each
+        frame's stream of ``port`` starts with; a row's entries are drawn
+        in C order.  Returns ``out``."""
+        for row, i in zip(out, frames, strict=True):
+            self.generator(i, port).standard_normal(out=row)
+        return out

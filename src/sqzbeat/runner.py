@@ -18,11 +18,14 @@ engine, split run -> chunk -> block:
   order, so the emitted numbers are bit-identical for any worker count.
 - block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
   detection and the measurement chain together, one row per frame, so
-  each FFT is one batched call instead of one per frame.  Blocks stay at
-  4 frames because every (frames, n) temporary grows with the block: on
-  ``fig4-demod`` peak memory was 108 MB with one frame at a time, 112 MB
-  at 4, 115 MB at 8 and 121 MB at 16, past the benchmark's 10% bound,
-  and 8 or 16 frames ran no faster than 4.
+  each FFT is one batched call instead of one per frame.  A block draws
+  first: each port its acquisition reads fills one array of standard
+  normals (``ChunkStreams.fill``), and synthesis, detection and the
+  chain then transform those arrays.  Blocks stay at 4 frames.  One
+  frame at a time ran 1.24x slower than 4 on ``fig4-demod`` and 1.15x
+  on ``fig3-raw``, and 8 frames ran like 4, while every (frames, n)
+  temporary grows with the block: peak RSS read 38.1, 40.4, 43.3 and
+  48.7 MB at 1, 4, 8 and 16 frames (2 vCPUs, numpy 2.4.6).
 
 Blocks do not change a single output bit.  Each noise row still draws
 from its own (run, frame, port) substream, set up bit for bit as its own
@@ -36,7 +39,7 @@ reductions next to their closed-form budget predictions.
 Synthesis follows stream layout 5 (``rng``; heterodyne and sweep
 summaries record ``stream_layout=5``).  The context builds one optical
 path per beam (``cfg.optical_path``: squeezer at its angle, angle jitter
-and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path draws
+and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path reads
 one vacuum row: the reference's unsqueezed ones as time samples, the
 target's squeezed ones as bins squeezed with the path loss folded into
 the gains, their angle redrawn per frame under jitter.  The carriers,
@@ -104,6 +107,7 @@ from .fields import (
     make_vacuum_field,
     sideband_gains,
     squeeze_sidebands,
+    vacuum_rows,
 )
 from .interferometer import (
     BeamCarrier,
@@ -234,7 +238,9 @@ class _HeterodyneContext:
         # low-pass before it and the rest after.
         if ms.kind == "raw":
             chain = raw_measurement_chain()
+            self.arm_ports = ()
         else:
+            self.arm_ports = (rngs.PORT_ARM1, rngs.PORT_ARM2)[: 2 if self.estimate == "cross" else 1]
             chain = [demod_lpf_spec(b.beat_freq_hz)] + demod_measurement_chain()
             self.lpf_h = chain_response(chain[:1], self.freqs, fs)
             self.post_h = chain_response(chain[1:], self.freqs, fs)
@@ -250,65 +256,88 @@ class _HeterodyneContext:
                 "target": np.sqrt(lit * demod_shot),
             }
         self.chain_h = chain_response(chain, self.freqs, fs)
+        # The stream layout (``rng``): the shape of the standard normals a
+        # frame of each acquisition draws, by port, only where it reads
+        # them.  A beam's vacuum row is real parts, then imaginary parts;
+        # the target draws one angle per jittered squeezer.
+        jittered = sum(p.jitter_rms_rad > 0 for p in squeezed)
+        self.draws = {}
+        for run_name in RUN_NAMES:
+            dark = run_name == "background"
+            shapes = self.draws[run_name] = {} if dark else {rngs.PORT_BEAM1: (2, n), rngs.PORT_BEAM2: (2, n)}
+            if d.electronic_noise_rel_db is not None:
+                shapes[rngs.PORT_DETECTOR] = (n,)
+            if not dark and self.phase_var > 0.0:
+                shapes[rngs.PORT_PHASE] = (n,)
+            if run_name == "target" and jittered:
+                shapes[rngs.PORT_JITTER] = (jittered,)
+            if self.arm_ports and self.arm_sigma[run_name] > 0.0:
+                shapes.update(dict.fromkeys(self.arm_ports, (n,)))
 
     # -- block synthesis ------------------------------------------------
 
-    def _draws(self, seeds: list, sigma: float) -> np.ndarray:
-        """One row of N(0, sigma^2) samples per seed."""
-        n = self.grid.n_samples
-        return np.stack([rngs.generator(s).normal(0.0, sigma, n) for s in seeds])
+    def _normals(self, run_name: str, streams: rngs.ChunkStreams, frames: range) -> dict[int, np.ndarray]:
+        """The standard normals of a block of one acquisition, by port, one
+        row per frame: each port the acquisition reads, drawn once."""
+        return {
+            port: streams.fill(frames, port, np.empty((len(frames), *shape)))
+            for port, shape in self.draws[run_name].items()
+        }
 
-    def _paths(self, run_name: str, streams: rngs.ChunkStreams, frames: range) -> tuple:
+    def _paths(self, run_name: str, jitter: np.ndarray | None) -> tuple:
         """Each beam's optical path for a block: one record for every row,
-        or a list of one per frame when the squeeze angle jitters."""
-        if run_name == "target" and any(p.jitter_rms_rad for p in self.paths["target"]):
-            per_frame = [self._jittered(streams, i) for i in frames]
-            return tuple(list(beam) for beam in zip(*per_frame))
-        return self.paths[run_name]
+        or, given the block's jitter normals, a list of one per frame."""
+        if jitter is None:
+            return self.paths[run_name]
+        per_frame = [self._jittered(z) for z in jitter]
+        return tuple(list(beam) for beam in zip(*per_frame))
 
-    def _jittered(self, streams: rngs.ChunkStreams, index: int) -> tuple[OpticalPath, ...]:
-        """The target paths of one frame, each jittered squeezer turned by
-        a fresh draw from the frame's jitter stream."""
-        gen = streams.generator(index, rngs.PORT_JITTER)
+    def _jittered(self, z: np.ndarray) -> tuple[OpticalPath, ...]:
+        """The target paths of one frame, the jittered squeezers turned in
+        order by the frame's standard normals ``z``."""
+        z = iter(z.tolist())
         paths = []
         for p in self.paths["target"]:
             if p.jitter_rms_rad > 0:
-                angle = p.squeezer.squeeze_angle_rad + gen.normal(0.0, p.jitter_rms_rad)
+                angle = p.squeezer.squeeze_angle_rad + p.jitter_rms_rad * next(z)
                 p = replace(p, squeezer=replace(p.squeezer, squeeze_angle_rad=angle))
             paths.append(p)
         return tuple(paths)
 
-    def _photocurrent(self, run_name: str, streams: rngs.ChunkStreams, frames: range) -> np.ndarray:
-        """Detector output of a block of frames, one row per frame."""
-        det_streams = streams.rows(frames, rngs.PORT_DETECTOR)
+    def _photocurrent(self, run_name: str, frames: range, noise: dict[int, np.ndarray]) -> np.ndarray:
+        """Detector output of a block of frames, one row per frame, from the
+        block's normals ``noise``.  Each beam's normals leave ``noise`` as
+        the beam is composed, so each is freed once its beam is built."""
+        det_noise = noise.get(rngs.PORT_DETECTOR)
         if run_name == "background":
             dark = np.zeros((len(frames), self.grid.n_samples))
             return PhotocurrentTrace(
-                detector_readout(dark, self.det, det_streams, self.ref_floor), self.grid
+                detector_readout(dark, self.det, det_noise, self.ref_floor), self.grid
             ).samples
-        extra = None
-        if self.phase_var > 0.0:
-            extra = self._draws(streams.rows(frames, rngs.PORT_PHASE), self.phase_sigma)
-        path1, path2 = self._paths(run_name, streams, frames)
-        e1 = compose_beam(self.carrier1, path1, streams.rows(frames, rngs.PORT_BEAM1))
-        e2 = compose_beam(self.carrier2, path2, streams.rows(frames, rngs.PORT_BEAM2), extra_phase=extra)
-        return balanced_detect(e1, e2, self.det, det_streams, reference_shot_psd=self.ref_floor).samples
+        extra = noise.get(rngs.PORT_PHASE)
+        if extra is not None:
+            extra *= self.phase_sigma
+        path1, path2 = self._paths(run_name, noise.get(rngs.PORT_JITTER))
+        e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1))
+        e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra_phase=extra)
+        return balanced_detect(e1, e2, self.det, det_noise, reference_shot_psd=self.ref_floor).samples
 
     # -- measurement -----------------------------------------------------
 
-    def _rows(self, run_name: str, streams: rngs.ChunkStreams, frames: range, x: np.ndarray) -> list[np.ndarray]:
+    def _rows(self, run_name: str, noise: dict[int, np.ndarray], x: np.ndarray) -> list[np.ndarray]:
         """The rfft bins of a block's reported rows: the filtered raw beat, or
         the readout arms (arm 1 alone for an auto-spectrum): the mixer's product
-        in time, then every filter and the arms' readout noise on the bins."""
+        in time, then every filter and the arms' readout noise (from the
+        block's normals ``noise``, where drawn) on the bins."""
         if self.measurement == "raw":
             return [np.fft.rfft(x) * self.chain_h]
         base = np.fft.rfft(x * self.lo) * self.lpf_h
         sigma = self.arm_sigma[run_name]
         arms = []
-        for port in (rngs.PORT_ARM1, rngs.PORT_ARM2)[: 2 if self.estimate == "cross" else 1]:
+        for port in self.arm_ports:
             y = base
-            if sigma > 0.0:
-                y = y + np.fft.rfft(self._draws(streams.rows(frames, port), sigma))
+            if port in noise:
+                y = y + np.fft.rfft(noise[port] * sigma)
             arms.append(y * self.post_h)
         return arms
 
@@ -318,8 +347,13 @@ class _HeterodyneContext:
         # costs microseconds per chunk and spares a list of ports per acquisition.
         streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
         for frames in blocks:
-            x = self._photocurrent(run_name, streams, frames)
-            spectra = [hamming_from_bins(r) for r in self._rows(run_name, streams, frames, x)]
+            noise = self._normals(run_name, streams, frames)
+            x = self._photocurrent(run_name, frames, noise)
+            spectra = [hamming_from_bins(r) for r in self._rows(run_name, noise, x)]
+            # Freed here, not when the next block replaces them: two blocks'
+            # normals held at once cost 0.7 MB of peak RSS on fig4-demod,
+            # and the beams' normals kept to the block's end 0.8 MB more.
+            del noise
             periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
             yield {self.estimate: periodogram(*spectra, self.wnorm)}
 
@@ -374,11 +408,7 @@ class _SweepContext:
         bins = np.zeros((2 * rows, min(m + 3, n // 2 + 1)), dtype=complex)
         for frames in blocks:
             k = len(frames)
-            for row, i in zip(normals, frames):
-                streams.generator(i, 0).standard_normal(out=row)
-            z = np.empty((k, 2 * m + 1), dtype=complex)
-            np.multiply(normals[:k, 0], self.scale, out=z.real)
-            np.multiply(normals[:k, 1], self.scale, out=z.imag)
+            z = vacuum_rows(streams.fill(frames, 0, normals[:k]), self.scale)
             z = squeeze_sidebands(z, gp, gmw)
             lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
             np.multiply(lower + upper, c, out=bins[:k, : m + 1])
@@ -554,7 +584,7 @@ def _run_epr(cfg: IdentityConfig) -> RunSummary:
         lo_bin = int(np.ceil((-fs / 2 + beat) / df)) + 1
         hi_bin = int(np.floor((fs / 2 - 3.0 * beat) / df)) - 1
         omega0 = float(gen.integers(lo_bin, hi_bin + 1)) * df
-        state = make_vacuum_field(grid, rngs.substream(cfg.seed, 901, d))
+        state = make_vacuum_field(grid, rngs.generator(rngs.substream(cfg.seed, 901, d)).standard_normal((2, n)))
         if gen.random() < 0.7:
             spec = SqueezerSpec(
                 pump_ratio=float(gen.uniform(0.05, 0.85)),

@@ -1,4 +1,5 @@
-"""Shared test utilities: plain estimators kept independent of the package."""
+"""Shared test utilities: plain estimators and the noise draw, kept
+independent of the package."""
 
 import numpy as np
 
@@ -23,3 +24,11 @@ def naive_psd(frames):
 def band_mean(freqs, values, lo, hi):
     m = (freqs >= lo) & (freqs <= hi)
     return float(np.mean(values[m]))
+
+
+def normals(seed, *shape):
+    """Standard normals of ``shape`` from the start of the stream of
+    ``seed`` (an int or a ``SeedSequence``, such as ``rng.substream``'s),
+    in C order.  ``normals(seed, 2, n)`` is the noise of one vacuum row of
+    n bins, real parts then imaginary parts."""
+    return np.random.default_rng(seed).standard_normal(shape)

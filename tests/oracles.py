@@ -28,6 +28,8 @@ from sqzbeat.interferometer import (
 )
 from sqzbeat.rng import substream
 
+from helpers import normals
+
 
 def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Run a frame (or each row of a block) through a chain of
@@ -61,12 +63,12 @@ def linearized_output(
 
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency, at
-    angle 0, since no carrier has a static phase.  Uses the same seed
-    layout as ``compose_beam`` on
-    ``substream(seed, 0)`` and ``substream(seed, 1)``, so on squeezed
-    paths the residual against the exact product isolates the dropped
-    second-order terms; ``compose_beam`` draws an unsqueezed path's noise
-    as time samples, the same distribution but another realization.
+    angle 0, since no carrier has a static phase.  Draws each path's
+    vacuum row from ``substream(seed, 0)`` and ``substream(seed, 1)``, as
+    the tests feed ``compose_beam``, so on squeezed paths the residual
+    against the exact product isolates the dropped second-order terms;
+    ``compose_beam`` reads an unsqueezed path's normals as time samples,
+    the same distribution but another realization.
     """
     b1, b2 = beams
     t = grid.times()
@@ -74,8 +76,9 @@ def linearized_output(
     theta2 = phase_series(grid, b2, extra_phase)
     beat_hz = b2.carrier_freq_hz - b1.carrier_freq_hz
 
-    n1 = pickoff_noise_field(grid, paths[0], substream(seed, 0))
-    n2 = pickoff_noise_field(grid, paths[1], substream(seed, 1))
+    vac = (2, grid.n_samples)
+    n1 = pickoff_noise_field(grid, paths[0], normals(substream(seed, 0), *vac))
+    n2 = pickoff_noise_field(grid, paths[1], normals(substream(seed, 1), *vac))
     qa = quadrature_series(n1, b2.carrier_freq_hz)
     qb = quadrature_series(n2, b1.carrier_freq_hz)
 
@@ -107,8 +110,9 @@ def straightforward_variant(
     theta2 = phase_series(grid, b2, extra_phase)
     beat = 2.0 * np.pi * (b2.carrier_freq_hz - b1.carrier_freq_hz) * t
 
-    n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), substream(seed, 0))
-    n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), substream(seed, 1))
+    vac = (2, grid.n_samples)
+    n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), normals(substream(seed, 0), *vac))
+    n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), normals(substream(seed, 1), *vac))
     qa = quadrature_series(n1, b1.carrier_freq_hz)
     qb = quadrature_series(n2, b2.carrier_freq_hz)
 

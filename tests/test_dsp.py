@@ -402,7 +402,8 @@ def test_chain_steps_on_a_block_equal_each_frame():
         ctx, streams = _chain_context(preset)
 
         def chain(x, frames):
-            v = [hamming_from_bins(r) for r in ctx._rows("target", streams, frames, x)]
+            noise = ctx._normals("target", streams, frames)
+            v = [hamming_from_bins(r) for r in ctx._rows("target", noise, x)]
             return auto_periodogram(v[0], ctx.wnorm), cross_periodogram(v[0], v[-1], ctx.wnorm)
 
         auto_b, cross_b = chain(block, CHAIN_FRAMES)
@@ -427,7 +428,8 @@ def test_chain_on_bins_matches_the_time_domain_reference(preset, patch):
     # and the window applied in time, over the same arm-noise draws.
     ctx, streams = _chain_context(preset, patch)
     x = _photocurrent_rows(13)
-    got = [hamming_from_bins(r) for r in ctx._rows("target", streams, CHAIN_FRAMES, x)]
+    noise = ctx._normals("target", streams, CHAIN_FRAMES)
+    got = [hamming_from_bins(r) for r in ctx._rows("target", noise, x)]
     window = hamming_window(N)[0]
     if preset == "fig3-raw":
         want = [frame_spectrum(filter_frame(x, ctx.chain_h), window)]

@@ -19,11 +19,12 @@ from sqzbeat.fields import (
 )
 from sqzbeat.rng import substream
 
-from helpers import naive_psd
+from helpers import naive_psd, normals
 from oracles import quadrature_at_angle
 
 FS = 125e6
 GRID = FrequencyGrid(FS, 2500, 30e6)
+VAC = (2, GRID.n_samples)  # the normals of one vacuum row on GRID
 
 # Hand-evaluated squeezing dip for pump_ratio = sqrt(90/600), eta = 0.8 at
 # zero sideband offset: 1 - 0.8 * 4x / (1 + x)^2.
@@ -31,14 +32,18 @@ S_AT_DC = 0.3560444686445266
 A_AT_DC = 4.301394977722255
 
 
+def _vacuum(seed):
+    return make_vacuum_field(GRID, normals(seed, *VAC))
+
+
 def _quad_psd(spec=None, frames=300, seed=101, angle=0.0, center=30e6, loss=None):
     acc1, acc2 = [], []
     for i in range(frames):
-        f = make_vacuum_field(GRID, substream(seed, 0, i))
+        f = _vacuum(substream(seed, 0, i))
         if spec is not None:
             f = apply_squeezer(f, spec)
         if loss is not None:
-            f = apply_loss(f, loss, substream(seed, 1, i))
+            f = apply_loss(f, loss, normals(substream(seed, 1, i), *VAC))
         q = quadrature_series(f, center)
         acc1.append(quadrature_at_angle(q, angle))
         acc2.append(quadrature_at_angle(q, angle + np.pi / 2.0))
@@ -47,10 +52,10 @@ def _quad_psd(spec=None, frames=300, seed=101, angle=0.0, center=30e6, loss=None
 
 
 def test_vacuum_determinism():
-    a = make_vacuum_field(GRID, substream(42, 1, 2, 3))
-    b = make_vacuum_field(GRID, substream(42, 1, 2, 3))
+    a = _vacuum(substream(42, 1, 2, 3))
+    b = _vacuum(substream(42, 1, 2, 3))
     assert np.array_equal(a.amplitudes, b.amplitudes)
-    c = make_vacuum_field(GRID, substream(42, 1, 2, 4))
+    c = _vacuum(substream(42, 1, 2, 4))
     assert not np.array_equal(a.amplitudes, c.amplitudes)
 
 
@@ -58,7 +63,7 @@ def test_vacuum_amplitudes_zero_mean():
     frames = 1000
     total = 0.0 + 0.0j
     for i in range(frames):
-        total += make_vacuum_field(GRID, substream(7, 0, i)).amplitudes.mean()
+        total += _vacuum(substream(7, 0, i)).amplitudes.mean()
     mean = total / frames
     # each bin component has std sqrt(0.5 / n); the grand mean shrinks by
     # sqrt(n * frames)
@@ -86,7 +91,7 @@ def test_vacuum_psd_unity_at_other_centers():
 
 
 def test_squeezer_zero_pump_is_identity():
-    f = make_vacuum_field(GRID, substream(9, 0, 0))
+    f = _vacuum(substream(9, 0, 0))
     spec = SqueezerSpec(0.0, 30e6, 0.8, 0.3, center_freq_hz=30e6)
     out = apply_squeezer(f, spec)
     assert np.array_equal(out.amplitudes, f.amplitudes)
@@ -149,7 +154,7 @@ def test_squeeze_angle_selects_quadrature():
 
 
 def test_loss_identity_and_fixed_point():
-    f = make_vacuum_field(GRID, substream(5, 0, 0))
+    f = _vacuum(substream(5, 0, 0))
     out = apply_loss(f, 1.0, substream(5, 1, 0))
     assert np.array_equal(out.amplitudes, f.amplitudes)
     frames = 400
@@ -159,10 +164,10 @@ def test_loss_identity_and_fixed_point():
 
 
 def test_loss_rejects_bad_efficiency():
-    f = make_vacuum_field(GRID, substream(5, 0, 0))
+    f = _vacuum(substream(5, 0, 0))
     for eff in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            apply_loss(f, eff, substream(5, 1, 0))
+            apply_loss(f, eff, normals(substream(5, 1, 0), *VAC))
 
 
 def test_loss_mixes_squeezed_power():
@@ -209,8 +214,8 @@ def test_loss_folded_into_squeezer_gains_is_the_explicit_loss(eta, angle, monkey
         return apply_squeezer(FieldRealization(grid, x), sq).amplitudes
 
     def loss(signal, vacuum):
-        monkeypatch.setattr(fields, "make_vacuum_field", lambda g, seed: FieldRealization(g, vacuum.copy()))
-        return apply_loss(FieldRealization(grid, signal), eta, seed=0).amplitudes
+        monkeypatch.setattr(fields, "make_vacuum_field", lambda g, z: FieldRealization(g, vacuum.copy()))
+        return apply_loss(FieldRealization(grid, signal), eta, normals=None).amplitudes
 
     m = _real_map(lambda x: squeeze(x, folded), n)
     s = _real_map(lambda x: squeeze(x, spec), n)
@@ -225,8 +230,8 @@ def test_loss_folded_into_squeezer_gains_is_the_explicit_loss(eta, angle, monkey
 
 
 def test_quadrature_series_linearity():
-    f = make_vacuum_field(GRID, substream(61, 0, 0))
-    g = make_vacuum_field(GRID, substream(61, 0, 1))
+    f = _vacuum(substream(61, 0, 0))
+    g = _vacuum(substream(61, 0, 1))
     both = FieldRealization(GRID, f.amplitudes + 2.5 * g.amplitudes)
     qf = quadrature_series(f, 30e6)
     qg = quadrature_series(g, 30e6)
@@ -236,7 +241,7 @@ def test_quadrature_series_linearity():
 
 
 def test_quadrature_series_band_errors():
-    f = make_vacuum_field(GRID, substream(61, 0, 0))
+    f = _vacuum(substream(61, 0, 0))
     with pytest.raises(BandError):
         quadrature_series(f, 30.0001e6)  # off-grid center
     with pytest.raises(BandError):
@@ -250,11 +255,11 @@ def test_squeezer_and_quadratures_on_a_block_equal_each_frame():
     # exact bits of the one-frame call on that row
     spec = SqueezerSpec(0.6, 20e6, 0.9, squeeze_angle_rad=0.4, center_freq_hz=30e6)
     seeds = [substream(71, 0, i) for i in range(4)]
-    block = apply_squeezer(make_vacuum_field(GRID, seeds), spec)
+    block = apply_squeezer(make_vacuum_field(GRID, np.stack([normals(s, *VAC) for s in seeds])), spec)
     quads = quadrature_series(block, 30e6)
     assert block.amplitudes.shape == quads.a1.shape == (4, GRID.n_samples)
     for i, seed in enumerate(seeds):
-        single = apply_squeezer(make_vacuum_field(GRID, seed), spec)
+        single = apply_squeezer(_vacuum(seed), spec)
         assert np.array_equal(block.amplitudes[i], single.amplitudes)
         q = quadrature_series(single, 30e6)
         assert np.array_equal(quads.a1[i], q.a1)
@@ -264,7 +269,7 @@ def test_squeezer_and_quadratures_on_a_block_equal_each_frame():
 def test_epr_identity_residual_small_for_any_state():
     worst = 0.0
     for i in range(25):
-        f = make_vacuum_field(GRID, substream(13, 0, i))
+        f = _vacuum(substream(13, 0, i))
         if i % 2:
             f = apply_squeezer(f, SqueezerSpec(0.6, 20e6, 0.9, 0.4, center_freq_hz=30e6))
         worst = max(worst, epr_identity_residual(f, 20e6, 10e6))
@@ -272,7 +277,7 @@ def test_epr_identity_residual_small_for_any_state():
 
 
 def test_epr_identity_band_violation():
-    f = make_vacuum_field(GRID, substream(13, 0, 0))
+    f = _vacuum(substream(13, 0, 0))
     with pytest.raises(BandError):
         epr_identity_residual(f, 50e6, 10e6)  # upper band runs off the grid
 
@@ -287,7 +292,7 @@ def test_epr_grouped_terms_reduced_by_squeezing():
         var_d = var_s = 0.0
         frames = 150
         for i in range(frames):
-            f = make_vacuum_field(GRID, substream(17, 0, i))
+            f = _vacuum(substream(17, 0, i))
             if x > 0:
                 f = apply_squeezer(f, SqueezerSpec(x, 3e9, 1.0, center_freq_hz=mid))
             up = quadrature_series(f, mid + beat, eps_max=width)

@@ -25,12 +25,13 @@ from sqzbeat.interferometer import (
 from sqzbeat.fields import quadrature_series
 from sqzbeat.rng import substream
 
-from helpers import naive_psd
+from helpers import naive_psd, normals
 from oracles import linearized_output, straightforward_variant
 
 FS = 125e6
 N = 2500
 GRID = FrequencyGrid(FS, N, 30e6)
+VAC = (2, N)  # the normals of one vacuum row on GRID
 BEAT = 10e6
 C1, C2 = 30e6, 40e6
 IDEAL = DetectorSpec()
@@ -44,7 +45,7 @@ def _carrier_field(e, freq, theta=None):
 
 
 def _beam(beam, path, seed, extra_phase=None, qe=1.0):
-    return compose_beam(BeamCarrier(GRID, beam, qe), path, seed, extra_phase)
+    return compose_beam(BeamCarrier(GRID, beam, qe), path, normals(seed, *VAC), extra_phase)
 
 
 def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
@@ -57,7 +58,7 @@ def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
 def test_pure_beat_is_exact_cosine():
     f1 = _carrier_field(1.0, C1)
     f2 = _carrier_field(1.0, C2)
-    trace = balanced_detect(f1, f2, IDEAL, substream(0, 9))
+    trace = balanced_detect(f1, f2, IDEAL, None)
     expect = 2.0 * np.cos(2.0 * np.pi * BEAT * GRID.times())
     assert np.allclose(trace.samples, expect, atol=1e-9)
 
@@ -66,7 +67,7 @@ def test_beat_carries_relative_phase():
     theta = 0.4
     f1 = _carrier_field(1.0, C1)
     f2 = _carrier_field(1.0, C2, theta)
-    trace = balanced_detect(f1, f2, IDEAL, substream(0, 9))
+    trace = balanced_detect(f1, f2, IDEAL, None)
     expect = 2.0 * np.cos(2.0 * np.pi * BEAT * GRID.times() + theta)
     assert np.allclose(trace.samples, expect, atol=1e-9)
 
@@ -77,7 +78,7 @@ def test_shot_floor_level():
     traces = []
     for i in range(frames):
         f1, f2 = _vacuum_beams(e, e, substream(8, i))
-        traces.append(balanced_detect(f1, f2, IDEAL, substream(8, i, 99)).samples)
+        traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     band = (freqs > 2e6) & (freqs < 20e6) & (np.abs(freqs - BEAT) > 1e6)
@@ -94,7 +95,7 @@ def test_pickoff_loss_mixes_squeezing():
     frames = 350
     acc = []
     for i in range(frames):
-        f = pickoff_noise_field(GRID, pick, substream(23, i))
+        f = pickoff_noise_field(GRID, pick, normals(substream(23, i), *VAC))
         acc.append(quadrature_series(f, C1).a1)
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(acc)
@@ -135,7 +136,7 @@ def test_modulation_sideband_power_ratio():
     b2 = BeamSpec(1000.0, C2, PhaseSignalSpec(mod, depth))
     f1 = _beam(b1, VACUUM, substream(5, 1))
     f2 = _beam(b2, VACUUM, substream(5, 2))
-    trace = balanced_detect(f1, f2, IDEAL, substream(5, 3))
+    trace = balanced_detect(f1, f2, IDEAL, None)
     spec = np.abs(np.fft.rfft(trace.samples)) ** 2
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     k0 = np.argmin(np.abs(freqs - BEAT))
@@ -154,7 +155,7 @@ def test_electronic_noise_level():
     frames = 200
     zero = DetectedField(GRID, np.zeros(N, dtype=complex))
     traces = [
-        balanced_detect(zero, zero, det, substream(66, i), reference_shot_psd=ref).samples
+        balanced_detect(zero, zero, det, normals(substream(66, i), N), reference_shot_psd=ref).samples
         for i in range(frames)
     ]
     psd = naive_psd(traces)
@@ -166,14 +167,14 @@ def test_electronic_noise_requires_reference():
     det = DetectorSpec(electronic_noise_rel_db=-2.0)
     zero = DetectedField(GRID, np.zeros(N, dtype=complex))
     with pytest.raises(ValueError):
-        balanced_detect(zero, zero, det, substream(66, 0))
+        balanced_detect(zero, zero, det, normals(substream(66, 0), N))
 
 
 def test_clipping_bounds_samples():
     det = DetectorSpec(clip_level=1.0)
     f1 = _carrier_field(10.0, C1)
     f2 = _carrier_field(10.0, C2)
-    trace = balanced_detect(f1, f2, det, substream(1, 0))
+    trace = balanced_detect(f1, f2, det, None)
     # mean removal follows the clip, so the bound holds up to the mean shift
     assert trace.samples.max() - trace.samples.min() <= 2.0 + 1e-9
 
@@ -186,7 +187,7 @@ def test_gain_ripple_tilts_optical_spectrum():
     traces = []
     for i in range(frames):
         f1, f2 = _vacuum_beams(e, e, substream(71, i))
-        traces.append(balanced_detect(f1, f2, det, substream(71, i, 9)).samples)
+        traces.append(balanced_detect(f1, f2, det, None).samples)
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     lo = psd[np.abs(freqs - 5e6) < 0.3e6].mean()
@@ -207,7 +208,7 @@ def test_quantum_efficiency_degrades_squeezing():
     for i in range(frames):
         f1 = _beam(BeamSpec(e, C1), path1, substream(81, i, 0), qe=qe)
         f2 = _beam(BeamSpec(e, C2), path2, substream(81, i, 1), qe=qe)
-        traces.append(balanced_detect(f1, f2, IDEAL, substream(81, i, 2)).samples)
+        traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     band = (freqs > 2e6) & (freqs < 18e6) & (np.abs(freqs - BEAT) > 1e6)
@@ -233,7 +234,7 @@ def test_linearized_matches_exact_detection():
             _beam(beams[0], paths[0], substream(seed, 0)),
             _beam(beams[1], paths[1], substream(seed, 1)),
             IDEAL,
-            substream(seed, 2),
+            None,
         )
         lin = linearized_output(GRID, beams, paths, seed)
         diff.append(exact.samples - lin.samples)
@@ -258,7 +259,7 @@ def test_squeeze_angle_swaps_quadrature():
         for i in range(frames):
             f1 = _beam(BeamSpec(e, C1), path, substream(95, i, 0))
             f2 = _beam(BeamSpec(e, C2), VACUUM, substream(95, i, 1))
-            traces.append(balanced_detect(f1, f2, IDEAL, substream(95, i, 2)).samples)
+            traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
         floors[phase] = naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e, e)
     s, a = SqueezerSpec(x, 3e9, 1.0).squeezing_spectrum(BEAT)
     assert floors[0.0] == pytest.approx(0.5 * (s + 1.0), rel=0.03)
@@ -280,7 +281,7 @@ def test_reduction_independent_of_amplitudes():
         for i in range(frames):
             f1 = _beam(BeamSpec(e1, C1), paths[0], substream(97, i, 0))
             f2 = _beam(BeamSpec(e2, C2), paths[1], substream(97, i, 1))
-            traces.append(balanced_detect(f1, f2, IDEAL, substream(97, i, 2)).samples)
+            traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
         rels.append(naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e1, e2))
     se = 4 / np.sqrt(frames * band.sum())
     assert abs(rels[0] - rels[1]) < 3 * se
@@ -305,7 +306,7 @@ def test_schemes_agree_with_squeezers_off():
         lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)).samples)
         f1 = _beam(beams[0], VACUUM, substream(15, i, 0))
         f2 = _beam(beams[1], VACUUM, substream(15, i, 1))
-        exact.append(balanced_detect(f1, f2, IDEAL, substream(15, i, 9)).samples)
+        exact.append(balanced_detect(f1, f2, IDEAL, None).samples)
     p_lin = naive_psd(lin)[band].mean()
     p_exact = naive_psd(exact)[band].mean()
     se = 4 / np.sqrt(frames * band.sum())
@@ -358,7 +359,7 @@ def test_energy_bookkeeping():
     for i in range(frames):
         f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(52, i, 0))
         f2 = _beam(BeamSpec(e2, C2), VACUUM, substream(52, i, 1))
-        total += np.var(balanced_detect(f1, f2, det, substream(52, i, 2), ref).samples)
+        total += np.var(balanced_detect(f1, f2, det, normals(substream(52, i, 2), N), ref).samples)
     measured = total / frames
     classical = 2.0 * e1**2 * e2**2
     quantum = 2.0 * (e1**2 + e2**2)
@@ -382,7 +383,7 @@ def test_classical_phase_variance_calibration():
         extra = rng.normal(0.0, np.sqrt(var), N)
         f1 = _beam(BeamSpec(e, C1), VACUUM, substream(74, i, 0))
         f2 = _beam(BeamSpec(e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
-        trace = balanced_detect(f1, f2, IDEAL, substream(74, i, 2))
+        trace = balanced_detect(f1, f2, IDEAL, None)
         mixed = trace.samples * lo
         spec = np.fft.rfft(mixed)
         freqs = np.fft.rfftfreq(N, 1.0 / FS)
@@ -413,7 +414,7 @@ def test_spec_invariants():
             DetectedField(GRID, np.zeros(N, dtype=complex)),
             DetectedField(FrequencyGrid(FS, 2000, 30e6), np.zeros(2000, dtype=complex)),
             IDEAL,
-            substream(0, 0),
+            None,
         )
 
 
@@ -430,20 +431,25 @@ def test_block_rows_equal_single_frames():
     ref = unsqueezed_shot_psd(700.0, 800.0, qe)
     seeds = [substream(31, i) for i in range(3)]
     extra = np.random.default_rng(substream(32, 0)).normal(0.0, 1e-3, (3, N))
+    # each frame's vacuum rows of beams 1 and 2, and its electronic noise
+    z1, z2, ze = (
+        np.stack([normals(substream(s, port), *shape) for s in seeds])
+        for port, shape in ((0, VAC), (1, VAC), (2, (N,)))
+    )
     block = balanced_detect(
-        compose_beam(carrier1, paths, [substream(s, 0) for s in seeds]),
-        compose_beam(carrier2, paths[0], [substream(s, 1) for s in seeds], extra),
+        compose_beam(carrier1, paths, z1),
+        compose_beam(carrier2, paths[0], z2, extra),
         det,
-        [substream(s, 2) for s in seeds],
+        ze,
         ref,
     )
     assert block.samples.shape == (3, N)
-    for i, s in enumerate(seeds):
+    for i in range(len(seeds)):
         single = balanced_detect(
-            compose_beam(carrier1, paths[i], substream(s, 0)),
-            compose_beam(carrier2, paths[0], substream(s, 1), extra[i]),
+            compose_beam(carrier1, paths[i], z1[i]),
+            compose_beam(carrier2, paths[0], z2[i], extra[i]),
             det,
-            substream(s, 2),
+            ze[i],
             ref,
         )
         assert np.array_equal(block.samples[i], single.samples)
@@ -451,7 +457,8 @@ def test_block_rows_equal_single_frames():
 
 def _quadrature_psds(path, center, seed, frames=120):
     grid = preset_config("fig4-demod").frequency_grid()
-    field = pickoff_noise_field(grid, path, [substream(seed, i) for i in range(frames)])
+    z = np.stack([normals(substream(seed, i), 2, grid.n_samples) for i in range(frames)])
+    field = pickoff_noise_field(grid, path, z)
     quads = quadrature_series(field, center)
     freqs = np.fft.rfftfreq(grid.n_samples, 1.0 / grid.sample_rate)
     return freqs, naive_psd(quads.a1), naive_psd(quads.a2), frames

@@ -1,13 +1,13 @@
 """Every noise input of a run draws from its own substream.
 
-A run opens each stream through its chunk's ``rng.ChunkStreams``, which
-sets one reused generator to the stream's (run, frame, port) key; every
-key opened is recorded with its entropy, so a port that reused another's
-stream would show up as a duplicate key.  The keys must also follow
-stream layout 3 (see ``sqzbeat.rng``): each optical path draws its one
-vacuum row straight from its beam's port, every other input from its own
-port.  The states a chunk hashes in bulk must be those of numpy's own
-``SeedSequence`` and PCG64, bit for bit.
+A run draws each block's noise through its chunk's ``rng.ChunkStreams``,
+which sets one reused generator to each stream's (run, frame, port) key;
+every key opened is recorded with its entropy, so a port that reused
+another's stream would show up as a duplicate key.  The keys must also
+follow the stream layout (``STREAM_LAYOUT``, see ``sqzbeat.rng``): each
+optical path draws its one vacuum row straight from its beam's port,
+every other input from its own port.  The states a chunk hashes in bulk
+must be those of numpy's own ``SeedSequence`` and PCG64, bit for bit.
 """
 
 from dataclasses import replace
@@ -159,10 +159,9 @@ def test_chunk_streams_draw_the_rows_of_fresh_generators(entropy):
     streams = rng.ChunkStreams(entropy, rng.RUN_TARGET, range(126, 130), rng.PORTS)
     for frame in (129, 126, 128, 127):
         for port in rng.PORTS:
-            want = rng.generator(rng.StreamKey(entropy, (rng.RUN_TARGET, frame, port))).standard_normal(500)
-            row = np.empty(500)
-            rng.generator(rng.Stream(streams, frame, port)).standard_normal(out=row)
-            assert np.array_equal(row, want)
+            want = rng.generator(rng.substream(entropy, rng.RUN_TARGET, frame, port)).standard_normal(500)
+            rows = streams.fill(range(frame, frame + 1), port, np.empty((1, 500)))
+            assert np.array_equal(rows[0], want)
             # Opened again after another stream, it starts over.
             streams.generator(frame, (port + 1) % len(rng.PORTS)).normal(0.0, 1.0, 7)
             assert np.array_equal(streams.generator(frame, port).normal(0.0, 1.0, 500), want)

@@ -233,7 +233,7 @@ def test_sweep_block_equals_the_full_field_path(patch):
         shape = (len(frames), grid.n_samples)
         full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
         for row, i in zip(full, frames):
-            x = rng.generator(rng.StreamKey(ctx.seed, (10 + pump, i, 0))).standard_normal(2 * len(index))
+            x = rng.generator(rng.substream(ctx.seed, 10 + pump, i, 0)).standard_normal(2 * len(index))
             row[index] = ctx.scale * (x[: len(index)] + 1j * x[len(index) :])
         got = next(ctx.periodograms(pump, [frames]))
         quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
