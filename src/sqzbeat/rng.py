@@ -11,11 +11,9 @@ transforms after: its block step draws each port's standard normals
 through its chunk's ``ChunkStreams`` and passes the arrays on, so the
 physics functions take drawn noise, never a seed.
 
-Stream layout 5.  It draws exactly what layout 4 drew and changes only
-the periodogram window, from numpy's symmetric Hamming window to the
-periodic one (``dsp.hamming_window``), for heterodyne and sweep runs
-alike.  A heterodyne frame is keyed (run, frame index, port), with the
-ports of layout 3:
+Stream layout 6.  Heterodyne runs draw exactly what layouts 4 and 5
+drew; only the pump sweep changed (below).  A heterodyne frame is keyed
+(run, frame index, port), with the ports of layout 3:
 
 =================  ==========================================================
 port               stream
@@ -46,13 +44,14 @@ draws are too.  On a 2-vCPU VM (numpy 2.4.6) the hash costs about 2 us
 per key of a 128-frame chunk and a state set about 2.4 us, where
 building a ``SeedSequence`` and its PCG64 costs about 20 us.
 
-The pump sweep keys (10 + pump, frame index, 0).  Since layout 4 such a
-stream draws only the 2m + 1 sidebands within the anchor's margin that
-the sweep's quadratures read, real parts then imaginary parts, in offset
-order -m..m: one stream and 2598 normals per frame and pump power on
-``appendixE-pump-sweep`` (m = 649), where layout 3 drew all 2500 bins,
-5000 normals.  The EPR identity run substreams 900 and 901 of the
-master seed.
+The pump sweep keys (``RUN_SWEEP``, frame index, 0), and since layout 6
+every pump power squeezes that one vacuum row, where layout 5 drew a
+stream (10 + pump, frame index, 0) per power; the first power's key is
+unchanged.  The row holds only the 2m + 1 sidebands within the anchor's
+margin that the sweep's quadratures read, real parts then imaginary
+parts, in offset order -m..m: one stream and 2598 normals per frame on
+``appendixE-pump-sweep`` (m = 649), whatever the number of powers.  The
+EPR identity run substreams 900 and 901 of the master seed.
 """
 
 from __future__ import annotations
@@ -60,13 +59,14 @@ from __future__ import annotations
 import numpy as np
 
 # Version of the stream layout above; heterodyne and sweep summaries record it.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Port indices used to key the per-frame substreams of a run.  The triple
 # (run kind, frame index, port) fully addresses one noise input.
 RUN_BACKGROUND = 0
 RUN_REFERENCE = 1
 RUN_TARGET = 2
+RUN_SWEEP = 10
 
 PORT_BEAM1 = 0
 PORT_BEAM2 = 1

@@ -359,8 +359,14 @@ class _HeterodyneContext:
 
 
 class _SweepContext:
-    """Per-run state of a pump sweep: one squeezer per pump power, each
-    power an acquisition of vacuum frames squeezed about the anchor.
+    """Per-run state of a pump sweep: one squeezer per pump power, and one
+    acquisition of vacuum frames that every power squeezes about the anchor.
+
+    Each frame's vacuum is drawn once and squeezed at every pump power:
+    common random numbers for the sweep (Glasserman, *Monte Carlo Methods
+    in Financial Engineering*, 2003).  Each power's spectra keep their
+    marginal statistics, and the monotone check compares the powers on
+    the same noise.
 
     The quadratures read only the 2m + 1 sidebands within the anchor's
     margin, so a frame draws and squeezes those alone, in offset order
@@ -373,6 +379,8 @@ class _SweepContext:
     and zero above m, so the windowed spectra come from the sidebands
     through ``hamming_from_bins`` without a time series or an FFT.
     """
+
+    acquisitions = (rngs.RUN_SWEEP,)
 
     def __init__(self, cfg: SweepConfig):
         ow = cfg.opo_sweep
@@ -391,30 +399,33 @@ class _SweepContext:
             )
             for power in ow.pump_powers_mw
         ]
-        self.acquisitions = range(len(self.specs))
 
-    def periodograms(self, pump: int, blocks: list[range]):
+    def periodograms(self, run: int, blocks: list[range]):
         """Squeezed and anti-squeezed quadrature periodogram rows of each
-        block, over the bins 0..m+1 that can be nonzero (and one zero bin
-        past them, which the window's end wrap reads, short of Nyquist)."""
+        block at every pump power, keyed (pump, "squeezed"|"anti"), over
+        the bins 0..m+1 that can be nonzero (and one zero bin past them,
+        which the window's end wrap reads, short of Nyquist)."""
         n = self.grid.n_samples
         c = n / np.sqrt(2.0)
-        _, gp, gmw = sideband_gains(self.grid, self.specs[pump])
-        m = len(gp) // 2
-        streams = rngs.ChunkStreams(self.seed, 10 + pump, _span(blocks), (0,))
+        gains = [sideband_gains(self.grid, spec)[1:] for spec in self.specs]
+        m = len(gains[0][0]) // 2
+        streams = rngs.ChunkStreams(self.seed, run, _span(blocks), (0,))
         rows = max(map(len, blocks))
         normals = np.empty((rows, 2, 2 * m + 1))  # real parts, then imaginary parts
         # Bins above m stay zero in every block.
         bins = np.zeros((2 * rows, min(m + 3, n // 2 + 1)), dtype=complex)
         for frames in blocks:
             k = len(frames)
-            z = vacuum_rows(streams.fill(frames, 0, normals[:k]), self.scale)
-            z = squeeze_sidebands(z, gp, gmw)
-            lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
-            np.multiply(lower + upper, c, out=bins[:k, : m + 1])
-            np.multiply(lower - upper, c / 1j, out=bins[k : 2 * k, : m + 1])
-            p = auto_periodogram(hamming_from_bins(bins[: 2 * k]), self.wnorm)
-            yield {"squeezed": p[:k], "anti": p[k:]}
+            vacuum = vacuum_rows(streams.fill(frames, 0, normals[:k]), self.scale)
+            parts = {}
+            for pump, (gp, gmw) in enumerate(gains):
+                z = squeeze_sidebands(vacuum, gp, gmw)
+                lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
+                np.multiply(lower + upper, c, out=bins[:k, : m + 1])
+                np.multiply(lower - upper, c / 1j, out=bins[k : 2 * k, : m + 1])
+                p = auto_periodogram(hamming_from_bins(bins[: 2 * k]), self.wnorm)
+                parts[pump, "squeezed"], parts[pump, "anti"] = p[:k], p[k:]
+            yield parts
 
 
 def _span(blocks: list[range]) -> range:
@@ -616,14 +627,14 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarr
     freqs = ctx.freqs
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    sums = _accumulate_runs(ctx, frames, workers)
+    (sums,) = _accumulate_runs(ctx, frames, workers).values()
 
     extras = {}
     spectra = []
     prev_band_avg = None
     for pump, (power, spec) in enumerate(zip(ow.pump_powers_mw, ctx.specs)):
-        mc_s = sums[pump]["squeezed"] / frames
-        mc_a = sums[pump]["anti"] / frames
+        mc_s = sums[pump, "squeezed"] / frames
+        mc_a = sums[pump, "anti"] / frames
         model_s, model_a = spec.squeezing_spectrum(freqs)
         tag = f"pump{int(round(power)):03d}mw"
         avg_s = float(np.mean(mc_s[band]))

@@ -17,10 +17,11 @@ from sqzbeat.budgets import (
     straightforward_phase_floor,
 )
 from sqzbeat.config import preset_config
-from sqzbeat.rng import generator, substream
+from sqzbeat.dsp import cross_periodogram, hamming_window
+from sqzbeat.rng import ChunkStreams
 from sqzbeat.runner import run, run_preset
 
-from oracles import cross_spectrum
+from oracles import frame_spectrum
 from test_budgets import demod_phase_floor_oracle
 
 
@@ -149,6 +150,29 @@ def test_criterion_6_same_frequency_leakage():
     )
 
 
+def _cross_residuals(trial: int, counts: tuple[int, ...], n: int, block: int = 512) -> list[float]:
+    """Mean |cross-periodogram| off DC and Nyquist of independent white
+    frames after each of the nested frame ``counts``: frame i of port p
+    draws n normals from stream (5, trial, i, p).  One pass in blocks of
+    frames, each port's block drawn through ``ChunkStreams`` and windowed in
+    one rfft, and the periodograms added in frame order, so every partial
+    average has the bits of ``oracles.cross_spectrum`` over that many frames."""
+    total = counts[-1]
+    streams = ChunkStreams(5, trial, range(total), (0, 1))
+    window, wnorm = hamming_window(n)
+    normals = np.empty((2, block, n))
+    acc = np.zeros(n // 2 + 1)
+    out = []
+    for start in range(0, total, block):
+        frames = range(start, min(start + block, total))
+        v1, v2 = (frame_spectrum(streams.fill(frames, port, normals[port, : len(frames)]), window) for port in (0, 1))
+        for i, row in zip(frames, cross_periodogram(v1, v2, wnorm)):
+            acc += row
+            if i + 1 in counts:
+                out.append(np.abs((acc / (i + 1))[1:-1]).mean())
+    return out
+
+
 def test_criterion_7_cross_spectrum_benefit(fig4_summary):
     no_cross = run_preset("appendixD-no-cross", frames=2000, write_outputs=False)
     cross = fig4_summary.bands[0]
@@ -158,17 +182,13 @@ def test_criterion_7_cross_spectrum_benefit(fig4_summary):
 
     # independent-noise residual decays as frames^(-1/2)
     frame_counts = (100, 316, 1000, 3162, 10000)
-    n = 512
-    trials = 10
+    per_trial = [_cross_residuals(trial, frame_counts, n=512) for trial in range(10)]
     residuals = []
-    for count in frame_counts:
+    for k in range(len(frame_counts)):
         level = 0.0
-        for trial in range(trials):
-            v1 = (generator(substream(5, trial, i, 0)).normal(size=n) for i in range(count))
-            v2 = (generator(substream(5, trial, i, 1)).normal(size=n) for i in range(count))
-            est = cross_spectrum(v1, v2, sample_rate=125e6)
-            level += np.abs(est.values[1:-1]).mean()
-        residuals.append(level / trials)
+        for levels in per_trial:
+            level += levels[k]
+        residuals.append(level / len(per_trial))
     slope = np.polyfit(np.log10(frame_counts), np.log10(residuals), 1)[0]
     ok &= abs(slope + 0.5) <= 0.1
     _report(

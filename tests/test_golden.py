@@ -29,7 +29,10 @@ the digest of every windowed spectrum; that test also checks the sweep's three-t
 against ``frame_spectrum`` of those quadratures.  The ``clamped_bins``
 header rewrote the digest of every spectrum file, and the processed
 files' rows below the chain's floor now print at the clamp; no summary
-changed.
+changed.  Stream layout 6 (every pump power squeezes one vacuum row per
+frame) rewrote the ``stream_layout`` line of every summary, the sweep's
+lines and digests from 100 mW up, and no heterodyne spectrum's digest;
+the first power keeps its stream, so its lines and files are unchanged.
 """
 
 import hashlib

@@ -216,33 +216,68 @@ def test_opo_sweep_outputs(tmp_path):
     "patch", [{}, {"opo_sweep": {"anchor_hz": 0.0}}], ids=["preset-anchor", "zero-anchor"]
 )
 def test_sweep_block_equals_the_full_field_path(patch):
-    # A sweep block draws and squeezes only the 2m + 1 sidebands its
-    # quadratures read, and windows their spectra without an FFT, on the
-    # bins that can be nonzero.  Embedded in a full field whose other bins
-    # hold arbitrary values, the rows of each frame's own generator must
-    # give the same periodograms through apply_squeezer, quadrature_series
-    # and frame_spectrum, and zero beyond the returned bins.  At anchor 0,
-    # m = n/2 - 1, so the window's taps reach past the Nyquist bin.
+    # A sweep block draws the 2m + 1 sidebands its quadratures read once,
+    # squeezes them at every pump power, and windows their spectra without
+    # an FFT, on the bins that can be nonzero.  Embedded in a full field
+    # whose other bins hold arbitrary values, each frame's one vacuum row
+    # must give every power's periodograms through apply_squeezer,
+    # quadrature_series and frame_spectrum, and zero beyond the returned
+    # bins.  At anchor 0, m = n/2 - 1, so the window's taps reach past the
+    # Nyquist bin.
     ctx = runner._SweepContext(merge_config(preset_config("appendixE-pump-sweep"), patch))
     grid, frames = ctx.grid, range(5, 8)
     window, wnorm = hamming_window(grid.n_samples)
     gen = np.random.default_rng(12)
+    (run_id,) = ctx.acquisitions
+    got = next(ctx.periodograms(run_id, [frames]))
+    assert run_id == rng.RUN_SWEEP == 10 and set(got) == {(pump, key) for pump in range(4) for key in ("squeezed", "anti")}
 
+    index, _, _ = sideband_gains(grid, ctx.specs[0])
+    shape = (len(frames), grid.n_samples)
+    full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    for row, i in zip(full, frames):
+        x = rng.generator(rng.substream(ctx.seed, run_id, i, 0)).standard_normal(2 * len(index))
+        row[index] = ctx.scale * (x[: len(index)] + 1j * x[len(index) :])
     for pump, spec in enumerate(ctx.specs):
-        index, _, _ = sideband_gains(grid, spec)
-        shape = (len(frames), grid.n_samples)
-        full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
-        for row, i in zip(full, frames):
-            x = rng.generator(rng.substream(ctx.seed, 10 + pump, i, 0)).standard_normal(2 * len(index))
-            row[index] = ctx.scale * (x[: len(index)] + 1j * x[len(index) :])
-        got = next(ctx.periodograms(pump, [frames]))
+        assert np.array_equal(sideband_gains(grid, spec)[0], index)
         quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
         for key, q in (("squeezed", quads.a1), ("anti", quads.a2)):
             want = auto_periodogram(frame_spectrum(q, window), wnorm)
-            live = got[key].shape[-1]
-            assert got[key].shape[0] == len(frames) and live >= len(index) // 2 + 2
-            assert np.max(np.abs(got[key] - want[:, :live])) <= 1e-12 * np.max(want)
+            rows = got[pump, key]
+            live = rows.shape[-1]
+            assert rows.shape[0] == len(frames) and live >= len(index) // 2 + 2
+            assert np.max(np.abs(rows - want[:, :live])) <= 1e-12 * np.max(want)
             assert np.max(want[:, live:], initial=0.0) <= 1e-12 * np.max(want)
+
+
+def _sweep_outputs(out) -> tuple[dict, list]:
+    """A sweep's spectrum files by name, without the config hash line, and
+    its summary lines."""
+    files = {
+        f.name: [line for line in f.read_text().splitlines() if not line.startswith("# config_hash=")]
+        for f in out.iterdir()
+        if f.name != "summary.txt"
+    }
+    return files, (out / "summary.txt").read_text().splitlines()
+
+
+def test_a_pump_power_sweeps_the_same_vacuum_alone_or_in_the_preset(tmp_path):
+    # Every pump power squeezes the one vacuum row of a frame, so a power's
+    # outputs depend on the seed and on that power, not on the others or on
+    # its place in the list.  Only the config hash in the file headers
+    # differs.  130 frames span two chunks, the second a partial block.
+    run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path / "all"))
+    files, summary = _sweep_outputs(tmp_path / "all")
+    for power in (100.0, 300.0):
+        tag = f"pump{int(power):03d}mw"
+        alone = merge_config(preset_config("appendixE-pump-sweep"), {"opo_sweep": {"pump_powers_mw": [power]}})
+        run(alone, frames=130, out_dir=str(tmp_path / tag))
+        got_files, got_summary = _sweep_outputs(tmp_path / tag)
+        assert sorted(got_files) == sorted(name for name in files if name.startswith(tag + "_"))
+        for name, lines in got_files.items():
+            assert lines == files[name], name
+        mine = [line for line in got_summary if line.startswith(f"opo.{tag}.")]
+        assert len(mine) == 4 and mine == [line for line in summary if line.startswith(f"opo.{tag}.")]
 
 
 def test_spectrum_files_have_headers(tmp_path):
@@ -415,11 +450,10 @@ def test_pool_is_no_larger_than_its_job_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
     run_preset("vacuum-selftest", frames=2, write_outputs=False)  # 3 acquisitions of one chunk
-    run_preset("appendixE-pump-sweep", frames=2, write_outputs=False)  # 4 pump powers
-    assert sizes == [3, 4]
-    one_pump = merge_config(preset_config("appendixE-pump-sweep"), {"opo_sweep": {"pump_powers_mw": [100.0]}})
-    run(one_pump, frames=2, write_outputs=False)  # one job runs without a pool
-    assert sizes == [3, 4]
+    run_preset("appendixE-pump-sweep", frames=130, write_outputs=False)  # one acquisition of 2 chunks
+    assert sizes == [3, 2]
+    run_preset("appendixE-pump-sweep", frames=2, write_outputs=False)  # one job runs without a pool
+    assert sizes == [3, 2]
 
 
 def test_frames_override_sets_epr_draws(tmp_path):
