@@ -2,9 +2,10 @@
 
 A heterodyne run executes three acquisitions with independent seed
 substreams: background (no light), reference (vacuum ports) and target
-(squeezers on).  A pump sweep executes one acquisition per pump power.
-Both average periodograms over frames, and both go through one frame
-engine, split run -> chunk -> block:
+(squeezers on).  A pump sweep executes one acquisition whose vacuum
+frames every pump power squeezes.  Both average periodograms over
+frames, and both go through one frame engine, split run -> chunk ->
+block:
 
 - run: one context (``_HeterodyneContext`` or ``_SweepContext``) holds
   everything that does not change from frame to frame (beams and their
@@ -36,8 +37,8 @@ and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
-Synthesis follows stream layout 5 (``rng``; heterodyne and sweep
-summaries record ``stream_layout=5``).  The context builds one optical
+Synthesis follows stream layout 6 (``rng``; heterodyne and sweep
+summaries record ``stream_layout=6``).  The context builds one optical
 path per beam (``cfg.optical_path``: squeezer at its angle, angle jitter
 and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path reads
 one vacuum row: the reference's unsqueezed ones as time samples, the
@@ -47,15 +48,15 @@ scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
 index opens 15 streams and draws 95000 normals, ``fig3-raw`` 9 and
-65000.  A sweep frame draws and squeezes only the 2m + 1 sidebands its
-quadratures read (one stream and 2598 normals per pump power) and
-forms both quadratures' windowed spectra straight from those sidebands,
-with no FFT: the periodic Hamming window is three taps on the bins, and
-only the bins 0..m+1 it can make nonzero are computed and summed.  A
-heterodyne block windows its rows the same way after one rfft of the
-photocurrent (a raw readout) or of its product with the local oscillator
-and of each arm's readout noise (a demod readout): every filter acts on
-the bins, so no row goes back to the time domain.
+65000.  A sweep frame draws only the 2m + 1 sidebands its quadratures
+read (one stream and 2598 normals), squeezes them at every pump power,
+and forms both quadratures' windowed spectra straight from those
+sidebands, with no FFT: the periodic Hamming window is three taps on
+the bins, and only the bins 0..m+1 it can make nonzero are computed and
+summed.  A heterodyne block windows its rows the same way after one
+rfft of the photocurrent (a raw readout) or of its product with the
+local oscillator and of each arm's readout noise (a demod readout):
+every filter acts on the bins, so no row goes back to the time domain.
 
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
@@ -627,7 +628,7 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarr
     freqs = ctx.freqs
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    (sums,) = _accumulate_runs(ctx, frames, workers).values()
+    sums = _accumulate_runs(ctx, frames, workers)[rngs.RUN_SWEEP]
 
     extras = {}
     spectra = []

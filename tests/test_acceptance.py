@@ -165,7 +165,8 @@ def _cross_residuals(trial: int, counts: tuple[int, ...], n: int, block: int = 5
     out = []
     for start in range(0, total, block):
         frames = range(start, min(start + block, total))
-        v1, v2 = (frame_spectrum(streams.fill(frames, port, normals[port, : len(frames)]), window) for port in (0, 1))
+        x1, x2 = (streams.fill(frames, port, normals[port, : len(frames)]) for port in (0, 1))
+        v1, v2 = frame_spectrum(x1, window), frame_spectrum(x2, window)
         for i, row in zip(frames, cross_periodogram(v1, v2, wnorm)):
             acc += row
             if i + 1 in counts:
@@ -182,13 +183,13 @@ def test_criterion_7_cross_spectrum_benefit(fig4_summary):
 
     # independent-noise residual decays as frames^(-1/2)
     frame_counts = (100, 316, 1000, 3162, 10000)
-    per_trial = [_cross_residuals(trial, frame_counts, n=512) for trial in range(10)]
+    trials = [_cross_residuals(trial, frame_counts, n=512) for trial in range(10)]
     residuals = []
-    for k in range(len(frame_counts)):
+    for levels in zip(*trials):
         level = 0.0
-        for levels in per_trial:
-            level += levels[k]
-        residuals.append(level / len(per_trial))
+        for x in levels:  # summed in trial order
+            level += x
+        residuals.append(level / len(trials))
     slope = np.polyfit(np.log10(frame_counts), np.log10(residuals), 1)[0]
     ok &= abs(slope + 0.5) <= 0.1
     _report(

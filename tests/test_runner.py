@@ -230,7 +230,8 @@ def test_sweep_block_equals_the_full_field_path(patch):
     gen = np.random.default_rng(12)
     (run_id,) = ctx.acquisitions
     got = next(ctx.periodograms(run_id, [frames]))
-    assert run_id == rng.RUN_SWEEP == 10 and set(got) == {(pump, key) for pump in range(4) for key in ("squeezed", "anti")}
+    assert run_id == rng.RUN_SWEEP == 10
+    assert set(got) == {(pump, key) for pump in range(4) for key in ("squeezed", "anti")}
 
     index, _, _ = sideband_gains(grid, ctx.specs[0])
     shape = (len(frames), grid.n_samples)
