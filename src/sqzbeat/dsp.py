@@ -103,7 +103,6 @@ class SpectrumEstimate:
     n_frames: int
     kind: str = "auto"
     compensated: bool = False
-    background_subtracted: bool = False
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -112,8 +111,8 @@ class SpectrumEstimate:
             raise ValueError("freqs and values must align")
         if np.any(np.diff(self.freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
-        if self.kind == "auto" and not self.background_subtracted and np.any(self.values < 0):
-            raise ValueError("auto-spectra must be nonnegative before subtraction")
+        if self.kind == "auto" and np.any(self.values < 0):
+            raise ValueError("auto-spectra must be nonnegative")
 
 
 @lru_cache(maxsize=128)
@@ -299,9 +298,6 @@ def postprocess(
     when a subtracted band mean is not positive (electronic noise
     dominates the light).
     """
-    for est in (target, reference, background):
-        if est.background_subtracted:
-            raise DspError("inputs must not be background-subtracted already")
     if not (np.array_equal(target.freqs, reference.freqs) and np.array_equal(target.freqs, background.freqs)):
         raise DspError("spectra must share one frequency axis")
 

@@ -21,7 +21,8 @@ one by sqrt(S_plus(eps)), which realizes the below-threshold cavity model
 with escape efficiency, and an optical path's later losses, folded in.
 Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
 tests' reference) produce the same Gaussian state; gains are used so the
-operation stays a pure function of (field, spec) and needs no vacuum.
+operation stays a pure function of the field, the spec and the squeeze
+angle, and needs no vacuum.
 """
 
 from __future__ import annotations
@@ -181,18 +182,18 @@ def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> FieldRealizat
     return FieldRealization(grid, vacuum_rows(normals, np.sqrt(0.5 / grid.n_samples)))
 
 
-# A run squeezes with at most a few specs (one per pump power or beam),
-# except under angle jitter, where every frame has its own and misses; an
-# entry holds 32 bytes per bin, so the cache stays small.
+# A run squeezes with at most a few specs (one per pump power or beam);
+# the gains hold no angle, so angle jitter reuses them.  An entry holds 24
+# bytes per bin, so the cache stays small.
 @lru_cache(maxsize=16)
 def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bins and pair gains of the sidebands a squeezer transforms.
 
     Offsets run -m..m about ``spec.center_freq_hz``, m the largest whose
     partners both lie strictly inside the grid.  Returns the bin of each
-    offset and the gains gp = g1 + g2 and gmw = (g1 - g2) exp(2i angle) of
-    ``squeeze_sidebands``, g1 = sqrt(S_minus) and g2 = sqrt(S_plus), built
-    once per (grid, spec) and read-only.
+    offset and the angle-free gains gp = g1 + g2 and gm = g1 - g2, g1 =
+    sqrt(S_minus) and g2 = sqrt(S_plus), built once per (grid, spec) and
+    read-only; ``apply_squeezer`` turns gm by the squeeze angle.
     """
     kc = grid.bin_index(spec.center_freq_hz)
     df = grid.bin_hz
@@ -203,7 +204,7 @@ def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray,
     s, a = spec.squeezing_spectrum(offsets * df)
     g1 = np.sqrt(s)
     g2 = np.sqrt(a)
-    out = ((kc + offsets) % grid.n_samples, g1 + g2, (g1 - g2) * np.exp(2j * spec.squeeze_angle_rad))
+    out = ((kc + offsets) % grid.n_samples, g1 + g2, g1 - g2)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -213,40 +214,39 @@ def squeeze_sidebands(z: np.ndarray, gp: np.ndarray, gmw: np.ndarray) -> np.ndar
     """Squeeze sideband rows that hold offsets -m..m along the last axis.
 
     Each pair (+eps, -eps) maps jointly: 0.5 * (gp z + gmw conj(z reversed)),
-    with the gains of ``sideband_gains``.
+    with gp and gm of ``sideband_gains`` and gmw = gm exp(2i angle): gm
+    itself at angle 0, or one row of gains per row of ``z``.
     """
     return 0.5 * (gp * z + gmw * np.conj(z[..., ::-1]))
 
 
-def apply_squeezer(field: FieldRealization, spec: SqueezerSpec) -> FieldRealization:
+def apply_squeezer(
+    field: FieldRealization, spec: SqueezerSpec, angle: float | np.ndarray | None = None
+) -> FieldRealization:
     """Squeeze sideband pairs about ``spec.center_freq_hz``.
 
     Pairs (center + eps, center - eps) are transformed jointly for every
-    eps whose partners both lie strictly inside the grid; the center bin
-    receives the single-mode limit of the same map.  pump_ratio = 0 is an
-    exact identity.  A block field is squeezed row by row.
+    eps whose partners both lie strictly inside the grid, the center bin
+    (eps = 0) included, where the pair map is its own single-mode limit.
+    pump_ratio = 0 is an exact identity.  A block field is squeezed in one
+    step.  ``angle`` is the squeeze angle: ``spec.squeeze_angle_rad`` when
+    None, else a number or an array of one angle per row of a block.
     """
     grid = field.grid
-    kc = grid.bin_index(spec.center_freq_hz)
+    grid.bin_index(spec.center_freq_hz)
     if spec.pump_ratio == 0.0:
-        return FieldRealization(field.grid, field.amplitudes.copy())
-    index, gp, gmw = sideband_gains(grid, spec)
+        return FieldRealization(grid, field.amplitudes.copy())
+    index, gp, gm = sideband_gains(grid, spec)
+    if angle is None:
+        angle = spec.squeeze_angle_rad
+    gmw = gm * np.exp(2j * np.asarray(angle))[..., None]
 
     # Bins run along the last axis.  Writing through the transpose keeps a
     # one-row call on numpy's 1-D fancy-index path, which out[..., k] is not.
     amps = field.amplitudes
     out = amps.copy()
     out.T[index] = squeeze_sidebands(np.take(amps, index, axis=-1), gp, gmw).T
-
-    # The center bin is one number per row; numpy's scalar arithmetic gives
-    # other bits than its array loops, so every row takes the scalar path.
-    m = len(index) // 2
-    cp, cmw = gp[m], gmw[m]
-    n = grid.n_samples
-    for row_in, row_out in zip(amps.reshape(-1, n), out.reshape(-1, n)):
-        c = row_in[kc]
-        row_out[kc] = 0.5 * (cp * c + cmw * np.conj(c))
-    return FieldRealization(field.grid, out)
+    return FieldRealization(grid, out)
 
 
 def apply_loss(field: FieldRealization, efficiency: float, normals: np.ndarray) -> FieldRealization:

@@ -18,10 +18,12 @@ that admits vacuum, so together they act as one loss of efficiency R * qe:
 an ``OpticalPath``.  A squeezed path realizes sqrt(eta) S(v0) +
 sqrt(1 - eta) v1 from v0 alone, squeezing at escape efficiency times eta;
 loss leaves vacuum vacuum, so an unsqueezed one is one row of time
-samples.  The path also carries the rms jitter of its squeeze angle, which
-the runner draws per frame and the budget folds into the angle error.
-Every function takes its noise as drawn standard normals (a vacuum row is
-real parts then imaginary parts, ``fields.vacuum_rows``) and draws none.
+samples.  The path also carries the rms jitter of its squeeze angle,
+which the budget folds into the angle error.  Every function takes its
+noise as drawn standard normals (a vacuum row is real parts then
+imaginary parts, ``fields.vacuum_rows``) and draws none; a jittered
+path's angle is its squeezer's plus the rms times one drawn normal per
+frame.
 The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
 so a beam arrives at the detector as a ``DetectedField``.
 
@@ -91,7 +93,8 @@ class OpticalPath:
     (pickoff reflectivity times detector quantum efficiency);
     ``squeezer=None`` injects plain vacuum.  The squeezer's
     ``squeeze_angle_rad`` is the one angle of the path, and
-    ``jitter_rms_rad`` the rms of the per-frame jitter about it.
+    ``jitter_rms_rad`` the rms of the per-frame jitter about it: a frame
+    turns the squeezer by ``jitter_rms_rad`` times its jitter normal.
     """
 
     efficiency: float = 1.0
@@ -194,31 +197,28 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
     return theta
 
 
-def pickoff_noise_field(grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray) -> FieldRealization:
+def pickoff_noise_field(
+    grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray, jitter: np.ndarray | None = None
+) -> FieldRealization:
     """Noise field that an optical path delivers to the detector, for one
     frame or, with normals of shape (frames, 2, n), a block of them.
 
     The vacuum of ``normals`` (``make_vacuum_field``) is squeezed with the
     path efficiency eta folded into the escape efficiency: gains
     sqrt(eta s + 1 - eta) and sqrt(eta a + 1 - eta), as a loss eta after
-    the squeezer would give.
+    the squeezer would give.  ``jitter`` holds the standard normal of each
+    frame's angle jitter, read only on a jittered path.
     """
     vac = make_vacuum_field(grid, normals)
     if path.squeezer is None:
         return vac
     sq = path.squeezer
-    return apply_squeezer(vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency))
-
-
-def path_noise(grid: FrequencyGrid, path: OpticalPath | list[OpticalPath], normals: np.ndarray) -> np.ndarray:
-    """A path's noise at the detector as time samples, from the standard
-    normals of its vacuum row (one row per frame, and per path of a list):
-    squeezed bins after an FFT, or, unsqueezed, vacuum time samples."""
-    if isinstance(path, list):
-        return np.stack([path_noise(grid, p, z) for p, z in zip(path, normals, strict=True)])
-    if path.squeezer is None:
-        return vacuum_rows(normals, np.sqrt(0.5))
-    return np.fft.fft(pickoff_noise_field(grid, path, normals).amplitudes)
+    angle = sq.squeeze_angle_rad
+    if path.jitter_rms_rad > 0:
+        if jitter is None:
+            raise ValueError("a jittered path needs its jitter normals")
+        angle = angle + path.jitter_rms_rad * jitter
+    return apply_squeezer(vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency), angle)
 
 
 class BeamCarrier:
@@ -255,24 +255,31 @@ class BeamCarrier:
 
 def compose_beam(
     carrier: BeamCarrier,
-    path: OpticalPath | list[OpticalPath],
+    path: OpticalPath,
     normals: np.ndarray,
     extra_phase: np.ndarray | None = None,
+    jitter: np.ndarray | None = None,
 ) -> DetectedField:
     """One beam at the detector: its path noise plus its carrier.
 
-    The carrier is synthesized in the time domain (so phase modulation is
-    exact) and added to the path noise there (``path_noise`` of the
-    standard normals ``normals``, shape (2, n)).  ``extra_phase`` carries
-    any phase-noise realization synthesized by the caller.  For a block of
-    frames ``normals`` has shape (frames, 2, n), ``path`` is one record or
-    one per frame, and ``extra_phase`` has one row per frame; the field
-    then has one row per frame.
+    The path noise comes from the standard normals ``normals`` of its
+    vacuum row, shape (2, n): squeezed bins (``pickoff_noise_field``, with
+    the angle-jitter normals ``jitter``) after an FFT or, unsqueezed,
+    vacuum time samples.  The carrier is synthesized in the time domain
+    (so phase modulation is exact) and added there.  ``extra_phase``
+    carries any phase-noise realization synthesized by the caller.  For a
+    block of frames ``normals`` has shape (frames, 2, n), ``jitter`` one
+    normal per frame and ``extra_phase`` one row per frame; the field then
+    has one row per frame.
     """
-    samples = path_noise(carrier.grid, path, normals)
+    grid = carrier.grid
+    if path.squeezer is None:
+        samples = vacuum_rows(normals, np.sqrt(0.5))
+    else:
+        samples = np.fft.fft(pickoff_noise_field(grid, path, normals, jitter).amplitudes)
     if carrier.amplitude != 0.0:
         samples += carrier.series(extra_phase)
-    return DetectedField(carrier.grid, samples)
+    return DetectedField(grid, samples)
 
 
 def balanced_detect(

@@ -43,7 +43,8 @@ path per beam (``cfg.optical_path``: squeezer at its angle, angle jitter
 and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path reads
 one vacuum row: the reference's unsqueezed ones as time samples, the
 target's squeezed ones as bins squeezed with the path loss folded into
-the gains, their angle redrawn per frame under jitter.  The carriers,
+the gains, a jittered squeezer turned row by row by its drawn angle
+(one standard normal per frame times the rms).  The carriers,
 scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
@@ -285,26 +286,6 @@ class _HeterodyneContext:
             for port, shape in self.draws[run_name].items()
         }
 
-    def _paths(self, run_name: str, jitter: np.ndarray | None) -> tuple:
-        """Each beam's optical path for a block: one record for every row,
-        or, given the block's jitter normals, a list of one per frame."""
-        if jitter is None:
-            return self.paths[run_name]
-        per_frame = [self._jittered(z) for z in jitter]
-        return tuple(list(beam) for beam in zip(*per_frame))
-
-    def _jittered(self, z: np.ndarray) -> tuple[OpticalPath, ...]:
-        """The target paths of one frame, the jittered squeezers turned in
-        order by the frame's standard normals ``z``."""
-        z = iter(z.tolist())
-        paths = []
-        for p in self.paths["target"]:
-            if p.jitter_rms_rad > 0:
-                angle = p.squeezer.squeeze_angle_rad + p.jitter_rms_rad * next(z)
-                p = replace(p, squeezer=replace(p.squeezer, squeeze_angle_rad=angle))
-            paths.append(p)
-        return tuple(paths)
-
     def _photocurrent(self, run_name: str, frames: range, noise: dict[int, np.ndarray]) -> np.ndarray:
         """Detector output of a block of frames, one row per frame, from the
         block's normals ``noise``.  Each beam's normals leave ``noise`` as
@@ -318,9 +299,12 @@ class _HeterodyneContext:
         extra = noise.get(rngs.PORT_PHASE)
         if extra is not None:
             extra *= self.phase_sigma
-        path1, path2 = self._paths(run_name, noise.get(rngs.PORT_JITTER))
-        e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1))
-        e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra_phase=extra)
+        path1, path2 = self.paths[run_name]
+        # One jitter normal per frame and jittered path, in beam order.
+        jitter = iter(noise[rngs.PORT_JITTER].T) if rngs.PORT_JITTER in noise else None
+        z1, z2 = (next(jitter) if p.jitter_rms_rad > 0 else None for p in (path1, path2))
+        e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1), jitter=z1)
+        e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra, z2)
         return balanced_detect(e1, e2, self.det, det_noise, reference_shot_psd=self.ref_floor).samples
 
     # -- measurement -----------------------------------------------------
@@ -419,8 +403,8 @@ class _SweepContext:
             k = len(frames)
             vacuum = vacuum_rows(streams.fill(frames, 0, normals[:k]), self.scale)
             parts = {}
-            for pump, (gp, gmw) in enumerate(gains):
-                z = squeeze_sidebands(vacuum, gp, gmw)
+            for pump, (gp, gm) in enumerate(gains):
+                z = squeeze_sidebands(vacuum, gp, gm)  # at angle 0, gm needs no turn
                 lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
                 np.multiply(lower + upper, c, out=bins[:k, : m + 1])
                 np.multiply(lower - upper, c / 1j, out=bins[k : 2 * k, : m + 1])

@@ -361,14 +361,6 @@ def test_postprocess_rejects_mismatched_axes():
         postprocess(t, other, b, BandSpec(3e6, 1e6, 0.1e6))
 
 
-def test_postprocess_rejects_presubtracted_inputs():
-    t, r, b = _flat_estimates(1.3, 1.3, 0.3)
-    from dataclasses import replace
-
-    with pytest.raises(DspError):
-        postprocess(replace(t, background_subtracted=True), r, b, BandSpec(3e6, 1e6, 0.1e6))
-
-
 def test_demod_chain_passband():
     chain = demod_measurement_chain()
     freqs = np.fft.rfftfreq(N, 1.0 / FS)

@@ -409,6 +409,8 @@ def test_spec_invariants():
         BeamSpec(-1.0, C1)
     with pytest.raises(ValueError):
         PhaseSignalSpec(0.0, 0.1)
+    with pytest.raises(ValueError, match="jitter normals"):
+        pickoff_noise_field(GRID, OpticalPath(1.0, SqueezerSpec(0.4, 30e6), 0.05), normals(0, *VAC))
     with pytest.raises(ValueError):
         balanced_detect(
             DetectedField(GRID, np.zeros(N, dtype=complex)),
@@ -420,10 +422,11 @@ def test_spec_invariants():
 
 def test_block_rows_equal_single_frames():
     # a block of frames is one call per step; every row must carry the
-    # bits of the same frame synthesized and detected alone
-    spec = SqueezerSpec(0.4, 30e6, 0.9, center_freq_hz=C2)
-    turned = replace(spec, squeeze_angle_rad=0.2)
-    paths = [OpticalPath(0.96, spec), OpticalPath(0.96, turned), OpticalPath(0.96, None)]
+    # bits of the same frame synthesized and detected alone, a jittered
+    # squeezer's row those of the squeezer turned by its own angle
+    spec = SqueezerSpec(0.4, 30e6, 0.9, 0.2, center_freq_hz=C2)
+    jittered = OpticalPath(0.96, spec, jitter_rms_rad=0.05)
+    vacuum = OpticalPath(0.96, None)
     qe = 0.95
     carrier1 = BeamCarrier(GRID, BeamSpec(700.0, C1), qe)
     carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec(3.11e6, 1e-3)), qe)
@@ -431,23 +434,24 @@ def test_block_rows_equal_single_frames():
     ref = unsqueezed_shot_psd(700.0, 800.0, qe)
     seeds = [substream(31, i) for i in range(3)]
     extra = np.random.default_rng(substream(32, 0)).normal(0.0, 1e-3, (3, N))
-    # each frame's vacuum rows of beams 1 and 2, and its electronic noise
-    z1, z2, ze = (
+    # each frame's vacuum rows of beams 1 and 2, its electronic noise and its jitter normal
+    z1, z2, ze, zj = (
         np.stack([normals(substream(s, port), *shape) for s in seeds])
-        for port, shape in ((0, VAC), (1, VAC), (2, (N,)))
+        for port, shape in ((0, VAC), (1, VAC), (2, (N,)), (3, ()))
     )
     block = balanced_detect(
-        compose_beam(carrier1, paths, z1),
-        compose_beam(carrier2, paths[0], z2, extra),
+        compose_beam(carrier1, jittered, z1, jitter=zj),
+        compose_beam(carrier2, vacuum, z2, extra),
         det,
         ze,
         ref,
     )
     assert block.samples.shape == (3, N)
     for i in range(len(seeds)):
+        turned = replace(spec, squeeze_angle_rad=spec.squeeze_angle_rad + jittered.jitter_rms_rad * zj[i])
         single = balanced_detect(
-            compose_beam(carrier1, paths[i], z1[i]),
-            compose_beam(carrier2, paths[0], z2[i], extra[i]),
+            compose_beam(carrier1, OpticalPath(0.96, turned), z1[i]),
+            compose_beam(carrier2, vacuum, z2[i], extra[i]),
             det,
             ze[i],
             ref,

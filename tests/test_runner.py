@@ -192,6 +192,18 @@ def test_squeeze_angle_errors_close_against_budget(squeezer):
     _closes(summary)
 
 
+def test_angle_jitter_reuses_each_squeezers_gains():
+    # a jittered squeezer turns its cached angle-free gains row by row, so
+    # a run builds each squeezer's gains once, however many frames it has
+    jitter = {"squeezer": {"angle_jitter_rms_rad": 0.05}}
+    cfg = merge_config(preset_config("fig4-demod"), {"pickoff1": jitter, "pickoff2": jitter})
+    sideband_gains.cache_clear()
+    run(cfg, frames=130, workers=1, write_outputs=False)
+    info = sideband_gains.cache_info()
+    assert 0 < info.misses <= 2
+    assert info.hits > 0
+
+
 def test_epr_preset_summary():
     summary = run_preset("epr-identity", write_outputs=False)
     assert summary.extras["epr.pass"] == "true"
