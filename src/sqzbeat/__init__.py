@@ -21,11 +21,9 @@ from .config import (
     validate_config,
 )
 from .dsp import (
-    BandSpec,
     DegenerateSubtractionError,
     DspError,
     FilterSpec,
-    SpectrumEstimate,
     chain_response,
     compensate_spectrum,
     postprocess,

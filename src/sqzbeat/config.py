@@ -21,7 +21,6 @@ from dataclasses import MISSING, asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from .dsp import BandSpec
 from .fields import BandError, FrequencyGrid, SqueezerSpec
 from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
 
@@ -165,6 +164,15 @@ class BandConfig:
     center_hz: float
     half_width_hz: float = _bounded(0.5e6, gt=0)
     exclusion_half_width_hz: float = _bounded(0.0, ge=0)
+
+    def mask(self, freqs: np.ndarray) -> np.ndarray:
+        """The bins of ``freqs`` within half_width_hz of the center, less
+        those within exclusion_half_width_hz of it."""
+        # Edge bins land on the boundaries up to float fuzz in the
+        # frequency axis; the tolerance keeps them on one fixed side.
+        tol = 1e-6 * max(self.half_width_hz, 1.0)
+        d = np.abs(freqs - self.center_hz)
+        return (d <= self.half_width_hz + tol) & (d > self.exclusion_half_width_hz + tol)
 
 
 @dataclass(frozen=True)
@@ -358,12 +366,17 @@ def config_hash(cfg: Config) -> str:
 
     It covers only fields the run reads: the output directory is excluded,
     so the same physics written somewhere else stays byte-identical.
+    A numpy number is written as the Python number of its value.
     """
     payload = to_dict(cfg)
     payload.pop("out_dir", None)
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_plain_number).encode()
     ).hexdigest()[:16]
+
+
+def _plain_number(x):
+    return int(x) if isinstance(x, numbers.Integral) else float(x)
 
 
 def _check(cond: bool, path: str, message: str):
@@ -453,8 +466,7 @@ def validate_config(cfg: Config) -> None:
         if ms.kind != "raw":
             top = b.beat_freq_hz + top
         _check(top < nyq, path, "band (folded to the beat for demod) must stay below Nyquist")
-        mask = BandSpec(band.center_hz, band.half_width_hz, band.exclusion_half_width_hz).mask(freqs)
-        _check(np.count_nonzero(mask) >= 2, path, "must hold at least two frequency bins")
+        _check(np.count_nonzero(band.mask(freqs)) >= 2, path, "must hold at least two frequency bins")
     lo, hi = ms.normalization_band_hz
     _check(0 < lo < hi < nyq, "measurement.normalization_band_hz", "must satisfy 0 < lo < hi < Nyquist")
     _check(

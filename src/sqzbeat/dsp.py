@@ -1,4 +1,5 @@
-"""Measurement chain: filters, mixer, periodograms, compensation, band metrics.
+"""Measurement chain: filters, mixer, periodograms, compensation, and the
+band metric over a mask.
 
 Spectral convention: two-sided per-bin power, reported on the one-sided
 frequency axis.  A white sequence with unit per-sample variance estimates
@@ -23,7 +24,7 @@ scipy, whose ``signal`` module takes over a second and about 70 MB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,47 +73,6 @@ class FilterSpec:
             raise ValueError("order must be >= 1")
         if not self.ripple_db > 0:
             raise ValueError("ripple_db must be > 0")
-
-
-@dataclass(frozen=True)
-class BandSpec:
-    """Analysis band: center +- half_width with an inner exclusion zone."""
-
-    center_hz: float
-    half_width_hz: float
-    exclusion_half_width_hz: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.exclusion_half_width_hz < self.half_width_hz:
-            raise ValueError("need 0 <= exclusion_half_width < half_width")
-
-    def mask(self, freqs: np.ndarray) -> np.ndarray:
-        # Edge bins land on the boundaries up to float fuzz in the
-        # frequency axis; the tolerance keeps them on one fixed side.
-        tol = 1e-6 * max(self.half_width_hz, 1.0)
-        d = np.abs(freqs - self.center_hz)
-        return (d <= self.half_width_hz + tol) & (d > self.exclusion_half_width_hz + tol)
-
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    """Averaged (cross-)spectral density over frames."""
-
-    freqs: np.ndarray
-    values: np.ndarray
-    n_frames: int
-    kind: str = "auto"
-    compensated: bool = False
-
-    def __post_init__(self):
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        if len(self.freqs) != len(self.values):
-            raise ValueError("freqs and values must align")
-        if np.any(np.diff(self.freqs) <= 0):
-            raise ValueError("freqs must be strictly increasing")
-        if self.kind == "auto" and np.any(self.values < 0):
-            raise ValueError("auto-spectra must be nonnegative")
 
 
 @lru_cache(maxsize=128)
@@ -193,18 +153,12 @@ def chain_floor(h: np.ndarray) -> tuple[np.ndarray, float]:
     return power, np.max(power) * CHAIN_FLOOR
 
 
-def compensate_spectrum(estimate: SpectrumEstimate, h: np.ndarray) -> SpectrumEstimate:
-    """Divide out the power response of a chain whose complex response
-    ``h`` (from ``chain_response``) is given on the estimate's bins, held
-    at CHAIN_FLOOR of its peak.
-
-    Rejects estimates that were already compensated, so the correction
-    cannot be applied twice.
-    """
-    if estimate.compensated:
-        raise DspError("spectrum is already compensated")
+def compensate_spectrum(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Spectra ``values`` (one per row) with the power response of a chain
+    divided out, its complex response ``h`` (from ``chain_response``)
+    given on their bins and held at CHAIN_FLOOR of its peak."""
     power, floor = chain_floor(h)
-    return replace(estimate, values=estimate.values / np.maximum(power, floor), compensated=True)
+    return values / np.maximum(power, floor)
 
 
 def local_oscillator(grid: FrequencyGrid, freq_hz: float, phase_rad: float) -> np.ndarray:
@@ -259,13 +213,6 @@ def cross_periodogram(v1: np.ndarray, v2: np.ndarray, wnorm: float) -> np.ndarra
     return np.real(v1 * np.conj(v2)) / wnorm
 
 
-@dataclass(frozen=True)
-class PostprocessResult:
-    reduction_db: float
-    stderr_db: float
-    n_bins: int
-
-
 def _window_variance_factor(n_fft: int) -> float:
     # Windowing correlates neighboring periodogram bins: for Gaussian
     # inputs cov(P_k, P_{k+m}) scales as |R_{w^2}(m)|^2, so a band mean
@@ -280,33 +227,23 @@ def _window_variance_factor(n_fft: int) -> float:
     return float(rho2[0] + 2.0 * np.sum(rho2[1:]))
 
 
-def postprocess(
-    target: SpectrumEstimate,
-    reference: SpectrumEstimate,
-    background: SpectrumEstimate,
-    band: BandSpec,
-) -> PostprocessResult:
-    """Background-subtracted band-averaged noise reduction in dB.
+def postprocess(target: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> tuple[float, float, int]:
+    """Band-averaged noise reduction in dB and its standard error, and the
+    band's bin count, of background-subtracted spectra on the bins of ``mask``:
 
-    reduction = -10 log10( mean_band(target - background)
-                         / mean_band(reference - background) )
+    reduction = -10 log10( mean_band(target) / mean_band(reference) )
 
-    with the exclusion zone removed from the band.  The standard error
-    propagates the bin scatter of both subtracted band means, inflated by
-    the window correlation factor since neighboring bins of a windowed
-    periodogram are not independent.  Raises DegenerateSubtractionError
-    when a subtracted band mean is not positive (electronic noise
-    dominates the light).
+    The standard error propagates the bin scatter of both band means,
+    inflated by the window correlation factor since neighboring bins of a
+    windowed periodogram are not independent.  Raises
+    DegenerateSubtractionError when a band mean is not positive
+    (electronic noise dominates the light).
     """
-    if not (np.array_equal(target.freqs, reference.freqs) and np.array_equal(target.freqs, background.freqs)):
-        raise DspError("spectra must share one frequency axis")
-
-    m = band.mask(target.freqs)
-    n_bins = int(np.count_nonzero(m))
+    n_bins = int(np.count_nonzero(mask))
     if n_bins < 2:
         raise DspError("band must contain at least two bins")
-    t = target.values[m] - background.values[m]
-    r = reference.values[m] - background.values[m]
+    t = target[mask]
+    r = reference[mask]
     t_mean = float(np.mean(t))
     r_mean = float(np.mean(r))
     if t_mean <= 0.0 or r_mean <= 0.0:
@@ -314,12 +251,12 @@ def postprocess(
             "band mean is not positive after background subtraction"
         )
     reduction_db = -10.0 * np.log10(t_mean / r_mean)
-    corr = np.sqrt(_window_variance_factor(2 * (len(target.freqs) - 1)))
+    corr = np.sqrt(_window_variance_factor(2 * (len(target) - 1)))
     se_t = float(np.std(t, ddof=1) / np.sqrt(n_bins)) * corr
     se_r = float(np.std(r, ddof=1) / np.sqrt(n_bins)) * corr
     rel = np.hypot(se_t / t_mean, se_r / r_mean)
     stderr_db = float(10.0 / np.log(10.0) * rel)
-    return PostprocessResult(float(reduction_db), stderr_db, n_bins)
+    return float(reduction_db), stderr_db, n_bins
 
 
 def raw_measurement_chain() -> list[FilterSpec]:

@@ -86,8 +86,6 @@ from .config import (
     validate_config,
 )
 from .dsp import (
-    BandSpec,
-    SpectrumEstimate,
     auto_periodogram,
     chain_floor,
     chain_response,
@@ -514,51 +512,34 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     frames = cfg.grid.frames
     freqs = ctx.freqs
     sums = _accumulate_runs(ctx, frames, workers)
-    estimates = {
-        run_name: SpectrumEstimate(
-            freqs, sums[run_name][ctx.estimate] / frames, n_frames=frames, kind=ctx.estimate
-        )
-        for run_name in RUN_NAMES
-    }
-    comp = {name: compensate_spectrum(est, ctx.chain_h) for name, est in estimates.items()}
+    means = {run_name: sums[run_name][ctx.estimate] / frames for run_name in RUN_NAMES}
+    background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
+    subtracted = {"reference": reference - background, "target": target - background}
 
     bands = []
     union = np.zeros(len(freqs), dtype=bool)
-    for band_cfg in cfg.measurement.bands:
-        band = BandSpec(band_cfg.center_hz, band_cfg.half_width_hz, band_cfg.exclusion_half_width_hz)
+    for band in cfg.measurement.bands:
         mask = band.mask(freqs)
         union |= mask
-        result = postprocess(comp["target"], comp["reference"], comp["background"], band)
-        bands.append(
-            BandResult(
-                band_cfg.label,
-                band_cfg.center_hz,
-                result.reduction_db,
-                result.stderr_db,
-                band_budget(cfg, freqs[mask]).reduction_db,
-                result.n_bins,
-            )
-        )
+        reduction_db, stderr_db, n_bins = postprocess(subtracted["target"], subtracted["reference"], mask)
+        predicted_db = band_budget(cfg, freqs[mask]).reduction_db
+        bands.append(BandResult(band.label, band.center_hz, reduction_db, stderr_db, predicted_db, n_bins))
 
     # Raw spectra against the reference level in the normalization band;
     # processed ones against the subtracted shot level in the analysis bands.
     lo, hi = cfg.measurement.normalization_band_hz
     header = {"normalization_band_hz": f"{lo:.0f}:{hi:.0f}"}
-    ref_norm = float(np.mean(estimates["reference"].values[(freqs >= lo) & (freqs <= hi)]))
+    ref_norm = float(np.mean(means["reference"][(freqs >= lo) & (freqs <= hi)]))
     spectra = [
-        (f"spectrum_{name}", _db_rel(estimates[name].values, ref_norm),
-         dict(header, trace=name, processed="false"))
-        for name in RUN_NAMES
+        (f"spectrum_{name}", _db_rel(values, ref_norm), dict(header, trace=name, processed="false"))
+        for name, values in means.items()
     ]
-    back = comp["background"].values
-    ref_sub = comp["reference"].values - back
-    tgt_sub = comp["target"].values - back
-    shot_norm = float(np.mean(ref_sub[union])) if np.any(union) else 1.0
+    shot_norm = float(np.mean(subtracted["reference"][union]))
     power, floor = chain_floor(ctx.chain_h)  # below the floor, compensation leaves rounding residue
     spectra += [
         (f"processed_{name}", _db_rel(np.where(power < floor, 0.0, values), shot_norm),
          dict(header, trace=name, processed="true"))
-        for name, values in (("reference", ref_sub), ("target", tgt_sub))
+        for name, values in subtracted.items()
     ]
     summary = _summary(
         cfg, cfg.measurement.kind, frames, scheme=cfg.scheme, bands=bands,
@@ -662,22 +643,23 @@ def run(
     seed: int | None = None,
     out_dir: str | None = None,
     workers: int | None = None,
-    write_outputs: bool = True,
 ) -> RunSummary:
-    """Execute one expanded config end to end and emit its artifacts."""
+    """Execute one expanded config end to end and write its files to its out_dir.
+
+    The overrides go into the config as given, so validation rejects a
+    count that is not an integer as it would in a JSON config."""
     if frames is not None:
         if cfg.kind == "epr":  # an identity run counts draws
-            cfg = replace(cfg, epr=replace(cfg.epr, draws=int(frames)))
+            cfg = replace(cfg, epr=replace(cfg.epr, draws=frames))
         else:
-            cfg = replace(cfg, grid=replace(cfg.grid, frames=int(frames)))
+            cfg = replace(cfg, grid=replace(cfg.grid, frames=frames))
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        cfg = replace(cfg, seed=seed)
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)
     validate_config(cfg)
     workers = resolve_workers(workers)
-    if write_outputs:
-        _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir)
 
     started = time.perf_counter()
     if cfg.kind == "epr":
@@ -691,15 +673,14 @@ def run(
         if not np.all(np.isfinite(values)):
             raise FloatingPointError(f"{what}: non-finite values, nothing written")
 
-    if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        header = {"config_hash": summary.config_hash, "frames": summary.frames}
-        # Every spectrum file of a run shares one frequency axis: format it once.
-        rows = "\n".join(f"{f:.3f},%.6f" for f in freqs.tolist()) if spectra else ""
-        for stem, values_db, extra in spectra:
-            _write_spectrum(os.path.join(cfg.out_dir, f"{stem}.txt"), rows, values_db, dict(header, **extra))
-        with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(summary.summary_lines()) + "\n")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    header = {"config_hash": summary.config_hash, "frames": summary.frames}
+    # Every spectrum file of a run shares one frequency axis: format it once.
+    rows = "\n".join(f"{f:.3f},%.6f" for f in freqs.tolist()) if spectra else ""
+    for stem, values_db, extra in spectra:
+        _write_spectrum(os.path.join(cfg.out_dir, f"{stem}.txt"), rows, values_db, dict(header, **extra))
+    with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(summary.summary_lines()) + "\n")
     return summary
 
 

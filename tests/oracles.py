@@ -10,7 +10,6 @@ import numpy as np
 from sqzbeat.dsp import (
     DspError,
     FilterSpec,
-    SpectrumEstimate,
     auto_periodogram,
     chain_response,
     cross_periodogram,
@@ -157,9 +156,9 @@ def _frame_array(frame) -> np.ndarray:
     return np.asarray(frame, dtype=float)
 
 
-def _average_periodograms(streams, sample_rate, periodogram, kind: str) -> SpectrumEstimate:
-    """Average ``periodogram`` over aligned frame streams, frame by frame
-    in order."""
+def _average_periodograms(streams, sample_rate, periodogram) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft frequencies and the average of ``periodogram`` over
+    aligned frame streams, taken frame by frame in order."""
     iters = [iter(s) for s in streams]
     acc = None
     count = 0
@@ -185,22 +184,24 @@ def _average_periodograms(streams, sample_rate, periodogram, kind: str) -> Spect
     if sample_rate is None:
         raise DspError("sample_rate is required for bare-array frames")
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    return SpectrumEstimate(freqs, acc / count, n_frames=count, kind=kind)
+    return freqs, acc / count
 
 
-def welch_psd(frames, sample_rate: float | None = None) -> SpectrumEstimate:
-    """Hamming-windowed averaged periodogram over non-overlapping frames.
+def welch_psd(frames, sample_rate: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft frequencies and the Hamming-windowed periodogram averaged
+    over non-overlapping frames.
 
     The window is power-normalized, so a white input of PSD p estimates p
     without bias.  Frames are consumed and accumulated in order.
     """
-    return _average_periodograms([frames], sample_rate, auto_periodogram, "auto")
+    return _average_periodograms([frames], sample_rate, auto_periodogram)
 
 
-def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> SpectrumEstimate:
-    """Averaged Re(V1 conj(V2)) over frame-aligned streams.
+def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft frequencies and Re(V1 conj(V2)) averaged over frame-aligned
+    streams.
 
     Shares the welch normalization, so a common signal converges to its
     PSD while independent noise decays as 1/sqrt(n_frames).
     """
-    return _average_periodograms([frames1, frames2], sample_rate, cross_periodogram, "cross")
+    return _average_periodograms([frames1, frames2], sample_rate, cross_periodogram)

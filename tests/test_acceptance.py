@@ -30,9 +30,9 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_epr_identity_residual():
+def test_criterion_1_epr_identity_residual(tmp_path):
     started = time.perf_counter()
-    summary = run_preset("epr-identity", write_outputs=False)
+    summary = run_preset("epr-identity", out_dir=str(tmp_path))
     elapsed = time.perf_counter() - started
     worst = float(summary.extras["epr.max_residual"])
     ok = worst <= 1e-9 and elapsed < 10.0 and summary.frames == 100
@@ -56,15 +56,15 @@ def test_criterion_2_analytic_predictions():
 
 
 @pytest.fixture(scope="module")
-def fig4_summary():
-    return run_preset("fig4-demod", frames=2000, write_outputs=False)
+def fig4_summary(tmp_path_factory):
+    return run_preset("fig4-demod", frames=2000, out_dir=str(tmp_path_factory.mktemp("fig4-demod")))
 
 
-def test_criterion_3_monte_carlo_closure(fig4_summary):
+def test_criterion_3_monte_carlo_closure(fig4_summary, tmp_path):
     details = []
     ok = True
     started = time.perf_counter()
-    fig3 = run_preset("fig3-raw", frames=2000, write_outputs=False)
+    fig3 = run_preset("fig3-raw", frames=2000, out_dir=str(tmp_path))
     fig3_time = time.perf_counter() - started
     for band in fig3.bands:
         pull = abs(band.reduction_db - band.predicted_db)
@@ -105,7 +105,7 @@ def test_criterion_5_phase_jitter_tolerance():
     )
 
 
-def test_criterion_6_same_frequency_leakage():
+def test_criterion_6_same_frequency_leakage(tmp_path):
     # formula against the brute-force covariance oracle
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -133,13 +133,13 @@ def test_criterion_6_same_frequency_leakage():
             pickoff2=replace(base.pickoff2, squeezer=sqz),
         )
         cfg_prop = replace(cfg_fwd, scheme="proposed")
-        fwd = run(cfg_fwd, frames=400, write_outputs=False).bands[0]
-        prop = run(cfg_prop, frames=400, write_outputs=False).bands[0]
+        fwd = run(cfg_fwd, frames=400, out_dir=str(tmp_path / "forward")).bands[0]
+        prop = run(cfg_prop, frames=400, out_dir=str(tmp_path / "proposed")).bands[0]
         margin = 4.0 * np.hypot(fwd.stderr_db, prop.stderr_db)
         ok &= fwd.reduction_db < prop.reduction_db - margin
         detail_sweep.append(f"x={pump:.2f}: {fwd.reduction_db:.2f} < {prop.reduction_db:.2f} dB")
 
-    ref = run(base, frames=2000, write_outputs=False).bands[0]
+    ref = run(base, frames=2000, out_dir=str(tmp_path / "reference")).bands[0]
     excess = -ref.reduction_db
     ok &= 1.1 <= excess <= 1.5
     _report(
@@ -174,8 +174,8 @@ def _cross_residuals(trial: int, counts: tuple[int, ...], n: int, block: int = 5
     return out
 
 
-def test_criterion_7_cross_spectrum_benefit(fig4_summary):
-    no_cross = run_preset("appendixD-no-cross", frames=2000, write_outputs=False)
+def test_criterion_7_cross_spectrum_benefit(fig4_summary, tmp_path):
+    no_cross = run_preset("appendixD-no-cross", frames=2000, out_dir=str(tmp_path))
     cross = fig4_summary.bands[0]
     auto = no_cross.bands[0]
     gap = cross.reduction_db - auto.reduction_db
@@ -201,7 +201,7 @@ def test_criterion_7_cross_spectrum_benefit(fig4_summary):
 
 
 def test_criterion_8_self_tests(tmp_path):
-    summary = run_preset("vacuum-selftest", frames=800, write_outputs=False)
+    summary = run_preset("vacuum-selftest", frames=800, out_dir=str(tmp_path / "selftest"))
     ok = True
     details = []
     for band in summary.bands:

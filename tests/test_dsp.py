@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from sqzbeat import runner
-from sqzbeat.config import MAX_SAMPLES, merge_config, preset_config
+from sqzbeat.config import MAX_SAMPLES, BandConfig, merge_config, preset_config
 from sqzbeat.dsp import (
-    BandSpec,
     DegenerateSubtractionError,
     DspError,
     FilterSpec,
-    SpectrumEstimate,
     _design_zpk,
     auto_periodogram,
     chain_response,
@@ -54,8 +52,8 @@ def _trace(samples):
 
 def test_welch_white_noise_calibration():
     frames = 600
-    est = welch_psd(_white_frames(frames), sample_rate=FS)
-    sel = est.values[1:-1]
+    _, psd = welch_psd(_white_frames(frames), sample_rate=FS)
+    sel = psd[1:-1]
     assert abs(sel.mean() - 1.0) < 4 / np.sqrt(frames * len(sel))
     assert np.max(np.abs(sel - 1.0)) < 6 / np.sqrt(frames)
 
@@ -63,8 +61,8 @@ def test_welch_white_noise_calibration():
 def test_welch_unbiased_across_frame_lengths():
     for n in (256, 1024):
         frames = 500
-        est = welch_psd(_white_frames(frames, n=n, var=2.5, seed=3), sample_rate=FS)
-        sel = est.values[1:-1]
+        _, psd = welch_psd(_white_frames(frames, n=n, var=2.5, seed=3), sample_rate=FS)
+        sel = psd[1:-1]
         assert abs(sel.mean() / 2.5 - 1.0) < 4 / np.sqrt(frames * len(sel))
 
 
@@ -73,18 +71,17 @@ def test_welch_sine_integrated_power():
     k = 400  # on-grid line
     t = np.arange(N) / FS
     x = amp * np.cos(2.0 * np.pi * k * FS / N * t)
-    est = welch_psd([x], sample_rate=FS)
-    peak = np.abs(est.freqs - k * FS / N) < 10 * FS / N
-    integrated = 2.0 * est.values[peak].sum() / N
+    freqs, psd = welch_psd([x], sample_rate=FS)
+    peak = np.abs(freqs - k * FS / N) < 10 * FS / N
+    integrated = 2.0 * psd[peak].sum() / N
     assert integrated == pytest.approx(amp**2 / 2.0, rel=1e-6)
 
 
 def test_welch_supports_production_averaging_volume():
     # 12500 frames of 5000 samples, streamed
     frames = 12500
-    est = welch_psd(_white_frames(frames, seed=11), sample_rate=FS)
-    assert est.n_frames == frames
-    sel = est.values[1:-1]
+    _, psd = welch_psd(_white_frames(frames, seed=11), sample_rate=FS)
+    sel = psd[1:-1]
     assert abs(sel.mean() - 1.0) < 4 / np.sqrt(frames * len(sel))
 
 
@@ -95,18 +92,17 @@ def test_welch_rejects_mixed_lengths():
 
 def test_cross_spectrum_equals_welch_for_identical_streams():
     frames = [np.asarray(f) for f in _white_frames(40, n=512, seed=5)]
-    auto = welch_psd(frames, sample_rate=FS)
-    cross = cross_spectrum(frames, frames, sample_rate=FS)
-    assert np.allclose(cross.values, auto.values, rtol=1e-12)
-    assert cross.kind == "cross"
+    _, auto = welch_psd(frames, sample_rate=FS)
+    _, cross = cross_spectrum(frames, frames, sample_rate=FS)
+    assert np.allclose(cross, auto, rtol=1e-12)
 
 
 def test_cross_spectrum_suppresses_independent_noise():
     frames = 400
     v1 = _white_frames(frames, n=1024, seed=21, tag=0)
     v2 = _white_frames(frames, n=1024, seed=21, tag=1)
-    est = cross_spectrum(v1, v2, sample_rate=FS)
-    band = np.abs(est.values[1:-1]).mean()
+    _, cross = cross_spectrum(v1, v2, sample_rate=FS)
+    band = np.abs(cross[1:-1]).mean()
     assert band <= 3.0 / np.sqrt(frames)
 
 
@@ -118,13 +114,13 @@ def test_cross_spectrum_recovers_common_signal():
     noise2 = _white_frames(frames, n=n, var=0.63, seed=32, tag=1)
     v1 = [c + m for c, m in zip(common, noise1)]
     v2 = [c + m for c, m in zip(common, noise2)]
-    cross = cross_spectrum(v1, v2, sample_rate=FS)
-    auto = welch_psd(v1, sample_rate=FS)
+    _, cross = cross_spectrum(v1, v2, sample_rate=FS)
+    _, auto = welch_psd(v1, sample_rate=FS)
     sel = slice(1, -1)
-    nb = len(cross.values[sel])
-    assert cross.values[sel].mean() == pytest.approx(1.0, abs=5 / np.sqrt(frames * nb) + 0.01)
+    nb = len(cross[sel])
+    assert cross[sel].mean() == pytest.approx(1.0, abs=5 / np.sqrt(frames * nb) + 0.01)
     # the auto spectrum stays biased high by the independent term
-    assert auto.values[sel].mean() == pytest.approx(1.63, abs=0.02)
+    assert auto[sel].mean() == pytest.approx(1.63, abs=0.02)
 
 
 def test_cross_spectrum_rejects_misaligned_streams():
@@ -156,10 +152,10 @@ def test_raw_chain_on_white_noise_follows_design():
     chain = raw_measurement_chain()
     frames = 150
     traces = (apply_filter_chain(_trace(x), chain) for x in _white_frames(frames, seed=41))
-    est = welch_psd(traces)
-    h2 = np.abs(chain_response(chain, est.freqs, FS)) ** 2
-    band = (est.freqs > 2e6) & (est.freqs < 15e6) & (np.abs(est.freqs - 10e6) > 2.6e6)
-    ratio = est.values[band] / h2[band]
+    freqs, psd = welch_psd(traces)
+    h2 = np.abs(chain_response(chain, freqs, FS)) ** 2
+    band = (freqs > 2e6) & (freqs < 15e6) & (np.abs(freqs - 10e6) > 2.6e6)
+    ratio = psd[band] / h2[band]
     assert abs(ratio.mean() - 1.0) < 4 / np.sqrt(frames * band.sum())
 
 
@@ -260,21 +256,14 @@ def test_compensation_inverts_designed_response():
     chain = raw_measurement_chain()
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     h = chain_response(chain, freqs, FS)
-    est = SpectrumEstimate(freqs, np.abs(h) ** 2, n_frames=10)
-    comp = compensate_spectrum(est, h)
+    comp = compensate_spectrum(np.abs(h) ** 2, h)
     band = ((freqs > 1.5e6) & (freqs < 7.5e6)) | ((freqs > 12.9e6) & (freqs < 15e6))
-    db = 10 * np.log10(comp.values[band])
+    db = 10 * np.log10(comp[band])
     assert np.max(np.abs(db)) < 0.01
-    assert comp.compensated
-
-
-def test_compensation_rejected_twice():
-    freqs = np.fft.rfftfreq(N, 1.0 / FS)
-    est = SpectrumEstimate(freqs, np.ones(len(freqs)), n_frames=1)
-    h = chain_response(raw_measurement_chain(), freqs, FS)
-    once = compensate_spectrum(est, h)
-    with pytest.raises(DspError):
-        compensate_spectrum(once, h)
+    # one spectrum per row: a stack of them compensates row by row
+    rows = compensate_spectrum(np.stack([np.abs(h) ** 2, np.ones(len(freqs))]), h)
+    assert np.array_equal(rows[0], comp)
+    assert np.array_equal(rows[1], compensate_spectrum(np.ones(len(freqs)), h))
 
 
 def test_demodulate_rejects_beat_amplitude():
@@ -306,10 +295,10 @@ def test_demodulated_white_noise_follows_folding_rule():
     traces = (
         demodulate(_trace(x), 10e6, np.pi / 2.0) for x in _white_frames(frames, seed=51)
     )
-    est = welch_psd(traces)
-    band = (est.freqs > 1e6) & (est.freqs < 4e6)
+    freqs, psd = welch_psd(traces)
+    band = (freqs > 1e6) & (freqs < 4e6)
     # (p + p) / 4 for a unit-PSD input
-    assert est.values[band].mean() == pytest.approx(0.5, rel=0.02)
+    assert psd[band].mean() == pytest.approx(0.5, rel=0.02)
 
 
 def test_demodulate_band_checks():
@@ -317,48 +306,47 @@ def test_demodulate_band_checks():
         demodulate(_trace(np.zeros(N)), 40e6)
 
 
-def test_band_spec_masks_exclusion_zone():
+def test_band_config_masks_exclusion_zone():
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
-    band = BandSpec(6.89e6, 0.5e6, 0.04e6)
-    m = band.mask(freqs)
+    m = BandConfig("b", 6.89e6, 0.5e6, 0.04e6).mask(freqs)
     inside = freqs[m]
     assert np.all(np.abs(inside - 6.89e6) > 0.04e6 - 1.0)
     assert np.all(np.abs(inside - 6.89e6) <= 0.5e6 + 1.0)
-    with pytest.raises(ValueError):
-        BandSpec(1e6, 0.1e6, 0.2e6)
+    # a bin on the exclusion zone's edge, up to float fuzz, stays out
+    assert freqs[274] == pytest.approx(6.85e6, abs=1e-6) and not m[274]
 
 
-def _flat_estimates(level_t, level_r, level_b, n=513):
+def _flat_subtracted(level_t, level_r, level_b, n=513):
+    """Flat target and reference spectra less a flat background, and a
+    band 3 MHz +- 1 MHz without 3 MHz +- 0.1 MHz on their bins."""
     freqs = np.linspace(1e6, 5e6, n)
-    mk = lambda level: SpectrumEstimate(freqs, np.full(n, level, dtype=float), n_frames=100)
-    return mk(level_t), mk(level_r), mk(level_b)
+    flat = lambda level: np.full(n, level, dtype=float)
+    mask = BandConfig("b", 3e6, 1e6, 0.1e6).mask(freqs)
+    return flat(level_t) - flat(level_b), flat(level_r) - flat(level_b), mask
 
 
 def test_postprocess_identity_is_zero_db():
-    t, r, b = _flat_estimates(1.3, 1.3, 0.3)
-    res = postprocess(t, r, b, BandSpec(3e6, 1e6, 0.1e6))
-    assert res.reduction_db == pytest.approx(0.0, abs=1e-12)
-    assert res.stderr_db == pytest.approx(0.0, abs=1e-12)
+    reduction_db, stderr_db, n_bins = postprocess(*_flat_subtracted(1.3, 1.3, 0.3))
+    assert reduction_db == pytest.approx(0.0, abs=1e-12)
+    assert stderr_db == pytest.approx(0.0, abs=1e-12)
+    assert n_bins == 232  # bins 128-384 of 7812.5 Hz, less 244-268
 
 
 def test_postprocess_recovers_constructed_reduction():
     # target = reference * 10^(-0.371) + background
-    t, r, b = _flat_estimates(1.0 * 10 ** (-0.371) + 0.3, 1.0 + 0.3, 0.3)
-    res = postprocess(t, r, b, BandSpec(3e6, 1e6, 0.1e6))
-    assert res.reduction_db == pytest.approx(3.71, abs=1e-9)
+    reduction_db, _, _ = postprocess(*_flat_subtracted(1.0 * 10 ** (-0.371) + 0.3, 1.0 + 0.3, 0.3))
+    assert reduction_db == pytest.approx(3.71, abs=1e-9)
 
 
 def test_postprocess_degenerate_subtraction():
-    t, r, b = _flat_estimates(1.0, 0.3, 0.3)
     with pytest.raises(DegenerateSubtractionError):
-        postprocess(t, r, b, BandSpec(3e6, 1e6, 0.1e6))
+        postprocess(*_flat_subtracted(1.0, 0.3, 0.3))
 
 
-def test_postprocess_rejects_mismatched_axes():
-    t, r, b = _flat_estimates(1.3, 1.3, 0.3)
-    other = SpectrumEstimate(r.freqs + 1.0, r.values, n_frames=100)
-    with pytest.raises(DspError):
-        postprocess(t, other, b, BandSpec(3e6, 1e6, 0.1e6))
+def test_postprocess_needs_two_bins():
+    t, r, mask = _flat_subtracted(1.3, 1.3, 0.3)
+    with pytest.raises(DspError, match="at least two bins"):
+        postprocess(t, r, mask & (np.cumsum(mask) == 1))
 
 
 def test_demod_chain_passband():

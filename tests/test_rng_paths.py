@@ -47,8 +47,8 @@ def stream_log(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=[*HETERODYNE, "fig4-demod+jitter"])
-def test_one_frame_uses_each_stream_once(cfg, stream_log):
-    run(cfg, frames=1, workers=1, write_outputs=False)
+def test_one_frame_uses_each_stream_once(cfg, stream_log, tmp_path):
+    run(cfg, frames=1, workers=1, out_dir=str(tmp_path))
     assert stream_log, "no stream was opened"
     assert len(stream_log) == len(set(stream_log))
     assert {entropy for entropy, _ in stream_log} == {cfg.seed}
@@ -77,15 +77,15 @@ FIG4_KEYS = sorted(
 )
 
 
-def test_fig4_demod_frame_index_builds_one_generator_per_key(stream_log):
-    run(preset_config("fig4-demod"), frames=1, workers=1, write_outputs=False)
+def test_fig4_demod_frame_index_builds_one_generator_per_key(stream_log, tmp_path):
+    run(preset_config("fig4-demod"), frames=1, workers=1, out_dir=str(tmp_path))
     assert len(stream_log) == len(FIG4_KEYS) == 15
     assert sorted(key for _, key in stream_log) == FIG4_KEYS
 
 
-def test_auto_spectrum_readout_never_draws_arm_2(stream_log):
+def test_auto_spectrum_readout_never_draws_arm_2(stream_log, tmp_path):
     # appendixD-no-cross reads arm 1 alone, from the same streams as fig4-demod
-    run(preset_config("appendixD-no-cross"), frames=1, workers=1, write_outputs=False)
+    run(preset_config("appendixD-no-cross"), frames=1, workers=1, out_dir=str(tmp_path))
     assert sorted(key for _, key in stream_log) == [k for k in FIG4_KEYS if k[2] != rng.PORT_ARM2]
 
 
@@ -131,8 +131,8 @@ def normal_counts(monkeypatch):
         ("appendixE-pump-sweep", (1, 2598)),
     ],
 )
-def test_one_frame_index_draws_the_documented_normals(name, counts, normal_counts):
-    run(preset_config(name), frames=1, workers=1, write_outputs=False)
+def test_one_frame_index_draws_the_documented_normals(name, counts, normal_counts, tmp_path):
+    run(preset_config(name), frames=1, workers=1, out_dir=str(tmp_path))
     assert (len(normal_counts), sum(normal_counts)) == counts
 
 

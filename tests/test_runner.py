@@ -137,17 +137,47 @@ def test_worker_env_override(tmp_path, monkeypatch):
     assert _read_outputs(a) == _read_outputs(b)
 
 
-def test_summary_records_effective_config_hash():
+def test_summary_records_effective_config_hash(tmp_path):
     cfg = preset_config("vacuum-selftest")
-    summary = run(cfg, frames=25, seed=5, write_outputs=False)
+    summary = run(cfg, frames=25, seed=5, out_dir=str(tmp_path))
     assert summary.config_hash == config_hash(replace(cfg, grid=replace(cfg.grid, frames=25), seed=5))
     assert summary.frames == 25
     assert summary.seed == 5
 
 
-def test_reduced_frame_run_consistent_with_larger_run():
-    small = run_preset("vacuum-selftest", frames=150, write_outputs=False)
-    large = run_preset("vacuum-selftest", frames=500, write_outputs=False)
+@pytest.mark.parametrize(
+    "name, overrides, path",
+    [
+        ("vacuum-selftest", {"frames": 2.7}, "grid.frames"),
+        ("vacuum-selftest", {"frames": True}, "grid.frames"),
+        ("vacuum-selftest", {"seed": 3.9}, "seed"),
+        ("epr-identity", {"frames": 2.5}, "epr.draws"),
+    ],
+    ids=["float-frames", "bool-frames", "float-seed", "float-epr-draws"],
+)
+def test_run_rejects_overrides_that_are_not_integers(name, overrides, path, tmp_path):
+    # the same values in a JSON config exit 2; run() must not truncate them
+    with pytest.raises(ConfigError, match=f"^{path}: must be an integer"):
+        run_preset(name, out_dir=str(tmp_path / "out"), **overrides)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["override", "field"])
+def test_numpy_integer_frames_run_and_hash_like_int(where, tmp_path):
+    cfg = preset_config("vacuum-selftest")
+    two = replace(cfg, grid=replace(cfg.grid, frames=2))
+    if where == "override":
+        summary = run(cfg, frames=np.int64(2), out_dir=str(tmp_path / "numpy"))
+    else:
+        summary = run(replace(cfg, grid=replace(cfg.grid, frames=np.int64(2))), out_dir=str(tmp_path / "numpy"))
+    assert summary.config_hash == config_hash(two)
+    run(two, out_dir=str(tmp_path / "int"))
+    assert _read_outputs(tmp_path / "numpy") == _read_outputs(tmp_path / "int")
+
+
+def test_reduced_frame_run_consistent_with_larger_run(tmp_path):
+    small = run_preset("vacuum-selftest", frames=150, out_dir=str(tmp_path / "small"))
+    large = run_preset("vacuum-selftest", frames=500, out_dir=str(tmp_path / "large"))
     for bs, bl in zip(small.bands, large.bands):
         combined = np.hypot(bs.stderr_db, bl.stderr_db)
         assert abs(bs.reduction_db - bl.reduction_db) < 3.5 * combined
@@ -159,14 +189,14 @@ def _closes(summary):
         assert abs(band.reduction_db - band.predicted_db) <= 4.0 * band.stderr_db, band
 
 
-def test_unsqueezed_scheme_ignores_pickoff_squeezers():
+def test_unsqueezed_scheme_ignores_pickoff_squeezers(tmp_path):
     # the scheme decides: squeezers configured on the pickoffs of an
     # unsqueezed run inject vacuum, as its 0 dB budget says
     patch = {
         "pickoff1": {"squeezer": {"pump_ratio": 0.4}},
         "pickoff2": {"squeezer": {"pump_ratio": 0.4}},
     }
-    summary = run(merge_config(preset_config("vacuum-selftest"), patch), frames=200, write_outputs=False)
+    summary = run(merge_config(preset_config("vacuum-selftest"), patch), frames=200, out_dir=str(tmp_path))
     for band in summary.bands:
         assert band.predicted_db == pytest.approx(0.0, abs=1e-12)
     _closes(summary)
@@ -177,7 +207,7 @@ def test_unsqueezed_scheme_ignores_pickoff_squeezers():
     [{"angle_offset_rad": 0.5}, {"angle_jitter_rms_rad": 0.3}, {"angle_jitter_rms_rad": 0.6}],
     ids=["angle-offset", "angle-jitter", "large-angle-jitter"],
 )
-def test_squeeze_angle_errors_close_against_budget(squeezer):
+def test_squeeze_angle_errors_close_against_budget(squeezer, tmp_path):
     # a squeezer off its quadrature leaks anti-squeezing, and the run
     # measures what the budget predicts from the same optical paths
     cfg = preset_config("fig3-raw")
@@ -185,27 +215,27 @@ def test_squeeze_angle_errors_close_against_budget(squeezer):
         name: {"squeezer": dict(to_dict(cfg)[name]["squeezer"], **squeezer)}
         for name in ("pickoff1", "pickoff2")
     }
-    summary = run(merge_config(cfg, patch), frames=384, write_outputs=False)
-    aligned = run(cfg, frames=4, write_outputs=False)  # budgets do not depend on frames
+    summary = run(merge_config(cfg, patch), frames=384, out_dir=str(tmp_path / "errors"))
+    aligned = run(cfg, frames=4, out_dir=str(tmp_path / "aligned"))  # budgets do not depend on frames
     for band, ref in zip(summary.bands, aligned.bands):
         assert band.predicted_db < ref.predicted_db
     _closes(summary)
 
 
-def test_angle_jitter_reuses_each_squeezers_gains():
+def test_angle_jitter_reuses_each_squeezers_gains(tmp_path):
     # a jittered squeezer turns its cached angle-free gains row by row, so
     # a run builds each squeezer's gains once, however many frames it has
     jitter = {"squeezer": {"angle_jitter_rms_rad": 0.05}}
     cfg = merge_config(preset_config("fig4-demod"), {"pickoff1": jitter, "pickoff2": jitter})
     sideband_gains.cache_clear()
-    run(cfg, frames=130, workers=1, write_outputs=False)
+    run(cfg, frames=130, workers=1, out_dir=str(tmp_path))
     info = sideband_gains.cache_info()
     assert 0 < info.misses <= 2
     assert info.hits > 0
 
 
-def test_epr_preset_summary():
-    summary = run_preset("epr-identity", write_outputs=False)
+def test_epr_preset_summary(tmp_path):
+    summary = run_preset("epr-identity", out_dir=str(tmp_path))
     assert summary.extras["epr.pass"] == "true"
     assert float(summary.extras["epr.max_residual"]) <= 1e-9
 
@@ -435,14 +465,14 @@ def test_cli_rejects_non_integer_worker_env(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("env, workers, name", [("0", None, "SQZBEAT_WORKERS"), (None, -2, "workers")])
-def test_worker_count_below_one_is_a_config_error(env, workers, name, monkeypatch):
+def test_worker_count_below_one_is_a_config_error(env, workers, name, monkeypatch, tmp_path):
     if env is not None:
         monkeypatch.setenv("SQZBEAT_WORKERS", env)
     with pytest.raises(ConfigError, match=f"^{name}: must be >= 1"):
-        run_preset("vacuum-selftest", frames=2, workers=workers, write_outputs=False)
+        run_preset("vacuum-selftest", frames=2, workers=workers, out_dir=str(tmp_path))
 
 
-def test_pool_is_no_larger_than_its_job_count(monkeypatch):
+def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path):
     # a pool starts every worker at its first submit; a stand-in records
     # the size asked for and maps in-process
     sizes = []
@@ -462,10 +492,10 @@ def test_pool_is_no_larger_than_its_job_count(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
-    run_preset("vacuum-selftest", frames=2, write_outputs=False)  # 3 acquisitions of one chunk
-    run_preset("appendixE-pump-sweep", frames=130, write_outputs=False)  # one acquisition of 2 chunks
+    run_preset("vacuum-selftest", frames=2, out_dir=str(tmp_path / "selftest"))  # 3 acquisitions of one chunk
+    run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path / "sweep"))  # one acquisition of 2 chunks
     assert sizes == [3, 2]
-    run_preset("appendixE-pump-sweep", frames=2, write_outputs=False)  # one job runs without a pool
+    run_preset("appendixE-pump-sweep", frames=2, out_dir=str(tmp_path / "sweep"))  # one job runs without a pool
     assert sizes == [3, 2]
 
 

@@ -38,7 +38,7 @@ def test_traced_layer_resolves(layer):
         assert callable(getattr(mod, name, None)), f"{layer}: {module}.{name} does not resolve"
 
 
-def test_a_jittered_target_frame_runs_through_the_traced_layers():
+def test_a_jittered_target_frame_runs_through_the_traced_layers(tmp_path):
     # the tracer times a layer only where the run calls it by that name:
     # a jittered target frame must still squeeze, pick off and compose
     # through them (reference and target, two beams each, squeezed on the
@@ -49,7 +49,7 @@ def test_a_jittered_target_frame_runs_through_the_traced_layers():
     tracer = TRACER_MODULE.Tracer()
     tracer.install()
     try:
-        run(cfg, frames=1, workers=1, write_outputs=False)
+        run(cfg, frames=1, workers=1, out_dir=str(tmp_path))
     finally:
         tracer.uninstall()
     assert tracer.calls["fields.apply_squeezer"] == 2
