@@ -203,6 +203,29 @@ def hamming_from_bins(bins: np.ndarray) -> np.ndarray:
     return out
 
 
+def hamming_power_from_moments(moments: np.ndarray, gains: np.ndarray, wnorm: float) -> np.ndarray:
+    """Sum over rows of |V|^2 / sum(w^2), V = ``hamming_from_bins(g Q)``, of
+    rows of bins Q scaled by real gains g (..., w), from Q's moments alone.
+
+    ``moments`` (..., 3, w + 2) holds the row sums of M0_e = |Q_e|^2, M1_e =
+    Re(Q_e conj Q_{e+1}) and M2_e = Re(Q_e conj Q_{e+2}) over bins -1..w of Q
+    extended by the window's end wraps (Q_{-1} = conj Q_1, Q_w = conj Q_{w-2}),
+    zero past the last e each has; g gets the same wraps.  With a = A1 / 2,
+    |V_j|^2 = A0^2 g_j^2 M0_j + a^2 (g_{j-1}^2 M0_{j-1} + g_{j+1}^2 M0_{j+1})
+    - A0 A1 g_j (g_{j-1} M1_{j-1} + g_{j+1} M1_j) + 2 a^2 g_{j-1} g_{j+1} M2_{j-1}.
+    A squeezed quadrature is g Q, Q the vacuum's, only at squeeze angle 0
+    and for gains even in the sideband offset.
+    """
+    g = np.concatenate((gains[..., 1:2], gains, gains[..., -2:-1]), axis=-1)
+    m0 = moments[..., 0, :] * g**2
+    m1 = moments[..., 1, :-1] * g[..., :-1] * g[..., 1:]
+    a2 = (_HAMMING_A1 / 2.0) ** 2
+    out = _HAMMING_A0**2 * m0[..., 1:-1] + a2 * (m0[..., :-2] + m0[..., 2:])
+    out -= _HAMMING_A0 * _HAMMING_A1 * (m1[..., :-1] + m1[..., 1:])
+    out += 2.0 * a2 * moments[..., 2, :-2] * g[..., :-2] * g[..., 2:]
+    return out / wnorm
+
+
 def auto_periodogram(v: np.ndarray, wnorm: float) -> np.ndarray:
     """|V|^2 / sum(w^2) of windowed frame spectra."""
     return np.abs(v) ** 2 / wnorm

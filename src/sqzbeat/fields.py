@@ -22,7 +22,8 @@ with escape efficiency, and an optical path's later losses, folded in.
 Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
 tests' reference) produce the same Gaussian state; gains are used so the
 operation stays a pure function of the field, the spec and the squeeze
-angle, and needs no vacuum.
+angle, and needs no vacuum.  At angle 0 a quadrature bin is its vacuum bin
+times one gain, which is all a pump sweep applies (``runner``).
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> FieldRealizat
     return FieldRealization(grid, vacuum_rows(normals, np.sqrt(0.5 / grid.n_samples)))
 
 
-# A run squeezes with at most a few specs (one per pump power or beam);
-# the gains hold no angle, so angle jitter reuses them.  An entry holds 24
-# bytes per bin, so the cache stays small.
+# A run squeezes with at most a few specs (one per beam; a sweep only
+# reads its first power's bins); the gains hold no angle, so angle jitter
+# reuses them.  An entry holds 24 bytes per bin, so the cache stays small.
 @lru_cache(maxsize=16)
 def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bins and pair gains of the sidebands a squeezer transforms.
@@ -210,16 +211,6 @@ def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray,
     return out
 
 
-def squeeze_sidebands(z: np.ndarray, gp: np.ndarray, gmw: np.ndarray) -> np.ndarray:
-    """Squeeze sideband rows that hold offsets -m..m along the last axis.
-
-    Each pair (+eps, -eps) maps jointly: 0.5 * (gp z + gmw conj(z reversed)),
-    with gp and gm of ``sideband_gains`` and gmw = gm exp(2i angle): gm
-    itself at angle 0, or one row of gains per row of ``z``.
-    """
-    return 0.5 * (gp * z + gmw * np.conj(z[..., ::-1]))
-
-
 def apply_squeezer(
     field: FieldRealization, spec: SqueezerSpec, angle: float | np.ndarray | None = None
 ) -> FieldRealization:
@@ -231,6 +222,10 @@ def apply_squeezer(
     pump_ratio = 0 is an exact identity.  A block field is squeezed in one
     step.  ``angle`` is the squeeze angle: ``spec.squeeze_angle_rad`` when
     None, else a number or an array of one angle per row of a block.
+
+    With z the sidebands in offset order -m..m, each pair (+eps, -eps) maps
+    jointly to 0.5 (gp z + gm exp(2i angle) conj(z reversed)), gp and gm of
+    ``sideband_gains``.
     """
     grid = field.grid
     grid.bin_index(spec.center_freq_hz)
@@ -245,7 +240,8 @@ def apply_squeezer(
     # one-row call on numpy's 1-D fancy-index path, which out[..., k] is not.
     amps = field.amplitudes
     out = amps.copy()
-    out.T[index] = squeeze_sidebands(np.take(amps, index, axis=-1), gp, gmw).T
+    z = np.take(amps, index, axis=-1)
+    out.T[index] = (0.5 * (gp * z + gmw * np.conj(z[..., ::-1]))).T
     return FieldRealization(grid, out)
 
 

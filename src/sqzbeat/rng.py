@@ -45,13 +45,15 @@ per key of a 128-frame chunk and a state set about 2.4 us, where
 building a ``SeedSequence`` and its PCG64 costs about 20 us.
 
 The pump sweep keys (``RUN_SWEEP``, frame index, 0), and since layout 6
-every pump power squeezes that one vacuum row, where layout 5 drew a
-stream (10 + pump, frame index, 0) per power; the first power's key is
-unchanged.  The row holds only the 2m + 1 sidebands within the anchor's
-margin that the sweep's quadratures read, real parts then imaginary
-parts, in offset order -m..m: one stream and 2598 normals per frame on
-``appendixE-pump-sweep`` (m = 649), whatever the number of powers.  The
-EPR identity run substreams 900 and 901 of the master seed.
+every pump power reads that one vacuum row, where layout 5 drew a stream
+(10 + pump, frame index, 0) per power; the first power's key is
+unchanged.  No power squeezes the row itself: its gains map the summed
+moments of the row's quadratures to its spectra, once per run
+(``runner``).  The row holds only the 2m + 1 sidebands within the
+anchor's margin that the sweep's quadratures read, real parts then
+imaginary parts, in offset order -m..m: one stream and 2598 normals per
+frame on ``appendixE-pump-sweep`` (m = 649), whatever the number of
+powers.  The EPR identity run substreams 900 and 901 of the master seed.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ block:
   everything that does not change from frame to frame (beams and their
   carrier terms, filter responses, local oscillator, squeezers), built
   once.  Its block step ``periodograms(acquisition, blocks)``
-  yields the periodograms of each block of frames, one row per frame.
+  yields the periodograms of each block of frames (a sweep: their
+  moments), one row per frame.
 - chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
   maps over (``_chunk_sum``).  A chunk hashes the generator states of
   all its streams in one pass (``rng.ChunkStreams``) and draws every
@@ -50,14 +51,14 @@ arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
 index opens 15 streams and draws 95000 normals, ``fig3-raw`` 9 and
 65000.  A sweep frame draws only the 2m + 1 sidebands its quadratures
-read (one stream and 2598 normals), squeezes them at every pump power,
-and forms both quadratures' windowed spectra straight from those
-sidebands, with no FFT: the periodic Hamming window is three taps on
-the bins, and only the bins 0..m+1 it can make nonzero are computed and
-summed.  A heterodyne block windows its rows the same way after one
-rfft of the photocurrent (a raw readout) or of its product with the
-local oscillator and of each arm's readout noise (a demod readout):
-every filter acts on the bins, so no row goes back to the time domain.
+read (one stream and 2598 normals) and yields the moments of the vacuum
+quadratures' bins, with no FFT: at angle 0 a pump power scales those
+bins by its gains and the periodic Hamming window is three taps on the
+bins, so each power's spectra come from the moments' sums once per run.
+A heterodyne block windows its rows with the same taps after one rfft
+of the photocurrent (a raw readout) or of its product with the local
+oscillator and of each arm's readout noise (a demod readout): every
+filter acts on the bins, so no row goes back to the time domain.
 
 The EPR identity run is not a frame average: each draw picks its own
 grid size, state and frequencies, and the run keeps the largest
@@ -66,6 +67,7 @@ residual, so it loops over its draws without the engine.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass, replace, field
@@ -94,6 +96,7 @@ from .dsp import (
     demod_lpf_spec,
     demod_measurement_chain,
     hamming_from_bins,
+    hamming_power_from_moments,
     hamming_window,
     local_oscillator,
     postprocess,
@@ -106,7 +109,6 @@ from .fields import (
     epr_identity_residual,
     make_vacuum_field,
     sideband_gains,
-    squeeze_sidebands,
     vacuum_rows,
 )
 from .interferometer import (
@@ -185,6 +187,8 @@ def resolve_workers(workers: int | None) -> int:
     name, value = "workers", workers
     if workers is None:
         name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or 1
+    elif isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ConfigError(name, f"must be an integer, got {value!r}")  # as a config's integers are
     try:
         count = int(value)
     except ValueError:
@@ -345,22 +349,24 @@ class _SweepContext:
     """Per-run state of a pump sweep: one squeezer per pump power, and one
     acquisition of vacuum frames that every power squeezes about the anchor.
 
-    Each frame's vacuum is drawn once and squeezed at every pump power:
-    common random numbers for the sweep (Glasserman, *Monte Carlo Methods
-    in Financial Engineering*, 2003).  Each power's spectra keep their
+    Each frame's vacuum is drawn once and serves every pump power: common
+    random numbers for the sweep (Glasserman, *Monte Carlo Methods in
+    Financial Engineering*, 2003).  Each power's spectra keep their
     marginal statistics, and the monotone check compares the powers on
     the same noise.
 
     The quadratures read only the 2m + 1 sidebands within the anchor's
-    margin, so a frame draws and squeezes those alone, in offset order
-    -m..m.  With z the squeezed sidebands, ``quadrature_series`` would
-    give quadratures a1 and a2 whose rfft bins are, for j = 0..m,
+    margin, so a frame draws those alone, in offset order -m..m.  With z
+    the vacuum sidebands, ``quadrature_series`` would give quadratures of
+    the vacuum whose rfft bins are, for j = 0..m,
 
-        A1_j = (n / sqrt 2) (z_{-j} + conj z_{+j})
-        A2_j = (n / (sqrt 2 i)) (z_{-j} - conj z_{+j})
+        Q1_j = (n / sqrt 2) (z_{-j} + conj z_{+j})
+        Q2_j = (n / (sqrt 2 i)) (z_{-j} - conj z_{+j})
 
-    and zero above m, so the windowed spectra come from the sidebands
-    through ``hamming_from_bins`` without a time series or an FFT.
+    and zero above m.  At angle 0, with gains even in the offset, a power
+    squeezes them to sqrt(S_minus) Q1 and sqrt(S_plus) Q2, so a frame
+    yields only the moments of its Q, and ``spectra`` maps their sums
+    through each power's gains (``dsp.hamming_power_from_moments``).
     """
 
     acquisitions = (rngs.RUN_SWEEP,)
@@ -372,7 +378,6 @@ class _SweepContext:
         n = self.grid.n_samples
         self.freqs = np.fft.rfftfreq(n, d=1.0 / self.grid.sample_rate)
         self.wnorm = hamming_window(n)[1]
-        self.scale = np.sqrt(0.5 / n)
         self.specs = [
             SqueezerSpec(
                 pump_ratio=float(np.sqrt(power / ow.threshold_mw)),
@@ -382,33 +387,39 @@ class _SweepContext:
             )
             for power in ow.pump_powers_mw
         ]
+        self.m = len(sideband_gains(self.grid, self.specs[0])[0]) // 2
+        # Bins 0..m+1 can be nonzero; the end wrap reads one zero bin past them, short of Nyquist.
+        self.width = min(self.m + 3, n // 2 + 1)
 
     def periodograms(self, run: int, blocks: list[range]):
-        """Squeezed and anti-squeezed quadrature periodogram rows of each
-        block at every pump power, keyed (pump, "squeezed"|"anti"), over
-        the bins 0..m+1 that can be nonzero (and one zero bin past them,
-        which the window's end wrap reads, short of Nyquist)."""
-        n = self.grid.n_samples
-        c = n / np.sqrt(2.0)
-        gains = [sideband_gains(self.grid, spec)[1:] for spec in self.specs]
-        m = len(gains[0][0]) // 2
+        """The moments of both vacuum quadratures' bins -1..width of each
+        block, keyed "moments", one (2, 3, width + 2) row per frame."""
+        m, w = self.m, self.width
         streams = rngs.ChunkStreams(self.seed, run, _span(blocks), (0,))
         rows = max(map(len, blocks))
         normals = np.empty((rows, 2, 2 * m + 1))  # real parts, then imaginary parts
-        # Bins above m stay zero in every block.
-        bins = np.zeros((2 * rows, min(m + 3, n // 2 + 1)), dtype=complex)
+        q = np.zeros((rows, 2, w + 2), dtype=complex)  # bins above m stay zero in every block
         for frames in blocks:
             k = len(frames)
-            vacuum = vacuum_rows(streams.fill(frames, 0, normals[:k]), self.scale)
-            parts = {}
-            for pump, (gp, gm) in enumerate(gains):
-                z = squeeze_sidebands(vacuum, gp, gm)  # at angle 0, gm needs no turn
-                lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
-                np.multiply(lower + upper, c, out=bins[:k, : m + 1])
-                np.multiply(lower - upper, c / 1j, out=bins[k : 2 * k, : m + 1])
-                p = auto_periodogram(hamming_from_bins(bins[: 2 * k]), self.wnorm)
-                parts[pump, "squeezed"], parts[pump, "anti"] = p[:k], p[k:]
-            yield parts
+            # The vacuum's scale sqrt(0.5 / n) times n / sqrt 2.
+            z = vacuum_rows(streams.fill(frames, 0, normals[:k]), np.sqrt(self.grid.n_samples) / 2.0)
+            lower, upper = z[:, m::-1], np.conj(z[:, m:])  # z_{-j} and conj z_{+j}, j = 0..m
+            np.add(lower, upper, out=q[:k, 0, 1 : m + 2])
+            np.multiply(upper - lower, 1j, out=q[:k, 1, 1 : m + 2])
+            # The window's end wraps, as ``hamming_from_bins`` reads them.
+            q[:k, :, 0] = np.conj(q[:k, :, 2])
+            q[:k, :, -1] = np.conj(q[:k, :, -3])
+            moments = np.zeros((k, 2, 3, w + 2))
+            for lag in range(3):
+                moments[:, :, lag, : w + 2 - lag] = (q[:k, :, lag:] * np.conj(q[:k, :, : w + 2 - lag])).real
+            yield {"moments": moments}
+
+    def spectra(self, moments: np.ndarray, spec: SqueezerSpec) -> np.ndarray:
+        """One power's squeezed and anti-squeezed periodogram sums, from the frames' summed moments."""
+        out = np.zeros((2, len(self.freqs)))
+        gains = np.sqrt(spec.squeezing_spectrum(np.arange(self.width) * self.grid.bin_hz))
+        out[:, : self.width] = hamming_power_from_moments(moments, gains, self.wnorm)
+        return out
 
 
 def _span(blocks: list[range]) -> range:
@@ -417,7 +428,7 @@ def _span(blocks: list[range]) -> range:
 
 
 def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
-    """Periodogram sums of frames [start, stop) of one acquisition, built in
+    """Sums of the rows of frames [start, stop) of one acquisition, built in
     blocks of BLOCK_FRAMES and added frame by frame in frame order.  The
     block step is a generator so a block's arrays live until the next block
     replaces them: freed at every block, they cost 40k minor page faults
@@ -426,8 +437,7 @@ def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
     acc = {}
     for parts in ctx.periodograms(acquisition, blocks):
         for k, rows in parts.items():
-            # Rows may stop short of the last bins, which are then zero.
-            total = acc.setdefault(k, np.zeros(len(ctx.freqs)))[: rows.shape[-1]]
+            total = acc.setdefault(k, np.zeros(rows.shape[1:]))
             for row in rows:
                 total += row
     return acc
@@ -593,14 +603,13 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarr
     freqs = ctx.freqs
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    sums = _accumulate_runs(ctx, frames, workers)[rngs.RUN_SWEEP]
+    moments = _accumulate_runs(ctx, frames, workers)[rngs.RUN_SWEEP]["moments"]
 
     extras = {}
     spectra = []
     prev_band_avg = None
-    for pump, (power, spec) in enumerate(zip(ow.pump_powers_mw, ctx.specs)):
-        mc_s = sums[pump, "squeezed"] / frames
-        mc_a = sums[pump, "anti"] / frames
+    for power, spec in zip(ow.pump_powers_mw, ctx.specs):
+        mc_s, mc_a = ctx.spectra(moments, spec) / frames
         model_s, model_a = spec.squeezing_spectrum(freqs)
         tag = f"pump{int(round(power)):03d}mw"
         avg_s = float(np.mean(mc_s[band]))

@@ -18,6 +18,7 @@ from sqzbeat.dsp import (
     cross_periodogram,
     demod_measurement_chain,
     hamming_from_bins,
+    hamming_power_from_moments,
     hamming_window,
     postprocess,
     raw_measurement_chain,
@@ -441,3 +442,33 @@ def test_window_taps_on_bins_equal_the_windowed_rfft(n):
     # periodic: w(t) = w(n - t), and the power sum is n (0.54^2 + 0.46^2 / 2)
     assert np.allclose(window[1:], window[:0:-1], rtol=0, atol=1e-15)
     assert wnorm == pytest.approx(n * (0.54**2 + 0.46**2 / 2), rel=1e-12)
+
+
+def _moments_with_end_wraps(q: np.ndarray) -> np.ndarray:
+    """Row sums of |Q_e|^2, Re(Q_e conj Q_{e+1}) and Re(Q_e conj Q_{e+2})
+    over bins e = -1..w of rows Q of w bins, extended as a real row's rfft
+    layout wraps them, zero past the last e each has."""
+    w = q.shape[-1]
+    ext = np.concatenate((np.conj(q[:, 1:2]), q, np.conj(q[:, -2:-1])), axis=1)
+    out = np.zeros((3, w + 2))
+    for lag in range(3):
+        for e in range(w + 2 - lag):
+            out[lag, e] = np.sum(np.real(ext[:, e] * np.conj(ext[:, e + lag])))
+    return out
+
+
+@pytest.mark.parametrize("width, live", [(12, 9), (12, 12)], ids=["short-of-nyquist", "reaching-nyquist"])
+def test_moment_map_equals_the_summed_periodograms_of_the_scaled_bins(width, live):
+    # Rows of bins Q, nonzero on bins 0..live-1, scaled by real gains g:
+    # the map of Q's summed moments must be the sum over rows of the
+    # windowed periodograms of g Q, the window's end wraps included.
+    gen = np.random.default_rng(width + live)
+    q = np.zeros((5, width), dtype=complex)
+    q[:, :live] = gen.standard_normal((5, live)) + 1j * gen.standard_normal((5, live))
+    gains = gen.standard_normal((2, width))
+    wnorm = hamming_window(2 * (width - 1))[1]
+    got = hamming_power_from_moments(_moments_with_end_wraps(q), gains, wnorm)
+    assert got.shape == (2, width)
+    for g, p in zip(gains, got):
+        want = auto_periodogram(hamming_from_bins(g * q), wnorm).sum(axis=0)
+        assert np.max(np.abs(p - want)) <= 1e-13 * np.max(want)

@@ -21,7 +21,7 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
-from sqzbeat.dsp import auto_periodogram, chain_floor, hamming_window
+from sqzbeat.dsp import auto_periodogram, chain_floor, hamming_power_from_moments, hamming_window
 from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
@@ -152,8 +152,13 @@ def test_summary_records_effective_config_hash(tmp_path):
         ("vacuum-selftest", {"frames": True}, "grid.frames"),
         ("vacuum-selftest", {"seed": 3.9}, "seed"),
         ("epr-identity", {"frames": 2.5}, "epr.draws"),
+        ("vacuum-selftest", {"workers": 2.7}, "workers"),
+        ("vacuum-selftest", {"workers": True}, "workers"),
+        ("vacuum-selftest", {"workers": 2.0}, "workers"),
+        ("appendixE-pump-sweep", {"workers": "2"}, "workers"),
     ],
-    ids=["float-frames", "bool-frames", "float-seed", "float-epr-draws"],
+    ids=["float-frames", "bool-frames", "float-seed", "float-epr-draws", "float-workers", "bool-workers",
+         "integral-float-workers", "str-workers"],
 )
 def test_run_rejects_overrides_that_are_not_integers(name, overrides, path, tmp_path):
     # the same values in a JSON config exit 2; run() must not truncate them
@@ -258,12 +263,12 @@ def test_opo_sweep_outputs(tmp_path):
     "patch", [{}, {"opo_sweep": {"anchor_hz": 0.0}}], ids=["preset-anchor", "zero-anchor"]
 )
 def test_sweep_block_equals_the_full_field_path(patch):
-    # A sweep block draws the 2m + 1 sidebands its quadratures read once,
-    # squeezes them at every pump power, and windows their spectra without
-    # an FFT, on the bins that can be nonzero.  Embedded in a full field
-    # whose other bins hold arbitrary values, each frame's one vacuum row
-    # must give every power's periodograms through apply_squeezer,
-    # quadrature_series and frame_spectrum, and zero beyond the returned
+    # A sweep block draws the 2m + 1 sidebands its quadratures read once
+    # and yields, per frame, the moments of the vacuum quadratures' bins;
+    # each power's gains map their sum to its periodograms.  Embedded in a
+    # full field whose other bins hold arbitrary values, the block's frames
+    # must give every power's summed periodograms through apply_squeezer,
+    # quadrature_series and frame_spectrum, and zero beyond the mapped
     # bins.  At anchor 0, m = n/2 - 1, so the window's taps reach past the
     # Nyquist bin.
     ctx = runner._SweepContext(merge_config(preset_config("appendixE-pump-sweep"), patch))
@@ -273,24 +278,41 @@ def test_sweep_block_equals_the_full_field_path(patch):
     (run_id,) = ctx.acquisitions
     got = next(ctx.periodograms(run_id, [frames]))
     assert run_id == rng.RUN_SWEEP == 10
-    assert set(got) == {(pump, key) for pump in range(4) for key in ("squeezed", "anti")}
+    assert set(got) == {"moments"} and got["moments"].shape == (len(frames), 2, 3, ctx.width + 2)
+    moments = got["moments"].sum(axis=0)
 
     index, _, _ = sideband_gains(grid, ctx.specs[0])
     shape = (len(frames), grid.n_samples)
     full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     for row, i in zip(full, frames):
         x = rng.generator(rng.substream(ctx.seed, run_id, i, 0)).standard_normal(2 * len(index))
-        row[index] = ctx.scale * (x[: len(index)] + 1j * x[len(index) :])
-    for pump, spec in enumerate(ctx.specs):
+        row[index] = np.sqrt(0.5 / grid.n_samples) * (x[: len(index)] + 1j * x[len(index) :])
+    live = ctx.width
+    assert live >= len(index) // 2 + 2
+    for spec in ctx.specs:
         assert np.array_equal(sideband_gains(grid, spec)[0], index)
         quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
-        for key, q in (("squeezed", quads.a1), ("anti", quads.a2)):
-            want = auto_periodogram(frame_spectrum(q, window), wnorm)
-            rows = got[pump, key]
-            live = rows.shape[-1]
-            assert rows.shape[0] == len(frames) and live >= len(index) // 2 + 2
-            assert np.max(np.abs(rows - want[:, :live])) <= 1e-12 * np.max(want)
-            assert np.max(want[:, live:], initial=0.0) <= 1e-12 * np.max(want)
+        mapped = ctx.spectra(moments, spec)
+        for p, q in zip(mapped, (quads.a1, quads.a2)):  # squeezed, then anti-squeezed
+            want = auto_periodogram(frame_spectrum(q, window), wnorm).sum(axis=0)
+            assert np.max(np.abs(p[:live] - want[:live])) <= 1e-12 * np.max(want)
+            assert np.max(want[live:], initial=0.0) <= 1e-12 * np.max(want)
+            assert not np.any(p[live:])
+
+
+def test_a_sweep_maps_each_powers_gains_once_per_run(monkeypatch, tmp_path):
+    # the moments are summed over every frame first, so a power's gains
+    # meet them once, however many chunks and blocks the run has
+    calls = []
+
+    def counted(moments, gains, wnorm):
+        calls.append(gains[0, 0])
+        return hamming_power_from_moments(moments, gains, wnorm)
+
+    monkeypatch.setattr(runner, "hamming_power_from_moments", counted)
+    run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path), workers=1)  # two chunks
+    assert len(calls) == len(preset_config("appendixE-pump-sweep").opo_sweep.pump_powers_mw) == 4
+    assert len(set(calls)) == 4
 
 
 def _sweep_outputs(out) -> tuple[dict, list]:
@@ -470,6 +492,12 @@ def test_worker_count_below_one_is_a_config_error(env, workers, name, monkeypatc
         monkeypatch.setenv("SQZBEAT_WORKERS", env)
     with pytest.raises(ConfigError, match=f"^{name}: must be >= 1"):
         run_preset("vacuum-selftest", frames=2, workers=workers, out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("workers", [3, np.int64(2), np.uint8(1)], ids=["int", "int64", "uint8"])
+def test_worker_counts_of_any_integer_type_resolve_to_int(workers):
+    count = runner.resolve_workers(workers)
+    assert count == workers and type(count) is int
 
 
 def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path):
