@@ -30,9 +30,7 @@ from .dsp import (
 )
 from .fields import (
     BandError,
-    FieldRealization,
     FrequencyGrid,
-    QuadraturePair,
     SqueezerSpec,
     apply_loss,
     apply_squeezer,
@@ -42,11 +40,9 @@ from .fields import (
 )
 from .interferometer import (
     BeamSpec,
-    DetectedField,
     DetectorSpec,
     OpticalPath,
     PhaseSignalSpec,
-    PhotocurrentTrace,
     balanced_detect,
     classical_phase_variance,
     compose_beam,

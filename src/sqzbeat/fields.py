@@ -13,7 +13,9 @@ the noise.  At second order they do not: the product of Wigner samples
 adds a state-independent white term of PSD 2 (shot units) to the
 photocurrent of every lit acquisition (``interferometer``; Gardiner &
 Zoller, *Quantum Noise*).  Noise enters as drawn standard normals, a
-vacuum row as real parts then imaginary parts (``vacuum_rows``).
+vacuum row as real parts then imaginary parts (``vacuum_rows``).  A field
+is a plain complex array of bins, one row per frame of a block; each
+function that needs the grid takes it as its first argument.
 
 Sideband pairs about a squeezer center transform jointly: the quadrature
 at the squeeze angle is multiplied by sqrt(S_minus(eps)) and the orthogonal
@@ -95,32 +97,6 @@ class FrequencyGrid:
 
 
 @dataclass(frozen=True)
-class FieldRealization:
-    """One realization of the noise state of a beam path.
-
-    ``amplitudes`` holds one complex value per grid bin in units of
-    sqrt(shot-noise quanta); a fresh vacuum bin has mean square 1/n_samples
-    so that quadrature spectral densities come out at 1.0.  A block of
-    frames stacks one row per frame, shape (frames, n_samples).
-    """
-
-    grid: FrequencyGrid
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.amplitudes)[-1:] != (self.grid.n_samples,):
-            raise ValueError("amplitudes length must equal grid.n_samples")
-
-
-@dataclass(frozen=True)
-class QuadraturePair:
-    """Real quadrature time series of a field envelope."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-
-@dataclass(frozen=True)
 class SqueezerSpec:
     """Below-threshold cavity squeezer parameters.
 
@@ -172,7 +148,7 @@ def vacuum_rows(normals: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> FieldRealization:
+def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> np.ndarray:
     """Fresh vacuum: i.i.d. circular complex Gaussian bins.
 
     ``normals`` holds standard normals of shape (2, n_samples), or
@@ -180,7 +156,7 @@ def make_vacuum_field(grid: FrequencyGrid, normals: np.ndarray) -> FieldRealizat
     ``vacuum_rows``).  Per-bin mean square is 1/n_samples so any extracted
     quadrature has PSD 1.0.
     """
-    return FieldRealization(grid, vacuum_rows(normals, np.sqrt(0.5 / grid.n_samples)))
+    return vacuum_rows(normals, np.sqrt(0.5 / grid.n_samples))
 
 
 # A run squeezes with at most a few specs (one per beam; a sweep only
@@ -212,8 +188,8 @@ def sideband_gains(grid: FrequencyGrid, spec: SqueezerSpec) -> tuple[np.ndarray,
 
 
 def apply_squeezer(
-    field: FieldRealization, spec: SqueezerSpec, angle: float | np.ndarray | None = None
-) -> FieldRealization:
+    grid: FrequencyGrid, field: np.ndarray, spec: SqueezerSpec, angle: float | np.ndarray | None = None
+) -> np.ndarray:
     """Squeeze sideband pairs about ``spec.center_freq_hz``.
 
     Pairs (center + eps, center - eps) are transformed jointly for every
@@ -227,10 +203,9 @@ def apply_squeezer(
     jointly to 0.5 (gp z + gm exp(2i angle) conj(z reversed)), gp and gm of
     ``sideband_gains``.
     """
-    grid = field.grid
     grid.bin_index(spec.center_freq_hz)
     if spec.pump_ratio == 0.0:
-        return FieldRealization(grid, field.amplitudes.copy())
+        return field.copy()
     index, gp, gm = sideband_gains(grid, spec)
     if angle is None:
         angle = spec.squeeze_angle_rad
@@ -238,14 +213,13 @@ def apply_squeezer(
 
     # Bins run along the last axis.  Writing through the transpose keeps a
     # one-row call on numpy's 1-D fancy-index path, which out[..., k] is not.
-    amps = field.amplitudes
-    out = amps.copy()
-    z = np.take(amps, index, axis=-1)
+    out = field.copy()
+    z = np.take(field, index, axis=-1)
     out.T[index] = (0.5 * (gp * z + gmw * np.conj(z[..., ::-1]))).T
-    return FieldRealization(grid, out)
+    return out
 
 
-def apply_loss(field: FieldRealization, efficiency: float, normals: np.ndarray) -> FieldRealization:
+def apply_loss(grid: FrequencyGrid, field: np.ndarray, efficiency: float, normals: np.ndarray) -> np.ndarray:
     """Beam-splitter loss: sqrt(eff) * field + sqrt(1 - eff) * fresh vacuum.
 
     The vacuum port's field is ``make_vacuum_field`` of ``normals``, one
@@ -254,29 +228,29 @@ def apply_loss(field: FieldRealization, efficiency: float, normals: np.ndarray) 
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
     if efficiency == 1.0:
-        return FieldRealization(field.grid, field.amplitudes.copy())
-    vac = make_vacuum_field(field.grid, normals).amplitudes
+        return field.copy()
+    vac = make_vacuum_field(grid, normals)
     vac *= np.sqrt(1.0 - efficiency)
-    amps = np.sqrt(efficiency) * field.amplitudes
+    amps = np.sqrt(efficiency) * field
     amps += vac
-    return FieldRealization(field.grid, amps)
+    return amps
 
 
 def quadrature_series(
-    field: FieldRealization,
+    grid: FrequencyGrid,
+    field: np.ndarray,
     center_freq: float,
     eps_min: float = 0.0,
     eps_max: float | None = None,
-) -> QuadraturePair:
+) -> tuple[np.ndarray, np.ndarray]:
     """Two-photon quadrature time series about ``center_freq``.
 
     a1(t) and a2(t) are the cosine and sine quadratures of the field
     envelope, built from the bins with sideband offset eps_min <= |eps| <=
     eps_max.  Linear in the field.  The default eps_max is the largest
-    offset whose both sidebands stay strictly inside the grid.  A block
-    field gives one quadrature row per frame.
+    offset whose both sidebands stay strictly inside the grid.  Returns
+    (a1, a2); a block field gives one row of each per frame.
     """
-    grid = field.grid
     kc = grid.bin_index(center_freq)
     margin = grid.edge_margin(center_freq)
     if eps_max is None:
@@ -286,17 +260,18 @@ def quadrature_series(
     if eps_min < 0 or eps_min > eps_max:
         raise BandError("need 0 <= eps_min <= eps_max")
 
-    rolled = np.roll(field.amplitudes, -kc, axis=-1)
+    rolled = np.roll(field, -kc, axis=-1)
     g = np.abs(grid.freqs())
     tol = _GRID_TOL * grid.bin_hz
     mask = (g >= eps_min - tol) & (g <= eps_max + tol)
     z = np.fft.fft(np.where(mask, rolled, 0.0))
     root2 = np.sqrt(2.0)
-    return QuadraturePair(root2 * z.real, root2 * z.imag)
+    return root2 * z.real, root2 * z.imag
 
 
 def epr_identity_residual(
-    field: FieldRealization,
+    grid: FrequencyGrid,
+    field: np.ndarray,
     omega0_hz: float,
     beat_hz: float,
     half_width_hz: float | None = None,
@@ -318,7 +293,6 @@ def epr_identity_residual(
 
     Returns max|lhs - rhs| / max|lhs|.
     """
-    grid = field.grid
     df = grid.bin_hz
     if beat_hz <= 0:
         raise BandError("beat_hz must be positive")
@@ -337,12 +311,10 @@ def epr_identity_residual(
 
     t = grid.times()
     phase = 2.0 * np.pi * beat_hz * t
-    up = quadrature_series(field, upper, eps_max=half_width_hz)
-    lo = quadrature_series(field, lower, eps_max=half_width_hz)
-    rhs = (up.a2 - lo.a2) * np.sin(phase) + (up.a1 + lo.a1) * np.cos(phase)
-    lhs = quadrature_series(
-        field, mid, eps_min=beat_hz - half_width_hz, eps_max=beat_hz + half_width_hz
-    ).a1
+    up1, up2 = quadrature_series(grid, field, upper, eps_max=half_width_hz)
+    lo1, lo2 = quadrature_series(grid, field, lower, eps_max=half_width_hz)
+    rhs = (up2 - lo2) * np.sin(phase) + (up1 + lo1) * np.cos(phase)
+    lhs, _ = quadrature_series(grid, field, mid, eps_min=beat_hz - half_width_hz, eps_max=beat_hz + half_width_hz)
     scale = np.max(np.abs(lhs))
     if scale == 0.0:
         return 0.0

@@ -25,7 +25,10 @@ imaginary parts, ``fields.vacuum_rows``) and draws none; a jittered
 path's angle is its squeezer's plus the rms times one drawn normal per
 frame.
 The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
-so a beam arrives at the detector as a ``DetectedField``.
+so a beam arrives at the detector as a plain array of complex time
+samples, one row per frame of a block.  The photocurrent is a real array
+of the same shape; ``detector_readout`` forms every photocurrent, dark or
+lit, and refuses non-finite samples.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
@@ -42,7 +45,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (
-    FieldRealization,
     FrequencyGrid,
     SqueezerSpec,
     apply_squeezer,
@@ -126,39 +128,6 @@ class DetectorSpec:
             raise ValueError("clip_level must be positive when present")
 
 
-@dataclass(frozen=True)
-class DetectedField:
-    """One beam at the detector as complex time samples, in shot-noise
-    amplitude units: its path noise plus its carrier scaled by sqrt(qe).
-    A block of frames has one row per frame."""
-
-    grid: FrequencyGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.samples)[-1:] != (self.grid.n_samples,):
-            raise ValueError("samples length must equal grid.n_samples")
-
-
-@dataclass(frozen=True)
-class PhotocurrentTrace:
-    """Balanced detector output in shot units: one frame, or a block of
-    frames with one row each.
-
-    Non-finite samples (an overflowing carrier, say) raise
-    FloatingPointError, which the CLI reports as a numerical error.
-    """
-
-    samples: np.ndarray
-    grid: FrequencyGrid
-
-    def __post_init__(self):
-        if np.shape(self.samples)[-1:] != (self.grid.n_samples,):
-            raise ValueError("samples length must equal grid.n_samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise FloatingPointError("photocurrent samples must be finite")
-
-
 def unsqueezed_shot_psd(e1: float, e2: float, quantum_efficiency: float = 1.0) -> float:
     """Per-bin PSD of the unsqueezed shot floor near the beat: 2 qe (E1^2 + E2^2)."""
     return 2.0 * quantum_efficiency * (e1 * e1 + e2 * e2)
@@ -199,7 +168,7 @@ def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | 
 
 def pickoff_noise_field(
     grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray, jitter: np.ndarray | None = None
-) -> FieldRealization:
+) -> np.ndarray:
     """Noise field that an optical path delivers to the detector, for one
     frame or, with normals of shape (frames, 2, n), a block of them.
 
@@ -218,7 +187,7 @@ def pickoff_noise_field(
         if jitter is None:
             raise ValueError("a jittered path needs its jitter normals")
         angle = angle + path.jitter_rms_rad * jitter
-    return apply_squeezer(vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency), angle)
+    return apply_squeezer(grid, vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency), angle)
 
 
 class BeamCarrier:
@@ -259,8 +228,9 @@ def compose_beam(
     normals: np.ndarray,
     extra_phase: np.ndarray | None = None,
     jitter: np.ndarray | None = None,
-) -> DetectedField:
-    """One beam at the detector: its path noise plus its carrier.
+) -> np.ndarray:
+    """One beam at the detector, as complex time samples in shot-noise
+    amplitude units: its path noise plus its carrier.
 
     The path noise comes from the standard normals ``normals`` of its
     vacuum row, shape (2, n): squeezed bins (``pickoff_noise_field``, with
@@ -272,38 +242,36 @@ def compose_beam(
     normal per frame and ``extra_phase`` one row per frame; the field then
     has one row per frame.
     """
-    grid = carrier.grid
     if path.squeezer is None:
         samples = vacuum_rows(normals, np.sqrt(0.5))
     else:
-        samples = np.fft.fft(pickoff_noise_field(grid, path, normals, jitter).amplitudes)
+        samples = np.fft.fft(pickoff_noise_field(carrier.grid, path, normals, jitter))
     if carrier.amplitude != 0.0:
         samples += carrier.series(extra_phase)
-    return DetectedField(grid, samples)
+    return samples
 
 
 def balanced_detect(
-    e1: DetectedField,
-    e2: DetectedField,
+    grid: FrequencyGrid,
+    e1: np.ndarray,
+    e2: np.ndarray,
     det: DetectorSpec,
     noise: np.ndarray | None,
     reference_shot_psd: float | None = None,
-) -> PhotocurrentTrace:
-    """Exact balanced beat-note detection of two detected beams.
+) -> np.ndarray:
+    """Exact balanced beat-note detection of two detected beams on ``grid``.
 
     The product form keeps every second-order noise term.  The gain
     ripple shapes the product, and ``detector_readout`` follows with the
     electronic noise's standard normals ``noise``.  Block fields give one
     photocurrent row per frame.
     """
-    if e1.grid != e2.grid:
-        raise ValueError("beams must share one grid")
-    beat = np.conjugate(e1.samples)
-    beat *= e2.samples
+    beat = np.conjugate(e1)
+    beat *= e2
     dp = 2.0 * beat.real
     if det.gain_ripple_db != 0.0:
-        dp = _apply_gain_ripple(dp, e1.grid, det.gain_ripple_db)
-    return PhotocurrentTrace(detector_readout(dp, det, noise, reference_shot_psd), e1.grid)
+        dp = _apply_gain_ripple(dp, grid, det.gain_ripple_db)
+    return detector_readout(dp, det, noise, reference_shot_psd)
 
 
 def detector_readout(
@@ -315,7 +283,9 @@ def detector_readout(
     ``reference_shot_psd``, ``noise`` (standard normals shaped like ``dp``;
     unread without electronic noise) scaled to that level, clips, and
     removes each frame's mean last.  A dark frame (``dp`` all zeros) is
-    the background acquisition.
+    the background acquisition.  Non-finite samples (an overflowing
+    carrier, say) raise FloatingPointError, which the CLI reports as a
+    numerical error.
     """
     if det.electronic_noise_rel_db is not None:
         if reference_shot_psd is None or noise is None:
@@ -324,7 +294,10 @@ def detector_readout(
         dp = dp + noise * np.sqrt(p_e)
     if det.clip_level is not None:
         dp = np.clip(dp, -det.clip_level, det.clip_level)
-    return dp - dp.mean(axis=-1, keepdims=True)
+    dp = dp - dp.mean(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(dp)):
+        raise FloatingPointError("photocurrent samples must be finite")
+    return dp
 
 
 def _apply_gain_ripple(dp: np.ndarray, grid: FrequencyGrid, ripple_db: float) -> np.ndarray:

@@ -10,14 +10,17 @@ block:
 - run: one context (``_HeterodyneContext`` or ``_SweepContext``) holds
   everything that does not change from frame to frame (beams and their
   carrier terms, filter responses, local oscillator, squeezers), built
-  once.  Its block step ``periodograms(acquisition, blocks)``
-  yields the periodograms of each block of frames (a sweep: their
-  moments), one row per frame.
-- chunk: CHUNK_FRAMES frames of one acquisition, the unit a worker pool
-  maps over (``_chunk_sum``).  A chunk hashes the generator states of
-  all its streams in one pass (``rng.ChunkStreams``) and draws every
-  stream through one reused generator.  Chunk sums are folded in chunk
-  order, so the emitted numbers are bit-identical for any worker count.
+  once.  Its block step ``periodograms(blocks)`` runs every acquisition
+  of a chunk's frames and yields the periodograms of each block of
+  frames keyed by acquisition (a sweep: their moments, keyed
+  "moments"), one row per frame.
+- chunk: CHUNK_FRAMES frames of every acquisition, the one job a worker
+  pool maps over (``_chunk_sum``), so a run of up to CHUNK_FRAMES frames
+  starts no pool.  A chunk hashes the generator states of each
+  acquisition's streams in one pass (``rng.ChunkStreams``) and draws
+  every stream through one reused generator.  Chunk sums are folded key
+  by key in chunk order, so the emitted numbers are bit-identical for
+  any worker count.
 - block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
   detection and the measurement chain together, one row per frame, so
   each FFT is one batched call instead of one per frame.  A block draws
@@ -117,7 +120,6 @@ from .interferometer import (
     DetectorSpec,
     OpticalPath,
     PhaseSignalSpec,
-    PhotocurrentTrace,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -199,12 +201,11 @@ def resolve_workers(workers: int | None) -> int:
 
 
 class _HeterodyneContext:
-    """Per-run immutable state for frame synthesis and accumulation.
+    """Per-run immutable state for frame synthesis and accumulation of the
+    three acquisitions, background, reference and target.
 
     Built once per run; a pool sends it to its workers with each chunk.
     """
-
-    acquisitions = RUN_NAMES
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -295,9 +296,7 @@ class _HeterodyneContext:
         det_noise = noise.get(rngs.PORT_DETECTOR)
         if run_name == "background":
             dark = np.zeros((len(frames), self.grid.n_samples))
-            return PhotocurrentTrace(
-                detector_readout(dark, self.det, det_noise, self.ref_floor), self.grid
-            ).samples
+            return detector_readout(dark, self.det, det_noise, self.ref_floor)
         extra = noise.get(rngs.PORT_PHASE)
         if extra is not None:
             extra *= self.phase_sigma
@@ -307,7 +306,7 @@ class _HeterodyneContext:
         z1, z2 = (next(jitter) if p.jitter_rms_rad > 0 else None for p in (path1, path2))
         e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1), jitter=z1)
         e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra, z2)
-        return balanced_detect(e1, e2, self.det, det_noise, reference_shot_psd=self.ref_floor).samples
+        return balanced_detect(self.grid, e1, e2, self.det, det_noise, reference_shot_psd=self.ref_floor)
 
     # -- measurement -----------------------------------------------------
 
@@ -328,21 +327,23 @@ class _HeterodyneContext:
             arms.append(y * self.post_h)
         return arms
 
-    def periodograms(self, run_name: str, blocks: list[range]):
-        """Reported periodogram rows of each block of frames of one acquisition."""
-        # All ports, also those an acquisition never draws: hashing them
-        # costs microseconds per chunk and spares a list of ports per acquisition.
-        streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
-        for frames in blocks:
-            noise = self._normals(run_name, streams, frames)
-            x = self._photocurrent(run_name, frames, noise)
-            spectra = [hamming_from_bins(r) for r in self._rows(run_name, noise, x)]
-            # Freed here, not when the next block replaces them: two blocks'
-            # normals held at once cost 0.7 MB of peak RSS on fig4-demod,
-            # and the beams' normals kept to the block's end 0.8 MB more.
-            del noise
-            periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
-            yield {self.estimate: periodogram(*spectra, self.wnorm)}
+    def periodograms(self, blocks: list[range]):
+        """Reported periodogram rows of each block of frames, one
+        acquisition after another, keyed by acquisition."""
+        periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
+        for run_name in RUN_NAMES:
+            # All ports, also those an acquisition never draws: hashing them
+            # costs microseconds per chunk and spares a list of ports per acquisition.
+            streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
+            for frames in blocks:
+                noise = self._normals(run_name, streams, frames)
+                x = self._photocurrent(run_name, frames, noise)
+                spectra = [hamming_from_bins(r) for r in self._rows(run_name, noise, x)]
+                # Freed here, not when the next block replaces them: two blocks'
+                # normals held at once cost 0.7 MB of peak RSS on fig4-demod,
+                # and the beams' normals kept to the block's end 0.8 MB more.
+                del noise
+                yield {run_name: periodogram(*spectra, self.wnorm)}
 
 
 class _SweepContext:
@@ -369,8 +370,6 @@ class _SweepContext:
     through each power's gains (``dsp.hamming_power_from_moments``).
     """
 
-    acquisitions = (rngs.RUN_SWEEP,)
-
     def __init__(self, cfg: SweepConfig):
         ow = cfg.opo_sweep
         self.seed = cfg.seed
@@ -391,11 +390,11 @@ class _SweepContext:
         # Bins 0..m+1 can be nonzero; the end wrap reads one zero bin past them, short of Nyquist.
         self.width = min(self.m + 3, n // 2 + 1)
 
-    def periodograms(self, run: int, blocks: list[range]):
+    def periodograms(self, blocks: list[range]):
         """The moments of both vacuum quadratures' bins -1..width of each
         block, keyed "moments", one (2, 3, width + 2) row per frame."""
         m, w = self.m, self.width
-        streams = rngs.ChunkStreams(self.seed, run, _span(blocks), (0,))
+        streams = rngs.ChunkStreams(self.seed, rngs.RUN_SWEEP, _span(blocks), (0,))
         rows = max(map(len, blocks))
         normals = np.empty((rows, 2, 2 * m + 1))  # real parts, then imaginary parts
         q = np.zeros((rows, 2, w + 2), dtype=complex)  # bins above m stay zero in every block
@@ -427,15 +426,16 @@ def _span(blocks: list[range]) -> range:
     return range(blocks[0].start, blocks[-1].stop)
 
 
-def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
-    """Sums of the rows of frames [start, stop) of one acquisition, built in
-    blocks of BLOCK_FRAMES and added frame by frame in frame order.  The
-    block step is a generator so a block's arrays live until the next block
-    replaces them: freed at every block, they cost 40k minor page faults
-    per 128 ``fig3-raw`` frames instead of 2k, and 10-15% of the time."""
+def _chunk_sum(ctx, start: int, stop: int) -> dict:
+    """Sums by key of the rows of frames [start, stop) of every acquisition
+    of a context, built in blocks of BLOCK_FRAMES and added frame by frame
+    in frame order.  The block step is a generator so a block's arrays live
+    until the next block replaces them: freed at every block, they cost 40k
+    minor page faults per 128 ``fig3-raw`` frames instead of 2k, and 10-15%
+    of the time."""
     blocks = [range(f, min(f + BLOCK_FRAMES, stop)) for f in range(start, stop, BLOCK_FRAMES)]
     acc = {}
-    for parts in ctx.periodograms(acquisition, blocks):
+    for parts in ctx.periodograms(blocks):
         for k, rows in parts.items():
             total = acc.setdefault(k, np.zeros(rows.shape[1:]))
             for row in rows:
@@ -443,23 +443,19 @@ def _chunk_sum(ctx, acquisition, start: int, stop: int) -> dict:
     return acc
 
 
-def _fold(jobs: list, parts) -> dict:
+def _fold(parts) -> dict:
     totals = {}
-    for (acquisition, _, _), part in zip(jobs, parts):  # fixed fold order keeps sums bit-stable
-        total = totals.setdefault(acquisition, {k: np.zeros_like(v) for k, v in part.items()})
+    for part in parts:  # fixed fold order keeps sums bit-stable
         for k, v in part.items():
-            total[k] += v
+            total = totals.setdefault(k, np.zeros_like(v))
+            total += v
     return totals
 
 
 def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
-    """Per-acquisition sums of every chunk of a context's acquisitions, on
-    one pool for the whole run."""
-    jobs = [
-        (acquisition, s, min(s + CHUNK_FRAMES, n_frames))
-        for acquisition in ctx.acquisitions
-        for s in range(0, n_frames, CHUNK_FRAMES)
-    ]
+    """Sums by key of every chunk of a context's frames, on one pool for
+    the whole run."""
+    jobs = [(s, min(s + CHUNK_FRAMES, n_frames)) for s in range(0, n_frames, CHUNK_FRAMES)]
     # Freeing one untouched 2 MB array raises glibc's mmap threshold to
     # 2 MB and its heap trim threshold to 4 MB for the process.  Below
     # them each block's freed temporaries go back to the OS and fault in
@@ -474,12 +470,12 @@ def _accumulate_runs(ctx, n_frames: int, workers: int) -> dict:
     # A pool starts every worker at its first submit: no more workers than jobs.
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return _fold(jobs, (_chunk_sum(ctx, *job) for job in jobs))
+        return _fold(_chunk_sum(ctx, *job) for job in jobs)
     # Imported here: a one-worker run never pays for the pool's modules.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return _fold(jobs, ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
+        return _fold(ex.map(partial(_chunk_sum, ctx), *zip(*jobs)))
 
 
 def _write_spectrum(path: str, rows: str, values_db: np.ndarray, header: dict):
@@ -522,7 +518,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     frames = cfg.grid.frames
     freqs = ctx.freqs
     sums = _accumulate_runs(ctx, frames, workers)
-    means = {run_name: sums[run_name][ctx.estimate] / frames for run_name in RUN_NAMES}
+    means = {run_name: sums[run_name] / frames for run_name in RUN_NAMES}
     background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
     subtracted = {"reference": reference - background, "target": target - background}
 
@@ -580,8 +576,8 @@ def _run_epr(cfg: IdentityConfig) -> RunSummary:
                 squeeze_angle_rad=float(gen.uniform(0.0, 2.0 * np.pi)),
                 center_freq_hz=(omega0 + beat) if gen.random() < 0.5 else omega0,
             )
-            state = apply_squeezer(state, spec)
-        worst = max(worst, epr_identity_residual(state, omega0, beat))
+            state = apply_squeezer(grid, state, spec)
+        worst = max(worst, epr_identity_residual(grid, state, omega0, beat))
     threshold = cfg.epr.residual_threshold
     return _summary(
         cfg,
@@ -603,7 +599,7 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarr
     freqs = ctx.freqs
     lo, hi = ow.band_hz
     band = (freqs >= lo) & (freqs <= hi)
-    moments = _accumulate_runs(ctx, frames, workers)[rngs.RUN_SWEEP]["moments"]
+    moments = _accumulate_runs(ctx, frames, workers)["moments"]
 
     extras = {}
     spectra = []

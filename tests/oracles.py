@@ -17,14 +17,8 @@ from sqzbeat.dsp import (
     hamming_window,
     local_oscillator,
 )
-from sqzbeat.fields import FrequencyGrid, QuadraturePair, SqueezerSpec, quadrature_series
-from sqzbeat.interferometer import (
-    BeamSpec,
-    OpticalPath,
-    PhotocurrentTrace,
-    phase_series,
-    pickoff_noise_field,
-)
+from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
+from sqzbeat.interferometer import BeamSpec, OpticalPath, phase_series, pickoff_noise_field
 from sqzbeat.rng import substream
 
 from helpers import normals
@@ -46,9 +40,10 @@ def frame_spectrum(x: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.fft.rfft(window * x)
 
 
-def quadrature_at_angle(q: QuadraturePair, angle_rad: float) -> np.ndarray:
-    """The quadrature a1 cos(angle) + a2 sin(angle) of a pair."""
-    return q.a1 * np.cos(angle_rad) + q.a2 * np.sin(angle_rad)
+def quadrature_at_angle(q: tuple[np.ndarray, np.ndarray], angle_rad: float) -> np.ndarray:
+    """The quadrature a1 cos(angle) + a2 sin(angle) of a pair (a1, a2)."""
+    a1, a2 = q
+    return a1 * np.cos(angle_rad) + a2 * np.sin(angle_rad)
 
 
 def linearized_output(
@@ -57,7 +52,7 @@ def linearized_output(
     paths: tuple[OpticalPath, OpticalPath],
     seed,
     extra_phase: np.ndarray | None = None,
-) -> PhotocurrentTrace:
+) -> np.ndarray:
     """First-order model of the balanced output (unit quantum efficiency).
 
     Emits the classical beat plus sqrt(2) E_other times the noise
@@ -78,15 +73,14 @@ def linearized_output(
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, paths[0], normals(substream(seed, 0), *vac))
     n2 = pickoff_noise_field(grid, paths[1], normals(substream(seed, 1), *vac))
-    qa = quadrature_series(n1, b2.carrier_freq_hz)
-    qb = quadrature_series(n2, b1.carrier_freq_hz)
+    qa, _ = quadrature_series(grid, n1, b2.carrier_freq_hz)
+    qb, _ = quadrature_series(grid, n2, b1.carrier_freq_hz)
 
     dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(2.0 * np.pi * beat_hz * t + theta2 - theta1)
     root2 = np.sqrt(2.0)
-    dp = dp + root2 * b2.amplitude * qa.a1
-    dp = dp + root2 * b1.amplitude * qb.a1
-    dp = dp - dp.mean()
-    return PhotocurrentTrace(dp, grid)
+    dp = dp + root2 * b2.amplitude * qa
+    dp = dp + root2 * b1.amplitude * qb
+    return dp - dp.mean()
 
 
 def straightforward_variant(
@@ -95,7 +89,7 @@ def straightforward_variant(
     squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     seed,
     extra_phase: np.ndarray | None = None,
-) -> PhotocurrentTrace:
+) -> np.ndarray:
     """First-order output when each beam carries squeezing at its own
     carrier frequency.
 
@@ -112,48 +106,40 @@ def straightforward_variant(
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), normals(substream(seed, 0), *vac))
     n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), normals(substream(seed, 1), *vac))
-    qa = quadrature_series(n1, b1.carrier_freq_hz)
-    qb = quadrature_series(n2, b2.carrier_freq_hz)
+    qa1, qa2 = quadrature_series(grid, n1, b1.carrier_freq_hz)
+    qb1, qb2 = quadrature_series(grid, n2, b2.carrier_freq_hz)
 
     root2 = np.sqrt(2.0)
     dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(beat + theta2 - theta1)
-    dp = dp + root2 * b2.amplitude * (qa.a1 * np.cos(beat) - qa.a2 * np.sin(beat))
-    dp = dp + root2 * b1.amplitude * (qb.a1 * np.cos(beat) + qb.a2 * np.sin(beat))
-    dp = dp - dp.mean()
-    return PhotocurrentTrace(dp, grid)
+    dp = dp + root2 * b2.amplitude * (qa1 * np.cos(beat) - qa2 * np.sin(beat))
+    dp = dp + root2 * b1.amplitude * (qb1 * np.cos(beat) + qb2 * np.sin(beat))
+    return dp - dp.mean()
 
 
-def apply_filter_chain(trace: PhotocurrentTrace, chain: list[FilterSpec]) -> PhotocurrentTrace:
-    """Run the cascaded chain over one frame with exactly the response
-    ``chain_response`` returns."""
-    fs = trace.grid.sample_rate
-    h = chain_response(chain, np.fft.rfftfreq(trace.grid.n_samples, d=1.0 / fs), fs)
-    return PhotocurrentTrace(filter_frame(trace.samples, h), trace.grid)
+def apply_filter_chain(grid: FrequencyGrid, x: np.ndarray, chain: list[FilterSpec]) -> np.ndarray:
+    """Run the cascaded chain over one frame on ``grid`` with exactly the
+    response ``chain_response`` returns."""
+    fs = grid.sample_rate
+    h = chain_response(chain, np.fft.rfftfreq(grid.n_samples, d=1.0 / fs), fs)
+    return filter_frame(x, h)
 
 
 def demodulate(
-    trace: PhotocurrentTrace, lo_freq_hz: float, lo_phase_rad: float = np.pi / 2.0
-) -> PhotocurrentTrace:
-    """Mix with a unit local oscillator and low-pass the product.
+    grid: FrequencyGrid, x: np.ndarray, lo_freq_hz: float, lo_phase_rad: float = np.pi / 2.0
+) -> np.ndarray:
+    """Mix a frame on ``grid`` with a unit local oscillator and low-pass the product.
 
     y = LPF[x * cos(2 pi f_lo t + phase)], so a flat input PSD p lands at
     (p + p) / 4 in the baseband and, at phase pi/2 against the beat, the
     classical beat drops out while the phase quadrature survives.
     """
-    grid = trace.grid
     fs = grid.sample_rate
     if not 0.0 < lo_freq_hz < fs / 4.0:
         raise DspError("lo_freq_hz must stay below a quarter of the sample rate")
     freqs = np.fft.rfftfreq(grid.n_samples, d=1.0 / fs)
     h = chain_response([demod_lpf_spec(lo_freq_hz)], freqs, fs)
     lo = local_oscillator(grid, lo_freq_hz, lo_phase_rad)
-    return PhotocurrentTrace(mix_down(trace.samples, lo, h), grid)
-
-
-def _frame_array(frame) -> np.ndarray:
-    if isinstance(frame, PhotocurrentTrace):
-        return np.asarray(frame.samples, dtype=float)
-    return np.asarray(frame, dtype=float)
+    return mix_down(x, lo, h)
 
 
 def _average_periodograms(streams, sample_rate, periodogram) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +154,7 @@ def _average_periodograms(streams, sample_rate, periodogram) -> tuple[np.ndarray
             break
         if any(f is None for f in frames):
             raise DspError("frame streams must be aligned")
-        if sample_rate is None and isinstance(frames[0], PhotocurrentTrace):
-            sample_rate = frames[0].grid.sample_rate
-        xs = [_frame_array(f) for f in frames]
+        xs = [np.asarray(f, dtype=float) for f in frames]
         if acc is None:
             n = len(xs[0])
             window, wnorm = hamming_window(n)
@@ -181,13 +165,11 @@ def _average_periodograms(streams, sample_rate, periodogram) -> tuple[np.ndarray
         count += 1
     if count == 0:
         raise DspError("need at least one frame")
-    if sample_rate is None:
-        raise DspError("sample_rate is required for bare-array frames")
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
     return freqs, acc / count
 
 
-def welch_psd(frames, sample_rate: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def welch_psd(frames, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """The rfft frequencies and the Hamming-windowed periodogram averaged
     over non-overlapping frames.
 
@@ -197,7 +179,7 @@ def welch_psd(frames, sample_rate: float | None = None) -> tuple[np.ndarray, np.
     return _average_periodograms([frames], sample_rate, auto_periodogram)
 
 
-def cross_spectrum(frames1, frames2, sample_rate: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cross_spectrum(frames1, frames2, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """The rfft frequencies and Re(V1 conj(V2)) averaged over frame-aligned
     streams.
 

@@ -24,7 +24,6 @@ from sqzbeat.dsp import (
     raw_measurement_chain,
 )
 from sqzbeat.fields import FrequencyGrid
-from sqzbeat.interferometer import PhotocurrentTrace
 from sqzbeat.rng import PORT_ARM1, PORT_ARM2, PORTS, RUN_TARGET, ChunkStreams, generator, substream
 
 from oracles import (
@@ -45,10 +44,6 @@ GRID = FrequencyGrid(FS, N, 30e6)
 def _white_frames(frames, n=N, var=1.0, seed=0, tag=0):
     for i in range(frames):
         yield generator(substream(seed, tag, i)).normal(0.0, np.sqrt(var), n)
-
-
-def _trace(samples):
-    return PhotocurrentTrace(np.asarray(samples, dtype=float), GRID)
 
 
 def test_welch_white_noise_calibration():
@@ -133,8 +128,8 @@ def test_cross_spectrum_rejects_misaligned_streams():
 
 def test_empty_chain_is_identity():
     x = generator(substream(1, 1)).normal(size=N)
-    out = apply_filter_chain(_trace(x), [])
-    assert np.allclose(out.samples, x, atol=1e-12)
+    out = apply_filter_chain(GRID, x, [])
+    assert np.allclose(out, x, atol=1e-12)
 
 
 def test_raw_chain_notch_and_passband():
@@ -152,8 +147,8 @@ def test_raw_chain_notch_and_passband():
 def test_raw_chain_on_white_noise_follows_design():
     chain = raw_measurement_chain()
     frames = 150
-    traces = (apply_filter_chain(_trace(x), chain) for x in _white_frames(frames, seed=41))
-    freqs, psd = welch_psd(traces)
+    traces = (apply_filter_chain(GRID, x, chain) for x in _white_frames(frames, seed=41))
+    freqs, psd = welch_psd(traces, sample_rate=FS)
     h2 = np.abs(chain_response(chain, freqs, FS)) ** 2
     band = (freqs > 2e6) & (freqs < 15e6) & (np.abs(freqs - 10e6) > 2.6e6)
     ratio = psd[band] / h2[band]
@@ -165,16 +160,16 @@ def test_chain_linearity():
     rng = generator(substream(2, 7))
     x = rng.normal(size=N)
     y = rng.normal(size=N)
-    fx = apply_filter_chain(_trace(x), chain).samples
-    fy = apply_filter_chain(_trace(y), chain).samples
-    fxy = apply_filter_chain(_trace(2.0 * x - 3.0 * y), chain).samples
+    fx = apply_filter_chain(GRID, x, chain)
+    fy = apply_filter_chain(GRID, y, chain)
+    fxy = apply_filter_chain(GRID, 2.0 * x - 3.0 * y, chain)
     assert np.allclose(fxy, 2.0 * fx - 3.0 * fy, atol=1e-6)
 
 
 @pytest.mark.parametrize("corner", [FS / 2, 0.0, float("nan")], ids=["nyquist", "zero", "nan"])
 def test_corner_outside_band_rejected(corner):
     with pytest.raises(DspError):
-        apply_filter_chain(_trace(np.zeros(N)), [FilterSpec("low-pass", (corner,))])
+        apply_filter_chain(GRID, np.zeros(N), [FilterSpec("low-pass", (corner,))])
 
 
 # Stage corners as fractions of Nyquist: near 0, the chains' own range,
@@ -270,18 +265,18 @@ def test_compensation_inverts_designed_response():
 def test_demodulate_rejects_beat_amplitude():
     t = GRID.times()
     beat = 2.0 * np.cos(2.0 * np.pi * 10e6 * t)
-    base = demodulate(_trace(beat), 10e6, np.pi / 2.0)
+    base = demodulate(GRID, beat, 10e6, np.pi / 2.0)
     # baseband term vanishes; only the filtered product at twice the
     # beat survives, 1e-5 of the input after the low-pass
-    assert np.max(np.abs(base.samples)) < 1e-4
+    assert np.max(np.abs(base)) < 1e-4
 
 
 def test_demodulate_turns_modulation_into_single_peak():
     t = GRID.times()
     theta = 0.05 * np.sin(2.0 * np.pi * 3.1e6 * t)
     beat = 2.0 * np.cos(2.0 * np.pi * 10e6 * t + theta)
-    base = demodulate(_trace(beat), 10e6, np.pi / 2.0)
-    spec = np.abs(np.fft.rfft(base.samples)) ** 2
+    base = demodulate(GRID, beat, 10e6, np.pi / 2.0)
+    spec = np.abs(np.fft.rfft(base)) ** 2
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     peak = freqs[np.argmax(spec[1:]) + 1]
     assert peak == pytest.approx(3.1e6, abs=GRID.bin_hz)
@@ -294,9 +289,9 @@ def test_demodulate_turns_modulation_into_single_peak():
 def test_demodulated_white_noise_follows_folding_rule():
     frames = 300
     traces = (
-        demodulate(_trace(x), 10e6, np.pi / 2.0) for x in _white_frames(frames, seed=51)
+        demodulate(GRID, x, 10e6, np.pi / 2.0) for x in _white_frames(frames, seed=51)
     )
-    freqs, psd = welch_psd(traces)
+    freqs, psd = welch_psd(traces, sample_rate=FS)
     band = (freqs > 1e6) & (freqs < 4e6)
     # (p + p) / 4 for a unit-PSD input
     assert psd[band].mean() == pytest.approx(0.5, rel=0.02)
@@ -304,7 +299,7 @@ def test_demodulated_white_noise_follows_folding_rule():
 
 def test_demodulate_band_checks():
     with pytest.raises(DspError):
-        demodulate(_trace(np.zeros(N)), 40e6)
+        demodulate(GRID, np.zeros(N), 40e6)
 
 
 def test_band_config_masks_exclusion_zone():

@@ -12,13 +12,13 @@ from sqzbeat.fields import FrequencyGrid, SqueezerSpec
 from sqzbeat.interferometer import (
     BeamCarrier,
     BeamSpec,
-    DetectedField,
     DetectorSpec,
     OpticalPath,
     PhaseSignalSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
+    detector_readout,
     pickoff_noise_field,
     unsqueezed_shot_psd,
 )
@@ -41,7 +41,7 @@ VACUUM = OpticalPath(1.0, None)
 def _carrier_field(e, freq, theta=None):
     t = GRID.times()
     phase = 2.0 * np.pi * freq * t + (0.0 if theta is None else theta)
-    return DetectedField(GRID, e * np.exp(-1j * phase))
+    return e * np.exp(-1j * phase)
 
 
 def _beam(beam, path, seed, extra_phase=None, qe=1.0):
@@ -58,18 +58,18 @@ def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
 def test_pure_beat_is_exact_cosine():
     f1 = _carrier_field(1.0, C1)
     f2 = _carrier_field(1.0, C2)
-    trace = balanced_detect(f1, f2, IDEAL, None)
+    trace = balanced_detect(GRID, f1, f2, IDEAL, None)
     expect = 2.0 * np.cos(2.0 * np.pi * BEAT * GRID.times())
-    assert np.allclose(trace.samples, expect, atol=1e-9)
+    assert np.allclose(trace, expect, atol=1e-9)
 
 
 def test_beat_carries_relative_phase():
     theta = 0.4
     f1 = _carrier_field(1.0, C1)
     f2 = _carrier_field(1.0, C2, theta)
-    trace = balanced_detect(f1, f2, IDEAL, None)
+    trace = balanced_detect(GRID, f1, f2, IDEAL, None)
     expect = 2.0 * np.cos(2.0 * np.pi * BEAT * GRID.times() + theta)
-    assert np.allclose(trace.samples, expect, atol=1e-9)
+    assert np.allclose(trace, expect, atol=1e-9)
 
 
 def test_shot_floor_level():
@@ -78,7 +78,7 @@ def test_shot_floor_level():
     traces = []
     for i in range(frames):
         f1, f2 = _vacuum_beams(e, e, substream(8, i))
-        traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
+        traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     band = (freqs > 2e6) & (freqs < 20e6) & (np.abs(freqs - BEAT) > 1e6)
@@ -96,7 +96,7 @@ def test_pickoff_loss_mixes_squeezing():
     acc = []
     for i in range(frames):
         f = pickoff_noise_field(GRID, pick, normals(substream(23, i), *VAC))
-        acc.append(quadrature_series(f, C1).a1)
+        acc.append(quadrature_series(GRID, f, C1)[0])
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(acc)
     band = (freqs > 1e6) & (freqs < 15e6)
@@ -113,7 +113,7 @@ def test_compose_beam_dark_port_is_pure_vacuum():
     vac = vac + 1j * (np.sqrt(0.5) * gen.standard_normal(N))
     for efficiency in (1.0, 0.5):
         out = _beam(BeamSpec(0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
-        assert np.array_equal(out.samples, vac)
+        assert np.array_equal(out, vac)
 
 
 def test_carrier_scales_linearly_and_leaves_noise_bins():
@@ -124,7 +124,7 @@ def test_carrier_scales_linearly_and_leaves_noise_bins():
     f1 = _beam(BeamSpec(100.0, C1), path, substream(4, 0), qe=qe)
     f2 = _beam(BeamSpec(200.0, C1), path, substream(4, 0), qe=qe)
     tone = 0.9 * 100.0 * np.exp(-2j * np.pi * C1 * GRID.times())
-    assert np.allclose(f2.samples - f1.samples, tone, rtol=0, atol=1e-9)
+    assert np.allclose(f2 - f1, tone, rtol=0, atol=1e-9)
 
 
 def test_modulation_sideband_power_ratio():
@@ -136,8 +136,8 @@ def test_modulation_sideband_power_ratio():
     b2 = BeamSpec(1000.0, C2, PhaseSignalSpec(mod, depth))
     f1 = _beam(b1, VACUUM, substream(5, 1))
     f2 = _beam(b2, VACUUM, substream(5, 2))
-    trace = balanced_detect(f1, f2, IDEAL, None)
-    spec = np.abs(np.fft.rfft(trace.samples)) ** 2
+    trace = balanced_detect(GRID, f1, f2, IDEAL, None)
+    spec = np.abs(np.fft.rfft(trace)) ** 2
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     k0 = np.argmin(np.abs(freqs - BEAT))
     klo = np.argmin(np.abs(freqs - (BEAT - mod)))
@@ -153,9 +153,9 @@ def test_electronic_noise_level():
     det = DetectorSpec(electronic_noise_rel_db=-2.0)
     ref = 1000.0
     frames = 200
-    zero = DetectedField(GRID, np.zeros(N, dtype=complex))
+    zero = np.zeros(N, dtype=complex)
     traces = [
-        balanced_detect(zero, zero, det, normals(substream(66, i), N), reference_shot_psd=ref).samples
+        balanced_detect(GRID, zero, zero, det, normals(substream(66, i), N), reference_shot_psd=ref)
         for i in range(frames)
     ]
     psd = naive_psd(traces)
@@ -165,18 +165,39 @@ def test_electronic_noise_level():
 
 def test_electronic_noise_requires_reference():
     det = DetectorSpec(electronic_noise_rel_db=-2.0)
-    zero = DetectedField(GRID, np.zeros(N, dtype=complex))
+    zero = np.zeros(N, dtype=complex)
     with pytest.raises(ValueError):
-        balanced_detect(zero, zero, det, normals(substream(66, 0), N))
+        balanced_detect(GRID, zero, zero, det, normals(substream(66, 0), N))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+@pytest.mark.parametrize("lit", [False, True], ids=["dark", "lit"])
+def test_readout_refuses_a_non_finite_sample(lit):
+    # every photocurrent, dark or lit, leaves detector_readout checked, so
+    # a run stops at its first block that overflows: a dark block through
+    # an overflowing shot level, a lit one through one overflowing sample
+    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    noise = normals(substream(67, 0), 2, N)
+    dp = np.zeros((2, N))
+    if lit:
+        dp += 2.0 * np.cos(2.0 * np.pi * BEAT * GRID.times())
+    ref = 1000.0
+    assert np.all(np.isfinite(detector_readout(dp, det, noise, ref)))
+    if lit:
+        dp[1, 7] = np.inf
+    else:
+        ref = np.inf
+    with pytest.raises(FloatingPointError, match="photocurrent samples must be finite"):
+        detector_readout(dp, det, noise, ref)
 
 
 def test_clipping_bounds_samples():
     det = DetectorSpec(clip_level=1.0)
     f1 = _carrier_field(10.0, C1)
     f2 = _carrier_field(10.0, C2)
-    trace = balanced_detect(f1, f2, det, None)
+    trace = balanced_detect(GRID, f1, f2, det, None)
     # mean removal follows the clip, so the bound holds up to the mean shift
-    assert trace.samples.max() - trace.samples.min() <= 2.0 + 1e-9
+    assert trace.max() - trace.min() <= 2.0 + 1e-9
 
 
 def test_gain_ripple_tilts_optical_spectrum():
@@ -187,7 +208,7 @@ def test_gain_ripple_tilts_optical_spectrum():
     traces = []
     for i in range(frames):
         f1, f2 = _vacuum_beams(e, e, substream(71, i))
-        traces.append(balanced_detect(f1, f2, det, None).samples)
+        traces.append(balanced_detect(GRID, f1, f2, det, None))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     lo = psd[np.abs(freqs - 5e6) < 0.3e6].mean()
@@ -208,7 +229,7 @@ def test_quantum_efficiency_degrades_squeezing():
     for i in range(frames):
         f1 = _beam(BeamSpec(e, C1), path1, substream(81, i, 0), qe=qe)
         f2 = _beam(BeamSpec(e, C2), path2, substream(81, i, 1), qe=qe)
-        traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
+        traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
     band = (freqs > 2e6) & (freqs < 18e6) & (np.abs(freqs - BEAT) > 1e6)
@@ -231,14 +252,15 @@ def test_linearized_matches_exact_detection():
     for i in range(frames):
         seed = substream(90, i)
         exact = balanced_detect(
+            GRID,
             _beam(beams[0], paths[0], substream(seed, 0)),
             _beam(beams[1], paths[1], substream(seed, 1)),
             IDEAL,
             None,
         )
         lin = linearized_output(GRID, beams, paths, seed)
-        diff.append(exact.samples - lin.samples)
-        floor.append(lin.samples)
+        diff.append(exact - lin)
+        floor.append(lin)
     res = naive_psd(diff)[band].mean()
     lvl = naive_psd(floor)[band].mean()
     assert res / lvl < 0.01
@@ -259,7 +281,7 @@ def test_squeeze_angle_swaps_quadrature():
         for i in range(frames):
             f1 = _beam(BeamSpec(e, C1), path, substream(95, i, 0))
             f2 = _beam(BeamSpec(e, C2), VACUUM, substream(95, i, 1))
-            traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
+            traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         floors[phase] = naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e, e)
     s, a = SqueezerSpec(x, 3e9, 1.0).squeezing_spectrum(BEAT)
     assert floors[0.0] == pytest.approx(0.5 * (s + 1.0), rel=0.03)
@@ -281,7 +303,7 @@ def test_reduction_independent_of_amplitudes():
         for i in range(frames):
             f1 = _beam(BeamSpec(e1, C1), paths[0], substream(97, i, 0))
             f2 = _beam(BeamSpec(e2, C2), paths[1], substream(97, i, 1))
-            traces.append(balanced_detect(f1, f2, IDEAL, None).samples)
+            traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         rels.append(naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e1, e2))
     se = 4 / np.sqrt(frames * band.sum())
     assert abs(rels[0] - rels[1]) < 3 * se
@@ -303,10 +325,10 @@ def test_schemes_agree_with_squeezers_off():
     beams = (BeamSpec(e, SF1), BeamSpec(e, SF2))
     lin, exact = [], []
     for i in range(frames):
-        lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)).samples)
+        lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)))
         f1 = _beam(beams[0], VACUUM, substream(15, i, 0))
         f2 = _beam(beams[1], VACUUM, substream(15, i, 1))
-        exact.append(balanced_detect(f1, f2, IDEAL, None).samples)
+        exact.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     p_lin = naive_psd(lin)[band].mean()
     p_exact = naive_psd(exact)[band].mean()
     se = 4 / np.sqrt(frames * band.sum())
@@ -326,7 +348,7 @@ def test_straightforward_phase_floor_matches_leakage_formula():
         lo = np.cos(2.0 * np.pi * BEAT * t + np.pi / 2.0)
         for i in range(frames):
             trace = straightforward_variant(GRID, beams, squeezers, substream(seed, i))
-            mixed = trace.samples * lo
+            mixed = trace * lo
             spec = np.fft.rfft(mixed)
             freqs = np.fft.rfftfreq(N, 1.0 / FS)
             spec[freqs > 4.5e6] = 0.0
@@ -359,7 +381,7 @@ def test_energy_bookkeeping():
     for i in range(frames):
         f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(52, i, 0))
         f2 = _beam(BeamSpec(e2, C2), VACUUM, substream(52, i, 1))
-        total += np.var(balanced_detect(f1, f2, det, normals(substream(52, i, 2), N), ref).samples)
+        total += np.var(balanced_detect(GRID, f1, f2, det, normals(substream(52, i, 2), N), ref))
     measured = total / frames
     classical = 2.0 * e1**2 * e2**2
     quantum = 2.0 * (e1**2 + e2**2)
@@ -383,8 +405,8 @@ def test_classical_phase_variance_calibration():
         extra = rng.normal(0.0, np.sqrt(var), N)
         f1 = _beam(BeamSpec(e, C1), VACUUM, substream(74, i, 0))
         f2 = _beam(BeamSpec(e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
-        trace = balanced_detect(f1, f2, IDEAL, None)
-        mixed = trace.samples * lo
+        trace = balanced_detect(GRID, f1, f2, IDEAL, None)
+        mixed = trace * lo
         spec = np.fft.rfft(mixed)
         freqs = np.fft.rfftfreq(N, 1.0 / FS)
         spec[freqs > 4.5e6] = 0.0
@@ -411,13 +433,6 @@ def test_spec_invariants():
         PhaseSignalSpec(0.0, 0.1)
     with pytest.raises(ValueError, match="jitter normals"):
         pickoff_noise_field(GRID, OpticalPath(1.0, SqueezerSpec(0.4, 30e6), 0.05), normals(0, *VAC))
-    with pytest.raises(ValueError):
-        balanced_detect(
-            DetectedField(GRID, np.zeros(N, dtype=complex)),
-            DetectedField(FrequencyGrid(FS, 2000, 30e6), np.zeros(2000, dtype=complex)),
-            IDEAL,
-            None,
-        )
 
 
 def test_block_rows_equal_single_frames():
@@ -440,32 +455,34 @@ def test_block_rows_equal_single_frames():
         for port, shape in ((0, VAC), (1, VAC), (2, (N,)), (3, ()))
     )
     block = balanced_detect(
+        GRID,
         compose_beam(carrier1, jittered, z1, jitter=zj),
         compose_beam(carrier2, vacuum, z2, extra),
         det,
         ze,
         ref,
     )
-    assert block.samples.shape == (3, N)
+    assert block.shape == (3, N)
     for i in range(len(seeds)):
         turned = replace(spec, squeeze_angle_rad=spec.squeeze_angle_rad + jittered.jitter_rms_rad * zj[i])
         single = balanced_detect(
+            GRID,
             compose_beam(carrier1, OpticalPath(0.96, turned), z1[i]),
             compose_beam(carrier2, vacuum, z2[i], extra[i]),
             det,
             ze[i],
             ref,
         )
-        assert np.array_equal(block.samples[i], single.samples)
+        assert np.array_equal(block[i], single)
 
 
 def _quadrature_psds(path, center, seed, frames=120):
     grid = preset_config("fig4-demod").frequency_grid()
     z = np.stack([normals(substream(seed, i), 2, grid.n_samples) for i in range(frames)])
     field = pickoff_noise_field(grid, path, z)
-    quads = quadrature_series(field, center)
+    a1, a2 = quadrature_series(grid, field, center)
     freqs = np.fft.rfftfreq(grid.n_samples, 1.0 / grid.sample_rate)
-    return freqs, naive_psd(quads.a1), naive_psd(quads.a2), frames
+    return freqs, naive_psd(a1), naive_psd(a2), frames
 
 
 @pytest.mark.parametrize("reflectivity, qe", [(0.97, 0.99), (0.8, 0.7)])

@@ -22,7 +22,7 @@ from sqzbeat.config import (
     validate_config,
 )
 from sqzbeat.dsp import auto_periodogram, chain_floor, hamming_power_from_moments, hamming_window
-from sqzbeat.fields import FieldRealization, apply_squeezer, quadrature_series, sideband_gains
+from sqzbeat.fields import apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
 from oracles import frame_spectrum
@@ -107,7 +107,8 @@ def _read_outputs(out_dir):
 
 
 def test_byte_identical_reruns_and_worker_invariance(tmp_path):
-    frames = 48
+    # two chunks, the second ending in a partial block, so two workers map two jobs
+    frames = 130
     a = tmp_path / "a"
     b = tmp_path / "b"
     c = tmp_path / "c"
@@ -275,9 +276,8 @@ def test_sweep_block_equals_the_full_field_path(patch):
     grid, frames = ctx.grid, range(5, 8)
     window, wnorm = hamming_window(grid.n_samples)
     gen = np.random.default_rng(12)
-    (run_id,) = ctx.acquisitions
-    got = next(ctx.periodograms(run_id, [frames]))
-    assert run_id == rng.RUN_SWEEP == 10
+    got = next(ctx.periodograms([frames]))
+    assert rng.RUN_SWEEP == 10
     assert set(got) == {"moments"} and got["moments"].shape == (len(frames), 2, 3, ctx.width + 2)
     moments = got["moments"].sum(axis=0)
 
@@ -285,15 +285,15 @@ def test_sweep_block_equals_the_full_field_path(patch):
     shape = (len(frames), grid.n_samples)
     full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     for row, i in zip(full, frames):
-        x = rng.generator(rng.substream(ctx.seed, run_id, i, 0)).standard_normal(2 * len(index))
+        x = rng.generator(rng.substream(ctx.seed, rng.RUN_SWEEP, i, 0)).standard_normal(2 * len(index))
         row[index] = np.sqrt(0.5 / grid.n_samples) * (x[: len(index)] + 1j * x[len(index) :])
     live = ctx.width
     assert live >= len(index) // 2 + 2
     for spec in ctx.specs:
         assert np.array_equal(sideband_gains(grid, spec)[0], index)
-        quads = quadrature_series(apply_squeezer(FieldRealization(grid, full), spec), grid.center_offset)
+        quads = quadrature_series(grid, apply_squeezer(grid, full, spec), grid.center_offset)
         mapped = ctx.spectra(moments, spec)
-        for p, q in zip(mapped, (quads.a1, quads.a2)):  # squeezed, then anti-squeezed
+        for p, q in zip(mapped, quads):  # squeezed, then anti-squeezed
             want = auto_periodogram(frame_spectrum(q, window), wnorm).sum(axis=0)
             assert np.max(np.abs(p[:live] - want[:live])) <= 1e-12 * np.max(want)
             assert np.max(want[live:], initial=0.0) <= 1e-12 * np.max(want)
@@ -520,11 +520,12 @@ def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
-    run_preset("vacuum-selftest", frames=2, out_dir=str(tmp_path / "selftest"))  # 3 acquisitions of one chunk
-    run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path / "sweep"))  # one acquisition of 2 chunks
-    assert sizes == [3, 2]
-    run_preset("appendixE-pump-sweep", frames=2, out_dir=str(tmp_path / "sweep"))  # one job runs without a pool
-    assert sizes == [3, 2]
+    run_preset("vacuum-selftest", frames=2, out_dir=str(tmp_path / "selftest"))  # one job runs without a pool
+    run_preset("appendixE-pump-sweep", frames=2, out_dir=str(tmp_path / "sweep"))
+    assert sizes == []
+    run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path / "sweep"))  # 2 chunks
+    run_preset("vacuum-selftest", frames=130, out_dir=str(tmp_path / "selftest"))  # 2 chunks, 3 acquisitions each
+    assert sizes == [2, 2]
 
 
 def test_frames_override_sets_epr_draws(tmp_path):
