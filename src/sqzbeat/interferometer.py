@@ -27,8 +27,8 @@ frame.
 The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
 so a beam arrives at the detector as a plain array of complex time
 samples, one row per frame of a block.  The photocurrent is a real array
-of the same shape; ``detector_readout`` forms every photocurrent, dark or
-lit, and refuses non-finite samples.
+of the same shape; every photocurrent, dark or lit, ends in
+``detector_readout``, which refuses non-finite samples.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
