@@ -39,10 +39,7 @@ from .fields import (
     quadrature_series,
 )
 from .interferometer import (
-    BeamSpec,
-    DetectorSpec,
     OpticalPath,
-    PhaseSignalSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,

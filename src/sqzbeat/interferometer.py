@@ -24,11 +24,12 @@ noise as drawn standard normals (a vacuum row is real parts then
 imaginary parts, ``fields.vacuum_rows``) and draws none; a jittered
 path's angle is its squeezer's plus the rms times one drawn normal per
 frame.
-The carrier, scaled by sqrt(qe), joins the path noise in the time domain,
-so a beam arrives at the detector as a plain array of complex time
-samples, one row per frame of a block.  The photocurrent is a real array
-of the same shape; every photocurrent, dark or lit, ends in
-``detector_readout``, which refuses non-finite samples.
+The carrier (``BeamCarrier``: amplitude, frequency and phase signal),
+scaled by sqrt(qe), joins the path noise in the time domain, so a beam
+arrives at the detector as a plain array of complex time samples, one row
+per frame of a block.  The photocurrent is a real array of the same shape;
+the detector is the run's ``DetectorConfig``, and every photocurrent,
+dark or lit, ends in ``detector_readout``, which refuses non-finite samples.
 
 Sign conventions (fixed by the field time series exp(-2j pi f t)): the
 classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
@@ -41,6 +42,7 @@ path has, mixes in the anti-squeezed quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,6 +54,9 @@ from .fields import (
     vacuum_rows,
 )
 
+if TYPE_CHECKING:
+    from .config import DetectorConfig
+
 SCHEMES = ("proposed", "straightforward", "unsqueezed")
 
 
@@ -59,32 +64,6 @@ def base_squeeze_angle(scheme: str) -> float:
     """Squeeze angle a scheme's squeezers sit at when aligned: the
     straightforward scheme must squeeze the phase quadrature."""
     return np.pi / 2.0 if scheme == "straightforward" else 0.0
-
-
-@dataclass(frozen=True)
-class PhaseSignalSpec:
-    """Relative-phase signal carried by a beam: mod_depth * sin(2 pi
-    mod_freq t), none at a depth of 0."""
-
-    mod_freq_hz: float = 0.0
-    mod_depth_rad: float = 0.0
-
-    def __post_init__(self):
-        if self.mod_depth_rad != 0.0 and self.mod_freq_hz <= 0:
-            raise ValueError("a nonzero mod_depth_rad needs mod_freq_hz > 0")
-
-
-@dataclass(frozen=True)
-class BeamSpec:
-    """Classical carrier of one beam, in shot-noise amplitude units."""
-
-    amplitude: float
-    carrier_freq_hz: float
-    phase_signal: PhaseSignalSpec = PhaseSignalSpec()
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,26 +85,6 @@ class OpticalPath:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Balanced detector electronics.
-
-    electronic_noise_rel_db is the white electronic-noise PSD relative to
-    the unsqueezed shot floor (None disables it); clip_level saturates the
-    photocurrent symmetrically; gain_ripple_db tilts the response by a
-    smooth +-ripple/2 cosine across 5-15 MHz.  The quantum efficiency
-    belongs to the optical paths and the carriers.
-    """
-
-    electronic_noise_rel_db: float | None = None
-    clip_level: float | None = None
-    gain_ripple_db: float = 0.0
-
-    def __post_init__(self):
-        if self.clip_level is not None and self.clip_level <= 0:
-            raise ValueError("clip_level must be positive when present")
 
 
 def unsqueezed_shot_psd(e1: float, e2: float, quantum_efficiency: float = 1.0) -> float:
@@ -155,17 +114,6 @@ def classical_phase_variance(
     return (2.0 / 3.0) * ratio * (e1 * e1 + e2 * e2) / (quantum_efficiency * e1 * e1 * e2 * e2)
 
 
-def phase_series(grid: FrequencyGrid, beam: BeamSpec, extra_phase: np.ndarray | None = None) -> np.ndarray:
-    """The beam's phase signal plus an optional noise series."""
-    theta = np.zeros(grid.n_samples)
-    sig = beam.phase_signal
-    if sig.mod_depth_rad != 0.0:
-        theta = theta + sig.mod_depth_rad * np.sin(2.0 * np.pi * sig.mod_freq_hz * grid.times())
-    if extra_phase is not None:
-        theta = theta + extra_phase
-    return theta
-
-
 def pickoff_noise_field(
     grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray, jitter: np.ndarray | None = None
 ) -> np.ndarray:
@@ -193,20 +141,35 @@ def pickoff_noise_field(
 class BeamCarrier:
     """Frame-invariant carrier terms of one beam at the detector.
 
-    ``ramp`` is 2 pi f_c t and ``theta0`` the deterministic phase (static
-    plus phase signal), so a frame forms only ramp + (theta0 + extra).
-    The amplitude is scaled by sqrt(quantum_efficiency), and the carrier
-    without extra phase is synthesized once, here.
+    The classical carrier of amplitude ``amplitude`` (shot-noise amplitude
+    units) at ``carrier_freq_hz``, optionally carrying the phase signal
+    mod_depth * sin(2 pi mod_freq t).  ``ramp`` is 2 pi f_c t and
+    ``theta0`` the deterministic phase (the phase signal), so a frame
+    forms only ramp + (theta0 + extra).  The amplitude is scaled by
+    sqrt(quantum_efficiency), and the carrier without extra phase is
+    synthesized once, here.
     """
 
-    def __init__(self, grid: FrequencyGrid, beam: BeamSpec, quantum_efficiency: float = 1.0):
-        grid.bin_index(beam.carrier_freq_hz)
+    def __init__(
+        self,
+        grid: FrequencyGrid,
+        amplitude: float,
+        carrier_freq_hz: float,
+        quantum_efficiency: float,
+        mod_freq_hz: float = 0.0,
+        mod_depth_rad: float = 0.0,
+    ):
+        grid.bin_index(carrier_freq_hz)
+        if amplitude < 0:
+            raise ValueError("amplitude must be >= 0")
         if not 0.0 < quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in (0, 1]")
+        if mod_depth_rad != 0.0 and mod_freq_hz <= 0:
+            raise ValueError("a nonzero mod_depth_rad needs mod_freq_hz > 0")
         self.grid = grid
-        self.amplitude = np.sqrt(quantum_efficiency) * beam.amplitude
-        self.ramp = 2.0 * np.pi * beam.carrier_freq_hz * grid.times()
-        self.theta0 = phase_series(grid, beam)
+        self.amplitude = np.sqrt(quantum_efficiency) * amplitude
+        self.ramp = 2.0 * np.pi * carrier_freq_hz * grid.times()
+        self.theta0 = mod_depth_rad * np.sin(2.0 * np.pi * mod_freq_hz * grid.times())
         self.steady = self._series(self.theta0)
 
     def _series(self, theta: np.ndarray) -> np.ndarray:
@@ -255,16 +218,17 @@ def balanced_detect(
     grid: FrequencyGrid,
     e1: np.ndarray,
     e2: np.ndarray,
-    det: DetectorSpec,
+    det: DetectorConfig,
     noise: np.ndarray | None,
     reference_shot_psd: float | None = None,
 ) -> np.ndarray:
-    """Exact balanced beat-note detection of two detected beams on ``grid``.
+    """Exact balanced beat-note detection of two detected beams on ``grid``
+    by the run's detector ``det`` (``cfg.detector``).
 
     The product form keeps every second-order noise term.  The gain
-    ripple shapes the product, and ``detector_readout`` follows with the
-    electronic noise's standard normals ``noise``.  Block fields give one
-    photocurrent row per frame.
+    ripple, a smooth +-ripple/2 cosine tilt across 5-15 MHz, shapes the
+    product; ``detector_readout`` follows with the electronic noise's
+    standard normals ``noise``.  Block fields give one row per frame.
     """
     beat = np.conjugate(e1)
     beat *= e2
@@ -275,17 +239,18 @@ def balanced_detect(
 
 
 def detector_readout(
-    dp: np.ndarray, det: DetectorSpec, noise: np.ndarray | None, reference_shot_psd: float | None = None
+    dp: np.ndarray, det: DetectorConfig, noise: np.ndarray | None, reference_shot_psd: float | None = None
 ) -> np.ndarray:
     """Detector electronics on one photocurrent frame or a block of them.
 
-    Adds white electronic noise at electronic_noise_rel_db relative to
-    ``reference_shot_psd``, ``noise`` (standard normals shaped like ``dp``;
-    unread without electronic noise) scaled to that level, clips, and
-    removes each frame's mean last.  A dark frame (``dp`` all zeros) is
-    the background acquisition.  Non-finite samples (an overflowing
-    carrier, say) raise FloatingPointError, which the CLI reports as a
-    numerical error.
+    Adds white electronic noise at ``det.electronic_noise_rel_db``
+    relative to ``reference_shot_psd`` (None disables it), ``noise``
+    (standard normals shaped like ``dp``; unread without electronic
+    noise) scaled to that level, clips symmetrically at ``det.clip_level``
+    (None disables it), and removes each frame's mean last.  A dark frame
+    (``dp`` all zeros) is the background acquisition.  Non-finite samples
+    (an overflowing carrier, say) raise FloatingPointError, which the CLI
+    reports as a numerical error.
     """
     if det.electronic_noise_rel_db is not None:
         if reference_shot_psd is None or noise is None:
@@ -293,6 +258,8 @@ def detector_readout(
         p_e = 10.0 ** (det.electronic_noise_rel_db / 10.0) * reference_shot_psd
         dp = dp + noise * np.sqrt(p_e)
     if det.clip_level is not None:
+        if det.clip_level <= 0:
+            raise ValueError("clip_level must be positive when present")
         dp = np.clip(dp, -det.clip_level, det.clip_level)
     dp = dp - dp.mean(axis=-1, keepdims=True)
     if not np.all(np.isfinite(dp)):

@@ -116,10 +116,7 @@ from .fields import (
 )
 from .interferometer import (
     BeamCarrier,
-    BeamSpec,
-    DetectorSpec,
     OpticalPath,
-    PhaseSignalSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -213,15 +210,12 @@ class _HeterodyneContext:
         b = cfg.beams
         c1, c2 = cfg.carrier_freqs()
         d = cfg.detector
-        self.carrier1 = BeamCarrier(self.grid, BeamSpec(b.e1, c1), d.quantum_efficiency)
-        mod = PhaseSignalSpec(b.mod_freq_hz, b.mod_depth_rad)
-        self.carrier2 = BeamCarrier(self.grid, BeamSpec(b.e2, c2, mod), d.quantum_efficiency)
-        self.det = DetectorSpec(d.electronic_noise_rel_db, d.clip_level, d.gain_ripple_db)
+        self.carrier1 = BeamCarrier(self.grid, b.e1, c1, d.quantum_efficiency)
+        self.carrier2 = BeamCarrier(self.grid, b.e2, c2, d.quantum_efficiency, b.mod_freq_hz, b.mod_depth_rad)
         self.ref_floor = unsqueezed_shot_psd(b.e1, b.e2, d.quantum_efficiency)
-        self.phase_var = classical_phase_variance(
-            b.classical_fraction, b.e1, b.e2, d.quantum_efficiency
+        self.phase_sigma = np.sqrt(
+            classical_phase_variance(b.classical_fraction, b.e1, b.e2, d.quantum_efficiency)
         )
-        self.phase_sigma = np.sqrt(self.phase_var)
         # One optical path per beam: the target's as configured, the
         # reference's the same efficiency with no squeezer.
         squeezed = (cfg.optical_path(0), cfg.optical_path(1))
@@ -272,7 +266,7 @@ class _HeterodyneContext:
             shapes = self.draws[run_name] = {} if dark else {rngs.PORT_BEAM1: (2, n), rngs.PORT_BEAM2: (2, n)}
             if d.electronic_noise_rel_db is not None:
                 shapes[rngs.PORT_DETECTOR] = (n,)
-            if not dark and self.phase_var > 0.0:
+            if not dark and self.phase_sigma > 0.0:
                 shapes[rngs.PORT_PHASE] = (n,)
             if run_name == "target" and jittered:
                 shapes[rngs.PORT_JITTER] = (jittered,)
@@ -296,7 +290,7 @@ class _HeterodyneContext:
         det_noise = noise.get(rngs.PORT_DETECTOR)
         if run_name == "background":
             dark = np.zeros((len(frames), self.grid.n_samples))
-            return detector_readout(dark, self.det, det_noise, self.ref_floor)
+            return detector_readout(dark, self.cfg.detector, det_noise, self.ref_floor)
         extra = noise.get(rngs.PORT_PHASE)
         if extra is not None:
             extra *= self.phase_sigma
@@ -306,7 +300,7 @@ class _HeterodyneContext:
         z1, z2 = (next(jitter) if p.jitter_rms_rad > 0 else None for p in (path1, path2))
         e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1), jitter=z1)
         e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra, z2)
-        return balanced_detect(self.grid, e1, e2, self.det, det_noise, reference_shot_psd=self.ref_floor)
+        return balanced_detect(self.grid, e1, e2, self.cfg.detector, det_noise, reference_shot_psd=self.ref_floor)
 
     # -- measurement -----------------------------------------------------
 

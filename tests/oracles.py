@@ -18,7 +18,7 @@ from sqzbeat.dsp import (
     local_oscillator,
 )
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
-from sqzbeat.interferometer import BeamSpec, OpticalPath, phase_series, pickoff_noise_field
+from sqzbeat.interferometer import OpticalPath, pickoff_noise_field
 from sqzbeat.rng import substream
 
 from helpers import normals
@@ -48,12 +48,14 @@ def quadrature_at_angle(q: tuple[np.ndarray, np.ndarray], angle_rad: float) -> n
 
 def linearized_output(
     grid: FrequencyGrid,
-    beams: tuple[BeamSpec, BeamSpec],
+    carriers: tuple[tuple[float, float], tuple[float, float]],
     paths: tuple[OpticalPath, OpticalPath],
     seed,
     extra_phase: np.ndarray | None = None,
 ) -> np.ndarray:
-    """First-order model of the balanced output (unit quantum efficiency).
+    """First-order model of the balanced output (unit quantum efficiency)
+    of two beams, each ``carriers`` entry an (amplitude, frequency) pair,
+    the second beam's phase shifted by ``extra_phase``.
 
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency, at
@@ -64,55 +66,52 @@ def linearized_output(
     ``compose_beam`` reads an unsqueezed path's normals as time samples,
     the same distribution but another realization.
     """
-    b1, b2 = beams
-    t = grid.times()
-    theta1 = phase_series(grid, b1)
-    theta2 = phase_series(grid, b2, extra_phase)
-    beat_hz = b2.carrier_freq_hz - b1.carrier_freq_hz
+    (e1, f1), (e2, f2) = carriers
+    beat = 2.0 * np.pi * (f2 - f1) * grid.times()
+    phase = beat if extra_phase is None else beat + extra_phase
 
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, paths[0], normals(substream(seed, 0), *vac))
     n2 = pickoff_noise_field(grid, paths[1], normals(substream(seed, 1), *vac))
-    qa, _ = quadrature_series(grid, n1, b2.carrier_freq_hz)
-    qb, _ = quadrature_series(grid, n2, b1.carrier_freq_hz)
+    qa, _ = quadrature_series(grid, n1, f2)
+    qb, _ = quadrature_series(grid, n2, f1)
 
-    dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(2.0 * np.pi * beat_hz * t + theta2 - theta1)
+    dp = 2.0 * e1 * e2 * np.cos(phase)
     root2 = np.sqrt(2.0)
-    dp = dp + root2 * b2.amplitude * qa
-    dp = dp + root2 * b1.amplitude * qb
+    dp = dp + root2 * e2 * qa
+    dp = dp + root2 * e1 * qb
     return dp - dp.mean()
 
 
 def straightforward_variant(
     grid: FrequencyGrid,
-    beams: tuple[BeamSpec, BeamSpec],
+    carriers: tuple[tuple[float, float], tuple[float, float]],
     squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     seed,
     extra_phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """First-order output when each beam carries squeezing at its own
-    carrier frequency.
+    carrier frequency; ``carriers`` and ``extra_phase`` as in
+    ``linearized_output``.
 
     The noise envelopes then ride on cos/sin of the beat instead of
     appearing at baseband, which folds anti-squeezed components from
     twice the beat frequency into the phase quadrature.
     """
-    b1, b2 = beams
-    t = grid.times()
-    theta1 = phase_series(grid, b1)
-    theta2 = phase_series(grid, b2, extra_phase)
-    beat = 2.0 * np.pi * (b2.carrier_freq_hz - b1.carrier_freq_hz) * t
+    (e1, f1), (e2, f2) = carriers
+    beat = 2.0 * np.pi * (f2 - f1) * grid.times()
+    phase = beat if extra_phase is None else beat + extra_phase
 
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), normals(substream(seed, 0), *vac))
     n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), normals(substream(seed, 1), *vac))
-    qa1, qa2 = quadrature_series(grid, n1, b1.carrier_freq_hz)
-    qb1, qb2 = quadrature_series(grid, n2, b2.carrier_freq_hz)
+    qa1, qa2 = quadrature_series(grid, n1, f1)
+    qb1, qb2 = quadrature_series(grid, n2, f2)
 
     root2 = np.sqrt(2.0)
-    dp = 2.0 * b1.amplitude * b2.amplitude * np.cos(beat + theta2 - theta1)
-    dp = dp + root2 * b2.amplitude * (qa1 * np.cos(beat) - qa2 * np.sin(beat))
-    dp = dp + root2 * b1.amplitude * (qb1 * np.cos(beat) + qb2 * np.sin(beat))
+    dp = 2.0 * e1 * e2 * np.cos(phase)
+    dp = dp + root2 * e2 * (qa1 * np.cos(beat) - qa2 * np.sin(beat))
+    dp = dp + root2 * e1 * (qb1 * np.cos(beat) + qb2 * np.sin(beat))
     return dp - dp.mean()
 
 

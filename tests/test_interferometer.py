@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from sqzbeat.budgets import detected_squeezing
-from sqzbeat.config import preset_config
+from sqzbeat.config import DetectorConfig, preset_config
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec
 from sqzbeat.interferometer import (
     BeamCarrier,
-    BeamSpec,
-    DetectorSpec,
     OpticalPath,
-    PhaseSignalSpec,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -34,7 +31,7 @@ GRID = FrequencyGrid(FS, N, 30e6)
 VAC = (2, N)  # the normals of one vacuum row on GRID
 BEAT = 10e6
 C1, C2 = 30e6, 40e6
-IDEAL = DetectorSpec()
+IDEAL = DetectorConfig(electronic_noise_rel_db=None)
 VACUUM = OpticalPath(1.0, None)
 
 
@@ -44,14 +41,15 @@ def _carrier_field(e, freq, theta=None):
     return e * np.exp(-1j * phase)
 
 
-def _beam(beam, path, seed, extra_phase=None, qe=1.0):
-    return compose_beam(BeamCarrier(GRID, beam, qe), path, normals(seed, *VAC), extra_phase)
+def _beam(carrier, path, seed, extra_phase=None, qe=1.0):
+    """The beam of ``carrier``, (amplitude, frequency[, mod_freq, mod_depth]), on ``path``."""
+    e, freq, *mod = carrier
+    return compose_beam(BeamCarrier(GRID, e, freq, qe, *mod), path, normals(seed, *VAC), extra_phase)
 
 
-def _vacuum_beams(e1, e2, seed, depth=0.0, mod_freq=3.125e6):
-    sig = PhaseSignalSpec(mod_freq, depth) if depth else PhaseSignalSpec()
-    f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(seed, 0))
-    f2 = _beam(BeamSpec(e2, C2, sig), VACUUM, substream(seed, 1))
+def _vacuum_beams(e1, e2, seed):
+    f1 = _beam((e1, C1), VACUUM, substream(seed, 0))
+    f2 = _beam((e2, C2), VACUUM, substream(seed, 1))
     return f1, f2
 
 
@@ -112,7 +110,7 @@ def test_compose_beam_dark_port_is_pure_vacuum():
     vac = np.sqrt(0.5) * gen.standard_normal(N)
     vac = vac + 1j * (np.sqrt(0.5) * gen.standard_normal(N))
     for efficiency in (1.0, 0.5):
-        out = _beam(BeamSpec(0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
+        out = _beam((0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
         assert np.array_equal(out, vac)
 
 
@@ -121,8 +119,8 @@ def test_carrier_scales_linearly_and_leaves_noise_bins():
     # delta, an exact tone at the carrier frequency
     qe = 0.81
     path = OpticalPath(0.97 * qe, None)
-    f1 = _beam(BeamSpec(100.0, C1), path, substream(4, 0), qe=qe)
-    f2 = _beam(BeamSpec(200.0, C1), path, substream(4, 0), qe=qe)
+    f1 = _beam((100.0, C1), path, substream(4, 0), qe=qe)
+    f2 = _beam((200.0, C1), path, substream(4, 0), qe=qe)
     tone = 0.9 * 100.0 * np.exp(-2j * np.pi * C1 * GRID.times())
     assert np.allclose(f2 - f1, tone, rtol=0, atol=1e-9)
 
@@ -132,8 +130,8 @@ def test_modulation_sideband_power_ratio():
     # the tone sits on a grid bin so the ratio is exact up to shot noise
     depth = 0.01
     mod = 3.2e6
-    b1 = BeamSpec(1000.0, C1)
-    b2 = BeamSpec(1000.0, C2, PhaseSignalSpec(mod, depth))
+    b1 = (1000.0, C1)
+    b2 = (1000.0, C2, mod, depth)
     f1 = _beam(b1, VACUUM, substream(5, 1))
     f2 = _beam(b2, VACUUM, substream(5, 2))
     trace = balanced_detect(GRID, f1, f2, IDEAL, None)
@@ -150,7 +148,7 @@ def test_modulation_sideband_power_ratio():
 
 
 def test_electronic_noise_level():
-    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    det = DetectorConfig(electronic_noise_rel_db=-2.0)
     ref = 1000.0
     frames = 200
     zero = np.zeros(N, dtype=complex)
@@ -164,7 +162,7 @@ def test_electronic_noise_level():
 
 
 def test_electronic_noise_requires_reference():
-    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    det = DetectorConfig(electronic_noise_rel_db=-2.0)
     zero = np.zeros(N, dtype=complex)
     with pytest.raises(ValueError):
         balanced_detect(GRID, zero, zero, det, normals(substream(66, 0), N))
@@ -176,7 +174,7 @@ def test_readout_refuses_a_non_finite_sample(lit):
     # every photocurrent, dark or lit, leaves detector_readout checked, so
     # a run stops at its first block that overflows: a dark block through
     # an overflowing shot level, a lit one through one overflowing sample
-    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    det = DetectorConfig(electronic_noise_rel_db=-2.0)
     noise = normals(substream(67, 0), 2, N)
     dp = np.zeros((2, N))
     if lit:
@@ -192,7 +190,7 @@ def test_readout_refuses_a_non_finite_sample(lit):
 
 
 def test_clipping_bounds_samples():
-    det = DetectorSpec(clip_level=1.0)
+    det = DetectorConfig(electronic_noise_rel_db=None, clip_level=1.0)
     f1 = _carrier_field(10.0, C1)
     f2 = _carrier_field(10.0, C2)
     trace = balanced_detect(GRID, f1, f2, det, None)
@@ -202,7 +200,7 @@ def test_clipping_bounds_samples():
 
 def test_gain_ripple_tilts_optical_spectrum():
     # the tilt shapes the photocurrent, not the electronic noise added after
-    det = DetectorSpec(gain_ripple_db=2.0)
+    det = DetectorConfig(electronic_noise_rel_db=None, gain_ripple_db=2.0)
     e = 400.0
     frames = 300
     traces = []
@@ -227,8 +225,8 @@ def test_quantum_efficiency_degrades_squeezing():
     frames = 250
     traces = []
     for i in range(frames):
-        f1 = _beam(BeamSpec(e, C1), path1, substream(81, i, 0), qe=qe)
-        f2 = _beam(BeamSpec(e, C2), path2, substream(81, i, 1), qe=qe)
+        f1 = _beam((e, C1), path1, substream(81, i, 0), qe=qe)
+        f2 = _beam((e, C2), path2, substream(81, i, 1), qe=qe)
         traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
@@ -244,7 +242,7 @@ def test_linearized_matches_exact_detection():
     spec2 = SqueezerSpec(0.365, 30e6, 0.833, center_freq_hz=C1)
     paths = (OpticalPath(0.97, spec1), OpticalPath(0.97, spec2))
     e = 1000.0
-    beams = (BeamSpec(e, C1), BeamSpec(e, C2))
+    beams = ((e, C1), (e, C2))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     band = (freqs > 2e6) & (freqs < 15e6)
     frames = 60
@@ -279,8 +277,8 @@ def test_squeeze_angle_swaps_quadrature():
         path = OpticalPath(1.0, spec)
         traces = []
         for i in range(frames):
-            f1 = _beam(BeamSpec(e, C1), path, substream(95, i, 0))
-            f2 = _beam(BeamSpec(e, C2), VACUUM, substream(95, i, 1))
+            f1 = _beam((e, C1), path, substream(95, i, 0))
+            f2 = _beam((e, C2), VACUUM, substream(95, i, 1))
             traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         floors[phase] = naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e, e)
     s, a = SqueezerSpec(x, 3e9, 1.0).squeezing_spectrum(BEAT)
@@ -301,8 +299,8 @@ def test_reduction_independent_of_amplitudes():
         paths = (OpticalPath(1.0, spec(C2)), OpticalPath(1.0, spec(C1)))
         traces = []
         for i in range(frames):
-            f1 = _beam(BeamSpec(e1, C1), paths[0], substream(97, i, 0))
-            f2 = _beam(BeamSpec(e2, C2), paths[1], substream(97, i, 1))
+            f1 = _beam((e1, C1), paths[0], substream(97, i, 0))
+            f2 = _beam((e2, C2), paths[1], substream(97, i, 1))
             traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         rels.append(naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e1, e2))
     se = 4 / np.sqrt(frames * band.sum())
@@ -322,7 +320,7 @@ def test_schemes_agree_with_squeezers_off():
     frames = 200
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     band = (freqs > 2e6) & (freqs < 15e6) & (np.abs(freqs - BEAT) > 1e6)
-    beams = (BeamSpec(e, SF1), BeamSpec(e, SF2))
+    beams = ((e, SF1), (e, SF2))
     lin, exact = [], []
     for i in range(frames):
         lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)))
@@ -340,7 +338,7 @@ def test_straightforward_phase_floor_matches_leakage_formula():
     # (3 s + a) / 4 relative to vacuum
     x = np.sqrt(90.0 / 600.0)
     e = 1000.0
-    beams = (BeamSpec(e, SF1), BeamSpec(e, SF2))
+    beams = ((e, SF1), (e, SF2))
 
     def phase_psd(squeezers, seed, frames=250):
         acc = []
@@ -374,13 +372,13 @@ def test_straightforward_phase_floor_matches_leakage_formula():
 
 def test_energy_bookkeeping():
     e1, e2 = 120.0, 80.0
-    det = DetectorSpec(electronic_noise_rel_db=-2.0)
+    det = DetectorConfig(electronic_noise_rel_db=-2.0)
     ref = unsqueezed_shot_psd(e1, e2)
     frames = 250
     total = 0.0
     for i in range(frames):
-        f1 = _beam(BeamSpec(e1, C1), VACUUM, substream(52, i, 0))
-        f2 = _beam(BeamSpec(e2, C2), VACUUM, substream(52, i, 1))
+        f1 = _beam((e1, C1), VACUUM, substream(52, i, 0))
+        f2 = _beam((e2, C2), VACUUM, substream(52, i, 1))
         total += np.var(balanced_detect(GRID, f1, f2, det, normals(substream(52, i, 2), N), ref))
     measured = total / frames
     classical = 2.0 * e1**2 * e2**2
@@ -403,8 +401,8 @@ def test_classical_phase_variance_calibration():
     for i in range(frames):
         rng = np.random.default_rng(substream(73, i))
         extra = rng.normal(0.0, np.sqrt(var), N)
-        f1 = _beam(BeamSpec(e, C1), VACUUM, substream(74, i, 0))
-        f2 = _beam(BeamSpec(e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
+        f1 = _beam((e, C1), VACUUM, substream(74, i, 0))
+        f2 = _beam((e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
         trace = balanced_detect(GRID, f1, f2, IDEAL, None)
         mixed = trace * lo
         spec = np.fft.rfft(mixed)
@@ -423,14 +421,16 @@ def test_classical_phase_variance_calibration():
 def test_spec_invariants():
     with pytest.raises(ValueError):
         OpticalPath(1.5, None)
-    with pytest.raises(ValueError):
-        BeamCarrier(GRID, BeamSpec(1.0, C1), quantum_efficiency=0.0)
-    with pytest.raises(ValueError):
-        DetectorSpec(clip_level=-1.0)
-    with pytest.raises(ValueError):
-        BeamSpec(-1.0, C1)
-    with pytest.raises(ValueError):
-        PhaseSignalSpec(0.0, 0.1)
+    with pytest.raises(ValueError, match="quantum_efficiency"):
+        BeamCarrier(GRID, 1.0, C1, quantum_efficiency=0.0)
+    with pytest.raises(ValueError, match="amplitude"):
+        BeamCarrier(GRID, -1.0, C1, 1.0)
+    with pytest.raises(ValueError, match="mod_freq_hz"):
+        BeamCarrier(GRID, 1.0, C1, 1.0, mod_freq_hz=0.0, mod_depth_rad=0.1)
+    # the detector is the run's config, checked where the photocurrent is clipped
+    for level in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="clip_level"):
+            detector_readout(np.zeros(N), replace(IDEAL, clip_level=level), None)
     with pytest.raises(ValueError, match="jitter normals"):
         pickoff_noise_field(GRID, OpticalPath(1.0, SqueezerSpec(0.4, 30e6), 0.05), normals(0, *VAC))
 
@@ -443,9 +443,9 @@ def test_block_rows_equal_single_frames():
     jittered = OpticalPath(0.96, spec, jitter_rms_rad=0.05)
     vacuum = OpticalPath(0.96, None)
     qe = 0.95
-    carrier1 = BeamCarrier(GRID, BeamSpec(700.0, C1), qe)
-    carrier2 = BeamCarrier(GRID, BeamSpec(800.0, C2, PhaseSignalSpec(3.11e6, 1e-3)), qe)
-    det = DetectorSpec(electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
+    carrier1 = BeamCarrier(GRID, 700.0, C1, qe)
+    carrier2 = BeamCarrier(GRID, 800.0, C2, qe, 3.11e6, 1e-3)
+    det = DetectorConfig(electronic_noise_rel_db=-3.0, clip_level=2e6, gain_ripple_db=0.5)
     ref = unsqueezed_shot_psd(700.0, 800.0, qe)
     seeds = [substream(31, i) for i in range(3)]
     extra = np.random.default_rng(substream(32, 0)).normal(0.0, 1e-3, (3, N))
