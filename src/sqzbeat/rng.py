@@ -171,7 +171,9 @@ def pcg64_states(entropy: int, spawn_keys) -> list[tuple[int, int]]:
     ``PCG64.state``.
     """
     keys = np.asarray(spawn_keys, dtype=np.int64)
-    if keys.size and not (keys.min() >= 0 and keys.max() <= _MASK32):
+    if not keys.size:
+        return []
+    if not (keys.min() >= 0 and keys.max() <= _MASK32):
         raise ValueError("spawn key entries must lie in [0, 2^32)")
     pool, const = _entropy_pool(int(entropy))
     consts = _hash_constants(const, _MULT_A, _POOL_SIZE * keys.shape[1])

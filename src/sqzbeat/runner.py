@@ -326,9 +326,7 @@ class _HeterodyneContext:
         acquisition after another, keyed by acquisition."""
         periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
         for run_name in RUN_NAMES:
-            # All ports, also those an acquisition never draws: hashing them
-            # costs microseconds per chunk and spares a list of ports per acquisition.
-            streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), rngs.PORTS)
+            streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), tuple(self.draws[run_name]))
             for frames in blocks:
                 noise = self._normals(run_name, streams, frames)
                 x = self._photocurrent(run_name, frames, noise)

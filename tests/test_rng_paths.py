@@ -165,6 +165,15 @@ def test_chunk_streams_draw_the_rows_of_fresh_generators(entropy):
             assert np.array_equal(streams.generator(frame, port).normal(0.0, 1.0, 500), want)
 
 
+def test_chunk_streams_of_no_port_hash_no_key():
+    # a chunk hashes only the ports its acquisition draws, and some draw
+    # none (appendixG-straightforward's background)
+    assert rng.pcg64_states(1, []) == []
+    streams = rng.ChunkStreams(1, rng.RUN_BACKGROUND, range(4), ())
+    with pytest.raises(KeyError):
+        streams.generator(0, rng.PORT_BEAM1)
+
+
 def test_bulk_states_refuse_keys_of_more_than_one_word():
     with pytest.raises(ValueError, match="2\\^32"):
         rng.pcg64_states(1, [(0, 2**32, 0)])

@@ -128,13 +128,38 @@ def test_byte_identical_reruns_and_worker_invariance(tmp_path):
     assert blobs_a == _read_outputs(c)
 
 
-def test_worker_env_override(tmp_path, monkeypatch):
-    frames = 32
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each worker pool a run asks for.  A pool starts every
+    worker at its first submit; a stand-in records the size asked for and
+    maps in-process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_worker_env_override(tmp_path, monkeypatch, pool_sizes):
+    frames = 130  # two chunk jobs, so two workers make a pool
     a = tmp_path / "a"
     b = tmp_path / "b"
     run_preset("vacuum-selftest", frames=frames, out_dir=str(a), workers=1)
     monkeypatch.setenv("SQZBEAT_WORKERS", "2")
     run_preset("vacuum-selftest", frames=frames, out_dir=str(b))
+    assert pool_sizes == [2]
     assert _read_outputs(a) == _read_outputs(b)
 
 
@@ -500,32 +525,14 @@ def test_worker_counts_of_any_integer_type_resolve_to_int(workers):
     assert count == workers and type(count) is int
 
 
-def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path):
-    # a pool starts every worker at its first submit; a stand-in records
-    # the size asked for and maps in-process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path, pool_sizes):
     monkeypatch.setenv("SQZBEAT_WORKERS", "5000")
     run_preset("vacuum-selftest", frames=2, out_dir=str(tmp_path / "selftest"))  # one job runs without a pool
     run_preset("appendixE-pump-sweep", frames=2, out_dir=str(tmp_path / "sweep"))
-    assert sizes == []
+    assert pool_sizes == []
     run_preset("appendixE-pump-sweep", frames=130, out_dir=str(tmp_path / "sweep"))  # 2 chunks
     run_preset("vacuum-selftest", frames=130, out_dir=str(tmp_path / "selftest"))  # 2 chunks, 3 acquisitions each
-    assert sizes == [2, 2]
+    assert pool_sizes == [2, 2]
 
 
 def test_frames_override_sets_epr_draws(tmp_path):
