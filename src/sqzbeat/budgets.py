@@ -69,7 +69,8 @@ class NoiseBudget:
 
     @property
     def reduction_db(self) -> float:
-        return float(-10.0 * np.log10(self.floor))
+        # + 0.0 turns the -0.0 of a floor of exactly 1 into 0.0
+        return float(-10.0 * np.log10(self.floor)) + 0.0
 
 
 def _weighted_mean(w: np.ndarray, per_source) -> float:

@@ -602,9 +602,10 @@ def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarr
         tag = f"pump{int(round(power)):03d}mw"
         avg_s = float(np.mean(mc_s[band]))
         avg_a = float(np.mean(mc_a[band]))
-        extras[f"opo.{tag}.band_avg_squeezed_db"] = f"{-10 * np.log10(avg_s):.4f}"
+        # + 0.0 turns the -0.0 of a level of exactly 1 (a pump of 0 mW) into 0.0
+        extras[f"opo.{tag}.band_avg_squeezed_db"] = f"{-10 * np.log10(avg_s) + 0.0:.4f}"
         extras[f"opo.{tag}.band_avg_anti_db"] = f"{10 * np.log10(avg_a):.4f}"
-        extras[f"opo.{tag}.model_squeezed_db"] = f"{-10 * np.log10(np.mean(model_s[band])):.4f}"
+        extras[f"opo.{tag}.model_squeezed_db"] = f"{-10 * np.log10(np.mean(model_s[band])) + 0.0:.4f}"
         extras[f"opo.{tag}.model_anti_db"] = f"{10 * np.log10(np.mean(model_a[band])):.4f}"
         if prev_band_avg is not None and avg_s >= prev_band_avg:
             extras["opo.monotone_improvement"] = "false"

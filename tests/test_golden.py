@@ -34,7 +34,9 @@ frame) rewrote the ``stream_layout`` line of every summary, the sweep's
 lines and digests from 100 mW up, and no heterodyne spectrum's digest;
 the first power keeps its stream, so its lines and files are unchanged.
 Dropping ``fields.apply_squeezer``'s scalar loop over each row's center
-bin, which the array step computes too, changed no golden.
+bin, which the array step computes too, changed no golden.  Printing a
+level of exactly 0 dB as 0.0000 instead of -0.0000 rewrote the two
+``predicted_db`` lines of ``vacuum-selftest``, whose budget floor is 1.
 """
 
 import hashlib
@@ -63,6 +65,13 @@ def test_golden_summary(name, tmp_path):
     with open(os.path.join(GOLDEN, f"{name}.summary.txt"), "rb") as fh:
         expected = fh.read()
     assert (tmp_path / "summary.txt").read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+def test_golden_summary_prints_no_negative_zero(name):
+    # a level of exactly 0 dB (a predicted floor of 1, a 0 mW pump) reads 0.0000
+    with open(os.path.join(GOLDEN, f"{name}.summary.txt"), encoding="utf-8") as fh:
+        assert [line for line in fh if "=-0.0000" in line] == []
 
 
 def _block_boundary_digests(name):

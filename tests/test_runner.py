@@ -285,6 +285,14 @@ def test_opo_sweep_outputs(tmp_path):
         assert (tmp_path / f"{tag}_antisqueezed.txt").exists()
 
 
+def test_a_sweep_at_0_mw_prints_0_db_unsigned(tmp_path):
+    # the model squeezes nothing at 0 mW: -10 log10(1) is -0.0, printed as 0.0000
+    cfg = merge_config(preset_config("appendixE-pump-sweep"), {"opo_sweep": {"pump_powers_mw": [0.0, 100.0]}})
+    summary = run(cfg, frames=2, out_dir=str(tmp_path))
+    assert summary.extras["opo.pump000mw.model_squeezed_db"] == "0.0000"
+    assert "=-0.0000" not in (tmp_path / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "patch", [{}, {"opo_sweep": {"anchor_hz": 0.0}}], ids=["preset-anchor", "zero-anchor"]
 )
