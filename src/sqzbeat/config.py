@@ -58,9 +58,8 @@ MAX_CARRIER = 1e6
 # 1e-6 and a classical fraction of 1 - 2^-53, the largest variance the
 # bounds admit is (2/3) 2^53 (2e-12) / 1e-30 = 1.2e34, which stays finite.
 MIN_QUANTUM_EFFICIENCY = 1e-6
-# The runner queues one job per 128-frame chunk, running every acquisition
-# of its frames, before the first frame runs: 10^7 frames are 78k jobs,
-# hours at today's rates.
+# The runner queues one job per 128-frame chunk, for every acquisition, before
+# the first frame runs: 10^7 frames are 78k jobs, hours at today's rates.
 MAX_FRAMES = 10**7
 
 

@@ -51,11 +51,9 @@ def linearized_output(
     carriers: tuple[tuple[float, float], tuple[float, float]],
     paths: tuple[OpticalPath, OpticalPath],
     seed,
-    extra_phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """First-order model of the balanced output (unit quantum efficiency)
-    of two beams, each ``carriers`` entry an (amplitude, frequency) pair,
-    the second beam's phase shifted by ``extra_phase``.
+    of two beams, each ``carriers`` entry an (amplitude, frequency) pair.
 
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency, at
@@ -68,7 +66,6 @@ def linearized_output(
     """
     (e1, f1), (e2, f2) = carriers
     beat = 2.0 * np.pi * (f2 - f1) * grid.times()
-    phase = beat if extra_phase is None else beat + extra_phase
 
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, paths[0], normals(substream(seed, 0), *vac))
@@ -76,7 +73,7 @@ def linearized_output(
     qa, _ = quadrature_series(grid, n1, f2)
     qb, _ = quadrature_series(grid, n2, f1)
 
-    dp = 2.0 * e1 * e2 * np.cos(phase)
+    dp = 2.0 * e1 * e2 * np.cos(beat)
     root2 = np.sqrt(2.0)
     dp = dp + root2 * e2 * qa
     dp = dp + root2 * e1 * qb
@@ -88,11 +85,9 @@ def straightforward_variant(
     carriers: tuple[tuple[float, float], tuple[float, float]],
     squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     seed,
-    extra_phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """First-order output when each beam carries squeezing at its own
-    carrier frequency; ``carriers`` and ``extra_phase`` as in
-    ``linearized_output``.
+    carrier frequency; ``carriers`` as in ``linearized_output``.
 
     The noise envelopes then ride on cos/sin of the beat instead of
     appearing at baseband, which folds anti-squeezed components from
@@ -100,7 +95,6 @@ def straightforward_variant(
     """
     (e1, f1), (e2, f2) = carriers
     beat = 2.0 * np.pi * (f2 - f1) * grid.times()
-    phase = beat if extra_phase is None else beat + extra_phase
 
     vac = (2, grid.n_samples)
     n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), normals(substream(seed, 0), *vac))
@@ -109,7 +103,7 @@ def straightforward_variant(
     qb1, qb2 = quadrature_series(grid, n2, f2)
 
     root2 = np.sqrt(2.0)
-    dp = 2.0 * e1 * e2 * np.cos(phase)
+    dp = 2.0 * e1 * e2 * np.cos(beat)
     dp = dp + root2 * e2 * (qa1 * np.cos(beat) - qa2 * np.sin(beat))
     dp = dp + root2 * e1 * (qb1 * np.cos(beat) + qb2 * np.sin(beat))
     return dp - dp.mean()
