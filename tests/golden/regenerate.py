@@ -32,11 +32,13 @@ GOLDEN = os.path.dirname(os.path.abspath(__file__))
 # (name, preset, patch) of each run whose outputs are pinned.  The presets
 # run at their default seed; the variants reach what those runs do not: a
 # sweep anchored at 0 Hz, whose sidebands reach the Nyquist bin, seeds of
-# two 32-bit words, and a demod run with squeeze-angle jitter on both
-# squeezers, detector gain ripple and a clip level it reaches.
+# two 32-bit words, a demod run with squeeze-angle jitter on both
+# squeezers, detector gain ripple and a clip level it reaches, and the
+# straightforward scheme, whose dark background draws no port.
 BOUNDARY_RUNS = (
     ("fig4-demod", "fig4-demod", {}),
     ("fig3-raw", "fig3-raw", {}),
+    ("appendixG-straightforward", "appendixG-straightforward", {}),
     ("appendixE-pump-sweep", "appendixE-pump-sweep", {}),
     ("appendixE-pump-sweep-anchor0", "appendixE-pump-sweep", {"opo_sweep": {"anchor_hz": 0.0}}),
     ("fig3-raw-seed2e32", "fig3-raw", {"seed": 2**32 + 20230811}),

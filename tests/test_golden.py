@@ -18,7 +18,10 @@ partial block.  They are ``fig4-demod``, ``fig3-raw`` and
 (its sidebands reach the Nyquist bin), ``fig3-raw`` and the sweep at
 a seed of two 32-bit words, and ``fig4-demod`` with squeeze-angle jitter
 on both squeezers, gain ripple and a clip level it reaches (added at
-stream layout 5, with every other line unchanged).  The heterodyne spectra's digests were rewritten for
+stream layout 5, with every other line unchanged), and
+``appendixG-straightforward``, whose dark background draws no port
+(added at stream layout 6 from the code before its background stopped
+running blocks, with every other line unchanged).  The heterodyne spectra's digests were rewritten for
 stream layout 3, whose block rows
 ``test_interferometer.test_block_rows_equal_single_frames`` checks
 against one-frame synthesis; the sweep's for stream layout 4, whose
