@@ -39,7 +39,6 @@ from .fields import (
     quadrature_series,
 )
 from .interferometer import (
-    OpticalPath,
     balanced_detect,
     classical_phase_variance,
     compose_beam,

@@ -6,8 +6,9 @@ spectra, the classical-noise ceiling, phase-jitter penalties, and the
 leakage floor of same-frequency squeezing.  Each of these formulas is
 written once, as a private helper that both its named function and the
 per-band ``heterodyne_budget`` call; ``band_budget`` builds a config's
-band budget without a run from ``cfg.optical_path`` alone, the records
-synthesis injects.  All functions are pure and stateless.
+band budget without a run from ``cfg.detected_squeezer`` alone, the
+specs synthesis squeezes with, path losses folded in.  All functions are
+pure and stateless.
 
 Relative floors are linear power versus the unsqueezed shot-noise
 reference, which is normalized to 1 including any classical phase-noise
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .fields import SqueezerSpec
-from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
+from .interferometer import SCHEMES, base_squeeze_angle
 
 _BANDS = ("lower", "upper", "demod")
 
@@ -185,25 +186,10 @@ def straightforward_phase_floor(s_linear: float, a_linear: float) -> float:
     return _fold(s_linear, a_linear)
 
 
-def detected_squeezing(spec: SqueezerSpec, eps_hz, path_efficiency: float = 1.0):
-    """(s, a) pair seen by the detector after the injection loss chain.
-
-    ``path_efficiency`` is the product of every power efficiency between
-    the squeezer output and the photocurrent (pickoff reflectivity,
-    detector quantum efficiency, ...); each step mixes in vacuum.
-    """
-    if not 0.0 <= path_efficiency <= 1.0:
-        raise ValueError("path_efficiency must be in [0, 1]")
-    s, a = spec.squeezing_spectrum(eps_hz)
-    s = path_efficiency * s + (1.0 - path_efficiency)
-    a = path_efficiency * a + (1.0 - path_efficiency)
-    return s, a
-
-
 def heterodyne_budget(
     scheme: str,
     eps_hz,
-    paths: tuple[OpticalPath, OpticalPath],
+    squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     weights: tuple[float, float],
     classical_fraction: float = 0.0,
     band_kind: str = "demod",
@@ -214,9 +200,10 @@ def heterodyne_budget(
     ``eps_hz`` are the sideband offsets of the analysis bins (the demod
     band passes the offsets of the raw bins folding into it); the floor
     averages the squeezing spectrum over them, mirroring the linear-power
-    band mean of the estimator.  Each path's squeezing is read at its
-    efficiency and averaged over a Gaussian angle error about its offset
-    (squeeze angle less the scheme's base angle) of rms its jitter.  The
+    band mean of the estimator.  Each source's squeezing is read from its
+    spec as the detector sees it (None: vacuum) and averaged over a
+    Gaussian angle error about its offset (squeeze angle less the
+    scheme's base angle) of rms its jitter.  The
     straightforward floor assumes the squeezing is flat across the folded
     bands.
 
@@ -238,14 +225,14 @@ def heterodyne_budget(
     direct = np.ones(2)
     leak = np.zeros(2)
     folded = scheme == "straightforward"
-    for i, path in enumerate(paths):
-        spec = path.squeezer
-        s_bar, a_bar, theta0 = 1.0, 1.0, 0.0
+    for i, spec in enumerate(squeezers):
+        s_bar, a_bar, theta0, sigma = 1.0, 1.0, 0.0, 0.0
         if spec is not None:
-            s, a = detected_squeezing(spec, eps, path.efficiency)
+            s, a = spec.squeezing_spectrum(eps)
             s_bar, a_bar = float(np.mean(s)), float(np.mean(a))
             theta0 = spec.squeeze_angle_rad - base_squeeze_angle(scheme)
-        direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta0, path.jitter_rms_rad, folded)
+            sigma = spec.jitter_rms_rad
+        direct[i], leak[i] = _angle_mix(s_bar, a_bar, theta0, sigma, folded)
 
     if band_kind not in ("raw", "demod"):
         raise ValueError("band_kind must be 'raw' or 'demod'")
@@ -262,9 +249,10 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     """Budget of the analysis bins ``freqs`` of a heterodyne config's band.
 
     Raw bands read the squeezing at the bins themselves; demodulated bands
-    fold the bins of both sidebands of the beat.  The two optical paths
-    (squeezer, angle, jitter and efficiency R * qe) come only from
-    ``cfg.optical_path``, the records the simulator synthesizes.
+    fold the bins of both sidebands of the beat.  The two squeezers
+    (angle, jitter, and escape efficiency with the path loss R * qe folded
+    in) come only from ``cfg.detected_squeezer``, the specs the simulator
+    squeezes with.
     """
     ms = cfg.measurement
     if ms.kind == "raw":
@@ -280,7 +268,7 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     return heterodyne_budget(
         cfg.scheme,
         eps,
-        (cfg.optical_path(0), cfg.optical_path(1)),
+        (cfg.detected_squeezer(0), cfg.detected_squeezer(1)),
         weights=(cfg.beams.e2**2, cfg.beams.e1**2),
         classical_fraction=cfg.beams.classical_fraction,
         band_kind="raw" if ms.kind == "raw" else "demod",

@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, field, is_dataclass, replace
 import numpy as np
 
 from .fields import BandError, FrequencyGrid, SqueezerSpec
-from .interferometer import SCHEMES, OpticalPath, base_squeeze_angle
+from .interferometer import SCHEMES, base_squeeze_angle
 
 MEASUREMENTS = ("raw", "demod", "demod-no-cross")
 
@@ -239,29 +239,29 @@ class ExperimentConfig:
             return c1, c2
         return c2, c1
 
-    def optical_path(self, source: int) -> OpticalPath:
-        """Path of source ``source``'s injected noise to the photocurrent,
+    def detected_squeezer(self, source: int) -> SqueezerSpec | None:
+        """The squeezing source ``source`` injects, as the detector sees it:
         the one place the scheme and the pickoff config become what a beam
-        injects.  Synthesis and the band budget both read this record.
+        injects.  Synthesis and the band budget both read this spec.
 
-        Its efficiency is pickoff reflectivity times detector quantum
-        efficiency.  The squeezer sits at the scheme's base angle plus its
-        offset and carries its jitter; the unsqueezed scheme and a pump
-        ratio of 0 inject none.
+        The pickoff reflectivity R and the detector quantum efficiency qe
+        are beam splitters after the squeezer, so they fold into its escape
+        efficiency once: S -> R qe S + 1 - R qe.  The squeezer sits at the
+        scheme's base angle plus its offset and carries its jitter; the
+        unsqueezed scheme and a pump ratio of 0 inject none (None).
         """
         pick = (self.pickoff1, self.pickoff2)[source]
-        efficiency = pick.reflectivity * self.detector.quantum_efficiency
         sq = pick.squeezer
         if self.scheme == "unsqueezed" or sq is None or sq.pump_ratio <= 0.0:
-            return OpticalPath(efficiency)
-        spec = SqueezerSpec(
+            return None
+        return SqueezerSpec(
             pump_ratio=sq.pump_ratio,
             hwhm_hz=sq.hwhm_hz,
-            escape_efficiency=sq.escape_efficiency,
+            escape_efficiency=sq.escape_efficiency * (pick.reflectivity * self.detector.quantum_efficiency),
             squeeze_angle_rad=base_squeeze_angle(self.scheme) + sq.angle_offset_rad,
             center_freq_hz=self.squeezer_centers()[source],
+            jitter_rms_rad=sq.angle_jitter_rms_rad,
         )
-        return OpticalPath(efficiency, spec, sq.angle_jitter_rms_rad)
 
 
 @dataclass(frozen=True)

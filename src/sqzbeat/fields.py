@@ -20,7 +20,8 @@ function that needs the grid takes it as its first argument.
 Sideband pairs about a squeezer center transform jointly: the quadrature
 at the squeeze angle is multiplied by sqrt(S_minus(eps)) and the orthogonal
 one by sqrt(S_plus(eps)), which realizes the below-threshold cavity model
-with escape efficiency, and an optical path's later losses, folded in.
+with escape efficiency folded in.  The losses a beam meets after the
+squeezer fold into that efficiency too (``ExperimentConfig.detected_squeezer``).
 Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
 tests' reference) produce the same Gaussian state; gains are used so the
 operation stays a pure function of the field, the spec and the squeeze
@@ -103,7 +104,8 @@ class SqueezerSpec:
     pump_ratio is sqrt(P_pump / P_threshold); hwhm_hz the cavity half width
     at half maximum; escape_efficiency the fraction of the squeezed field
     that survives to the output; squeeze_angle_rad the quadrature that is
-    de-amplified; center_freq_hz the baseband anchor of the squeezer.
+    de-amplified; center_freq_hz the baseband anchor of the squeezer;
+    jitter_rms_rad the rms of a per-frame jitter about the squeeze angle.
     """
 
     pump_ratio: float
@@ -111,6 +113,7 @@ class SqueezerSpec:
     escape_efficiency: float = 1.0
     squeeze_angle_rad: float = 0.0
     center_freq_hz: float = 0.0
+    jitter_rms_rad: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.pump_ratio < 1.0:
@@ -119,6 +122,8 @@ class SqueezerSpec:
             raise ValueError("hwhm_hz must be positive")
         if not 0.0 <= self.escape_efficiency <= 1.0:
             raise ValueError("escape_efficiency must be in [0, 1]")
+        if self.jitter_rms_rad < 0:
+            raise ValueError("jitter_rms_rad must be >= 0")
 
     def squeezing_spectrum(self, eps_hz):
         """(squeezed, anti-squeezed) PSD pair at sideband offset eps_hz.

@@ -1,4 +1,4 @@
-"""Optical paths, beam assembly and balanced beat-note detection.
+"""Beam assembly and balanced beat-note detection.
 
 Two beams at carriers separated by the beat frequency are built as
 classical carriers riding on injected noise fields.  The balanced
@@ -14,18 +14,19 @@ Noise*), negligible at the presets' carriers and dominant at weak ones.
 
 Every lossy step between a squeezer and the photocurrent (the pickoff of
 reflectivity R, the detector of quantum efficiency qe) is a beam splitter
-that admits vacuum, so together they act as one loss of efficiency R * qe:
-an ``OpticalPath``.  A squeezed path realizes sqrt(eta) S(v0) +
-sqrt(1 - eta) v1 from v0 alone, squeezing at escape efficiency times eta;
-loss leaves vacuum vacuum, so an unsqueezed one is one row of time
-samples.  The path also carries the rms jitter of its squeeze angle,
-which the budget folds into the angle error.  Every function takes its
-noise as drawn standard normals (a vacuum row is real parts then
-imaginary parts, ``fields.vacuum_rows``) and draws none; a jittered
-path's angle is its squeezer's plus the rms times one drawn normal per
-frame.
+that admits vacuum, so together they act as one loss of efficiency R * qe.
+sqrt(eta) S(v0) + sqrt(1 - eta) v1 is the squeezer S at escape efficiency
+times eta acting on v0 alone, so a beam's path is the ``SqueezerSpec`` the
+detector sees, that loss folded in once by
+``ExperimentConfig.detected_squeezer``; the band budget reads the same
+spec.  Loss leaves vacuum vacuum, so an unsqueezed beam (no spec) is one
+row of time samples.  The spec also carries the rms jitter of its
+squeeze angle.  Every function takes its noise as drawn standard normals
+(a vacuum row is real parts then imaginary parts, ``fields.vacuum_rows``)
+and draws none; a jittered squeezer's angle is its own plus the rms
+times one drawn normal per frame.
 The carrier (``BeamCarrier``: amplitude, frequency and phase signal),
-scaled by sqrt(qe), joins the path noise in the time domain, so a beam
+scaled by sqrt(qe), joins that noise in the time domain, so a beam
 arrives at the detector as a plain array of complex time samples, one row
 per frame of a block.  The photocurrent is a real array of the same shape;
 the detector is the run's ``DetectorConfig``, and every photocurrent,
@@ -36,12 +37,11 @@ classical beat is 2 E1 E2 cos(2 pi beat t + theta2 - theta1), and the
 noise riding on beam i is detected at quadrature angle -theta_other.
 The scheme fixes the squeeze angle the measurement reads
 (``base_squeeze_angle``); a squeezer set away from it, the only angle a
-path has, mixes in the anti-squeezed quadrature.
+beam's noise has, mixes in the anti-squeezed quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,27 +64,6 @@ def base_squeeze_angle(scheme: str) -> float:
     """Squeeze angle a scheme's squeezers sit at when aligned: the
     straightforward scheme must squeeze the phase quadrature."""
     return np.pi / 2.0 if scheme == "straightforward" else 0.0
-
-
-@dataclass(frozen=True)
-class OpticalPath:
-    """Path of one beam's injected noise from its squeezer to the photocurrent.
-
-    ``efficiency`` is the product of every power efficiency on the way
-    (pickoff reflectivity times detector quantum efficiency);
-    ``squeezer=None`` injects plain vacuum.  The squeezer's
-    ``squeeze_angle_rad`` is the one angle of the path, and
-    ``jitter_rms_rad`` the rms of the per-frame jitter about it: a frame
-    turns the squeezer by ``jitter_rms_rad`` times its jitter normal.
-    """
-
-    efficiency: float = 1.0
-    squeezer: SqueezerSpec | None = None
-    jitter_rms_rad: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
 
 
 def unsqueezed_shot_psd(e1: float, e2: float, quantum_efficiency: float = 1.0) -> float:
@@ -115,27 +94,26 @@ def classical_phase_variance(
 
 
 def pickoff_noise_field(
-    grid: FrequencyGrid, path: OpticalPath, normals: np.ndarray, jitter: np.ndarray | None = None
+    grid: FrequencyGrid, squeezer: SqueezerSpec | None, normals: np.ndarray, jitter: np.ndarray | None = None
 ) -> np.ndarray:
-    """Noise field that an optical path delivers to the detector, for one
+    """Noise field that a beam's squeezer delivers to the detector, for one
     frame or, with normals of shape (frames, 2, n), a block of them.
 
-    The vacuum of ``normals`` (``make_vacuum_field``) is squeezed with the
-    path efficiency eta folded into the escape efficiency: gains
-    sqrt(eta s + 1 - eta) and sqrt(eta a + 1 - eta), as a loss eta after
-    the squeezer would give.  ``jitter`` holds the standard normal of each
-    frame's angle jitter, read only on a jittered path.
+    The vacuum of ``normals`` (``make_vacuum_field``) is squeezed by
+    ``squeezer`` as given, the spec the detector sees, with every later
+    loss already in its escape efficiency; None leaves it vacuum.
+    ``jitter`` holds the standard normal of each frame's angle jitter,
+    read only for a jittered squeezer.
     """
     vac = make_vacuum_field(grid, normals)
-    if path.squeezer is None:
+    if squeezer is None:
         return vac
-    sq = path.squeezer
-    angle = sq.squeeze_angle_rad
-    if path.jitter_rms_rad > 0:
+    angle = squeezer.squeeze_angle_rad
+    if squeezer.jitter_rms_rad > 0:
         if jitter is None:
-            raise ValueError("a jittered path needs its jitter normals")
-        angle = angle + path.jitter_rms_rad * jitter
-    return apply_squeezer(grid, vac, replace(sq, escape_efficiency=sq.escape_efficiency * path.efficiency), angle)
+            raise ValueError("a jittered squeezer needs its jitter normals")
+        angle = angle + squeezer.jitter_rms_rad * jitter
+    return apply_squeezer(grid, vac, squeezer, angle)
 
 
 class BeamCarrier:
@@ -187,28 +165,28 @@ class BeamCarrier:
 
 def compose_beam(
     carrier: BeamCarrier,
-    path: OpticalPath,
+    squeezer: SqueezerSpec | None,
     normals: np.ndarray,
     extra_phase: np.ndarray | None = None,
     jitter: np.ndarray | None = None,
 ) -> np.ndarray:
     """One beam at the detector, as complex time samples in shot-noise
-    amplitude units: its path noise plus its carrier.
+    amplitude units: its noise plus its carrier.
 
-    The path noise comes from the standard normals ``normals`` of its
-    vacuum row, shape (2, n): squeezed bins (``pickoff_noise_field``, with
-    the angle-jitter normals ``jitter``) after an FFT or, unsqueezed,
-    vacuum time samples.  The carrier is synthesized in the time domain
+    The noise comes from the standard normals ``normals`` of its vacuum
+    row, shape (2, n): bins squeezed by ``squeezer``
+    (``pickoff_noise_field``, with the angle-jitter normals ``jitter``)
+    after an FFT or, with no squeezer, vacuum time samples.  The carrier is synthesized in the time domain
     (so phase modulation is exact) and added there.  ``extra_phase``
     carries any phase-noise realization synthesized by the caller.  For a
     block of frames ``normals`` has shape (frames, 2, n), ``jitter`` one
     normal per frame and ``extra_phase`` one row per frame; the field then
     has one row per frame.
     """
-    if path.squeezer is None:
+    if squeezer is None:
         samples = vacuum_rows(normals, np.sqrt(0.5))
     else:
-        samples = np.fft.fft(pickoff_noise_field(carrier.grid, path, normals, jitter))
+        samples = np.fft.fft(pickoff_noise_field(carrier.grid, squeezer, normals, jitter))
     if carrier.amplitude != 0.0:
         samples += carrier.series(extra_phase)
     return samples

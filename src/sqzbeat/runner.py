@@ -42,13 +42,14 @@ frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
 Synthesis follows stream layout 6 (``rng``; heterodyne and sweep
-summaries record ``stream_layout=6``).  The context builds one optical
-path per beam (``cfg.optical_path``: squeezer at its angle, angle jitter
-and efficiency R * qe, the record ``budgets.band_budget`` reads too).  Each path reads
-one vacuum row: the reference's unsqueezed ones as time samples, the
-target's squeezed ones as bins squeezed with the path loss folded into
-the gains, a jittered squeezer turned row by row by its drawn angle
-(one standard normal per frame times the rms).  The carriers,
+summaries record ``stream_layout=6``).  The context takes each beam's
+squeezer as the detector sees it (``cfg.detected_squeezer``: angle,
+angle jitter, and the path loss R * qe folded into its escape
+efficiency, the spec ``budgets.band_budget`` reads too).  Each beam
+reads one vacuum row: the reference's unsqueezed ones as time samples,
+the target's squeezed ones as bins squeezed by that spec, a jittered
+squeezer turned row by row by its drawn angle (one standard normal per
+frame times the rms).  The carriers,
 scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
@@ -116,7 +117,6 @@ from .fields import (
 )
 from .interferometer import (
     BeamCarrier,
-    OpticalPath,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -216,13 +216,10 @@ class _HeterodyneContext:
         self.phase_sigma = np.sqrt(
             classical_phase_variance(b.classical_fraction, b.e1, b.e2, d.quantum_efficiency)
         )
-        # One optical path per beam: the target's as configured, the
-        # reference's the same efficiency with no squeezer.
-        squeezed = (cfg.optical_path(0), cfg.optical_path(1))
-        self.paths = {
-            "reference": tuple(OpticalPath(p.efficiency) for p in squeezed),
-            "target": squeezed,
-        }
+        # Each beam's squeezer as the detector sees it: the target's as
+        # configured, none on the reference.
+        squeezed = (cfg.detected_squeezer(0), cfg.detected_squeezer(1))
+        self.squeezers = {"reference": (None, None), "target": squeezed}
         n = self.grid.n_samples
         fs = self.grid.sample_rate
         self.freqs = np.fft.rfftfreq(n, d=1.0 / fs)
@@ -259,7 +256,7 @@ class _HeterodyneContext:
         # frame of each acquisition draws, by port, only where it reads
         # them.  A beam's vacuum row is real parts, then imaginary parts;
         # the target draws one angle per jittered squeezer.
-        jittered = sum(p.jitter_rms_rad > 0 for p in squeezed)
+        jittered = sum(sq is not None and sq.jitter_rms_rad > 0 for sq in squeezed)
         self.draws = {}
         for run_name in RUN_NAMES:
             dark = run_name == "background"
@@ -294,12 +291,12 @@ class _HeterodyneContext:
         extra = noise.get(rngs.PORT_PHASE)
         if extra is not None:
             extra *= self.phase_sigma
-        path1, path2 = self.paths[run_name]
-        # One jitter normal per frame and jittered path, in beam order.
+        sq1, sq2 = self.squeezers[run_name]
+        # One jitter normal per frame and jittered squeezer, in beam order.
         jitter = iter(noise[rngs.PORT_JITTER].T) if rngs.PORT_JITTER in noise else None
-        z1, z2 = (next(jitter) if p.jitter_rms_rad > 0 else None for p in (path1, path2))
-        e1 = compose_beam(self.carrier1, path1, noise.pop(rngs.PORT_BEAM1), jitter=z1)
-        e2 = compose_beam(self.carrier2, path2, noise.pop(rngs.PORT_BEAM2), extra, z2)
+        z1, z2 = (next(jitter) if sq is not None and sq.jitter_rms_rad > 0 else None for sq in (sq1, sq2))
+        e1 = compose_beam(self.carrier1, sq1, noise.pop(rngs.PORT_BEAM1), jitter=z1)
+        e2 = compose_beam(self.carrier2, sq2, noise.pop(rngs.PORT_BEAM2), extra, z2)
         return balanced_detect(self.grid, e1, e2, self.cfg.detector, det_noise, reference_shot_psd=self.ref_floor)
 
     # -- measurement -----------------------------------------------------

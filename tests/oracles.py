@@ -1,5 +1,6 @@
-"""Test oracles: first-order models of the balanced output, and the
-measurement chain in the time domain: one-frame filter, demodulation and
+"""Test oracles: the loss chain a squeezer's spectrum passes to the
+detector, first-order models of the balanced output, and the measurement
+chain in the time domain: one-frame filter, demodulation and
 averaged-spectrum estimators, the reference the runner's chain on rfft
 bins is compared against."""
 
@@ -18,10 +19,23 @@ from sqzbeat.dsp import (
     local_oscillator,
 )
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec, quadrature_series
-from sqzbeat.interferometer import OpticalPath, pickoff_noise_field
+from sqzbeat.interferometer import pickoff_noise_field
 from sqzbeat.rng import substream
 
 from helpers import normals
+
+
+def detected_squeezing(spec: SqueezerSpec, eps_hz, path_efficiency: float):
+    """(s, a) pair seen by the detector after the injection loss chain.
+
+    ``path_efficiency`` is the product of every power efficiency between
+    the squeezer output and the photocurrent (pickoff reflectivity,
+    detector quantum efficiency); each step mixes in vacuum, so a PSD p
+    leaves it as eta p + 1 - eta.  Production folds eta into the escape
+    efficiency instead (``ExperimentConfig.detected_squeezer``).
+    """
+    s, a = spec.squeezing_spectrum(eps_hz)
+    return path_efficiency * s + (1.0 - path_efficiency), path_efficiency * a + (1.0 - path_efficiency)
 
 
 def filter_frame(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -49,7 +63,7 @@ def quadrature_at_angle(q: tuple[np.ndarray, np.ndarray], angle_rad: float) -> n
 def linearized_output(
     grid: FrequencyGrid,
     carriers: tuple[tuple[float, float], tuple[float, float]],
-    paths: tuple[OpticalPath, OpticalPath],
+    squeezers: tuple[SqueezerSpec | None, SqueezerSpec | None],
     seed,
 ) -> np.ndarray:
     """First-order model of the balanced output (unit quantum efficiency)
@@ -57,19 +71,19 @@ def linearized_output(
 
     Emits the classical beat plus sqrt(2) E_other times the noise
     quadrature of each beam read at the opposing carrier frequency, at
-    angle 0, since no carrier has a static phase.  Draws each path's
+    angle 0, since no carrier has a static phase.  Draws each beam's
     vacuum row from ``substream(seed, 0)`` and ``substream(seed, 1)``, as
-    the tests feed ``compose_beam``, so on squeezed paths the residual
+    the tests feed ``compose_beam``, so on squeezed beams the residual
     against the exact product isolates the dropped second-order terms;
-    ``compose_beam`` reads an unsqueezed path's normals as time samples,
+    ``compose_beam`` reads an unsqueezed beam's normals as time samples,
     the same distribution but another realization.
     """
     (e1, f1), (e2, f2) = carriers
     beat = 2.0 * np.pi * (f2 - f1) * grid.times()
 
     vac = (2, grid.n_samples)
-    n1 = pickoff_noise_field(grid, paths[0], normals(substream(seed, 0), *vac))
-    n2 = pickoff_noise_field(grid, paths[1], normals(substream(seed, 1), *vac))
+    n1 = pickoff_noise_field(grid, squeezers[0], normals(substream(seed, 0), *vac))
+    n2 = pickoff_noise_field(grid, squeezers[1], normals(substream(seed, 1), *vac))
     qa, _ = quadrature_series(grid, n1, f2)
     qb, _ = quadrature_series(grid, n2, f1)
 
@@ -97,8 +111,8 @@ def straightforward_variant(
     beat = 2.0 * np.pi * (f2 - f1) * grid.times()
 
     vac = (2, grid.n_samples)
-    n1 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[0]), normals(substream(seed, 0), *vac))
-    n2 = pickoff_noise_field(grid, OpticalPath(1.0, squeezers[1]), normals(substream(seed, 1), *vac))
+    n1 = pickoff_noise_field(grid, squeezers[0], normals(substream(seed, 0), *vac))
+    n2 = pickoff_noise_field(grid, squeezers[1], normals(substream(seed, 1), *vac))
     qa1, qa2 = quadrature_series(grid, n1, f1)
     qb1, qb2 = quadrature_series(grid, n2, f2)
 

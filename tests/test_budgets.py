@@ -11,17 +11,15 @@ from sqzbeat.budgets import (
     SqueezingLevels,
     band_budget,
     classical_noise_limit,
-    detected_squeezing,
     heterodyne_budget,
     phase_jitter_penalty,
     predicted_reduction,
     straightforward_phase_floor,
 )
-from sqzbeat.config import list_presets, preset_config
+from sqzbeat.config import list_presets, merge_config, preset_config
 from sqzbeat.fields import SqueezerSpec
-from sqzbeat.interferometer import OpticalPath
 
-VACUUM = OpticalPath()
+from oracles import detected_squeezing
 
 MEASURED = SqueezingLevels(
     s_lower_db=(4.5, 4.16),
@@ -168,21 +166,22 @@ def test_straightforward_floor_matches_covariance_oracle():
         assert abs(oracle / formula - 1.0) < 1e-6
 
 
-def test_detected_squeezing_loss_chain():
-    spec = SqueezerSpec(0.5, 3e9, 1.0)
-    s, a = detected_squeezing(spec, 1e6, path_efficiency=0.8)
-    s0, a0 = spec.squeezing_spectrum(1e6)
-    assert s == pytest.approx(0.8 * s0 + 0.2, abs=1e-12)
-    assert a == pytest.approx(0.8 * a0 + 0.2, abs=1e-12)
+def test_loss_folds_into_the_escape_efficiency():
+    # a loss eta after the squeezer, eta s + 1 - eta, is the squeezer at
+    # escape efficiency times eta
+    spec = SqueezerSpec(0.5, 3e9, 0.9)
+    eps = np.linspace(0.0, 2e10, 7)
+    folded = replace(spec, escape_efficiency=0.9 * 0.8).squeezing_spectrum(eps)
+    for got, want in zip(folded, detected_squeezing(spec, eps, 0.8)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_heterodyne_budget_items_and_floors():
     spec = SqueezerSpec(np.sqrt(90.0 / 600.0), 3e9, 0.8)
-    path = OpticalPath(1.0, spec)
     budget = heterodyne_budget(
         "proposed",
         (6.89e6, 13.11e6),
-        (path, path),
+        (spec, spec),
         weights=(1.0, 1.0),
         classical_fraction=0.1,
     )
@@ -190,13 +189,13 @@ def test_heterodyne_budget_items_and_floors():
     s_band = float(np.mean(spec.squeezing_spectrum(np.array([6.89e6, 13.11e6]))[0]))
     assert budget.floor == pytest.approx(0.9 * s_band + 0.1, abs=1e-9)
 
-    vac = heterodyne_budget("unsqueezed", (6.89e6,), (VACUUM, VACUUM), (1.0, 1.0))
+    vac = heterodyne_budget("unsqueezed", (6.89e6,), (None, None), (1.0, 1.0))
     assert vac.floor == pytest.approx(1.0, abs=1e-12)
     assert vac.reduction_db == pytest.approx(0.0, abs=1e-12)
 
     # straightforward squeezers sit on the phase quadrature, the scheme's
     # base angle
-    phase = OpticalPath(1.0, replace(spec, squeeze_angle_rad=np.pi / 2.0))
+    phase = replace(spec, squeeze_angle_rad=np.pi / 2.0)
     forward = heterodyne_budget(
         "straightforward", (1e6,), (phase, phase), weights=(1.0, 1.0)
     )
@@ -205,17 +204,17 @@ def test_heterodyne_budget_items_and_floors():
 
     # the schemes coincide only at zero squeezing: the proposed floor is
     # the squeezed quadrature itself
-    proposed = heterodyne_budget("proposed", (1e6,), (path, path), (1.0, 1.0))
+    proposed = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
     assert proposed.floor == pytest.approx(s, abs=1e-9)
     assert forward.floor > proposed.floor
-    off = heterodyne_budget("straightforward", (1e6,), (VACUUM, VACUUM), (1.0, 1.0))
+    off = heterodyne_budget("straightforward", (1e6,), (None, None), (1.0, 1.0))
     assert off.floor == pytest.approx(1.0, abs=1e-12)
 
 
 def test_budget_raw_band_carries_reduced_classical_weight():
     kw = dict(
         eps_hz=(6.89e6,),
-        paths=(VACUUM, VACUUM),
+        squeezers=(None, None),
         weights=(1.0, 1.0),
         classical_fraction=0.1,
     )
@@ -228,9 +227,8 @@ def test_budget_raw_band_carries_reduced_classical_weight():
 
 def test_budget_angle_error_leaks_antisqueezing():
     spec = SqueezerSpec(0.5, 3e9, 1.0)
-    path = OpticalPath(1.0, spec)
-    aligned = heterodyne_budget("proposed", (1e6,), (path, path), (1.0, 1.0))
-    turned = OpticalPath(1.0, replace(spec, squeeze_angle_rad=0.2))
+    aligned = heterodyne_budget("proposed", (1e6,), (spec, spec), (1.0, 1.0))
+    turned = replace(spec, squeeze_angle_rad=0.2)
     tilted = heterodyne_budget("proposed", (1e6,), (turned, turned), (1.0, 1.0))
     assert tilted.terms["anti_squeezed_leakage"] > 0.0
     assert tilted.floor > aligned.floor
@@ -258,3 +256,35 @@ def test_band_budget_without_a_run_matches_golden_prediction(name):
     for band in cfg.measurement.bands:
         predicted = band_budget(cfg, freqs[band.mask(freqs)]).reduction_db
         assert f"band.{band.label}.predicted_db={predicted:.4f}" in lines
+
+
+# A lossy pickoff, a lossy detector and a jittered, turned squeezer on
+# each source, so every factor of the fold is away from 1.
+LOSSY_JITTERED = {
+    "pickoff1": {"reflectivity": 0.8, "squeezer": {"angle_jitter_rms_rad": 0.1, "angle_offset_rad": 0.05}},
+    "pickoff2": {"reflectivity": 0.9, "squeezer": {"angle_jitter_rms_rad": 0.2}},
+    "detector": {"quantum_efficiency": 0.7},
+}
+
+
+@pytest.mark.parametrize(
+    "name, patch",
+    [(name, {}) for name in HETERODYNE_PRESETS] + [("fig4-demod", LOSSY_JITTERED), ("fig3-raw", LOSSY_JITTERED)],
+    ids=HETERODYNE_PRESETS + ["fig4-demod-lossy-jittered", "fig3-raw-lossy-jittered"],
+)
+def test_detected_squeezer_is_the_loss_chain(name, patch):
+    # the one fold of the path loss R qe into the escape efficiency gives
+    # the spectrum the explicit loss chain gives the config's own squeezer
+    cfg = merge_config(preset_config(name), patch)
+    eps = np.linspace(0.0, 60e6, 241)
+    qe = cfg.detector.quantum_efficiency
+    for i, pick in enumerate((cfg.pickoff1, cfg.pickoff2)):
+        folded = cfg.detected_squeezer(i)
+        sq = pick.squeezer
+        if cfg.scheme == "unsqueezed" or sq is None or sq.pump_ratio == 0.0:
+            assert folded is None
+            continue
+        unfolded = SqueezerSpec(sq.pump_ratio, sq.hwhm_hz, sq.escape_efficiency)
+        for got, want in zip(folded.squeezing_spectrum(eps), detected_squeezing(unfolded, eps, pick.reflectivity * qe)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert folded.jitter_rms_rad == sq.angle_jitter_rms_rad

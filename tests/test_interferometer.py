@@ -1,17 +1,15 @@
-"""Optical paths, beam composition and balanced detection against
-first-order theory and the closed-form loss chain."""
+"""Squeezed noise at the detector, beam composition and balanced
+detection against first-order theory and the closed-form loss chain."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sqzbeat.budgets import detected_squeezing
 from sqzbeat.config import DetectorConfig, preset_config
 from sqzbeat.fields import FrequencyGrid, SqueezerSpec
 from sqzbeat.interferometer import (
     BeamCarrier,
-    OpticalPath,
     balanced_detect,
     classical_phase_variance,
     compose_beam,
@@ -23,7 +21,7 @@ from sqzbeat.fields import quadrature_series
 from sqzbeat.rng import substream
 
 from helpers import naive_psd, normals
-from oracles import linearized_output, straightforward_variant
+from oracles import detected_squeezing, linearized_output, straightforward_variant
 
 FS = 125e6
 N = 2500
@@ -32,7 +30,6 @@ VAC = (2, N)  # the normals of one vacuum row on GRID
 BEAT = 10e6
 C1, C2 = 30e6, 40e6
 IDEAL = DetectorConfig(electronic_noise_rel_db=None)
-VACUUM = OpticalPath(1.0, None)
 
 
 def _carrier_field(e, freq, theta=None):
@@ -41,15 +38,16 @@ def _carrier_field(e, freq, theta=None):
     return e * np.exp(-1j * phase)
 
 
-def _beam(carrier, path, seed, extra_phase=None, qe=1.0):
-    """The beam of ``carrier``, (amplitude, frequency[, mod_freq, mod_depth]), on ``path``."""
+def _beam(carrier, squeezer, seed, extra_phase=None, qe=1.0):
+    """The beam of ``carrier``, (amplitude, frequency[, mod_freq, mod_depth]),
+    with the noise ``squeezer`` delivers (None: vacuum)."""
     e, freq, *mod = carrier
-    return compose_beam(BeamCarrier(GRID, e, freq, qe, *mod), path, normals(seed, *VAC), extra_phase)
+    return compose_beam(BeamCarrier(GRID, e, freq, qe, *mod), squeezer, normals(seed, *VAC), extra_phase)
 
 
 def _vacuum_beams(e1, e2, seed):
-    f1 = _beam((e1, C1), VACUUM, substream(seed, 0))
-    f2 = _beam((e2, C2), VACUUM, substream(seed, 1))
+    f1 = _beam((e1, C1), None, substream(seed, 0))
+    f2 = _beam((e2, C2), None, substream(seed, 1))
     return f1, f2
 
 
@@ -86,10 +84,10 @@ def test_shot_floor_level():
 
 
 def test_pickoff_loss_mixes_squeezing():
-    # 97% pickoff turns flat squeezing s into 0.97 s + 0.03
+    # 97% pickoff turns flat squeezing s into 0.97 s + 0.03: a squeezer
+    # whose escape efficiency holds the pickoff
     x = 0.5195253280689318
-    spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C1)
-    pick = OpticalPath(0.97, spec)
+    pick = SqueezerSpec(x, 3e9, 1.0 * 0.97, center_freq_hz=C1)
     frames = 350
     acc = []
     for i in range(frames):
@@ -103,24 +101,21 @@ def test_pickoff_loss_mixes_squeezing():
 
 
 def test_compose_beam_dark_port_is_pure_vacuum():
-    # no squeezer, no carrier: loss leaves vacuum vacuum, so at any path
-    # efficiency the beam is the one row of its substream drawn as time
-    # samples, real and imaginary parts N(0, 1/2) each, with no FFT
+    # no squeezer, no carrier: loss leaves vacuum vacuum, so the beam is
+    # the one row of its substream drawn as time samples, real and
+    # imaginary parts N(0, 1/2) each, with no FFT
     gen = np.random.default_rng(substream(3, 0))
     vac = np.sqrt(0.5) * gen.standard_normal(N)
     vac = vac + 1j * (np.sqrt(0.5) * gen.standard_normal(N))
-    for efficiency in (1.0, 0.5):
-        out = _beam((0.0, C1), OpticalPath(efficiency, None), substream(3, 0))
-        assert np.array_equal(out, vac)
+    assert np.array_equal(_beam((0.0, C1), None, substream(3, 0)), vac)
 
 
 def test_carrier_scales_linearly_and_leaves_noise_bins():
     # same seed: the two fields differ only by sqrt(qe) times the carrier
     # delta, an exact tone at the carrier frequency
     qe = 0.81
-    path = OpticalPath(0.97 * qe, None)
-    f1 = _beam((100.0, C1), path, substream(4, 0), qe=qe)
-    f2 = _beam((200.0, C1), path, substream(4, 0), qe=qe)
+    f1 = _beam((100.0, C1), None, substream(4, 0), qe=qe)
+    f2 = _beam((200.0, C1), None, substream(4, 0), qe=qe)
     tone = 0.9 * 100.0 * np.exp(-2j * np.pi * C1 * GRID.times())
     assert np.allclose(f2 - f1, tone, rtol=0, atol=1e-9)
 
@@ -132,8 +127,8 @@ def test_modulation_sideband_power_ratio():
     mod = 3.2e6
     b1 = (1000.0, C1)
     b2 = (1000.0, C2, mod, depth)
-    f1 = _beam(b1, VACUUM, substream(5, 1))
-    f2 = _beam(b2, VACUUM, substream(5, 2))
+    f1 = _beam(b1, None, substream(5, 1))
+    f2 = _beam(b2, None, substream(5, 2))
     trace = balanced_detect(GRID, f1, f2, IDEAL, None)
     spec = np.abs(np.fft.rfft(trace)) ** 2
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
@@ -217,16 +212,14 @@ def test_gain_ripple_tilts_optical_spectrum():
 
 def test_quantum_efficiency_degrades_squeezing():
     x = 0.5195253280689318
-    spec = SqueezerSpec(x, 3e9, 1.0, center_freq_hz=C2)
     qe = 0.6
-    path1 = OpticalPath(qe, spec)
-    path2 = OpticalPath(qe, None)
+    spec = SqueezerSpec(x, 3e9, 1.0 * qe, center_freq_hz=C2)
     e = 500.0
     frames = 250
     traces = []
     for i in range(frames):
-        f1 = _beam((e, C1), path1, substream(81, i, 0), qe=qe)
-        f2 = _beam((e, C2), path2, substream(81, i, 1), qe=qe)
+        f1 = _beam((e, C1), spec, substream(81, i, 0), qe=qe)
+        f2 = _beam((e, C2), None, substream(81, i, 1), qe=qe)
         traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
     psd = naive_psd(traces)
@@ -238,9 +231,10 @@ def test_quantum_efficiency_degrades_squeezing():
 
 
 def test_linearized_matches_exact_detection():
-    spec1 = SqueezerSpec(0.387, 30e6, 0.833, center_freq_hz=C2)
-    spec2 = SqueezerSpec(0.365, 30e6, 0.833, center_freq_hz=C1)
-    paths = (OpticalPath(0.97, spec1), OpticalPath(0.97, spec2))
+    squeezers = (
+        SqueezerSpec(0.387, 30e6, 0.833 * 0.97, center_freq_hz=C2),
+        SqueezerSpec(0.365, 30e6, 0.833 * 0.97, center_freq_hz=C1),
+    )
     e = 1000.0
     beams = ((e, C1), (e, C2))
     freqs = np.fft.rfftfreq(N, 1.0 / FS)
@@ -251,12 +245,12 @@ def test_linearized_matches_exact_detection():
         seed = substream(90, i)
         exact = balanced_detect(
             GRID,
-            _beam(beams[0], paths[0], substream(seed, 0)),
-            _beam(beams[1], paths[1], substream(seed, 1)),
+            _beam(beams[0], squeezers[0], substream(seed, 0)),
+            _beam(beams[1], squeezers[1], substream(seed, 1)),
             IDEAL,
             None,
         )
-        lin = linearized_output(GRID, beams, paths, seed)
+        lin = linearized_output(GRID, beams, squeezers, seed)
         diff.append(exact - lin)
         floor.append(lin)
     res = naive_psd(diff)[band].mean()
@@ -274,11 +268,10 @@ def test_squeeze_angle_swaps_quadrature():
     floors = {}
     for phase in (0.0, np.pi / 2.0):
         spec = SqueezerSpec(x, 3e9, 1.0, squeeze_angle_rad=phase, center_freq_hz=C2)
-        path = OpticalPath(1.0, spec)
         traces = []
         for i in range(frames):
-            f1 = _beam((e, C1), path, substream(95, i, 0))
-            f2 = _beam((e, C2), VACUUM, substream(95, i, 1))
+            f1 = _beam((e, C1), spec, substream(95, i, 0))
+            f2 = _beam((e, C2), None, substream(95, i, 1))
             traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         floors[phase] = naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e, e)
     s, a = SqueezerSpec(x, 3e9, 1.0).squeezing_spectrum(BEAT)
@@ -296,11 +289,10 @@ def test_reduction_independent_of_amplitudes():
     rels = []
     frames = 220
     for e1, e2 in ((500.0, 500.0), (1500.0, 250.0)):
-        paths = (OpticalPath(1.0, spec(C2)), OpticalPath(1.0, spec(C1)))
         traces = []
         for i in range(frames):
-            f1 = _beam((e1, C1), paths[0], substream(97, i, 0))
-            f2 = _beam((e2, C2), paths[1], substream(97, i, 1))
+            f1 = _beam((e1, C1), spec(C2), substream(97, i, 0))
+            f2 = _beam((e2, C2), spec(C1), substream(97, i, 1))
             traces.append(balanced_detect(GRID, f1, f2, IDEAL, None))
         rels.append(naive_psd(traces)[band].mean() / unsqueezed_shot_psd(e1, e2))
     se = 4 / np.sqrt(frames * band.sum())
@@ -324,8 +316,8 @@ def test_schemes_agree_with_squeezers_off():
     lin, exact = [], []
     for i in range(frames):
         lin.append(straightforward_variant(GRID, beams, (None, None), substream(14, i)))
-        f1 = _beam(beams[0], VACUUM, substream(15, i, 0))
-        f2 = _beam(beams[1], VACUUM, substream(15, i, 1))
+        f1 = _beam(beams[0], None, substream(15, i, 0))
+        f2 = _beam(beams[1], None, substream(15, i, 1))
         exact.append(balanced_detect(GRID, f1, f2, IDEAL, None))
     p_lin = naive_psd(lin)[band].mean()
     p_exact = naive_psd(exact)[band].mean()
@@ -377,8 +369,8 @@ def test_energy_bookkeeping():
     frames = 250
     total = 0.0
     for i in range(frames):
-        f1 = _beam((e1, C1), VACUUM, substream(52, i, 0))
-        f2 = _beam((e2, C2), VACUUM, substream(52, i, 1))
+        f1 = _beam((e1, C1), None, substream(52, i, 0))
+        f2 = _beam((e2, C2), None, substream(52, i, 1))
         total += np.var(balanced_detect(GRID, f1, f2, det, normals(substream(52, i, 2), N), ref))
     measured = total / frames
     classical = 2.0 * e1**2 * e2**2
@@ -401,8 +393,8 @@ def test_classical_phase_variance_calibration():
     for i in range(frames):
         rng = np.random.default_rng(substream(73, i))
         extra = rng.normal(0.0, np.sqrt(var), N)
-        f1 = _beam((e, C1), VACUUM, substream(74, i, 0))
-        f2 = _beam((e, C2), VACUUM, substream(74, i, 1), extra_phase=extra)
+        f1 = _beam((e, C1), None, substream(74, i, 0))
+        f2 = _beam((e, C2), None, substream(74, i, 1), extra_phase=extra)
         trace = balanced_detect(GRID, f1, f2, IDEAL, None)
         mixed = trace * lo
         spec = np.fft.rfft(mixed)
@@ -419,8 +411,10 @@ def test_classical_phase_variance_calibration():
 
 
 def test_spec_invariants():
-    with pytest.raises(ValueError):
-        OpticalPath(1.5, None)
+    with pytest.raises(ValueError, match="escape_efficiency"):
+        SqueezerSpec(0.4, 30e6, 1.5)
+    with pytest.raises(ValueError, match="jitter_rms_rad"):
+        SqueezerSpec(0.4, 30e6, jitter_rms_rad=-0.05)
     with pytest.raises(ValueError, match="quantum_efficiency"):
         BeamCarrier(GRID, 1.0, C1, quantum_efficiency=0.0)
     with pytest.raises(ValueError, match="amplitude"):
@@ -432,16 +426,14 @@ def test_spec_invariants():
         with pytest.raises(ValueError, match="clip_level"):
             detector_readout(np.zeros(N), replace(IDEAL, clip_level=level), None)
     with pytest.raises(ValueError, match="jitter normals"):
-        pickoff_noise_field(GRID, OpticalPath(1.0, SqueezerSpec(0.4, 30e6), 0.05), normals(0, *VAC))
+        pickoff_noise_field(GRID, SqueezerSpec(0.4, 30e6, jitter_rms_rad=0.05), normals(0, *VAC))
 
 
 def test_block_rows_equal_single_frames():
     # a block of frames is one call per step; every row must carry the
     # bits of the same frame synthesized and detected alone, a jittered
     # squeezer's row those of the squeezer turned by its own angle
-    spec = SqueezerSpec(0.4, 30e6, 0.9, 0.2, center_freq_hz=C2)
-    jittered = OpticalPath(0.96, spec, jitter_rms_rad=0.05)
-    vacuum = OpticalPath(0.96, None)
+    jittered = SqueezerSpec(0.4, 30e6, 0.9 * 0.96, 0.2, center_freq_hz=C2, jitter_rms_rad=0.05)
     qe = 0.95
     carrier1 = BeamCarrier(GRID, 700.0, C1, qe)
     carrier2 = BeamCarrier(GRID, 800.0, C2, qe, 3.11e6, 1e-3)
@@ -457,18 +449,19 @@ def test_block_rows_equal_single_frames():
     block = balanced_detect(
         GRID,
         compose_beam(carrier1, jittered, z1, jitter=zj),
-        compose_beam(carrier2, vacuum, z2, extra),
+        compose_beam(carrier2, None, z2, extra),
         det,
         ze,
         ref,
     )
     assert block.shape == (3, N)
     for i in range(len(seeds)):
-        turned = replace(spec, squeeze_angle_rad=spec.squeeze_angle_rad + jittered.jitter_rms_rad * zj[i])
+        angle = jittered.squeeze_angle_rad + jittered.jitter_rms_rad * zj[i]
+        turned = replace(jittered, squeeze_angle_rad=angle, jitter_rms_rad=0.0)
         single = balanced_detect(
             GRID,
-            compose_beam(carrier1, OpticalPath(0.96, turned), z1[i]),
-            compose_beam(carrier2, vacuum, z2[i], extra[i]),
+            compose_beam(carrier1, turned, z1[i]),
+            compose_beam(carrier2, None, z2[i], extra[i]),
             det,
             ze[i],
             ref,
@@ -476,10 +469,10 @@ def test_block_rows_equal_single_frames():
         assert np.array_equal(block[i], single)
 
 
-def _quadrature_psds(path, center, seed, frames=120):
+def _quadrature_psds(squeezer, center, seed, frames=120):
     grid = preset_config("fig4-demod").frequency_grid()
     z = np.stack([normals(substream(seed, i), 2, grid.n_samples) for i in range(frames)])
-    field = pickoff_noise_field(grid, path, z)
+    field = pickoff_noise_field(grid, squeezer, z)
     a1, a2 = quadrature_series(grid, field, center)
     freqs = np.fft.rfftfreq(grid.n_samples, 1.0 / grid.sample_rate)
     return freqs, naive_psd(a1), naive_psd(a2), frames
@@ -487,20 +480,22 @@ def _quadrature_psds(path, center, seed, frames=120):
 
 @pytest.mark.parametrize("reflectivity, qe", [(0.97, 0.99), (0.8, 0.7)])
 def test_squeezed_path_psd_matches_detected_squeezing(reflectivity, qe):
-    # pickoff and detector act as one loss R qe: the detected quadrature
-    # spectra follow the closed-form loss chain at eta = R qe, band by band
+    # pickoff and detector act as one loss R qe: the quadrature spectra of
+    # the squeezer the detector sees follow the closed-form loss chain of
+    # the config's own squeezer at eta = R qe, band by band
     base = preset_config("fig4-demod")
     cfg = replace(
         base,
         pickoff1=replace(base.pickoff1, reflectivity=reflectivity),
         detector=replace(base.detector, quantum_efficiency=qe),
     )
-    path = cfg.optical_path(0)
-    assert path.efficiency == reflectivity * qe
-    freqs, squeezed, anti, frames = _quadrature_psds(path, path.squeezer.center_freq_hz, seed=61)
+    sq = cfg.pickoff1.squeezer
+    unfolded = SqueezerSpec(sq.pump_ratio, sq.hwhm_hz, sq.escape_efficiency)
+    center = cfg.squeezer_centers()[0]
+    freqs, squeezed, anti, frames = _quadrature_psds(cfg.detected_squeezer(0), center, seed=61)
     for lo, hi in ((1e6, 5e6), (8e6, 12e6), (15e6, 20e6)):
         band = (freqs >= lo) & (freqs <= hi)
-        s, a = detected_squeezing(path.squeezer, freqs[band], path.efficiency)
+        s, a = detected_squeezing(unfolded, freqs[band], reflectivity * qe)
         # each periodogram bin of a Gaussian series has unit relative variance
         se = 1.0 / np.sqrt(frames * band.sum())
         assert squeezed[band].mean() / s.mean() == pytest.approx(1.0, abs=4 * se)
@@ -508,7 +503,7 @@ def test_squeezed_path_psd_matches_detected_squeezing(reflectivity, qe):
 
 
 def test_unsqueezed_path_psd_is_vacuum():
-    freqs, a1, a2, frames = _quadrature_psds(OpticalPath(0.6, None), C2, seed=62)
+    freqs, a1, a2, frames = _quadrature_psds(None, C2, seed=62)
     band = (freqs >= 1e6) & (freqs <= 20e6)
     se = 1.0 / np.sqrt(frames * band.sum())
     assert a1[band].mean() == pytest.approx(1.0, abs=4 * se)

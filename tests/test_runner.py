@@ -240,7 +240,7 @@ def test_unsqueezed_scheme_ignores_pickoff_squeezers(tmp_path):
 )
 def test_squeeze_angle_errors_close_against_budget(squeezer, tmp_path):
     # a squeezer off its quadrature leaks anti-squeezing, and the run
-    # measures what the budget predicts from the same optical paths
+    # measures what the budget predicts from the same squeezer specs
     cfg = preset_config("fig3-raw")
     patch = {
         name: {"squeezer": dict(to_dict(cfg)[name]["squeezer"], **squeezer)}
