@@ -320,9 +320,13 @@ class _HeterodyneContext:
 
     def periodograms(self, blocks: list[range]):
         """Reported periodogram rows of each block of frames, one
-        acquisition after another, keyed by acquisition."""
+        acquisition after another, keyed by acquisition.  An acquisition
+        that draws no port is dark with no readout noise: its frames are
+        exact zeros, so it runs no block and yields no row."""
         periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
         for run_name in RUN_NAMES:
+            if not self.draws[run_name]:
+                continue
             streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), tuple(self.draws[run_name]))
             for frames in blocks:
                 noise = self._normals(run_name, streams, frames)
@@ -507,7 +511,8 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     frames = cfg.grid.frames
     freqs = ctx.freqs
     sums = _accumulate_runs(ctx, frames, workers)
-    means = {run_name: sums[run_name] / frames for run_name in RUN_NAMES}
+    # An acquisition that yields no row (``periodograms``) sums exact zeros.
+    means = {run_name: sums.get(run_name, np.zeros(len(freqs))) / frames for run_name in RUN_NAMES}
     background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
     subtracted = {"reference": reference - background, "target": target - background}
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqzbeat import rng, runner
+from sqzbeat import interferometer, rng, runner
 from sqzbeat.cli import main
 from sqzbeat.config import (
     BeamsConfig,
@@ -263,6 +263,24 @@ def test_angle_jitter_reuses_each_squeezers_gains(tmp_path):
     info = sideband_gains.cache_info()
     assert 0 < info.misses <= 2
     assert info.hits > 0
+
+
+def test_a_dark_acquisition_that_draws_no_port_runs_no_block(tmp_path, monkeypatch):
+    # appendixG-straightforward's background has no electronic and no arm
+    # noise, so its frames are exact zeros: it runs no block, and only the
+    # reference's and target's blocks reach the detector readout
+    readouts = []
+    readout = interferometer.detector_readout
+
+    def counted(dp, *args, **kwargs):
+        readouts.append(bool(np.any(dp)))
+        return readout(dp, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "detector_readout", counted)
+    monkeypatch.setattr(interferometer, "detector_readout", counted)
+    frames = 10
+    run(preset_config("appendixG-straightforward"), frames=frames, workers=1, out_dir=str(tmp_path))
+    assert readouts == [True] * (2 * -(-frames // runner.BLOCK_FRAMES))
 
 
 def test_epr_preset_summary(tmp_path):
