@@ -6,9 +6,8 @@ spectra, the classical-noise ceiling, phase-jitter penalties, and the
 leakage floor of same-frequency squeezing.  Each of these formulas is
 written once, as a private helper that both its named function and the
 per-band ``heterodyne_budget`` call; ``band_budget`` builds a config's
-band budget without a run from ``cfg.detected_squeezer`` alone, the
-specs synthesis squeezes with, path losses folded in.  All functions are
-pure and stateless.
+band budget without a run from ``cfg.detected_squeezer`` alone, the specs
+synthesis squeezes with.  All functions are pure and stateless.
 
 Relative floors are linear power versus the unsqueezed shot-noise
 reference, which is normalized to 1 including any classical phase-noise
@@ -200,12 +199,11 @@ def heterodyne_budget(
     ``eps_hz`` are the sideband offsets of the analysis bins (the demod
     band passes the offsets of the raw bins folding into it); the floor
     averages the squeezing spectrum over them, mirroring the linear-power
-    band mean of the estimator.  Each source's squeezing is read from its
-    spec as the detector sees it (None: vacuum) and averaged over a
-    Gaussian angle error about its offset (squeeze angle less the
-    scheme's base angle) of rms its jitter.  The
-    straightforward floor assumes the squeezing is flat across the folded
-    bands.
+    band mean of the estimator.  Each source's squeezer, as the detector
+    sees it (None: vacuum), is averaged over a Gaussian angle error about
+    its offset (squeeze angle less the scheme's base angle) of rms its
+    jitter.  The straightforward floor assumes the squeezing is flat
+    across the folded bands.
 
     ``classical_fraction`` is defined against the demodulated reference
     floor; white phase noise carries only 2/3 of that relative weight in
@@ -249,10 +247,9 @@ def band_budget(cfg: ExperimentConfig, freqs: np.ndarray) -> NoiseBudget:
     """Budget of the analysis bins ``freqs`` of a heterodyne config's band.
 
     Raw bands read the squeezing at the bins themselves; demodulated bands
-    fold the bins of both sidebands of the beat.  The two squeezers
-    (angle, jitter, and escape efficiency with the path loss R * qe folded
-    in) come only from ``cfg.detected_squeezer``, the specs the simulator
-    squeezes with.
+    fold the bins of both sidebands of the beat.  The two squeezers (angle,
+    jitter, path loss R * qe folded in) come only from
+    ``cfg.detected_squeezer``, the specs the simulator squeezes with.
     """
     ms = cfg.measurement
     if ms.kind == "raw":

@@ -118,6 +118,9 @@ class GridConfig:
     n_samples: int = _bounded(5000, ge=16, le=MAX_SAMPLES)
     frames: int = _bounded(12500, ge=1, le=MAX_FRAMES)
 
+    def frequency_grid(self) -> FrequencyGrid:
+        return FrequencyGrid(self.sample_rate_hz, self.n_samples)
+
 
 @dataclass(frozen=True)
 class SqueezerConfig:
@@ -224,9 +227,6 @@ class ExperimentConfig:
     seed: int = _bounded(20230811, ge=0)
     out_dir: str = "out"
 
-    def frequency_grid(self) -> FrequencyGrid:
-        return FrequencyGrid(self.grid.sample_rate_hz, self.grid.n_samples, self.beams.anchor_hz)
-
     def carrier_freqs(self) -> tuple[float, float]:
         return self.beams.anchor_hz, self.beams.anchor_hz + self.beams.beat_freq_hz
 
@@ -240,15 +240,14 @@ class ExperimentConfig:
         return c2, c1
 
     def detected_squeezer(self, source: int) -> SqueezerSpec | None:
-        """The squeezing source ``source`` injects, as the detector sees it:
+        """The squeezer source ``source`` injects, as the detector sees it:
         the one place the scheme and the pickoff config become what a beam
-        injects.  Synthesis and the band budget both read this spec.
+        injects, and the spec synthesis and the band budget both read.
 
         The pickoff reflectivity R and the detector quantum efficiency qe
-        are beam splitters after the squeezer, so they fold into its escape
-        efficiency once: S -> R qe S + 1 - R qe.  The squeezer sits at the
-        scheme's base angle plus its offset and carries its jitter; the
-        unsqueezed scheme and a pump ratio of 0 inject none (None).
+        fold into its escape efficiency once (S -> R qe S + 1 - R qe).  It
+        sits at the scheme's base angle plus its offset and carries its
+        jitter; the unsqueezed scheme and a pump ratio of 0 inject none.
         """
         pick = (self.pickoff1, self.pickoff2)[source]
         sq = pick.squeezer
@@ -281,9 +280,6 @@ class SweepConfig:
     opo_sweep: OpoSweepConfig = field(default_factory=OpoSweepConfig)
     seed: int = _bounded(20230811, ge=0)
     out_dir: str = "out"
-
-    def frequency_grid(self) -> FrequencyGrid:
-        return FrequencyGrid(self.grid.sample_rate_hz, self.grid.n_samples, self.opo_sweep.anchor_hz)
 
 
 Config = ExperimentConfig | IdentityConfig | SweepConfig
@@ -416,7 +412,7 @@ def validate_config(cfg: Config) -> None:
     anchor = getattr(cfg, section).anchor_hz
     nyq = g.sample_rate_hz / 2.0
     _check(-nyq < anchor < nyq, f"{section}.anchor_hz", "must lie strictly inside (-Nyquist, Nyquist)")
-    grid = cfg.frequency_grid()
+    grid = g.frequency_grid()
     _on_grid(grid, anchor, f"{section}.anchor_hz")
     # The frequency axis the runner's spectra are written on.
     freqs = np.fft.rfftfreq(g.n_samples, d=1.0 / g.sample_rate_hz)

@@ -1,8 +1,8 @@
 """Frequency-domain Gaussian noise fields and two-photon quadratures.
 
 One optical band is represented by a complex amplitude per FFT bin of a
-baseband grid; the optical carrier reference is anchored at a configurable
-baseband offset.  Amplitudes are scaled so that every quadrature extracted
+baseband grid; carriers and squeezers sit at baseband frequencies on it
+(a config's ``anchor_hz`` and the beat above it).  Amplitudes are scaled so that every quadrature extracted
 from a fresh vacuum has power spectral density exactly 1.0: this is the
 shot-noise unit used everywhere in the package.
 
@@ -20,8 +20,7 @@ function that needs the grid takes it as its first argument.
 Sideband pairs about a squeezer center transform jointly: the quadrature
 at the squeeze angle is multiplied by sqrt(S_minus(eps)) and the orthogonal
 one by sqrt(S_plus(eps)), which realizes the below-threshold cavity model
-with escape efficiency folded in.  The losses a beam meets after the
-squeezer fold into that efficiency too (``ExperimentConfig.detected_squeezer``).
+with escape efficiency, and later losses (``detected_squeezer``), folded in.
 Deterministic gains and an explicit vacuum admixture (``apply_loss``, the
 tests' reference) produce the same Gaussian state; gains are used so the
 operation stays a pure function of the field, the spec and the squeeze
@@ -53,21 +52,16 @@ class FrequencyGrid:
         Samples per second of the synthesized photocurrent.
     n_samples : int
         Samples per frame; must be even and at least 16.
-    center_offset : float
-        Baseband frequency the optical carrier reference is anchored to.
     """
 
     sample_rate: float
     n_samples: int
-    center_offset: float = 30e6
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.n_samples < 16 or self.n_samples % 2 != 0:
             raise ValueError("n_samples must be even and >= 16")
-        if not (-self.sample_rate / 2 < self.center_offset < self.sample_rate / 2):
-            raise ValueError("center_offset must lie strictly inside the grid")
 
     @property
     def bin_hz(self) -> float:

@@ -15,16 +15,14 @@ Noise*), negligible at the presets' carriers and dominant at weak ones.
 Every lossy step between a squeezer and the photocurrent (the pickoff of
 reflectivity R, the detector of quantum efficiency qe) is a beam splitter
 that admits vacuum, so together they act as one loss of efficiency R * qe.
-sqrt(eta) S(v0) + sqrt(1 - eta) v1 is the squeezer S at escape efficiency
-times eta acting on v0 alone, so a beam's path is the ``SqueezerSpec`` the
-detector sees, that loss folded in once by
-``ExperimentConfig.detected_squeezer``; the band budget reads the same
-spec.  Loss leaves vacuum vacuum, so an unsqueezed beam (no spec) is one
-row of time samples.  The spec also carries the rms jitter of its
-squeeze angle.  Every function takes its noise as drawn standard normals
-(a vacuum row is real parts then imaginary parts, ``fields.vacuum_rows``)
-and draws none; a jittered squeezer's angle is its own plus the rms
-times one drawn normal per frame.
+sqrt(eta) S(v0) + sqrt(1 - eta) v1 is S at escape efficiency times eta on
+v0 alone, so a beam's path is the ``SqueezerSpec`` the detector sees, that
+loss folded in once (``ExperimentConfig.detected_squeezer``), which the
+band budget reads too.  Loss leaves vacuum vacuum, so an unsqueezed beam
+(None) is one row of time samples.  Every function takes its noise as
+drawn standard normals (a vacuum row is real parts then imaginary parts,
+``fields.vacuum_rows``) and draws none; a jittered squeezer's angle is
+its own plus its rms jitter times one drawn normal per frame.
 The carrier (``BeamCarrier``: amplitude, frequency and phase signal),
 scaled by sqrt(qe), joins that noise in the time domain, so a beam
 arrives at the detector as a plain array of complex time samples, one row
@@ -246,11 +244,10 @@ def detector_readout(
     return dp
 
 
-# A run has one detector, so one gain; built once per (grid, ripple), read-only.
 @lru_cache(maxsize=4)
 def _ripple_gain(grid: FrequencyGrid, ripple_db: float) -> np.ndarray:
-    """Gain of each rfft bin: a smooth +-ripple/2 cosine tilt pinned to
-    the 5-15 MHz analysis span."""
+    # Smooth +-ripple/2 cosine tilt pinned to the 5-15 MHz analysis span,
+    # one read-only gain per rfft bin, built once per (grid, ripple).
     f = np.fft.rfftfreq(grid.n_samples, d=1.0 / grid.sample_rate)
     tilt_db = 0.5 * ripple_db * np.cos(np.pi * (f - 5e6) / 10e6)
     gain = 10.0 ** (tilt_db / 20.0)

@@ -44,12 +44,11 @@ reductions next to their closed-form budget predictions.
 Synthesis follows stream layout 6 (``rng``; heterodyne and sweep
 summaries record ``stream_layout=6``).  The context takes each beam's
 squeezer as the detector sees it (``cfg.detected_squeezer``: angle,
-angle jitter, and the path loss R * qe folded into its escape
-efficiency, the spec ``budgets.band_budget`` reads too).  Each beam
-reads one vacuum row: the reference's unsqueezed ones as time samples,
-the target's squeezed ones as bins squeezed by that spec, a jittered
-squeezer turned row by row by its drawn angle (one standard normal per
-frame times the rms).  The carriers,
+jitter and path loss R * qe, the spec ``budgets.band_budget`` reads too).
+Each beam reads one vacuum row: the reference's unsqueezed ones as time
+samples, the target's squeezed ones as bins squeezed by that spec, a
+jittered squeezer turned row by row by its drawn angle (one standard
+normal per frame times the rms).  The carriers,
 scaled by sqrt(qe), join the path noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
@@ -206,7 +205,7 @@ class _HeterodyneContext:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid = cfg.frequency_grid()
+        self.grid = cfg.grid.frequency_grid()
         b = cfg.beams
         c1, c2 = cfg.carrier_freqs()
         d = cfg.detector
@@ -320,9 +319,8 @@ class _HeterodyneContext:
 
     def periodograms(self, blocks: list[range]):
         """Reported periodogram rows of each block of frames, one
-        acquisition after another, keyed by acquisition.  An acquisition
-        that draws no port is dark with no readout noise: its frames are
-        exact zeros, so it runs no block and yields no row."""
+        acquisition after another, keyed by acquisition.  One that draws
+        no port is dark with no readout noise, exact zeros: it yields none."""
         periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
         for run_name in RUN_NAMES:
             if not self.draws[run_name]:
@@ -366,7 +364,7 @@ class _SweepContext:
     def __init__(self, cfg: SweepConfig):
         ow = cfg.opo_sweep
         self.seed = cfg.seed
-        self.grid = cfg.frequency_grid()
+        self.grid = cfg.grid.frequency_grid()
         n = self.grid.n_samples
         self.freqs = np.fft.rfftfreq(n, d=1.0 / self.grid.sample_rate)
         self.wnorm = hamming_window(n)[1]
@@ -375,7 +373,7 @@ class _SweepContext:
                 pump_ratio=float(np.sqrt(power / ow.threshold_mw)),
                 hwhm_hz=ow.hwhm_hz,
                 escape_efficiency=ow.escape_efficiency,
-                center_freq_hz=self.grid.center_offset,
+                center_freq_hz=ow.anchor_hz,
             )
             for power in ow.pump_powers_mw
         ]
@@ -511,7 +509,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     frames = cfg.grid.frames
     freqs = ctx.freqs
     sums = _accumulate_runs(ctx, frames, workers)
-    # An acquisition that yields no row (``periodograms``) sums exact zeros.
+    # An acquisition that yields no row sums exact zeros (``periodograms``).
     means = {run_name: sums.get(run_name, np.zeros(len(freqs))) / frames for run_name in RUN_NAMES}
     background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
     subtracted = {"reference": reference - background, "target": target - background}
@@ -555,7 +553,7 @@ def _run_epr(cfg: IdentityConfig) -> RunSummary:
     worst = 0.0
     for d in range(draws):
         n = int(gen.choice(np.array([2000, 2500, 4000, 5000])))
-        grid = FrequencyGrid(fs, n, 0.0)
+        grid = FrequencyGrid(fs, n)
         df = grid.bin_hz
         beat = float(gen.integers(int(4e6 / df), int(12e6 / df) + 1)) * df
         lo_bin = int(np.ceil((-fs / 2 + beat) / df)) + 1

@@ -38,7 +38,7 @@ from oracles import (
 
 FS = 125e6
 N = 5000
-GRID = FrequencyGrid(FS, N, 30e6)
+GRID = FrequencyGrid(FS, N)
 
 
 def _white_frames(frames, n=N, var=1.0, seed=0, tag=0):

@@ -25,7 +25,7 @@ from oracles import detected_squeezing, linearized_output, straightforward_varia
 
 FS = 125e6
 N = 2500
-GRID = FrequencyGrid(FS, N, 30e6)
+GRID = FrequencyGrid(FS, N)
 VAC = (2, N)  # the normals of one vacuum row on GRID
 BEAT = 10e6
 C1, C2 = 30e6, 40e6
@@ -470,7 +470,7 @@ def test_block_rows_equal_single_frames():
 
 
 def _quadrature_psds(squeezer, center, seed, frames=120):
-    grid = preset_config("fig4-demod").frequency_grid()
+    grid = preset_config("fig4-demod").grid.frequency_grid()
     z = np.stack([normals(substream(seed, i), 2, grid.n_samples) for i in range(frames)])
     field = pickoff_noise_field(grid, squeezer, z)
     a1, a2 = quadrature_series(grid, field, center)

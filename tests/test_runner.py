@@ -334,7 +334,8 @@ def test_sweep_block_equals_the_full_field_path(patch):
     # quadrature_series and frame_spectrum, and zero beyond the mapped
     # bins.  At anchor 0, m = n/2 - 1, so the window's taps reach past the
     # Nyquist bin.
-    ctx = runner._SweepContext(merge_config(preset_config("appendixE-pump-sweep"), patch))
+    cfg = merge_config(preset_config("appendixE-pump-sweep"), patch)
+    ctx = runner._SweepContext(cfg)
     grid, frames = ctx.grid, range(5, 8)
     window, wnorm = hamming_window(grid.n_samples)
     gen = np.random.default_rng(12)
@@ -353,7 +354,7 @@ def test_sweep_block_equals_the_full_field_path(patch):
     assert live >= len(index) // 2 + 2
     for spec in ctx.specs:
         assert np.array_equal(sideband_gains(grid, spec)[0], index)
-        quads = quadrature_series(grid, apply_squeezer(grid, full, spec), grid.center_offset)
+        quads = quadrature_series(grid, apply_squeezer(grid, full, spec), cfg.opo_sweep.anchor_hz)
         mapped = ctx.spectra(moments, spec)
         for p, q in zip(mapped, quads):  # squeezed, then anti-squeezed
             want = auto_periodogram(frame_spectrum(q, window), wnorm).sum(axis=0)
@@ -633,6 +634,7 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ),
         ("fig3-raw", '{"grid": {"frames": 1000000000000000000000000000000}}', "grid.frames"),
         ("fig3-raw", '{"detector": {"quantum_efficiency": 5e-324}}', "detector.quantum_efficiency"),
+        ("vacuum-selftest", '{"beams": {"anchor_hz": 70e6}}', "beams.anchor_hz"),
     ],
     ids=[
         "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
@@ -645,7 +647,7 @@ def test_frames_override_sets_epr_draws(tmp_path):
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
         "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
         "heterodyne-to-epr", "epr-to-sweep", "list-patch", "summary-line-in-name", "summary-line-in-label",
-        "repeated-label", "endless-frames", "vanishing-quantum-efficiency",
+        "repeated-label", "endless-frames", "vanishing-quantum-efficiency", "anchor-outside",
     ],
 )
 def test_cli_rejects_mistyped_or_out_of_range_values(preset, patch, path, tmp_path, capsys):
