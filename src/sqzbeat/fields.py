@@ -2,9 +2,10 @@
 
 One optical band is represented by a complex amplitude per FFT bin of a
 baseband grid; carriers and squeezers sit at baseband frequencies on it
-(a config's ``anchor_hz`` and the beat above it).  Amplitudes are scaled so that every quadrature extracted
-from a fresh vacuum has power spectral density exactly 1.0: this is the
-shot-noise unit used everywhere in the package.
+(a config's ``anchor_hz`` and the beat above it).  Amplitudes are scaled
+so that every quadrature extracted from a fresh vacuum has power spectral
+density exactly 1.0: this is the shot-noise unit used everywhere in the
+package.
 
 The grid samples the Wigner distribution of the Gaussian state, so linear
 transformations (squeezing, loss, interference) reproduce the noise

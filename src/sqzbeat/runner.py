@@ -49,7 +49,7 @@ Each beam reads one vacuum row: the reference's unsqueezed ones as time
 samples, the target's squeezed ones as bins squeezed by that spec, a
 jittered squeezer turned row by row by its drawn angle (one standard
 normal per frame times the rms).  The carriers,
-scaled by sqrt(qe), join the path noise in the time domain.  Each demod
+scaled by sqrt(qe), join each beam's noise in the time domain.  Each demod
 arm draws its readout noise once per frame, the drive-induced excess
 added in quadrature on lit acquisitions only.  A ``fig4-demod`` frame
 index opens 15 streams and draws 95000 normals, ``fig3-raw`` 9 and

@@ -166,16 +166,6 @@ def test_straightforward_floor_matches_covariance_oracle():
         assert abs(oracle / formula - 1.0) < 1e-6
 
 
-def test_loss_folds_into_the_escape_efficiency():
-    # a loss eta after the squeezer, eta s + 1 - eta, is the squeezer at
-    # escape efficiency times eta
-    spec = SqueezerSpec(0.5, 3e9, 0.9)
-    eps = np.linspace(0.0, 2e10, 7)
-    folded = replace(spec, escape_efficiency=0.9 * 0.8).squeezing_spectrum(eps)
-    for got, want in zip(folded, detected_squeezing(spec, eps, 0.8)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
 def test_heterodyne_budget_items_and_floors():
     spec = SqueezerSpec(np.sqrt(90.0 / 600.0), 3e9, 0.8)
     budget = heterodyne_budget(

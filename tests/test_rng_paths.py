@@ -166,8 +166,8 @@ def test_chunk_streams_draw_the_rows_of_fresh_generators(entropy):
 
 
 def test_chunk_streams_of_no_port_hash_no_key():
-    # a chunk hashes only the ports its acquisition draws, and some draw
-    # none (appendixG-straightforward's background)
+    # a chunk hashes only the ports it is given, and no port is a valid
+    # set: it hashes no key
     assert rng.pcg64_states(1, []) == []
     streams = rng.ChunkStreams(1, rng.RUN_BACKGROUND, range(4), ())
     with pytest.raises(KeyError):
