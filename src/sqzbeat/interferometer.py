@@ -175,12 +175,13 @@ def compose_beam(
     The noise comes from the standard normals ``normals`` of its vacuum
     row, shape (2, n): bins squeezed by ``squeezer``
     (``pickoff_noise_field``, with the angle-jitter normals ``jitter``)
-    after an FFT or, with no squeezer, vacuum time samples.  The carrier is synthesized in the time domain
-    (so phase modulation is exact) and added there.  ``extra_phase``
-    carries any phase-noise realization synthesized by the caller.  For a
-    block of frames ``normals`` has shape (frames, 2, n), ``jitter`` one
-    normal per frame and ``extra_phase`` one row per frame; the field then
-    has one row per frame.
+    after an FFT or, with no squeezer, vacuum time samples.  The carrier
+    is synthesized in the time domain (so phase modulation is exact) and
+    added there.  ``extra_phase`` carries any phase-noise realization
+    synthesized by the caller.  For a block of frames ``normals`` has
+    shape (frames, 2, n), ``jitter`` one normal per frame and
+    ``extra_phase`` one row per frame; the field then has one row per
+    frame.
     """
     if squeezer is None:
         samples = vacuum_rows(normals, np.sqrt(0.5))

@@ -259,7 +259,8 @@ LOSSY_JITTERED = {
 
 @pytest.mark.parametrize(
     "name, patch",
-    [(name, {}) for name in HETERODYNE_PRESETS] + [("fig4-demod", LOSSY_JITTERED), ("fig3-raw", LOSSY_JITTERED)],
+    [(name, {}) for name in HETERODYNE_PRESETS]
+    + [("fig4-demod", LOSSY_JITTERED), ("fig3-raw", LOSSY_JITTERED)],
     ids=HETERODYNE_PRESETS + ["fig4-demod-lossy-jittered", "fig3-raw-lossy-jittered"],
 )
 def test_detected_squeezer_is_the_loss_chain(name, patch):
@@ -275,6 +276,7 @@ def test_detected_squeezer_is_the_loss_chain(name, patch):
             assert folded is None
             continue
         unfolded = SqueezerSpec(sq.pump_ratio, sq.hwhm_hz, sq.escape_efficiency)
-        for got, want in zip(folded.squeezing_spectrum(eps), detected_squeezing(unfolded, eps, pick.reflectivity * qe)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        want = detected_squeezing(unfolded, eps, pick.reflectivity * qe)
+        for got, expected in zip(folded.squeezing_spectrum(eps), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
         assert folded.jitter_rms_rad == sq.angle_jitter_rms_rad
