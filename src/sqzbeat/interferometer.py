@@ -40,7 +40,6 @@ beam's noise has, mixes in the anti-squeezed quadrature.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -212,7 +211,7 @@ def balanced_detect(
     beat *= e2
     dp = 2.0 * beat.real
     if det.gain_ripple_db != 0.0:
-        dp = np.fft.irfft(np.fft.rfft(dp) * _ripple_gain(grid, det.gain_ripple_db), n=grid.n_samples)
+        dp = _apply_gain_ripple(dp, grid, det.gain_ripple_db)
     return detector_readout(dp, det, noise, reference_shot_psd)
 
 
@@ -245,12 +244,9 @@ def detector_readout(
     return dp
 
 
-@lru_cache(maxsize=4)
-def _ripple_gain(grid: FrequencyGrid, ripple_db: float) -> np.ndarray:
-    # Smooth +-ripple/2 cosine tilt pinned to the 5-15 MHz analysis span,
-    # one read-only gain per rfft bin, built once per (grid, ripple).
+def _apply_gain_ripple(dp: np.ndarray, grid: FrequencyGrid, ripple_db: float) -> np.ndarray:
+    # Smooth +-ripple/2 cosine tilt pinned to the 5-15 MHz analysis span.
     f = np.fft.rfftfreq(grid.n_samples, d=1.0 / grid.sample_rate)
     tilt_db = 0.5 * ripple_db * np.cos(np.pi * (f - 5e6) / 10e6)
     gain = 10.0 ** (tilt_db / 20.0)
-    gain.flags.writeable = False
-    return gain
+    return np.fft.irfft(np.fft.rfft(dp) * gain, n=grid.n_samples)

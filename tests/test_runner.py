@@ -265,17 +265,6 @@ def test_angle_jitter_reuses_each_squeezers_gains(tmp_path):
     assert info.hits > 0
 
 
-def test_gain_ripple_is_built_once_per_run(tmp_path):
-    # the detector's gain ripple depends on the grid and the ripple only,
-    # so a run builds it once, however many blocks it detects
-    cfg = merge_config(preset_config("fig3-raw"), {"detector": {"gain_ripple_db": 0.5}})
-    interferometer._ripple_gain.cache_clear()
-    run(cfg, frames=130, workers=1, out_dir=str(tmp_path))
-    info = interferometer._ripple_gain.cache_info()
-    assert info.misses == 1
-    assert info.hits > 0
-
-
 def test_a_dark_acquisition_that_draws_no_port_runs_no_block(tmp_path, monkeypatch):
     # appendixG-straightforward's background has no electronic and no arm
     # noise, so its frames are exact zeros: it runs no block, and only the
