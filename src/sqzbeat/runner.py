@@ -320,10 +320,12 @@ class _HeterodyneContext:
     def periodograms(self, blocks: list[range]):
         """Reported periodogram rows of each block of frames, one
         acquisition after another, keyed by acquisition.  One that draws
-        no port is dark with no readout noise, exact zeros: it yields none."""
+        no port is dark with no readout noise, exact zeros: it runs no
+        block and yields no row, so it sums to zeros."""
         periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
         for run_name in RUN_NAMES:
             if not self.draws[run_name]:
+                yield {run_name: np.zeros((0, len(self.freqs)))}
                 continue
             streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), tuple(self.draws[run_name]))
             for frames in blocks:
@@ -509,8 +511,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     frames = cfg.grid.frames
     freqs = ctx.freqs
     sums = _accumulate_runs(ctx, frames, workers)
-    # An acquisition that yields no row sums exact zeros (``periodograms``).
-    means = {run_name: sums.get(run_name, np.zeros(len(freqs))) / frames for run_name in RUN_NAMES}
+    means = {run_name: sums[run_name] / frames for run_name in RUN_NAMES}
     background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
     subtracted = {"reference": reference - background, "target": target - background}
 
