@@ -16,11 +16,11 @@ block:
   "moments"), one row per frame.
 - chunk: CHUNK_FRAMES frames of every acquisition, the one job a worker
   pool maps over (``_chunk_sum``), so a run of up to CHUNK_FRAMES frames
-  starts no pool.  A chunk hashes the generator states of each
-  acquisition's streams in one pass (``rng.ChunkStreams``) and draws
-  every stream through one reused generator.  Chunk sums are folded key
-  by key in chunk order, so the emitted numbers are bit-identical for
-  any worker count.
+  starts no pool.  A chunk seeds one base generator per (acquisition,
+  port) it draws (``rng.ChunkStreams``) and draws every frame's stream
+  through one reused generator, jumped from its port's base.  Chunk
+  sums are folded key by key in chunk order, so the emitted numbers are
+  bit-identical for any worker count.
 - block: BLOCK_FRAMES consecutive frames of a chunk go through synthesis,
   detection and the measurement chain together, one row per frame, so
   each FFT is one batched call instead of one per frame.  A block draws
@@ -33,16 +33,16 @@ block:
   48.7 MB at 1, 4, 8 and 16 frames (2 vCPUs, numpy 2.4.6).
 
 Blocks do not change a single output bit.  Each noise row still draws
-from its own (run, frame, port) substream, set up bit for bit as its own
-generator would be, elementwise steps do not care
+from its own (run, frame, port) stream, set up bit for bit as its own
+jumped generator would be, elementwise steps do not care
 about the row layout, numpy's batched FFTs return every row's bits as a
 one-frame call does (numpy 2.4; the block tests in ``tests/`` check it),
 and periodograms are still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
-Synthesis follows stream layout 6 (``rng``; heterodyne and sweep
-summaries record ``stream_layout=6``).  The context takes each beam's
+Synthesis follows stream layout 7 (``rng``; heterodyne and sweep
+summaries record ``stream_layout=7``).  The context takes each beam's
 squeezer as the detector sees it (``cfg.detected_squeezer``: angle,
 jitter and path loss R * qe, the spec ``budgets.band_budget`` reads too).
 Each beam reads one vacuum row: the reference's unsqueezed ones as time
@@ -327,7 +327,7 @@ class _HeterodyneContext:
             if not self.draws[run_name]:
                 yield {run_name: np.zeros((0, len(self.freqs)))}
                 continue
-            streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], _span(blocks), tuple(self.draws[run_name]))
+            streams = rngs.ChunkStreams(self.cfg.seed, _RUN_IDS[run_name], tuple(self.draws[run_name]))
             for frames in blocks:
                 noise = self._normals(run_name, streams, frames)
                 x = self._photocurrent(run_name, frames, noise)
@@ -387,7 +387,7 @@ class _SweepContext:
         """The moments of both vacuum quadratures' bins -1..width of each
         block, keyed "moments", one (2, 3, width + 2) row per frame."""
         m, w = self.m, self.width
-        streams = rngs.ChunkStreams(self.seed, rngs.RUN_SWEEP, _span(blocks), (0,))
+        streams = rngs.ChunkStreams(self.seed, rngs.RUN_SWEEP, (0,))
         rows = max(map(len, blocks))
         normals = np.empty((rows, 2, 2 * m + 1))  # real parts, then imaginary parts
         q = np.zeros((rows, 2, w + 2), dtype=complex)  # bins above m stay zero in every block
@@ -412,11 +412,6 @@ class _SweepContext:
         gains = np.sqrt(spec.squeezing_spectrum(np.arange(self.width) * self.grid.bin_hz))
         out[:, : self.width] = hamming_power_from_moments(moments, gains, self.wnorm)
         return out
-
-
-def _span(blocks: list[range]) -> range:
-    """The frames of a chunk's consecutive blocks."""
-    return range(blocks[0].start, blocks[-1].stop)
 
 
 def _chunk_sum(ctx, start: int, stop: int) -> dict:

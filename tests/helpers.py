@@ -32,3 +32,11 @@ def normals(seed, *shape):
     in C order.  ``normals(seed, 2, n)`` is the noise of one vacuum row of
     n bins, real parts then imaginary parts."""
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def frame_stream(entropy, run, frame, port):
+    """Generator on stream (run, frame, port) of the master seed ``entropy``
+    as stream layout 7 defines it, from numpy's public API alone: the PCG64
+    seeded by the spawn key (run, port), jumped ``frame`` times."""
+    base = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(run, port)))
+    return np.random.Generator(base.jumped(frame))

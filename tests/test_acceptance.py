@@ -153,12 +153,13 @@ def test_criterion_6_same_frequency_leakage(tmp_path):
 def _cross_residuals(trial: int, counts: tuple[int, ...], n: int, block: int = 512) -> list[float]:
     """Mean |cross-periodogram| off DC and Nyquist of independent white
     frames after each of the nested frame ``counts``: frame i of port p
-    draws n normals from stream (5, trial, i, p).  One pass in blocks of
-    frames, each port's block drawn through ``ChunkStreams`` and windowed in
-    one rfft, and the periodograms added in frame order, so every partial
-    average has the bits of ``oracles.cross_spectrum`` over that many frames."""
+    draws n normals from stream (trial, i, p) of seed 5.  One pass in
+    blocks of frames, each port's block drawn through ``ChunkStreams`` and
+    windowed in one rfft, and the periodograms added in frame order, so
+    every partial average has the bits of ``oracles.cross_spectrum`` over
+    that many frames."""
     total = counts[-1]
-    streams = ChunkStreams(5, trial, range(total), (0, 1))
+    streams = ChunkStreams(5, trial, (0, 1))
     window, wnorm = hamming_window(n)
     normals = np.empty((2, block, n))
     acc = np.zeros(n // 2 + 1)

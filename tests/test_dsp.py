@@ -360,7 +360,7 @@ CHAIN_FRAMES = range(5, 8)
 def _chain_context(preset, patch=None):
     """The run context of a preset and the target streams of CHAIN_FRAMES."""
     ctx = runner._HeterodyneContext(merge_config(preset_config(preset), patch or {}))
-    return ctx, ChunkStreams(ctx.cfg.seed, RUN_TARGET, CHAIN_FRAMES, PORTS)
+    return ctx, ChunkStreams(ctx.cfg.seed, RUN_TARGET, PORTS)
 
 
 def _photocurrent_rows(seed):

@@ -40,6 +40,13 @@ Dropping ``fields.apply_squeezer``'s scalar loop over each row's center
 bin, which the array step computes too, changed no golden.  Printing a
 level of exactly 0 dB as 0.0000 instead of -0.0000 rewrote the two
 ``predicted_db`` lines of ``vacuum-selftest``, whose budget floor is 1.
+Stream layout 7 (each frame's stream jumped from one base per run and
+port, ``test_rng_paths`` checks it against numpy's ``PCG64.jumped``)
+rewrote the measured lines and the ``stream_layout`` line of every
+heterodyne and sweep summary and the digest of every file drawn from
+noise, after the acceptance gate passed at unchanged frame counts, seeds
+and tolerances; ``epr-identity``, the sweep's model files and
+``appendixG-straightforward``'s dark background are unchanged.
 """
 
 import hashlib

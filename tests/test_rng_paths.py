@@ -1,4 +1,4 @@
-"""Every noise input of a run draws from its own substream.
+"""Every noise input of a run draws from its own stream.
 
 A run draws each block's noise through its chunk's ``rng.ChunkStreams``,
 which sets one reused generator to each stream's (run, frame, port) key;
@@ -6,8 +6,8 @@ every key opened is recorded with its entropy, so a port that reused
 another's stream would show up as a duplicate key.  The keys must also
 follow the stream layout (``STREAM_LAYOUT``, see ``sqzbeat.rng``): each
 optical path draws its one vacuum row straight from its beam's port,
-every other input from its own port.  The states a chunk hashes in bulk
-must be those of numpy's own ``SeedSequence`` and PCG64, bit for bit.
+every other input from its own port.  The rows a chunk draws must be
+those of numpy's own jumped PCG64 on the (run, port) base, bit for bit.
 """
 
 from dataclasses import replace
@@ -18,6 +18,8 @@ import pytest
 from sqzbeat import rng
 from sqzbeat.config import MAX_FRAMES, list_presets, preset_config
 from sqzbeat.runner import run
+
+from helpers import frame_stream
 
 HETERODYNE = [name for name, _ in list_presets() if preset_config(name).kind == "heterodyne"]
 
@@ -136,44 +138,27 @@ def test_one_frame_index_draws_the_documented_normals(name, counts, normal_count
     assert (len(normal_counts), sum(normal_counts)) == counts
 
 
-# Entropies of one word, of two (from 2^32) and longer than the 4-word
-# pool (from 2^128).
-ENTROPIES = [0, 1, 20230811, 2**32 - 1, 2**32, 2**32 + 20230811, 2**64 + 5, 2**128 - 1, 2**128, 2**200 + 12345]
+# Entropies of one word, of two and longer than SeedSequence's 4-word
+# pool; every run id, the sweep's included; frames up to MAX_FRAMES.
+RUN_IDS = (rng.RUN_BACKGROUND, rng.RUN_REFERENCE, rng.RUN_TARGET, rng.RUN_SWEEP)
 
 
-@pytest.mark.parametrize("entropy", ENTROPIES)
-def test_bulk_states_equal_seed_sequence_states(entropy):
-    gen = np.random.default_rng(ENTROPIES.index(entropy))
-    runs = [0, 1, 2, 10, 13, 2**32 - 1, *gen.integers(0, 2**32, 4).tolist()]
-    frames = [0, 1, MAX_FRAMES, *gen.integers(0, MAX_FRAMES, 5).tolist()]
-    keys = [(r, f, port) for r in runs for f in frames for port in rng.PORTS]
-    for key, (state, inc) in zip(keys, rng.pcg64_states(entropy, keys), strict=True):
-        want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)).state["state"]
-        assert (state, inc) == (want["state"], want["inc"]), key
-
-
-@pytest.mark.parametrize("entropy", [7, 2**32 + 7, 2**130 + 7])
-def test_chunk_streams_draw_the_rows_of_fresh_generators(entropy):
-    streams = rng.ChunkStreams(entropy, rng.RUN_TARGET, range(126, 130), rng.PORTS)
-    for frame in (129, 126, 128, 127):
+@pytest.mark.parametrize("run_id", RUN_IDS)
+@pytest.mark.parametrize("entropy", [0, 2**32 + 7, 2**130 + 7], ids=["0", "2^32+7", "2^130+7"])
+def test_chunk_streams_draw_numpys_jumped_streams(entropy, run_id):
+    streams = rng.ChunkStreams(entropy, run_id, rng.PORTS)
+    for frame in (129, 0, MAX_FRAMES, 1):
         for port in rng.PORTS:
-            want = rng.generator(rng.substream(entropy, rng.RUN_TARGET, frame, port)).standard_normal(500)
+            want = frame_stream(entropy, run_id, frame, port).standard_normal(500)
             rows = streams.fill(range(frame, frame + 1), port, np.empty((1, 500)))
-            assert np.array_equal(rows[0], want)
+            assert np.array_equal(rows[0], want), (frame, port)
             # Opened again after another stream, it starts over.
             streams.generator(frame, (port + 1) % len(rng.PORTS)).normal(0.0, 1.0, 7)
             assert np.array_equal(streams.generator(frame, port).normal(0.0, 1.0, 500), want)
 
 
-def test_chunk_streams_of_no_port_hash_no_key():
-    # a chunk hashes only the ports it is given, and no port is a valid
-    # set: it hashes no key
-    assert rng.pcg64_states(1, []) == []
-    streams = rng.ChunkStreams(1, rng.RUN_BACKGROUND, range(4), ())
+def test_chunk_streams_of_no_port_seed_no_base():
+    # a chunk seeds only the ports it is given, and no port is a valid set
+    streams = rng.ChunkStreams(1, rng.RUN_BACKGROUND, ())
     with pytest.raises(KeyError):
         streams.generator(0, rng.PORT_BEAM1)
-
-
-def test_bulk_states_refuse_keys_of_more_than_one_word():
-    with pytest.raises(ValueError, match="2\\^32"):
-        rng.pcg64_states(1, [(0, 2**32, 0)])

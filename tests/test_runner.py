@@ -21,10 +21,17 @@ from sqzbeat.config import (
     to_dict,
     validate_config,
 )
-from sqzbeat.dsp import auto_periodogram, chain_floor, hamming_power_from_moments, hamming_window
+from sqzbeat.dsp import (
+    auto_periodogram,
+    chain_floor,
+    compensate_spectrum,
+    hamming_power_from_moments,
+    hamming_window,
+)
 from sqzbeat.fields import apply_squeezer, quadrature_series, sideband_gains
 from sqzbeat.runner import run, run_preset
 
+from helpers import frame_stream
 from oracles import frame_spectrum
 
 EXPECTED_PRESETS = {
@@ -337,7 +344,7 @@ def test_sweep_block_equals_the_full_field_path(patch):
     shape = (len(frames), grid.n_samples)
     full = 10.0 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     for row, i in zip(full, frames):
-        x = rng.generator(rng.substream(ctx.seed, rng.RUN_SWEEP, i, 0)).standard_normal(2 * len(index))
+        x = frame_stream(ctx.seed, rng.RUN_SWEEP, i, 0).standard_normal(2 * len(index))
         row[index] = np.sqrt(0.5 / grid.n_samples) * (x[: len(index)] + 1j * x[len(index) :])
     live = ctx.width
     assert live >= len(index) // 2 + 2
@@ -408,23 +415,33 @@ def test_spectrum_files_have_headers(tmp_path):
     assert len(first) == 2
 
 
-def test_processed_files_print_bins_below_the_chain_floor_at_the_clamp(tmp_path):
+def test_processed_files_print_bins_below_the_chain_floor_at_the_clamp(monkeypatch, tmp_path):
     # Compensation divides bins below the chain's floor by the floor, so
     # their processed values are rounding residue: they print at the clamp,
-    # and every file counts its clamped rows.  At 64 frames no subtraction
-    # in the passband comes out nonpositive, so the clamped processed rows
-    # are exactly the below-floor bins.
+    # and every file counts its clamped rows.  Above the floor a processed
+    # row prints at the clamp only where the background subtraction left
+    # nothing, as on a few target bins where the squeezed beat meets the
+    # electronic noise.
+    compensated = []
+
+    def recording(values, h):
+        compensated.append(compensate_spectrum(values, h))
+        return compensated[-1]
+
+    monkeypatch.setattr(runner, "compensate_spectrum", recording)
     run_preset("fig3-raw", frames=64, out_dir=str(tmp_path), workers=1)
     power, floor = chain_floor(runner._HeterodyneContext(preset_config("fig3-raw")).chain_h)
     below = power < floor
     assert np.count_nonzero(below) == 273
+    (background, *lit), = compensated
     for path in sorted(tmp_path.glob("*_*.txt")):
         lines = path.read_text().splitlines()
         header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
         clamped = np.array([line.endswith(",-120.000000") for line in lines if line[0].isdigit()])
         assert int(header["clamped_bins"]) == np.count_nonzero(clamped), path.name
         if path.name.startswith("processed_"):
-            assert np.array_equal(clamped, below), path.name
+            values = dict(zip(("reference", "target"), lit))[path.stem.split("_")[1]]
+            assert np.array_equal(clamped, below | (values - background <= 0.0)), path.name
 
 
 def test_cli_list_presets(capsys):
