@@ -132,7 +132,9 @@ class SqueezerSpec:
         """
         x = self.pump_ratio
         eta = self.escape_efficiency
-        nu = np.square(np.asarray(eps_hz, dtype=float) / self.hwhm_hz)
+        # A tiny hwhm overflows nu to inf, and S = 1 exactly: no squeezing.
+        with np.errstate(over="ignore"):
+            nu = np.square(np.asarray(eps_hz, dtype=float) / self.hwhm_hz)
         s = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + nu)
         a = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + nu)
         return s, a

@@ -142,6 +142,8 @@ def test_phase_jitter_penalty():
     x, w = np.polynomial.hermite_e.hermegauss(60)
     mix = s * np.cos(0.6 * x) ** 2 + a * np.sin(0.6 * x) ** 2
     assert phase_jitter_penalty(s, a, 0.6) == pytest.approx(np.dot(w, mix) / np.sqrt(2 * np.pi), rel=1e-12)
+    # a jitter whose square overflows is the fully random angle, (s + a) / 2
+    assert phase_jitter_penalty(s, a, 1e300) == (s + a) / 2
 
 
 def test_straightforward_floor_formula_points():

@@ -144,6 +144,24 @@ def test_every_patch_exits_cleanly_without_non_finite_output(patch):
     _run_cleanly(*patch)
 
 
+# Validated configs that once ended in an overflow, by name.  They run
+# under the tests' ``filterwarnings = error``, so a numpy overflow notice
+# fails them too: the fully random squeeze angle (its contrast e^(-2 sigma^2)
+# underflows to 0) and cavities so narrow that no sideband is squeezed.
+NAMED = [
+    pytest.param("fig4-demod", {"pickoff1": {"squeezer": {"angle_jitter_rms_rad": 1e300}}}, id="angle-jitter-1e300"),
+    pytest.param("fig4-demod", {"pickoff1": {"squeezer": {"hwhm_hz": 1e-300}}}, id="pickoff-hwhm-1e-300"),
+    pytest.param("fig4-demod", {"pickoff1": {"squeezer": {"hwhm_hz": 1e-310}}}, id="pickoff-hwhm-1e-310"),
+    pytest.param("appendixE-pump-sweep", {"opo_sweep": {"hwhm_hz": 1e-300}}, id="sweep-hwhm-1e-300"),
+    pytest.param("appendixE-pump-sweep", {"opo_sweep": {"hwhm_hz": 1e-310}}, id="sweep-hwhm-1e-310"),
+]
+
+
+@pytest.mark.parametrize("name, body", NAMED)
+def test_a_named_validated_config_runs(name, body):
+    assert _run_cleanly(name, body) == 0
+
+
 def _bounded_fields(tp, keys=()):
     """(keys, bound, value type) of every bounded field under config type
     ``tp``, in declaration order; a list entry is reached at index 0."""
