@@ -16,13 +16,12 @@ with the ports of layout 3, and is numpy's jumped PCG64
 
     PCG64(substream(seed, run, port)).jumped(frame)
 
-so a run seeds one base generator per (run, port) through numpy's
-``SeedSequence`` and every frame jumps from it: at most 16 bases per
-heterodyne run (15 on ``fig4-demod``, 16 with squeeze-angle jitter) and
-one per sweep, whatever the frame count.  Layout 6 seeded a generator
-per (run, frame, port) instead.  numpy's reference guide ("Upgrading
-PCG64 with PCG64DXSM") counts jumped streams among the uses PCG64's
-known weakness does not reach.
+so every frame of a (run, port) jumps from one base generator seeded
+through numpy's ``SeedSequence``: at most 16 bases per heterodyne run
+(15 on ``fig4-demod``, 16 with squeeze-angle jitter) and one per sweep,
+whatever the frame count, where layout 6 seeded one per frame.
+numpy's reference guide ("Upgrading PCG64 with PCG64DXSM") counts
+jumped streams among the uses PCG64's known weakness does not reach.
 
 =================  ==========================================================
 port               stream
@@ -47,13 +46,12 @@ A run does not build a generator per stream.  ``ChunkStreams`` seeds the
 bases of a chunk's (run, port) keys once, and opens a frame's stream by
 setting one reused PCG64 to its base and advancing it by frame times
 the step ``PCG64.jumped`` takes; the draws are bit for bit those of the
-jumped generator.  On a 2-vCPU VM (numpy 2.4.6) a base costs
-about 15 us, and opening a stream about 3 us: 1.5 us to set the state
-and 1.6 us to advance it.  Layout 6 spent about 2 us on a bulk hash of
-the state and 2 us on setting it.  Each chunk seeds its own bases rather
-than taking them from the run: the 15 of a 128-frame ``fig4-demod``
-chunk cost about 0.2 ms of its 120 ms, the sweep's one 15 us of 5 ms or
-more.
+jumped generator.  On a 2-vCPU VM (numpy 2.4.6) a base costs about
+15 us, and opening a stream about 3 us: 1.5 us to set the state and
+1.6 us to advance it, about what layout 6's bulk hash and state set
+cost.  Each chunk seeds its own bases rather than taking them from the
+run: the 15 of a 128-frame ``fig4-demod`` chunk cost about 0.2 ms of its
+120 ms, the sweep's one 15 us of 5 ms or more.
 
 The pump sweep keys (``RUN_SWEEP``, frame index, 0), and since layout 6
 every pump power reads that one vacuum row, where layout 5 drew a stream

@@ -433,15 +433,15 @@ def test_processed_files_print_bins_below_the_chain_floor_at_the_clamp(monkeypat
     power, floor = chain_floor(runner._HeterodyneContext(preset_config("fig3-raw")).chain_h)
     below = power < floor
     assert np.count_nonzero(below) == 273
-    (background, *lit), = compensated
+    ((background, reference, target),) = compensated
+    lit = {"processed_reference": reference, "processed_target": target}
     for path in sorted(tmp_path.glob("*_*.txt")):
         lines = path.read_text().splitlines()
         header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
         clamped = np.array([line.endswith(",-120.000000") for line in lines if line[0].isdigit()])
         assert int(header["clamped_bins"]) == np.count_nonzero(clamped), path.name
-        if path.name.startswith("processed_"):
-            values = dict(zip(("reference", "target"), lit))[path.stem.split("_")[1]]
-            assert np.array_equal(clamped, below | (values - background <= 0.0)), path.name
+        if path.stem in lit:
+            assert np.array_equal(clamped, below | (lit[path.stem] - background <= 0.0)), path.name
 
 
 def test_cli_list_presets(capsys):
