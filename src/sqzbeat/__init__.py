@@ -34,9 +34,7 @@ from .fields import (
     SqueezerSpec,
     apply_loss,
     apply_squeezer,
-    epr_identity_residual,
     make_vacuum_field,
-    quadrature_series,
 )
 from .interferometer import (
     balanced_detect,

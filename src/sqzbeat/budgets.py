@@ -88,8 +88,10 @@ def _angle_mix(s, a, theta0, sigma, folded: bool = False) -> tuple[float, float]
     """Squeezed and anti-squeezed parts of s cos^2 + a sin^2 averaged over a
     Gaussian angle error N(theta0, sigma^2), weights (1 +- cos 2theta0 e^(-2 sigma^2)) / 2;
     ``folded`` applies the straightforward fold (3 s' + a') / 4 to the pair."""
-    # sigma * sigma, not sigma**2: a float's ** raises OverflowError, where
-    # the product goes to inf and the contrast to 0, the fully random limit.
+    # As a Python float, sigma * sigma overflows quietly to inf and the
+    # contrast to 0, the fully random limit; a float's ** raises
+    # OverflowError, and a numpy float's product warns.
+    sigma = float(sigma)
     contrast = np.cos(2.0 * theta0) * np.exp(-2.0 * (sigma * sigma))
     c2, s2 = (1.0 + contrast) / 2.0, (1.0 - contrast) / 2.0
     if folded:

@@ -192,16 +192,6 @@ class MeasurementConfig:
 
 
 @dataclass(frozen=True)
-class EprConfig:
-    # The draws put 4-12 MHz beats, rounded down to a bin, on frames of
-    # 2000-5000 samples: a 4 MHz beat spans a bin up to 8 GHz, and a
-    # 12 MHz beat leaves room for the carrier and its partners above 48 MHz.
-    sample_rate_hz: float = _bounded(125e6, gt=48e6, le=8e9)
-    draws: int = _bounded(100, ge=1, le=MAX_FRAMES)
-    residual_threshold: float = _bounded(1e-9, gt=0)
-
-
-@dataclass(frozen=True)
 class OpoSweepConfig:
     """Per-pump quadrature spectra squeezed about anchor_hz; frames from grid.frames."""
 
@@ -264,15 +254,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class IdentityConfig:
-    name: str = field(default="custom", metadata={"bound": IDENTIFIER})
-    kind: str = "epr"
-    epr: EprConfig = field(default_factory=EprConfig)
-    seed: int = _bounded(20230811, ge=0)
-    out_dir: str = "out"
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     name: str = field(default="custom", metadata={"bound": IDENTIFIER})
     kind: str = "opo-sweep"
@@ -282,8 +263,8 @@ class SweepConfig:
     out_dir: str = "out"
 
 
-Config = ExperimentConfig | IdentityConfig | SweepConfig
-CONFIG_TYPES = {"heterodyne": ExperimentConfig, "epr": IdentityConfig, "opo-sweep": SweepConfig}
+Config = ExperimentConfig | SweepConfig
+CONFIG_TYPES = {"heterodyne": ExperimentConfig, "opo-sweep": SweepConfig}
 KINDS = tuple(CONFIG_TYPES)
 
 
@@ -403,8 +384,6 @@ def validate_config(cfg: Config) -> None:
     """
     _from_data(type(cfg), to_dict(cfg), "")
     _check(CONFIG_TYPES.get(cfg.kind) is type(cfg), "kind", f"must be one of {KINDS}, matching the config")
-    if cfg.kind == "epr":
-        return
 
     g = cfg.grid
     _check(g.n_samples % 2 == 0, "grid.n_samples", "must be even")
@@ -600,10 +579,6 @@ def _preset_vacuum() -> ExperimentConfig:
     )
 
 
-def _preset_epr() -> IdentityConfig:
-    return IdentityConfig(name="epr-identity", out_dir="out/epr-identity")
-
-
 def _preset_pump_sweep() -> SweepConfig:
     return SweepConfig(
         name="appendixE-pump-sweep",
@@ -628,10 +603,6 @@ PRESETS = {
     "appendixG-straightforward": (
         "same-frequency squeezing variant; demodulated phase noise rises above vacuum",
         _preset_straightforward,
-    ),
-    "epr-identity": (
-        "sideband-recombination identity residual over randomized states and frequencies",
-        _preset_epr,
     ),
     "appendixE-pump-sweep": (
         "squeezing spectra versus pump power, Monte-Carlo against the cavity model",

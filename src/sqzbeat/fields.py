@@ -252,6 +252,9 @@ def quadrature_series(
     eps_max.  Linear in the field.  The default eps_max is the largest
     offset whose both sidebands stay strictly inside the grid.  Returns
     (a1, a2); a block field gives one row of each per frame.
+
+    No run reads it: a pump sweep builds its quadratures' bins directly
+    (``runner``).  Only the tests' oracles and the benchmark's tracer do.
     """
     kc = grid.bin_index(center_freq)
     margin = grid.edge_margin(center_freq)
@@ -269,55 +272,3 @@ def quadrature_series(
     z = np.fft.fft(np.where(mask, rolled, 0.0))
     root2 = np.sqrt(2.0)
     return root2 * z.real, root2 * z.imag
-
-
-def epr_identity_residual(
-    grid: FrequencyGrid,
-    field: np.ndarray,
-    omega0_hz: float,
-    beat_hz: float,
-    half_width_hz: float | None = None,
-) -> float:
-    """Residual of the sideband-recombination identity on one realization.
-
-    The quadrature of the band centered midway between ``omega0`` and
-    ``omega0 + 2 * beat`` decomposes exactly into quadratures of the two
-    outer bands carried on sin and cos of the beat:
-
-        a1_mid[eps in beat +- W] =
-            (a2_upper - a2_lower) * sin(2 pi beat t)
-          + (a1_upper + a1_lower) * cos(2 pi beat t)
-
-    with the outer extractions band-limited to |eps| <= W < beat so the
-    decompositions cannot alias.  The identity is linear and holds
-    realization by realization for any state; the residual measures only
-    floating-point error.
-
-    Returns max|lhs - rhs| / max|lhs|.
-    """
-    df = grid.bin_hz
-    if beat_hz <= 0:
-        raise BandError("beat_hz must be positive")
-    lower = omega0_hz
-    mid = omega0_hz + beat_hz
-    upper = omega0_hz + 2.0 * beat_hz
-    for f in (lower - beat_hz, lower, mid, upper):
-        grid.bin_index(f)
-
-    w_edge = min(grid.edge_margin(lower), grid.edge_margin(upper))
-    w_max = min(beat_hz - df, w_edge)
-    if half_width_hz is None:
-        half_width_hz = w_max
-    if not 0 <= half_width_hz <= w_max + _GRID_TOL * df:
-        raise BandError(f"half_width_hz must be in [0, {w_max}] Hz")
-
-    t = grid.times()
-    phase = 2.0 * np.pi * beat_hz * t
-    up1, up2 = quadrature_series(grid, field, upper, eps_max=half_width_hz)
-    lo1, lo2 = quadrature_series(grid, field, lower, eps_max=half_width_hz)
-    rhs = (up2 - lo2) * np.sin(phase) + (up1 + lo1) * np.cos(phase)
-    lhs, _ = quadrature_series(grid, field, mid, eps_min=beat_hz - half_width_hz, eps_max=beat_hz + half_width_hz)
-    scale = np.max(np.abs(lhs))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)

@@ -61,8 +61,9 @@ spectra, once per run (``runner``).  The row holds only the 2m + 1
 sidebands within the anchor's margin that the sweep's quadratures read,
 real parts then imaginary parts, in offset order -m..m: one stream and
 2598 normals per frame on ``appendixE-pump-sweep`` (m = 649), whatever
-the number of powers.  The EPR identity run substreams 900 and 901 of
-the master seed.
+the number of powers.  Substreams 900 and 901 of the master seed are the
+draws of the sideband-recombination identity's acceptance criterion
+(criterion 1 of the tests), read through ``generator``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def substream(seed, *path: int) -> np.random.SeedSequence:
 
 
 def generator(seed) -> np.random.Generator:
-    """PCG64 generator on the stream of ``seed``."""
+    """PCG64 generator on the stream of ``seed``.
+
+    No run reads it (runs draw through ``ChunkStreams``); only the tests
+    and the benchmark's tracer do."""
     return np.random.default_rng(seed)
 
 

@@ -62,10 +62,6 @@ A heterodyne block windows its rows with the same taps after one rfft
 of the photocurrent (a raw readout) or of its product with the local
 oscillator and of each arm's readout noise (a demod readout): every
 filter acts on the bins, so no row goes back to the time domain.
-
-The EPR identity run is not a frame average: each draw picks its own
-grid size, state and frequencies, and the run keeps the largest
-residual, so it loops over its draws without the engine.
 """
 
 from __future__ import annotations
@@ -84,7 +80,6 @@ from .config import (
     Config,
     ConfigError,
     ExperimentConfig,
-    IdentityConfig,
     SweepConfig,
     config_hash,
     preset_config,
@@ -105,15 +100,7 @@ from .dsp import (
     postprocess,
     raw_measurement_chain,
 )
-from .fields import (
-    FrequencyGrid,
-    SqueezerSpec,
-    apply_squeezer,
-    epr_identity_residual,
-    make_vacuum_field,
-    sideband_gains,
-    vacuum_rows,
-)
+from .fields import SqueezerSpec, sideband_gains, vacuum_rows
 from .interferometer import (
     BeamCarrier,
     balanced_detect,
@@ -542,44 +529,6 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     return summary, freqs, spectra
 
 
-def _run_epr(cfg: IdentityConfig) -> RunSummary:
-    fs = cfg.epr.sample_rate_hz
-    draws = cfg.epr.draws
-    gen = rngs.generator(rngs.substream(cfg.seed, 900))
-    worst = 0.0
-    for d in range(draws):
-        n = int(gen.choice(np.array([2000, 2500, 4000, 5000])))
-        grid = FrequencyGrid(fs, n)
-        df = grid.bin_hz
-        beat = float(gen.integers(int(4e6 / df), int(12e6 / df) + 1)) * df
-        lo_bin = int(np.ceil((-fs / 2 + beat) / df)) + 1
-        hi_bin = int(np.floor((fs / 2 - 3.0 * beat) / df)) - 1
-        omega0 = float(gen.integers(lo_bin, hi_bin + 1)) * df
-        state = make_vacuum_field(grid, rngs.generator(rngs.substream(cfg.seed, 901, d)).standard_normal((2, n)))
-        if gen.random() < 0.7:
-            spec = SqueezerSpec(
-                pump_ratio=float(gen.uniform(0.05, 0.85)),
-                hwhm_hz=float(gen.uniform(5e6, 60e6)),
-                escape_efficiency=float(gen.uniform(0.5, 1.0)),
-                squeeze_angle_rad=float(gen.uniform(0.0, 2.0 * np.pi)),
-                center_freq_hz=(omega0 + beat) if gen.random() < 0.5 else omega0,
-            )
-            state = apply_squeezer(grid, state, spec)
-        worst = max(worst, epr_identity_residual(grid, state, omega0, beat))
-    threshold = cfg.epr.residual_threshold
-    return _summary(
-        cfg,
-        "identity",
-        draws,
-        extras={
-            "epr.draws": str(draws),
-            "epr.max_residual": f"{worst:.3e}",
-            "epr.threshold": f"{threshold:.1e}",
-            "epr.pass": str(worst <= threshold).lower(),
-        },
-    )
-
-
 def _run_opo_sweep(cfg: SweepConfig, workers: int) -> tuple[RunSummary, np.ndarray, list]:
     ctx = _SweepContext(cfg)
     ow = cfg.opo_sweep
@@ -643,10 +592,7 @@ def run(
     The overrides go into the config as given, so validation rejects a
     count that is not an integer as it would in a JSON config."""
     if frames is not None:
-        if cfg.kind == "epr":  # an identity run counts draws
-            cfg = replace(cfg, epr=replace(cfg.epr, draws=frames))
-        else:
-            cfg = replace(cfg, grid=replace(cfg.grid, frames=frames))
+        cfg = replace(cfg, grid=replace(cfg.grid, frames=frames))
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if out_dir is not None:
@@ -656,11 +602,8 @@ def run(
     _check_out_dir(cfg.out_dir)
 
     started = time.perf_counter()
-    if cfg.kind == "epr":
-        summary, freqs, spectra = _run_epr(cfg), None, []
-    else:
-        run_kind = _run_opo_sweep if cfg.kind == "opo-sweep" else _run_heterodyne
-        summary, freqs, spectra = run_kind(cfg, workers)
+    run_kind = _run_opo_sweep if cfg.kind == "opo-sweep" else _run_heterodyne
+    summary, freqs, spectra = run_kind(cfg, workers)
     summary.wall_time_s = time.perf_counter() - started
     checks = [(f"band.{b.label}", (b.reduction_db, b.stderr_db, b.predicted_db)) for b in summary.bands]
     for what, values in checks + [(f"{stem}.txt", values_db) for stem, values_db, _ in spectra]:
@@ -670,7 +613,7 @@ def run(
     os.makedirs(cfg.out_dir, exist_ok=True)
     header = {"config_hash": summary.config_hash, "frames": summary.frames}
     # Every spectrum file of a run shares one frequency axis: format it once.
-    rows = "\n".join(f"{f:.3f},%.6f" for f in freqs.tolist()) if spectra else ""
+    rows = "\n".join(f"{f:.3f},%.6f" for f in freqs.tolist())
     for stem, values_db, extra in spectra:
         _write_spectrum(os.path.join(cfg.out_dir, f"{stem}.txt"), rows, values_db, dict(header, **extra))
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:

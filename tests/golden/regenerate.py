@@ -6,11 +6,11 @@ Summaries come from the commands ``tests/test_golden.py`` lists,
 
     sqzbeat run --preset NAME --frames 16 --out DIR     (heterodyne presets)
     sqzbeat run --preset appendixE-pump-sweep --frames 8 --out DIR
-    sqzbeat run --preset epr-identity --out DIR         (default draws)
 
 and ``block-boundary.sha256`` from ``run(merge_config(preset_config(PRESET),
 PATCH), frames=130, workers=W)`` for every (NAME, PRESET, PATCH) of
-``BOUNDARY_RUNS`` and W = 1 and 2, which must write the same bytes.  Prints
+``BOUNDARY_RUNS`` and W = 1 and 2, which must write the same bytes.  Its
+header records the numpy version that wrote the files.  Prints
 the name of each file whose contents changed.  Regenerate only for a
 declared change of the realizations, after the acceptance gate passes.
 """
@@ -23,6 +23,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from sqzbeat.cli import main
 from sqzbeat.config import list_presets, merge_config, preset_config
@@ -60,6 +62,7 @@ BOUNDARY_HEADER = """\
 # block of 2 frames.  Check by hand with `sha256sum -c` in a directory holding
 # NAME/ output trees.
 """
+NUMPY_LINE = "# numpy {} wrote these digests and the golden summaries.\n"
 
 
 def boundary_config(name: str):
@@ -68,10 +71,16 @@ def boundary_config(name: str):
     return merge_config(preset_config(preset), patch)
 
 
-def _summary_args(name: str) -> list[str]:
-    kind = preset_config(name).kind
-    frames = {"epr": [], "opo-sweep": ["--frames", "8"]}.get(kind, ["--frames", "16"])
-    return ["run", "--preset", name, *frames]
+def summary_frames(name: str) -> int:
+    """The frame count of preset ``name``'s golden summary."""
+    return 8 if preset_config(name).kind == "opo-sweep" else 16
+
+
+def recorded_numpy() -> str:
+    """The numpy version the header of ``block-boundary.sha256`` records."""
+    prefix = NUMPY_LINE.split("{}")[0]
+    with open(os.path.join(GOLDEN, "block-boundary.sha256"), encoding="utf-8") as fh:
+        return next((line[len(prefix):].split()[0] for line in fh if line.startswith(prefix)), "unknown")
 
 
 def _digests(name: str, workers: int) -> dict[str, str]:
@@ -98,13 +107,13 @@ def regenerate() -> list[str]:
     for name, _ in list_presets():
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = main([*_summary_args(name), "--out", out])
+                rc = main(["run", "--preset", name, "--frames", str(summary_frames(name)), "--out", out])
             if rc != 0:
                 raise SystemExit(f"{name}: the run failed")
             data = open(os.path.join(out, "summary.txt"), "rb").read()
         _write(f"{name}.summary.txt", data, changed)
 
-    lines = [BOUNDARY_HEADER]
+    lines = [BOUNDARY_HEADER, NUMPY_LINE.format(np.__version__)]
     for name, _, _ in BOUNDARY_RUNS:
         one, two = _digests(name, 1), _digests(name, 2)
         if one != two:

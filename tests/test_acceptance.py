@@ -16,12 +16,13 @@ from sqzbeat.budgets import (
     predicted_reduction,
     straightforward_phase_floor,
 )
-from sqzbeat.config import preset_config
+from sqzbeat.config import merge_config, preset_config
 from sqzbeat.dsp import cross_periodogram, hamming_window
-from sqzbeat.rng import ChunkStreams
+from sqzbeat.fields import FrequencyGrid, SqueezerSpec, apply_squeezer, make_vacuum_field
+from sqzbeat.rng import ChunkStreams, generator, substream
 from sqzbeat.runner import run, run_preset
 
-from oracles import frame_spectrum
+from oracles import epr_identity_residual, frame_spectrum, one_squeezer_bound_db
 from test_budgets import demod_phase_floor_oracle
 
 
@@ -30,16 +31,46 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_epr_identity_residual(tmp_path):
+def _identity_worst_residual(seed: int, draws: int) -> float:
+    """Largest ``epr_identity_residual`` over randomized draws at 125 MHz.
+    Stream 900 of ``seed`` picks each draw's frame size, a 4-12 MHz beat
+    and an outer band on the grid, and a squeezer on 70% of the draws;
+    stream (901, d) is draw d's vacuum."""
+    fs = 125e6
+    gen = generator(substream(seed, 900))
+    worst = 0.0
+    for d in range(draws):
+        n = int(gen.choice(np.array([2000, 2500, 4000, 5000])))
+        grid = FrequencyGrid(fs, n)
+        df = grid.bin_hz
+        beat = float(gen.integers(int(4e6 / df), int(12e6 / df) + 1)) * df
+        lo_bin = int(np.ceil((-fs / 2 + beat) / df)) + 1
+        hi_bin = int(np.floor((fs / 2 - 3.0 * beat) / df)) - 1
+        omega0 = float(gen.integers(lo_bin, hi_bin + 1)) * df
+        state = make_vacuum_field(grid, generator(substream(seed, 901, d)).standard_normal((2, n)))
+        if gen.random() < 0.7:
+            spec = SqueezerSpec(
+                pump_ratio=float(gen.uniform(0.05, 0.85)),
+                hwhm_hz=float(gen.uniform(5e6, 60e6)),
+                escape_efficiency=float(gen.uniform(0.5, 1.0)),
+                squeeze_angle_rad=float(gen.uniform(0.0, 2.0 * np.pi)),
+                center_freq_hz=(omega0 + beat) if gen.random() < 0.5 else omega0,
+            )
+            state = apply_squeezer(grid, state, spec)
+        worst = max(worst, epr_identity_residual(grid, state, omega0, beat))
+    return worst
+
+
+def test_criterion_1_epr_identity_residual():
     started = time.perf_counter()
-    summary = run_preset("epr-identity", out_dir=str(tmp_path))
+    worst = _identity_worst_residual(preset_config("fig4-demod").seed, draws=100)
     elapsed = time.perf_counter() - started
-    worst = float(summary.extras["epr.max_residual"])
-    ok = worst <= 1e-9 and elapsed < 10.0 and summary.frames == 100
+    ok = worst <= 1e-9 and elapsed < 10.0
     _report(
         "criterion 1 (sideband-recombination identity)",
         ok,
-        f"max residual {worst:.2e} over 100 draws in {elapsed:.1f} s (limit 1e-9, 10 s)",
+        f"max residual {worst:.2e} over 100 draws in {elapsed:.1f} s (limit 1e-9, 10 s); "
+        f"epr.max_residual={worst:.3e}",
     )
 
 
@@ -220,3 +251,44 @@ def test_criterion_8_self_tests(tmp_path):
     ok &= identical
     details.append(f"byte-identical across reruns and worker counts: {identical}")
     _report("criterion 8 (self tests)", ok, "; ".join(details))
+
+
+def _ideal_demod(pumps: tuple[float | None, float | None], e2: float = 1000.0):
+    """``fig4-demod``'s readout under ideal detection (qe 1, R 1; no
+    electronic, arm or classical noise), the tone off, and flat squeezers
+    (hwhm 3 GHz, escape 1) at pump ratios ``pumps``, None for none."""
+    cfg = preset_config("fig4-demod")
+    patch = {
+        "beams": {"e2": e2, "classical_fraction": 0.0, "mod_depth_rad": 0.0},
+        "detector": {"quantum_efficiency": 1.0, "electronic_noise_rel_db": None},
+        "measurement": {"arm_noise_rel_db": None, "arm_noise_excess_rel_db": None},
+    }
+    for name, pump in zip(("pickoff1", "pickoff2"), pumps):
+        squeezer = None if pump is None else {"pump_ratio": pump, "hwhm_hz": 3e9, "escape_efficiency": 1.0}
+        patch[name] = {"reflectivity": 1.0, "squeezer": squeezer}
+    return merge_config(cfg, patch)
+
+
+def test_criterion_9_one_squeezer_stops_at_the_image_band_bound(tmp_path):
+    # One squeezed source leaves the other beam's vacuum its carrier weight
+    # of the floor, whatever the pump; two squeezed sources pass the bound.
+    e1 = 1000.0
+    rows = [  # (label, pump ratios, e2, bound, passes the bound)
+        ("beam 1 at 0.9", (0.9, None), e1, one_squeezer_bound_db(e1, e1, 0), False),
+        ("beam 2 at 0.9", (None, 0.9), e1, one_squeezer_bound_db(e1, e1, 1), False),
+        ("both at 0.3", (0.3, 0.3), e1,
+         max(one_squeezer_bound_db(e1, e1, 0), one_squeezer_bound_db(e1, e1, 1)), True),
+        ("beam 1 at 0.9, e2 = 3 e1", (0.9, None), 3.0 * e1, one_squeezer_bound_db(e1, 3.0 * e1, 0), False),
+    ]
+    ok = abs(rows[0][3] - 10.0 * np.log10(2.0)) < 1e-12 and abs(rows[3][3] - 10.0) < 1e-12
+    details = []
+    for label, pumps, e2, bound, passes in rows:
+        band = run(_ideal_demod(pumps, e2), frames=512, out_dir=str(tmp_path)).bands[0]
+        if passes:
+            ok &= band.reduction_db >= bound + 5.0 * band.stderr_db
+            rule = ">= bound + 5 stderr"
+        else:
+            ok &= band.reduction_db <= bound + 3.0 * band.stderr_db
+            rule = "<= bound + 3 stderr"
+        details.append(f"{label}: {band.reduction_db:.3f} +- {band.stderr_db:.3f} dB, bound {bound:.4f} ({rule})")
+    _report("criterion 9 (one squeezer stops at the image-band bound)", ok, "; ".join(details))

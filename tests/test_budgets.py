@@ -146,6 +146,13 @@ def test_phase_jitter_penalty():
     assert phase_jitter_penalty(s, a, 1e300) == (s + a) / 2
 
 
+def test_phase_jitter_penalty_takes_numpy_floats():
+    # a numpy float's square overflows with a warning, which the suite's
+    # filterwarnings = error turns into a failure
+    assert phase_jitter_penalty(0.1, 10.0, np.float64(1e300)) == pytest.approx(5.05, rel=1e-15)
+    assert phase_jitter_penalty(np.float64(0.1), np.float64(10.0), np.float64(1e300)) == pytest.approx(5.05, rel=1e-15)
+
+
 def test_straightforward_floor_formula_points():
     assert straightforward_phase_floor(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert straightforward_phase_floor(0.356, 4.30) == pytest.approx(1.342, abs=1e-3)

@@ -12,14 +12,13 @@ from sqzbeat.fields import (
     SqueezerSpec,
     apply_loss,
     apply_squeezer,
-    epr_identity_residual,
     make_vacuum_field,
     quadrature_series,
 )
 from sqzbeat.rng import substream
 
 from helpers import naive_psd, normals
-from oracles import quadrature_at_angle
+from oracles import epr_identity_residual, quadrature_at_angle
 
 FS = 125e6
 GRID = FrequencyGrid(FS, 2500)

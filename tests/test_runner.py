@@ -39,15 +39,14 @@ EXPECTED_PRESETS = {
     "fig4-demod",
     "appendixD-no-cross",
     "appendixG-straightforward",
-    "epr-identity",
     "appendixE-pump-sweep",
     "vacuum-selftest",
 }
 
 
 def test_preset_catalog_complete():
-    names = {name for name, _ in list_presets()}
-    assert EXPECTED_PRESETS <= names
+    names = [name for name, _ in list_presets()]
+    assert sorted(names) == sorted(EXPECTED_PRESETS)
     for name, desc in list_presets():
         assert desc.strip()
 
@@ -184,13 +183,13 @@ def test_summary_records_effective_config_hash(tmp_path):
         ("vacuum-selftest", {"frames": 2.7}, "grid.frames"),
         ("vacuum-selftest", {"frames": True}, "grid.frames"),
         ("vacuum-selftest", {"seed": 3.9}, "seed"),
-        ("epr-identity", {"frames": 2.5}, "epr.draws"),
+        ("appendixE-pump-sweep", {"frames": 2.5}, "grid.frames"),
         ("vacuum-selftest", {"workers": 2.7}, "workers"),
         ("vacuum-selftest", {"workers": True}, "workers"),
         ("vacuum-selftest", {"workers": 2.0}, "workers"),
         ("appendixE-pump-sweep", {"workers": "2"}, "workers"),
     ],
-    ids=["float-frames", "bool-frames", "float-seed", "float-epr-draws", "float-workers", "bool-workers",
+    ids=["float-frames", "bool-frames", "float-seed", "float-sweep-frames", "float-workers", "bool-workers",
          "integral-float-workers", "str-workers"],
 )
 def test_run_rejects_overrides_that_are_not_integers(name, overrides, path, tmp_path):
@@ -288,12 +287,6 @@ def test_a_dark_acquisition_that_draws_no_port_runs_no_block(tmp_path, monkeypat
     frames = 10
     run(preset_config("appendixG-straightforward"), frames=frames, workers=1, out_dir=str(tmp_path))
     assert readouts == [True] * (2 * -(-frames // runner.BLOCK_FRAMES))
-
-
-def test_epr_preset_summary(tmp_path):
-    summary = run_preset("epr-identity", out_dir=str(tmp_path))
-    assert summary.extras["epr.pass"] == "true"
-    assert float(summary.extras["epr.max_residual"]) <= 1e-9
 
 
 def test_opo_sweep_outputs(tmp_path):
@@ -446,9 +439,20 @@ def test_processed_files_print_bins_below_the_chain_floor_at_the_clamp(monkeypat
 
 def test_cli_list_presets(capsys):
     assert main(["list-presets"]) == 0
-    out = capsys.readouterr().out
-    for name in EXPECTED_PRESETS:
-        assert name in out
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert sorted(names) == sorted(EXPECTED_PRESETS)
+
+
+def test_cli_refuses_the_retired_identity_kind(tmp_path, capsys):
+    # the sideband-recombination identity is a test (acceptance criterion 1), not a run kind
+    assert main(["run", "--preset", "epr-identity", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: preset: unknown preset 'epr-identity'" in capsys.readouterr().err
+    cfg_path = tmp_path / "epr.json"
+    cfg_path.write_text('{"kind": "epr"}')
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert "config error: kind: must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
@@ -579,20 +583,12 @@ def test_pool_is_no_larger_than_its_job_count(monkeypatch, tmp_path, pool_sizes)
     assert pool_sizes == [2, 2]
 
 
-def test_frames_override_sets_epr_draws(tmp_path):
-    assert main(["run", "--preset", "epr-identity", "--frames", "7", "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "summary.txt").read_text().splitlines()
-    assert "frames=7" in lines
-    assert "epr.draws=7" in lines
-
-
 @pytest.mark.parametrize(
     "preset, patch, path",
     [
         ("vacuum-selftest", '{"grid": {"frames": 1.5}}', "grid.frames"),
         ("vacuum-selftest", '{"grid": {"frames": true}}', "grid.frames"),
         ("vacuum-selftest", '{"seed": "abc"}', "seed"),
-        ("epr-identity", '{"epr": {"residual_threshold": -1}}', "epr.residual_threshold"),
         ("vacuum-selftest", '{"detector": {"gain_ripple_db": NaN}}', "detector.gain_ripple_db"),
         ("vacuum-selftest", '{"measurement": {"bands": 5}}', "measurement.bands"),
         ("vacuum-selftest", '{"pickoff1": {"squeezer": {}}}', "pickoff1.squeezer"),
@@ -603,8 +599,6 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [20e6, 1e6]}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [40e6, 60e6]}}', "opo_sweep.band_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"band_hz": [1e6, 60e6]}}', "opo_sweep.band_hz"),
-        ("epr-identity", '{"epr": {"sample_rate_hz": 3e6}}', "epr.sample_rate_hz"),
-        ("epr-identity", '{"epr": {"sample_rate_hz": 1e200}}', "epr.sample_rate_hz"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": []}}', "opo_sweep.pump_powers_mw"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": [100.2, 100.4]}}', "opo_sweep.pump_powers_mw[1]"),
         ("appendixE-pump-sweep", '{"opo_sweep": {"pump_powers_mw": [300, 100]}}', "opo_sweep.pump_powers_mw[1]"),
@@ -623,12 +617,11 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("vacuum-selftest", '{"beams": {"e2": 1e-300}}', "beams.e2"),
         ("appendixG-straightforward", '{"beams": {"e1": 1e300}}', "beams.e1"),
         ("fig3-raw", '{"pickoff1": {"injection_phase_rad": 0.5}}', "pickoff1.injection_phase_rad"),
-        ("epr-identity", '{"detector": {"quantum_efficiency": 0.5}}', "detector"),
-        ("epr-identity", '{"scheme": "straightforward"}', "scheme"),
+        ("appendixE-pump-sweep", '{"scheme": "straightforward"}', "scheme"),
         ("appendixE-pump-sweep", '{"pickoff1": {"reflectivity": 0.5}}', "pickoff1"),
         ("vacuum-selftest", '{"kind": {}}', "kind"),
         ("fig3-raw", '{"kind": "epr"}', "kind"),
-        ("epr-identity", '{"kind": "opo-sweep"}', "kind"),
+        ("appendixE-pump-sweep", '{"kind": "heterodyne"}', "kind"),
         ("fig3-raw", "[1]", "config"),
         ("vacuum-selftest", '{"name": "x\\nframes=99"}', "name"),
         ("fig3-raw", '{"measurement": {"bands": [{"label": "lower\\nseed=1", "center_hz": 6.89e6}]}}',
@@ -643,16 +636,16 @@ def test_frames_override_sets_epr_draws(tmp_path):
         ("vacuum-selftest", '{"beams": {"anchor_hz": 70e6}}', "beams.anchor_hz"),
     ],
     ids=[
-        "fractional-frames", "bool-frames", "string-seed", "negative-threshold", "nan-ripple",
+        "fractional-frames", "bool-frames", "string-seed", "nan-ripple",
         "scalar-bands", "squeezer-without-pump", "sweep-slow-grid", "sweep-anchor-outside",
         "sweep-bandless-grid", "sweep-band-past-nyquist", "sweep-band-reversed",
-        "sweep-band-past-margin", "sweep-band-straddling-margin", "epr-slow-grid", "epr-fast-grid",
+        "sweep-band-past-margin", "sweep-band-straddling-margin",
         "sweep-no-pumps", "sweep-colliding-pump-tags", "sweep-falling-pumps",
         "binless-normalization-band", "binless-analysis-band",
         "overflowing-db-level", "loud-arm-noise", "overflowing-arm-excess", "overflowing-ripple",
         "huge-frame", "sub-bin-beat", "vanishing-carrier", "overflowing-carrier",
-        "removed-injection-phase", "epr-detector", "epr-scheme", "sweep-pickoff", "object-kind",
-        "heterodyne-to-epr", "epr-to-sweep", "list-patch", "summary-line-in-name", "summary-line-in-label",
+        "removed-injection-phase", "sweep-scheme", "sweep-pickoff", "object-kind",
+        "heterodyne-to-epr", "sweep-to-heterodyne", "list-patch", "summary-line-in-name", "summary-line-in-label",
         "repeated-label", "endless-frames", "vanishing-quantum-efficiency", "anchor-outside",
     ],
 )
