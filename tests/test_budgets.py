@@ -19,7 +19,7 @@ from sqzbeat.budgets import (
 from sqzbeat.config import list_presets, merge_config, preset_config
 from sqzbeat.fields import SqueezerSpec
 
-from oracles import detected_squeezing
+from oracles import detected_squeezing, one_squeezer_bound_db
 
 MEASURED = SqueezingLevels(
     s_lower_db=(4.5, 4.16),
@@ -146,11 +146,43 @@ def test_phase_jitter_penalty():
     assert phase_jitter_penalty(s, a, 1e300) == (s + a) / 2
 
 
-def test_phase_jitter_penalty_takes_numpy_floats():
+@pytest.mark.parametrize(
+    "s, a, theta",
+    [
+        (0.1, 10.0, np.float64(1e300)),
+        (np.float64(0.1), np.float64(10.0), np.float64(1e300)),
+        (0.1, 10.0, np.float64(1e200)),
+        (0.1, 10.0, np.array(1e300)),
+    ],
+    ids=["numpy-jitter", "numpy-all", "numpy-jitter-1e200", "zero-d-array-jitter"],
+)
+def test_phase_jitter_penalty_takes_numpy_floats(s, a, theta):
     # a numpy float's square overflows with a warning, which the suite's
     # filterwarnings = error turns into a failure
-    assert phase_jitter_penalty(0.1, 10.0, np.float64(1e300)) == pytest.approx(5.05, rel=1e-15)
-    assert phase_jitter_penalty(np.float64(0.1), np.float64(10.0), np.float64(1e300)) == pytest.approx(5.05, rel=1e-15)
+    assert phase_jitter_penalty(s, a, theta) == pytest.approx(5.05, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "e1, e2, source, bound_db",
+    [
+        (1.0, 1.0, 0, 10.0 * np.log10(2.0)),
+        (1.0, 1.0, 1, 10.0 * np.log10(2.0)),
+        (1.0, 3.0, 0, 10.0),
+        (1.0, 3.0, 1, 10.0 * np.log10(10.0 / 9.0)),
+        (3.0, 1.0, 0, 10.0 * np.log10(10.0 / 9.0)),
+        (3.0, 1.0, 1, 10.0),
+    ],
+    ids=["equal-source-1", "equal-source-2", "e2-3e1-source-1", "e2-3e1-source-2",
+         "e1-3e2-source-1", "e1-3e2-source-2"],
+)
+def test_one_squeezer_bound_is_the_budget_of_perfect_squeezing(e1, e2, source, bound_db):
+    # the budget with one source squeezed by 300 dB and the other at vacuum
+    # reaches the oracle's bound, which the carrier weights alone set
+    squeezed = tuple(300.0 if i == source else 0.0 for i in range(2))
+    levels = SqueezingLevels(squeezed, squeezed, w1=e2 * e2, w2=e1 * e1)
+    assert one_squeezer_bound_db(e1, e2, source) == pytest.approx(bound_db, rel=1e-14)
+    for band in ("lower", "upper", "demod"):
+        assert predicted_reduction(levels, band) == pytest.approx(bound_db, rel=1e-12)
 
 
 def test_straightforward_floor_formula_points():

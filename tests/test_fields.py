@@ -273,10 +273,44 @@ def test_epr_identity_residual_small_for_any_state():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "half_width_hz",
+    [0.0, 2e6, 10e6 - GRID.bin_hz, None],
+    ids=["dc-bin", "narrow", "widest", "default"],
+)
+def test_epr_identity_holds_at_any_half_width(half_width_hz):
+    spec = SqueezerSpec(0.6, 20e6, 0.9, 0.4, center_freq_hz=20e6)
+    f = apply_squeezer(GRID, _vacuum(substream(13, 1, 0)), spec)
+    assert epr_identity_residual(GRID, f, 20e6, 10e6, half_width_hz) <= 1e-9
+
+
+def test_epr_identity_residual_of_a_dark_field_is_zero():
+    assert epr_identity_residual(GRID, np.zeros(GRID.n_samples, complex), 20e6, 10e6) == 0.0
+
+
 def test_epr_identity_band_violation():
     f = _vacuum(substream(13, 0, 0))
     with pytest.raises(BandError):
         epr_identity_residual(GRID, f, 50e6, 10e6)  # upper band runs off the grid
+
+
+@pytest.mark.parametrize(
+    "omega0_hz, beat_hz, half_width_hz, match",
+    [
+        (20e6, 0.0, None, "beat_hz must be positive"),
+        (20e6, -10e6, None, "beat_hz must be positive"),
+        (20e6, 10e6, 10e6, "half_width_hz must be in"),
+        (20e6, 10e6, -GRID.bin_hz, "half_width_hz must be in"),
+        (20e6 + 1.0, 10e6, None, "not a grid frequency"),
+        (20e6, 10e6 + 1.0, None, "not a grid frequency"),
+    ],
+    ids=["zero-beat", "negative-beat", "half-width-at-beat", "negative-half-width", "off-grid-center",
+         "off-grid-beat"],
+)
+def test_epr_identity_rejects_bands_that_cannot_decompose(omega0_hz, beat_hz, half_width_hz, match):
+    f = _vacuum(substream(13, 0, 0))
+    with pytest.raises(BandError, match=match):
+        epr_identity_residual(GRID, f, omega0_hz, beat_hz, half_width_hz)
 
 
 def test_epr_grouped_terms_reduced_by_squeezing():

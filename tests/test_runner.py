@@ -443,15 +443,28 @@ def test_cli_list_presets(capsys):
     assert sorted(names) == sorted(EXPECTED_PRESETS)
 
 
-def test_cli_refuses_the_retired_identity_kind(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, patch, error",
+    [
+        (["run", "--preset", "epr-identity"], None, "preset: unknown preset 'epr-identity'"),
+        (["run", "--preset", "epr-identity", "--frames", "7"], None, "preset: unknown preset 'epr-identity'"),
+        (["validate"], '{"kind": "epr"}', "kind: must be one of"),
+        (["run"], '{"kind": "epr"}', "kind: must be one of"),
+        (["run"], '{"kind": "epr", "epr": {"draws": 5}}', "kind: must be one of"),
+        (["run", "--preset", "fig3-raw"], '{"epr": {"draws": 5}}', "epr: unknown field"),
+    ],
+    ids=["preset", "preset-frames", "validate-kind", "run-kind", "run-kind-section", "section-on-heterodyne"],
+)
+def test_cli_refuses_the_retired_identity_kind(argv, patch, error, tmp_path, capsys):
     # the sideband-recombination identity is a test (acceptance criterion 1), not a run kind
-    assert main(["run", "--preset", "epr-identity", "--out", str(tmp_path / "o")]) == 2
-    assert "config error: preset: unknown preset 'epr-identity'" in capsys.readouterr().err
-    cfg_path = tmp_path / "epr.json"
-    cfg_path.write_text('{"kind": "epr"}')
-    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
-        assert main([*argv, "--config", str(cfg_path)]) == 2
-        assert "config error: kind: must be one of" in capsys.readouterr().err
+    if patch is not None:
+        cfg_path = tmp_path / "epr.json"
+        cfg_path.write_text(patch)
+        argv = [*argv, "--config", str(cfg_path)]
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"config error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
