@@ -58,8 +58,8 @@ MAX_CARRIER = 1e6
 # 1e-6 and a classical fraction of 1 - 2^-53, the largest variance the
 # bounds admit is (2/3) 2^53 (2e-12) / 1e-30 = 1.2e34, which stays finite.
 MIN_QUANTUM_EFFICIENCY = 1e-6
-# The runner queues one job per 128-frame chunk, for every acquisition, before
-# the first frame runs: 10^7 frames are 78k jobs, hours at today's rates.
+# The runner queues one job per 128-frame chunk, each running every acquisition,
+# before the first frame runs: 10^7 frames are 78k jobs, hours at today's rates.
 MAX_FRAMES = 10**7
 
 
@@ -116,7 +116,7 @@ def _bounded(default=MISSING, *, ge=None, gt=None, le=None, lt=None):
 class GridConfig:
     sample_rate_hz: float = _bounded(125e6, gt=0)
     n_samples: int = _bounded(5000, ge=16, le=MAX_SAMPLES)
-    frames: int = _bounded(12500, ge=1, le=MAX_FRAMES)
+    frames: int = _bounded(12500, ge=2, le=MAX_FRAMES)  # a standard error needs two
 
     def frequency_grid(self) -> FrequencyGrid:
         return FrequencyGrid(self.sample_rate_hz, self.n_samples)

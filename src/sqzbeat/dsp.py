@@ -1,5 +1,5 @@
 """Measurement chain: filters, mixer, periodograms, compensation, and the
-band metric over a mask.
+band metric.
 
 Spectral convention: two-sided per-bin power, reported on the one-sided
 frequency axis.  A white sequence with unit per-sample variance estimates
@@ -15,6 +15,10 @@ is the periodic (DFT-even) Hamming window, 0.54 - 0.46 cos(2 pi t / n),
 whose spectrum has three taps, so ``hamming_from_bins`` windows the bins
 with no FFT.  These steps work along the last axis, so one call handles
 one frame or a block of frames with one row each.
+
+The band metric (``postprocess``) reads the sums over frames of the
+products of each frame's band means, not a band's bins, whose scatter
+also counts spectral shape and leakage as noise.
 
 The filter chain is designed here from its poles and zeros (analog
 prototype, band transform, bilinear transform) in numpy, so no run loads
@@ -236,50 +240,30 @@ def cross_periodogram(v1: np.ndarray, v2: np.ndarray, wnorm: float) -> np.ndarra
     return np.real(v1 * np.conj(v2)) / wnorm
 
 
-def _window_variance_factor(n_fft: int) -> float:
-    # Windowing correlates neighboring periodogram bins: for Gaussian
-    # inputs cov(P_k, P_{k+m}) scales as |R_{w^2}(m)|^2, so a band mean
-    # fluctuates sum_m |rho(m)|^2 times more than independent bins would
-    # (about 1.82 for Hamming).  Band means here span many bins, so the
-    # few-lag truncation is accurate.
-    if n_fft < 16:
-        return 1.0
-    w2 = hamming_window(n_fft)[0] ** 2
-    r = np.fft.rfft(w2)[:8]
-    rho2 = np.abs(r / r[0]) ** 2
-    return float(rho2[0] + 2.0 * np.sum(rho2[1:]))
+def postprocess(sums: np.ndarray) -> tuple[float, float]:
+    """Band-averaged noise reduction in dB and its standard error, from one
+    band's frame sums ``sums`` of v v^T, v = (1, B, R, T) with B, R and T a
+    frame's compensated background, reference and target band means:
 
+    reduction = -10 log10( (mean T - mean B) / (mean R - mean B) )
 
-def postprocess(target: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> tuple[float, float, int]:
-    """Band-averaged noise reduction in dB and its standard error, and the
-    band's bin count, of background-subtracted spectra on the bins of ``mask``:
-
-    reduction = -10 log10( mean_band(target) / mean_band(reference) )
-
-    The standard error propagates the bin scatter of both band means,
-    inflated by the window correlation factor since neighboring bins of a
-    windowed periodogram are not independent.  Raises
-    DegenerateSubtractionError when a band mean is not positive
-    (electronic noise dominates the light).
+    The standard error is the delta method's on the frames' covariance of
+    (B, R, T), cross terms between acquisitions included.  Raises
+    DegenerateSubtractionError when a subtracted band mean is not
+    positive (electronic noise dominates the light).
     """
-    n_bins = int(np.count_nonzero(mask))
-    if n_bins < 2:
-        raise DspError("band must contain at least two bins")
-    t = target[mask]
-    r = reference[mask]
-    t_mean = float(np.mean(t))
-    r_mean = float(np.mean(r))
-    if t_mean <= 0.0 or r_mean <= 0.0:
-        raise DegenerateSubtractionError(
-            "band mean is not positive after background subtraction"
-        )
-    reduction_db = -10.0 * np.log10(t_mean / r_mean)
-    corr = np.sqrt(_window_variance_factor(2 * (len(target) - 1)))
-    se_t = float(np.std(t, ddof=1) / np.sqrt(n_bins)) * corr
-    se_r = float(np.std(r, ddof=1) / np.sqrt(n_bins)) * corr
-    rel = np.hypot(se_t / t_mean, se_r / r_mean)
-    stderr_db = float(10.0 / np.log(10.0) * rel)
-    return float(reduction_db), stderr_db, n_bins
+    n = sums[0, 0]
+    if n < 2:
+        raise DspError("a standard error needs at least two frames")
+    mean = sums[0, 1:] / n
+    cov = (sums[1:, 1:] - n * np.outer(mean, mean)) / (n - 1)
+    b, r, t = mean
+    if t <= b or r <= b:
+        raise DegenerateSubtractionError("band mean is not positive after background subtraction")
+    # The gradient of ln((T - B) / (R - B)) in (B, R, T).
+    grad = np.array([1.0 / (r - b) - 1.0 / (t - b), -1.0 / (r - b), 1.0 / (t - b)])
+    var = max(float(grad @ cov @ grad) / n, 0.0)
+    return float(-10.0 * np.log10((t - b) / (r - b))), float(10.0 / np.log(10.0) * np.sqrt(var))
 
 
 def raw_measurement_chain() -> list[FilterSpec]:

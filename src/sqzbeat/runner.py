@@ -13,7 +13,9 @@ block:
   once.  Its block step ``periodograms(blocks)`` runs every acquisition
   of a chunk's frames and yields the periodograms of each block of
   frames keyed by acquisition (a sweep: their moments, keyed
-  "moments"), one row per frame.
+  "moments"), one row per frame, then a heterodyne chunk's per-frame
+  band-mean products, from whose sums ``dsp.postprocess`` takes each
+  band's reduction and standard error.
 - chunk: CHUNK_FRAMES frames of every acquisition, the one job a worker
   pool maps over (``_chunk_sum``), so a run of up to CHUNK_FRAMES frames
   starts no pool.  A chunk seeds one base generator per (acquisition,
@@ -37,7 +39,7 @@ from its own (run, frame, port) stream, set up bit for bit as its own
 jumped generator would be, elementwise steps do not care
 about the row layout, numpy's batched FFTs return every row's bits as a
 one-frame call does (numpy 2.4; the block tests in ``tests/`` check it),
-and periodograms are still added to the chunk sums
+and every row is still added to the chunk sums
 frame by frame in frame order.  Summaries hold the band-averaged
 reductions next to their closed-form budget predictions.
 
@@ -238,6 +240,11 @@ class _HeterodyneContext:
                 "target": np.sqrt(lit * demod_shot),
             }
         self.chain_h = chain_response(chain, self.freqs, fs)
+        # A column of these (bins x bands) weights gives a band's mean of a
+        # compensated spectrum: its mask over its bin count over max(|h|^2, floor).
+        self.masks = np.array([band.mask(self.freqs) for band in ms.bands])
+        power, floor = chain_floor(self.chain_h)
+        self.band_weights = self.masks.T / self.masks.sum(axis=1) / np.maximum(power, floor)[:, None]
         # The stream layout (``rng``): the shape of the standard normals a
         # frame of each acquisition draws, by port, only where it reads
         # them.  A beam's vacuum row is real parts, then imaginary parts;
@@ -306,11 +313,16 @@ class _HeterodyneContext:
 
     def periodograms(self, blocks: list[range]):
         """Reported periodogram rows of each block of frames, one
-        acquisition after another, keyed by acquisition.  One that draws
-        no port is dark with no readout noise, exact zeros: it runs no
-        block and yields no row, so it sums to zeros."""
+        acquisition after another, keyed by acquisition, then, keyed
+        "bands", v v^T of each frame and band, v = (1, B, R, T) its
+        background, reference and target band means.  An acquisition that
+        draws no port is dark with no readout noise, exact zeros: it runs
+        no block and yields no row, and its band means are zeros."""
         periodogram = cross_periodogram if self.estimate == "cross" else auto_periodogram
-        for run_name in RUN_NAMES:
+        first = blocks[0].start
+        v = np.zeros((blocks[-1].stop - first, len(self.masks), 4))
+        v[..., 0] = 1.0
+        for i, run_name in enumerate(RUN_NAMES, 1):
             if not self.draws[run_name]:
                 yield {run_name: np.zeros((0, len(self.freqs)))}
                 continue
@@ -323,7 +335,10 @@ class _HeterodyneContext:
                 # normals held at once cost 0.7 MB of peak RSS on fig4-demod,
                 # and the beams' normals kept to the block's end 0.8 MB more.
                 del noise
-                yield {run_name: periodogram(*spectra, self.wnorm)}
+                rows = periodogram(*spectra, self.wnorm)
+                v[frames.start - first : frames.stop - first, :, i] = rows @ self.band_weights
+                yield {run_name: rows}
+        yield {"bands": v[..., :, None] * v[..., None, :]}
 
 
 class _SweepContext:
@@ -497,14 +512,10 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
     background, reference, target = compensate_spectrum(np.stack(list(means.values())), ctx.chain_h)
     subtracted = {"reference": reference - background, "target": target - background}
 
-    bands = []
-    union = np.zeros(len(freqs), dtype=bool)
-    for band in cfg.measurement.bands:
-        mask = band.mask(freqs)
-        union |= mask
-        reduction_db, stderr_db, n_bins = postprocess(subtracted["target"], subtracted["reference"], mask)
-        predicted_db = band_budget(cfg, freqs[mask]).reduction_db
-        bands.append(BandResult(band.label, band.center_hz, reduction_db, stderr_db, predicted_db, n_bins))
+    bands = [
+        BandResult(b.label, b.center_hz, *postprocess(s), band_budget(cfg, freqs[m]).reduction_db, int(m.sum()))
+        for b, m, s in zip(cfg.measurement.bands, ctx.masks, sums["bands"])
+    ]
 
     # Raw spectra against the reference level in the normalization band;
     # processed ones against the subtracted shot level in the analysis bands.
@@ -515,7 +526,7 @@ def _run_heterodyne(cfg: ExperimentConfig, workers: int) -> tuple[RunSummary, np
         (f"spectrum_{name}", _db_rel(values, ref_norm), dict(header, trace=name, processed="false"))
         for name, values in means.items()
     ]
-    shot_norm = float(np.mean(subtracted["reference"][union]))
+    shot_norm = float(np.mean(subtracted["reference"][ctx.masks.any(axis=0)]))
     power, floor = chain_floor(ctx.chain_h)  # below the floor, compensation leaves rounding residue
     spectra += [
         (f"processed_{name}", _db_rel(np.where(power < floor, 0.0, values), shot_norm),

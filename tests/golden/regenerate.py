@@ -10,9 +10,10 @@ Summaries come from the commands ``tests/test_golden.py`` lists,
 and ``block-boundary.sha256`` from ``run(merge_config(preset_config(PRESET),
 PATCH), frames=130, workers=W)`` for every (NAME, PRESET, PATCH) of
 ``BOUNDARY_RUNS`` and W = 1 and 2, which must write the same bytes.  Its
-header records the numpy version that wrote the files.  Prints
-the name of each file whose contents changed.  Regenerate only for a
-declared change of the realizations, after the acceptance gate passes.
+header records the numpy version that wrote the files.  A golden summary
+of a preset ``list_presets()`` no longer lists is removed.  Prints the
+name of each file changed or removed.  Regenerate only for a declared
+change of the outputs, after the acceptance gate passes.
 """
 
 from __future__ import annotations
@@ -102,8 +103,14 @@ def _write(filename: str, data: bytes, changed: list[str]):
 
 
 def regenerate() -> list[str]:
-    """Write every golden file; return the names of those that changed."""
+    """Write every golden file and remove stale summaries; return the
+    names of the files changed or removed."""
     changed = []
+    listed = {f"{name}.summary.txt" for name, _ in list_presets()}
+    for filename in sorted(os.listdir(GOLDEN)):
+        if filename.endswith(".summary.txt") and filename not in listed:
+            os.remove(os.path.join(GOLDEN, filename))
+            changed.append(filename)
     for name, _ in list_presets():
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):

@@ -312,37 +312,96 @@ def test_band_config_masks_exclusion_zone():
     assert freqs[274] == pytest.approx(6.85e6, abs=1e-6) and not m[274]
 
 
-def _flat_subtracted(level_t, level_r, level_b, n=513):
-    """Flat target and reference spectra less a flat background, and a
-    band 3 MHz +- 1 MHz without 3 MHz +- 0.1 MHz on their bins."""
-    freqs = np.linspace(1e6, 5e6, n)
-    flat = lambda level: np.full(n, level, dtype=float)
-    mask = BandConfig("b", 3e6, 1e6, 0.1e6).mask(freqs)
-    return flat(level_t) - flat(level_b), flat(level_r) - flat(level_b), mask
+def _frame_sums(b, r, t):
+    """Sums over frames of v v^T, v = (1, B, R, T), of per-frame
+    background, reference and target band means, as a run's chunks sum them."""
+    v = np.column_stack((np.ones(len(r)), b, r, t))
+    return v.T @ v
+
+
+def _frames(gen, level, n, dof=200):
+    """Band means of n frames: a chi-square mean of ``dof`` degrees of
+    freedom around ``level``, as a band of periodogram bins gives."""
+    return level * gen.chisquare(dof, n) / dof
 
 
 def test_postprocess_identity_is_zero_db():
-    reduction_db, stderr_db, n_bins = postprocess(*_flat_subtracted(1.3, 1.3, 0.3))
+    gen = np.random.default_rng(1)
+    b, r = _frames(gen, 0.3, 64), _frames(gen, 1.3, 64)
+    reduction_db, stderr_db = postprocess(_frame_sums(b, r, r))
     assert reduction_db == pytest.approx(0.0, abs=1e-12)
-    assert stderr_db == pytest.approx(0.0, abs=1e-12)
-    assert n_bins == 232  # bins 128-384 of 7812.5 Hz, less 244-268
+    assert stderr_db == 0.0
 
 
 def test_postprocess_recovers_constructed_reduction():
-    # target = reference * 10^(-0.371) + background
-    reduction_db, _, _ = postprocess(*_flat_subtracted(1.0 * 10 ** (-0.371) + 0.3, 1.0 + 0.3, 0.3))
+    # every frame's target = its reference * 10^(-0.371) over its background
+    gen = np.random.default_rng(2)
+    b, r = _frames(gen, 0.3, 64), _frames(gen, 1.3, 64)
+    reduction_db, stderr_db = postprocess(_frame_sums(b, r, b + (r - b) * 10 ** (-0.371)))
     assert reduction_db == pytest.approx(3.71, abs=1e-9)
+    assert stderr_db == pytest.approx(0.0, abs=1e-6)
+
+
+def _monte_carlo(draw, trials=2000, frames=64):
+    """Mean stderr_db and the SD of reduction_db over independent trials of
+    ``frames`` frames, each drawn by ``draw(gen, frames)`` as (B, R, T)."""
+    gen = np.random.default_rng(3)
+    results = np.array([postprocess(_frame_sums(*draw(gen, frames))) for _ in range(trials)])
+    return results[:, 1].mean(), results[:, 0].std(ddof=1)
+
+
+def test_postprocess_stderr_of_iid_frames_is_the_monte_carlo_scatter():
+    stderr, scatter = _monte_carlo(lambda gen, n: (_frames(gen, 0.3, n), _frames(gen, 1.3, n), _frames(gen, 0.8, n)))
+    # the SD of 2000 trials is good to about 1.6%
+    assert stderr == pytest.approx(scatter, rel=0.05)
+
+
+def test_postprocess_counts_a_shared_background_once():
+    # a background each lit frame shares cancels in both subtractions: its
+    # covariance with reference and target shrinks the error to that of
+    # the subtracted frames alone, far below independent backgrounds'
+    def shared(gen, n):
+        b = _frames(gen, 2.0, n, dof=20)
+        return b, b + _frames(gen, 1.0, n), b + _frames(gen, 0.5, n)
+
+    def independent(gen, n):
+        b, r, t = shared(gen, n)
+        return _frames(gen, 2.0, n, dof=20), r, t
+
+    stderr, scatter = _monte_carlo(shared)
+    assert stderr == pytest.approx(scatter, rel=0.05)
+    gen = np.random.default_rng(4)
+    b, r, t = shared(gen, 64)
+    alone = postprocess(_frame_sums(np.zeros(64), r - b, t - b))
+    assert postprocess(_frame_sums(b, r, t)) == pytest.approx(alone, rel=1e-9)
+    assert stderr < 0.5 * _monte_carlo(independent)[0]
+
+
+def test_postprocess_of_a_dark_background_of_exact_zeros():
+    # a dark acquisition that draws no port sums to zeros: the error is
+    # that of the ratio of the lit band means, their covariance included
+    gen = np.random.default_rng(5)
+    r = _frames(gen, 1.3, 64)
+    t = 0.6 * r + _frames(gen, 0.2, 64)
+    reduction_db, stderr_db = postprocess(_frame_sums(np.zeros(64), r, t))
+    cov = np.cov(r, t) / 64
+    rel = cov[0, 0] / r.mean() ** 2 + cov[1, 1] / t.mean() ** 2 - 2.0 * cov[0, 1] / (r.mean() * t.mean())
+    assert reduction_db == pytest.approx(-10.0 * np.log10(t.mean() / r.mean()), rel=1e-12)
+    assert stderr_db == pytest.approx(10.0 / np.log(10.0) * np.sqrt(rel), rel=1e-9)
 
 
 def test_postprocess_degenerate_subtraction():
-    with pytest.raises(DegenerateSubtractionError):
-        postprocess(*_flat_subtracted(1.0, 0.3, 0.3))
+    # the target's band mean, then the reference's, below the background's
+    gen = np.random.default_rng(6)
+    for levels in ((1.5, 0.8), (0.8, 1.5)):
+        b, r, t = _frames(gen, 1.0, 64), _frames(gen, levels[0], 64), _frames(gen, levels[1], 64)
+        with pytest.raises(DegenerateSubtractionError):
+            postprocess(_frame_sums(b, r, t))
 
 
-def test_postprocess_needs_two_bins():
-    t, r, mask = _flat_subtracted(1.3, 1.3, 0.3)
-    with pytest.raises(DspError, match="at least two bins"):
-        postprocess(t, r, mask & (np.cumsum(mask) == 1))
+def test_postprocess_needs_two_frames():
+    with pytest.raises(DspError, match="at least two frames"):
+        postprocess(_frame_sums([0.3], [1.3], [1.0]))
 
 
 def test_demod_chain_passband():

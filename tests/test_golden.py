@@ -51,7 +51,12 @@ rewrote the measured lines and the ``stream_layout`` line of every
 heterodyne and sweep summary and the digest of every file drawn from
 noise, after the acceptance gate passed at unchanged frame counts, seeds
 and tolerances; ``epr-identity``, the sweep's model files and
-``appendixG-straightforward``'s dark background are unchanged.
+``appendixG-straightforward``'s dark background are unchanged.  Taking
+each band's standard error from per-frame band means instead of the
+scatter across its bins rewrote the ``stderr_db`` lines of every
+heterodyne summary and the ``summary.txt`` digest of every heterodyne
+boundary run, after the acceptance gate passed at unchanged frame
+counts, seeds and tolerances; no other line, and no spectrum, changed.
 """
 
 import hashlib
@@ -79,6 +84,12 @@ def test_golden_summary(name, tmp_path):
     with open(os.path.join(GOLDEN, f"{name}.summary.txt"), "rb") as fh:
         expected = fh.read()
     assert (tmp_path / "summary.txt").read_bytes() == expected, NUMPY_VERSIONS
+
+
+def test_golden_summaries_are_those_of_the_listed_presets():
+    # regenerate.py removes the golden of a preset that is gone
+    on_disk = sorted(f for f in os.listdir(GOLDEN) if f.endswith(".summary.txt"))
+    assert on_disk == sorted(f"{name}.summary.txt" for name, _ in list_presets())
 
 
 @pytest.mark.parametrize("name", [name for name, _ in list_presets()])

@@ -50,7 +50,9 @@ def stream_log(monkeypatch):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=[*HETERODYNE, "fig4-demod+jitter"])
 def test_one_frame_uses_each_stream_once(cfg, stream_log, tmp_path):
-    run(cfg, frames=1, workers=1, out_dir=str(tmp_path))
+    # two frames, the fewest a run takes: each frame index opens the same
+    # (run, port) streams, each once
+    run(cfg, frames=2, workers=1, out_dir=str(tmp_path))
     assert stream_log, "no stream was opened"
     assert len(stream_log) == len(set(stream_log))
     assert {entropy for entropy, _ in stream_log} == {cfg.seed}
@@ -59,19 +61,23 @@ def test_one_frame_uses_each_stream_once(cfg, stream_log, tmp_path):
     assert {rng.RUN_REFERENCE, rng.RUN_TARGET} <= runs <= {
         rng.RUN_BACKGROUND, rng.RUN_REFERENCE, rng.RUN_TARGET
     }
-    assert {key[1] for _, key in stream_log} == {0}  # frame index
+    per_frame = [{(run_id, port) for _, (run_id, f, port) in stream_log if f == frame} for frame in (0, 1)]
+    assert {key[1] for _, key in stream_log} == {0, 1}  # frame index
+    assert per_frame[0] == per_frame[1]
     if cfg.name.endswith("-jitter"):
-        assert (rng.RUN_TARGET, 0, rng.PORT_JITTER) in {key for _, key in stream_log}
+        assert (rng.RUN_TARGET, rng.PORT_JITTER) in per_frame[0]
 
 
-# (run, frame, port) keys one fig4-demod frame index draws: dark frames
-# read electronic and arm noise, the reference and the target one vacuum
-# row per beam (the target's path loss is folded into its squeezer).
+# (run, frame, port) keys of the two frame indices of a two-frame
+# fig4-demod run, 15 each: dark frames read electronic and arm noise, the
+# reference and the target one vacuum row per beam (the target's path
+# loss is folded into its squeezer).
 FIG4_KEYS = sorted(
-    [(rng.RUN_BACKGROUND, 0, port) for port in (rng.PORT_DETECTOR, rng.PORT_ARM1, rng.PORT_ARM2)]
+    [(rng.RUN_BACKGROUND, frame, port) for frame in (0, 1) for port in (rng.PORT_DETECTOR, rng.PORT_ARM1, rng.PORT_ARM2)]
     + [
-        (run, 0, port)
+        (run, frame, port)
         for run in (rng.RUN_REFERENCE, rng.RUN_TARGET)
+        for frame in (0, 1)
         for port in (
             rng.PORT_BEAM1, rng.PORT_BEAM2, rng.PORT_DETECTOR, rng.PORT_PHASE, rng.PORT_ARM1, rng.PORT_ARM2
         )
@@ -80,26 +86,27 @@ FIG4_KEYS = sorted(
 
 
 def test_fig4_demod_frame_index_builds_one_generator_per_key(stream_log, tmp_path):
-    run(preset_config("fig4-demod"), frames=1, workers=1, out_dir=str(tmp_path))
-    assert len(stream_log) == len(FIG4_KEYS) == 15
+    run(preset_config("fig4-demod"), frames=2, workers=1, out_dir=str(tmp_path))
+    assert len(stream_log) == len(FIG4_KEYS) == 2 * 15
     assert sorted(key for _, key in stream_log) == FIG4_KEYS
 
 
 def test_auto_spectrum_readout_never_draws_arm_2(stream_log, tmp_path):
     # appendixD-no-cross reads arm 1 alone, from the same streams as fig4-demod
-    run(preset_config("appendixD-no-cross"), frames=1, workers=1, out_dir=str(tmp_path))
+    run(preset_config("appendixD-no-cross"), frames=2, workers=1, out_dir=str(tmp_path))
     assert sorted(key for _, key in stream_log) == [k for k in FIG4_KEYS if k[2] != rng.PORT_ARM2]
 
 
 class _CountingGenerator:
-    """A generator that adds the normals each draw returns to its count."""
+    """A generator that adds the normals each draw returns to its count,
+    the second entry of its row [frame, count]."""
 
-    def __init__(self, gen, counts):
-        self._gen, self._counts, self._row = gen, counts, len(counts)
-        counts.append(0)
+    def __init__(self, gen, frame, counts):
+        self._gen, self._row = gen, [frame, 0]
+        counts.append(self._row)
 
     def _count(self, values):
-        self._counts[self._row] += np.size(values)
+        self._row[1] += np.size(values)
         return values
 
     def standard_normal(self, *args, **kwargs):
@@ -111,20 +118,21 @@ class _CountingGenerator:
 
 @pytest.fixture
 def normal_counts(monkeypatch):
-    """Normals drawn from each stream opened, in opening order."""
+    """[frame, normals drawn] of each stream opened, in opening order."""
     counts = []
     original = rng.ChunkStreams.generator
     monkeypatch.setattr(
         rng.ChunkStreams,
         "generator",
-        lambda streams, frame, port: _CountingGenerator(original(streams, frame, port), counts),
+        lambda streams, frame, port: _CountingGenerator(original(streams, frame, port), frame, counts),
     )
     return counts
 
 
-# The counts the ``sqzbeat.rng`` docstring gives for one frame index.  A
-# sweep frame draws one row of the 2m + 1 = 1299 sidebands its quadratures
-# read, real and imaginary parts, which every pump power squeezes.
+# The counts the ``sqzbeat.rng`` docstring gives for one frame index, of
+# each of a two-frame run's two.  A sweep frame draws one row of the
+# 2m + 1 = 1299 sidebands its quadratures read, real and imaginary parts,
+# which every pump power squeezes.
 @pytest.mark.parametrize(
     "name, counts",
     [
@@ -134,8 +142,11 @@ def normal_counts(monkeypatch):
     ],
 )
 def test_one_frame_index_draws_the_documented_normals(name, counts, normal_counts, tmp_path):
-    run(preset_config(name), frames=1, workers=1, out_dir=str(tmp_path))
-    assert (len(normal_counts), sum(normal_counts)) == counts
+    run(preset_config(name), frames=2, workers=1, out_dir=str(tmp_path))
+    for frame in (0, 1):
+        drawn = [count for f, count in normal_counts if f == frame]
+        assert (len(drawn), sum(drawn)) == counts, frame
+    assert len(normal_counts) == 2 * counts[0]
 
 
 # Entropies of one word, of two and longer than SeedSequence's 4-word

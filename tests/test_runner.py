@@ -220,6 +220,30 @@ def test_reduced_frame_run_consistent_with_larger_run(tmp_path):
         assert abs(bs.reduction_db - bl.reduction_db) < 3.5 * combined
 
 
+# Seeds of the pooled-pull test, fixed before it first ran.
+PULL_SEEDS = range(7300, 7350)
+
+
+def test_band_stderr_matches_the_scatter_over_seeds(tmp_path):
+    # Each band's stderr_db must be the seed-to-seed scatter of its
+    # reduction_db.  A pull is a band's reduction less its configuration's
+    # mean over the seeds, over its stderr; pooled over 4 bands x 50 seeds,
+    # with one degree of freedom per band spent on the mean, their SD must
+    # be 1 within about 2.5 of its own standard errors (0.05).  A 1250-sample
+    # grid at 32 frames keeps the 150 runs within a few seconds.
+    pulls = []
+    for name in ("fig3-raw", "fig4-demod", "appendixD-no-cross"):
+        cfg = merge_config(preset_config(name), {"grid": {"n_samples": 1250}})
+        bands = [run(cfg, frames=32, seed=seed, out_dir=str(tmp_path)).bands for seed in PULL_SEEDS]
+        for band in zip(*bands):
+            reductions = np.array([b.reduction_db for b in band])
+            pulls.append((reductions - reductions.mean()) / [b.stderr_db for b in band])
+    pulls = np.array(pulls)
+    assert pulls.size >= 200
+    sd = np.sqrt(np.sum(pulls**2) / (pulls.size - len(pulls)))
+    assert 0.88 <= sd <= 1.12, sd
+
+
 def _closes(summary):
     """Every band's measured reduction lies within 4 standard errors of its budget."""
     for band in summary.bands:

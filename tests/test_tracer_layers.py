@@ -41,15 +41,16 @@ def test_traced_layer_resolves(layer):
 def test_a_jittered_target_frame_runs_through_the_traced_layers(tmp_path):
     # the tracer times a layer only where the run calls it by that name:
     # a jittered target frame must still squeeze, pick off and compose
-    # through them (reference and target, two beams each, squeezed on the
-    # target only)
+    # through them, once per block (two frames, the fewest a run takes,
+    # are one block: reference and target, two beams each, squeezed on
+    # the target only)
     cfg = merge_config(preset_config("fig4-demod"), {
         name: {"squeezer": {"angle_jitter_rms_rad": 0.05}} for name in ("pickoff1", "pickoff2")
     })
     tracer = TRACER_MODULE.Tracer()
     tracer.install()
     try:
-        run(cfg, frames=1, workers=1, out_dir=str(tmp_path))
+        run(cfg, frames=2, workers=1, out_dir=str(tmp_path))
     finally:
         tracer.uninstall()
     assert tracer.calls["fields.apply_squeezer"] == 2
